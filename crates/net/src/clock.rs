@@ -1,15 +1,17 @@
-//! The time abstraction: wall time for deployments, virtual time for
-//! the discrete-event simulator.
+//! The time abstraction of the session attempt loop.
 //!
-//! Every place the networking runtime used to consult the OS clock
-//! directly — the hub's delivery-patience loop, the supervisor's
-//! reconnect backoff, the serve layer's between-attempt backoff — now
-//! goes through a [`Clock`]. Production code uses [`WallClock`]
-//! (identical behaviour to the old direct calls); the `shs-sim`
-//! discrete-event simulator supplies a [`VirtualClock`] whose `sleep`
-//! *advances* time instead of blocking, so a simulated run with delay
-//! faults or deep backoff schedules costs zero wall-clock time and
-//! stays bit-reproducible.
+//! [`crate::serve::drive`], the one attempt loop, checks every deadline
+//! and runs every backoff wait on a [`Clock`], and the session registry
+//! stores each deadline as a reading of that same clock, so wall and
+//! virtual time never mix within a session. [`crate::serve::Service`]
+//! drives sessions on a [`WallClock`]; the `shs-sim` discrete-event
+//! simulator drives each virtual session on its own [`VirtualClock`],
+//! whose `sleep` *advances* time instead of blocking, so deep backoff
+//! schedules cost zero wall-clock time and stay bit-reproducible.
+//!
+//! The threaded hub's delivery patience and the TCP supervisor's
+//! reconnect backoff wait on real threads and sockets, so they use the
+//! OS clock directly.
 //!
 //! The trait is deliberately tiny: a monotonic "now" as a [`Duration`]
 //! since the clock's own epoch, plus a sleep. Durations (rather than
@@ -71,10 +73,10 @@ impl Clock for WallClock {
 /// counter of nanoseconds that only moves when someone advances it.
 ///
 /// `sleep` advances the counter by the requested duration and returns
-/// immediately — a simulated backoff or patience window costs nothing
-/// in wall time. Clones share the same underlying counter, so a
-/// simulator can hand one handle to the runtime and keep another to
-/// schedule events against the same timeline.
+/// immediately — a simulated backoff costs nothing in wall time. Clones
+/// share the same underlying counter, so a simulator can hand one handle
+/// to the attempt loop and keep another to charge simulated network
+/// time against the same timeline.
 #[derive(Debug, Clone, Default)]
 pub struct VirtualClock {
     nanos: Arc<AtomicU64>,
@@ -84,13 +86,6 @@ impl VirtualClock {
     /// A virtual clock at time zero.
     pub fn new() -> VirtualClock {
         VirtualClock::default()
-    }
-
-    /// Moves the clock forward to `t` if `t` is later than the current
-    /// time (monotonic advance; earlier values are ignored).
-    pub fn advance_to(&self, t: Duration) {
-        let target = t.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.nanos.fetch_max(target, Ordering::SeqCst);
     }
 
     /// Moves the clock forward by `d`.
@@ -145,10 +140,9 @@ mod tests {
     fn virtual_clock_clones_share_the_timeline() {
         let a = VirtualClock::new();
         let b = a.clone();
-        a.advance_to(Duration::from_millis(250));
-        assert_eq!(b.now(), Duration::from_millis(250));
-        // advance_to never goes backwards.
-        b.advance_to(Duration::from_millis(100));
-        assert_eq!(a.now(), Duration::from_millis(250));
+        a.advance_by(Duration::from_millis(250));
+        b.sleep(Duration::from_millis(100));
+        assert_eq!(a.now(), Duration::from_millis(350));
+        assert_eq!(b.now(), a.now());
     }
 }

@@ -29,7 +29,6 @@
 //! session (every party sends once per round and drains its inbox) never
 //! triggers either mechanism.
 
-use crate::clock::SharedClock;
 use crate::fault::FaultPlan;
 use crate::observe::TrafficLog;
 use crate::{NetError, PartyLink};
@@ -311,32 +310,8 @@ where
 pub fn run_session_with_config<T, F>(
     m: usize,
     seed: u64,
-    plan: FaultPlan,
-    config: HubConfig,
-    bodies: Vec<F>,
-) -> (Vec<T>, TrafficLog)
-where
-    T: Send + 'static,
-    F: FnOnce(PartyHandle) -> T + Send + 'static,
-{
-    run_session_with_clock(m, seed, plan, config, crate::clock::wall(), bodies)
-}
-
-/// [`run_session_with_config`] with an explicit [`crate::clock::Clock`]
-/// governing the hub's delivery-patience wait. The wall clock (the
-/// default everywhere else) reproduces the old blocking behaviour; a
-/// virtual clock makes a stalled-receiver wait advance simulated time
-/// instead of wall time.
-///
-/// # Panics
-///
-/// Panics if a party thread panics.
-pub fn run_session_with_clock<T, F>(
-    m: usize,
-    seed: u64,
     mut plan: FaultPlan,
     config: HubConfig,
-    clock: SharedClock,
     bodies: Vec<F>,
 ) -> (Vec<T>, TrafficLog)
 where
@@ -373,21 +348,18 @@ where
         // disconnected) inbox loses the message instead of wedging the
         // hub.
         let deliver = |tx: &Sender<Wire>, mut w: Wire, bp_dropped: &mut u64| {
-            // The patience window runs on the injected clock: a virtual
-            // clock's sleep advances time, so the loop still terminates
-            // after `delivery_patience` without any real waiting.
-            let deadline = clock.now() + config.delivery_patience;
+            let deadline = Instant::now() + config.delivery_patience;
             loop {
                 match tx.try_send(w) {
                     Ok(()) => return,
                     Err(TrySendError::Disconnected(_)) => return,
                     Err(TrySendError::Full(back)) => {
-                        if clock.now() >= deadline {
+                        if Instant::now() >= deadline {
                             *bp_dropped += 1;
                             return;
                         }
                         w = back;
-                        clock.sleep(Duration::from_micros(100));
+                        thread::sleep(Duration::from_micros(100));
                     }
                 }
             }

@@ -61,6 +61,21 @@ impl FaultCounters {
     }
 }
 
+/// Field-wise sum: tallies of several sessions (or attempts) add up.
+impl std::ops::AddAssign<&FaultCounters> for FaultCounters {
+    fn add_assign(&mut self, other: &FaultCounters) {
+        self.dropped += other.dropped;
+        self.duplicated += other.duplicated;
+        self.corrupted += other.corrupted;
+        self.truncated += other.truncated;
+        self.delayed += other.delayed;
+        self.redelivered += other.redelivered;
+        self.crash_silenced += other.crash_silenced;
+        self.partitioned += other.partitioned;
+        self.backpressure_dropped += other.backpressure_dropped;
+    }
+}
+
 /// An ordered log of observed transmissions.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TrafficLog {

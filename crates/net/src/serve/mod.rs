@@ -47,8 +47,8 @@ pub use registry::{
     TerminalClass,
 };
 pub use session::{
-    live_slots, AttemptContext, AttemptOutcome, AttemptRecord, AttemptVerdict, SessionJob,
-    SessionSpec,
+    drive, live_slots, AttemptContext, AttemptOutcome, AttemptRecord, AttemptVerdict, DriveConfig,
+    SessionJob, SessionSpec,
 };
 pub use shed::{backoff_delay, DecoyShape, ShapeBook};
 
@@ -56,7 +56,6 @@ use crate::clock::SharedClock;
 use crate::observe::TrafficLog;
 use crossbeam::channel::{bounded, RecvTimeoutError, Sender, TrySendError};
 use parking_lot::Mutex;
-use session::DriveConfig;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -151,6 +150,9 @@ pub struct Service {
     /// Global id allocator — the only cross-shard state touched on the
     /// admission fast path.
     next_id: Arc<AtomicU64>,
+    /// The session clock (wall time): registry deadlines are readings
+    /// of it, and the workers' attempt loops run on it.
+    clock: SharedClock,
     /// Per-worker submission queues; cleared on shutdown to disconnect
     /// the workers.
     queues: Vec<Sender<WorkItem>>,
@@ -158,17 +160,9 @@ pub struct Service {
 }
 
 impl Service {
-    /// Starts the worker pool and returns the running service, with
-    /// backoff sleeps on the wall clock.
+    /// Starts the worker pool and returns the running service.
     pub fn start(config: ServiceConfig) -> Service {
-        Service::start_with_clock(config, crate::clock::wall())
-    }
-
-    /// [`Service::start`] with an explicit [`crate::clock::Clock`] for
-    /// the between-attempt backoff sleeps. The discrete-event simulator
-    /// passes a virtual clock so retry schedules advance simulated time
-    /// instead of blocking worker threads.
-    pub fn start_with_clock(config: ServiceConfig, clock: SharedClock) -> Service {
+        let clock = crate::clock::wall();
         let n = config.workers.max(1);
         let shards: Arc<Vec<Mutex<SessionRegistry>>> =
             Arc::new((0..n).map(|_| Mutex::new(SessionRegistry::new())).collect());
@@ -181,7 +175,7 @@ impl Service {
             backoff_base: config.backoff_base,
             backoff_cap: config.backoff_cap,
             seed: config.seed,
-            clock,
+            clock: Arc::clone(&clock),
         };
         let mut queues = Vec::with_capacity(n);
         let mut workers = Vec::with_capacity(n);
@@ -197,14 +191,15 @@ impl Service {
                 // contention; the timeout keeps idle workers responsive
                 // to a disconnect.
                 match rx.recv_timeout(Duration::from_millis(25)) {
-                    Ok(item) => {
+                    Ok(mut item) => {
                         let roster_len = item.spec.job.roster_len();
-                        let summary = session::drive(
+                        let summary = drive(
                             &shards[item.shard],
                             &draining,
-                            drive_cfg.clone(),
+                            &drive_cfg,
                             item.id,
-                            item.spec,
+                            item.spec.job.as_mut(),
+                            item.spec.max_attempts,
                         );
                         if let Some(traffic) = summary.clean_traffic {
                             shapes.lock().learn(roster_len, &traffic);
@@ -221,6 +216,7 @@ impl Service {
             shapes,
             draining,
             next_id: Arc::new(AtomicU64::new(0)),
+            clock,
             queues,
             workers,
         }
@@ -245,7 +241,7 @@ impl Service {
         let shard = (id % n as u64) as usize;
         self.shards[shard]
             .lock()
-            .admit_with_id(id, roster_len, Instant::now() + spec.deadline);
+            .admit_with_id(id, roster_len, self.clock.now() + spec.deadline);
         if !self.draining.load(Ordering::SeqCst) {
             let mut item = WorkItem { id, shard, spec };
             for offset in 0..n {

@@ -22,7 +22,7 @@
 use super::session::AttemptRecord;
 use crate::observe::TrafficLog;
 use std::collections::BTreeMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Registry-unique session identifier.
 pub type SessionId = u64;
@@ -157,13 +157,14 @@ pub struct SessionEntry {
     pub started_at: Option<Instant>,
     /// When it reached a terminal state.
     pub finished_at: Option<Instant>,
-    /// Absolute per-session deadline.
-    pub deadline: Instant,
+    /// Per-session deadline: a reading of the [`crate::clock::Clock`]
+    /// the session is driven on (admission time plus the budget).
+    pub deadline: Duration,
 }
 
 impl SessionEntry {
     /// Queue + execution latency, if the session already terminated.
-    pub fn latency(&self) -> Option<std::time::Duration> {
+    pub fn latency(&self) -> Option<Duration> {
         self.finished_at.map(|f| f.duration_since(self.queued_at))
     }
 }
@@ -228,8 +229,9 @@ impl SessionRegistry {
     }
 
     /// Admits a new session in [`SessionState::Gathering`], returning
-    /// its id.
-    pub fn admit(&mut self, roster_len: usize, deadline: Instant) -> SessionId {
+    /// its id. `deadline` is a reading of the clock the session will be
+    /// driven on.
+    pub fn admit(&mut self, roster_len: usize, deadline: Duration) -> SessionId {
         let id = self.next_id;
         self.admit_with_id(id, roster_len, deadline);
         id
@@ -239,7 +241,7 @@ impl SessionRegistry {
     /// service allocates ids from one global counter and pins each
     /// session to a shard registry by id, so the id arrives from
     /// outside. Self-allocation stays collision-free afterwards.
-    pub fn admit_with_id(&mut self, id: SessionId, roster_len: usize, deadline: Instant) {
+    pub fn admit_with_id(&mut self, id: SessionId, roster_len: usize, deadline: Duration) {
         self.next_id = self.next_id.max(id + 1);
         self.admitted += 1;
         let now = Instant::now();
@@ -369,8 +371,8 @@ impl SessionRegistry {
         self.entries.get(&id).cloned()
     }
 
-    /// The per-session deadline, if the session exists.
-    pub fn deadline(&self, id: SessionId) -> Option<Instant> {
+    /// The per-session deadline (a clock reading), if the session exists.
+    pub fn deadline(&self, id: SessionId) -> Option<Duration> {
         self.entries.get(&id).map(|e| e.deadline)
     }
 
@@ -437,10 +439,9 @@ impl SessionRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
-    fn soon() -> Instant {
-        Instant::now() + Duration::from_secs(5)
+    fn soon() -> Duration {
+        Duration::from_secs(5)
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::clock::SharedClock;
 use crate::observe::TrafficLog;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// What the service tells a job about the attempt it is asking for.
 #[derive(Debug, Clone)]
@@ -150,21 +150,26 @@ pub fn live_slots(roster: &[usize], traffic: &TrafficLog) -> Vec<usize> {
         .collect()
 }
 
-/// Service-side knobs the attempt loop needs (a copy of the relevant
-/// [`super::ServiceConfig`] fields, so this module stays decoupled).
+/// Service-side knobs of the attempt loop: the relevant
+/// [`super::ServiceConfig`] fields plus the clock the loop runs on.
 #[derive(Clone)]
-pub(crate) struct DriveConfig {
-    pub(crate) backoff_base: Duration,
-    pub(crate) backoff_cap: Duration,
-    pub(crate) seed: u64,
-    /// Time source of the backoff sleeps: wall time in production, a
-    /// virtual clock under the discrete-event simulator so backoff
-    /// schedules cost no real time.
-    pub(crate) clock: SharedClock,
+pub struct DriveConfig {
+    /// First-retry backoff; doubles per retry up to `backoff_cap`.
+    pub backoff_base: Duration,
+    /// Backoff ceiling.
+    pub backoff_cap: Duration,
+    /// Service seed; every attempt's seed is derived from it, the
+    /// session id and the attempt number.
+    pub seed: u64,
+    /// The session clock. Registry deadlines are readings of it and
+    /// backoff waits sleep on it: wall time in [`super::Service`], a
+    /// [`crate::clock::VirtualClock`] under the discrete-event
+    /// simulator, where waiting advances simulated time instead.
+    pub clock: SharedClock,
 }
 
-/// Outcome summary handed back to the worker for shape learning.
-pub(crate) struct DriveSummary {
+/// What [`drive`] hands back to the service worker for shape learning.
+pub struct DriveSummary {
     /// Traffic of the first attempt, if it completed fault-free (the
     /// template admission control imitates when shedding).
     pub(crate) clean_traffic: Option<TrafficLog>,
@@ -178,39 +183,38 @@ fn classify(
     registry.lock().transition(id, class.state(), Some(class))
 }
 
-/// Runs one session to a terminal state: the attempt loop with deadline
-/// checks, liveness analysis, survivor re-formation and jittered
-/// backoff. Every path out of this function leaves the registry entry
-/// terminal; registry errors (which cannot occur while the service owns
-/// the entry exclusively) surface as the entry simply keeping its last
-/// legal state, never as a panic.
-pub(crate) fn drive(
+/// Runs the admitted session `id` to a terminal state: the attempt loop
+/// with deadline checks, liveness analysis, survivor re-formation and
+/// jittered backoff, all timed on `config.clock` against the deadline
+/// the registry entry was admitted with. Every path out of this
+/// function leaves the registry entry terminal; registry errors (which
+/// cannot occur while the caller owns the entry exclusively) surface as
+/// the entry simply keeping its last legal state, never as a panic.
+pub fn drive(
     registry: &Mutex<SessionRegistry>,
     draining: &AtomicBool,
-    config: DriveConfig,
+    config: &DriveConfig,
     id: SessionId,
-    mut spec: SessionSpec,
+    job: &mut dyn SessionJob,
+    max_attempts: u32,
 ) -> DriveSummary {
     let mut summary = DriveSummary {
         clean_traffic: None,
     };
-    if registry
-        .lock()
-        .transition(id, SessionState::Running, None)
-        .is_err()
-    {
-        // The session was classified before a worker reached it (e.g. a
-        // drain swept the queue); nothing to run.
-        return summary;
-    }
-    let deadline = registry
-        .lock()
-        .deadline(id)
-        .unwrap_or_else(|| Instant::now() + spec.deadline);
-    let mut roster: Vec<usize> = (0..spec.job.roster_len()).collect();
+    let deadline = {
+        let mut reg = registry.lock();
+        match reg.deadline(id) {
+            Some(deadline) if reg.transition(id, SessionState::Running, None).is_ok() => deadline,
+            // Unknown, or classified before a worker reached it (e.g. a
+            // drain swept the queue): nothing to run.
+            _ => return summary,
+        }
+    };
+    let clock = &config.clock;
+    let mut roster: Vec<usize> = (0..job.roster_len()).collect();
     let mut attempt: u32 = 0;
     loop {
-        if Instant::now() >= deadline {
+        if clock.now() >= deadline {
             let _ = classify(registry, id, TerminalClass::DeadlineExceeded);
             return summary;
         }
@@ -224,7 +228,7 @@ pub(crate) fn drive(
                 .wrapping_add(id)
                 .wrapping_add(u64::from(attempt) << 32),
         };
-        let outcome = spec.job.run_attempt(&ctx);
+        let outcome = job.run_attempt(&ctx);
         let live = live_slots(&roster, &outcome.traffic);
         if attempt == 0 && outcome.traffic.faults().total() == 0 {
             summary.clean_traffic = Some(outcome.traffic.clone());
@@ -258,7 +262,7 @@ pub(crate) fn drive(
                     let _ = classify(registry, id, TerminalClass::TooFewSurvivors);
                     return summary;
                 }
-                if attempt + 1 >= spec.max_attempts {
+                if attempt + 1 >= max_attempts {
                     let _ = classify(registry, id, TerminalClass::Exhausted);
                     return summary;
                 }
@@ -269,16 +273,16 @@ pub(crate) fn drive(
                 }
                 attempt += 1;
                 // Jittered exponential backoff, clipped to what the
-                // deadline leaves and polled against drain so shutdown
-                // is never stuck behind a sleep. The wait runs on the
-                // configured clock: a virtual clock advances instead of
-                // blocking, so simulated retries are free.
-                let mut wait =
+                // deadline leaves. It sleeps in steps of at most 1 ms so
+                // a drain is noticed promptly; the last step is the
+                // remainder, so the wait ends exactly at `until`.
+                let wait =
                     backoff_delay(attempt, config.backoff_base, config.backoff_cap, ctx.seed);
-                wait = wait.min(deadline.saturating_duration_since(Instant::now()));
-                let slept_until = config.clock.now() + wait;
-                while config.clock.now() < slept_until && !draining.load(Ordering::SeqCst) {
-                    config.clock.sleep(Duration::from_millis(1).min(wait));
+                let mut now = clock.now();
+                let until = now + wait.min(deadline.saturating_sub(now));
+                while now < until && !draining.load(Ordering::SeqCst) {
+                    clock.sleep((until - now).min(Duration::from_millis(1)));
+                    now = clock.now();
                 }
             }
         }
@@ -288,6 +292,8 @@ pub(crate) fn drive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::{Clock, VirtualClock};
+    use std::sync::Arc;
 
     fn log_with_counts(counts: &[usize]) -> TrafficLog {
         let mut log = TrafficLog::new();
@@ -348,32 +354,62 @@ mod tests {
         }
     }
 
+    fn scripted(verdicts: Vec<AttemptVerdict>, counts: Vec<Vec<usize>>) -> ScriptedJob {
+        ScriptedJob {
+            len: counts[0].len(),
+            verdicts,
+            counts,
+            seen: Vec::new(),
+        }
+    }
+
+    fn config(clock: SharedClock, backoff_base: Duration, backoff_cap: Duration) -> DriveConfig {
+        DriveConfig {
+            backoff_base,
+            backoff_cap,
+            seed: 7,
+            clock,
+        }
+    }
+
+    /// Admits `job` with `deadline` left on the config's clock and
+    /// drives it.
+    fn drive_on(
+        cfg: &DriveConfig,
+        deadline: Duration,
+        job: &mut ScriptedJob,
+        max_attempts: u32,
+    ) -> (SessionRegistry, SessionId) {
+        let registry = Mutex::new(SessionRegistry::new());
+        let id = registry.lock().admit(job.len, cfg.clock.now() + deadline);
+        let draining = AtomicBool::new(false);
+        drive(&registry, &draining, cfg, id, job, max_attempts);
+        (registry.into_inner(), id)
+    }
+
     fn run_scripted(
         verdicts: Vec<AttemptVerdict>,
         counts: Vec<Vec<usize>>,
         max_attempts: u32,
     ) -> (SessionRegistry, SessionId) {
-        let len = counts[0].len();
-        let registry = Mutex::new(SessionRegistry::new());
-        let id = registry
-            .lock()
-            .admit(len, Instant::now() + Duration::from_secs(10));
-        let job = ScriptedJob {
-            len,
-            verdicts,
-            counts,
-            seen: Vec::new(),
-        };
-        let spec = SessionSpec::new(Box::new(job)).with_max_attempts(max_attempts);
-        let draining = AtomicBool::new(false);
-        let cfg = DriveConfig {
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(2),
-            seed: 7,
-            clock: crate::clock::wall(),
-        };
-        drive(&registry, &draining, cfg, id, spec);
-        (registry.into_inner(), id)
+        let cfg = config(
+            crate::clock::wall(),
+            Duration::from_millis(1),
+            Duration::from_millis(2),
+        );
+        let mut job = scripted(verdicts, counts);
+        drive_on(&cfg, Duration::from_secs(10), &mut job, max_attempts)
+    }
+
+    /// A config on a fresh virtual clock, plus a handle to that clock.
+    fn virtual_config() -> (DriveConfig, VirtualClock) {
+        let clock = VirtualClock::new();
+        let cfg = config(
+            Arc::new(clock.clone()),
+            Duration::from_millis(10),
+            Duration::from_millis(200),
+        );
+        (cfg, clock)
     }
 
     #[test]
@@ -414,6 +450,48 @@ mod tests {
         assert_eq!(e.class, Some(TerminalClass::Exhausted));
         assert_eq!(e.attempts.len(), 2);
         assert_eq!(e.reformations, 0, "uniform liveness keeps the roster");
+    }
+
+    #[test]
+    fn virtual_deadline_ends_the_session_without_wall_time() {
+        // The deadline is shorter than the first backoff (5–10 ms), so
+        // the wait is clipped to the deadline and the loop classifies
+        // before a second attempt, however generous the budget.
+        let started = std::time::Instant::now();
+        let mut job = scripted(vec![AttemptVerdict::Abort; 8], vec![vec![2, 2, 2]; 8]);
+        let (cfg, clock) = virtual_config();
+        let (reg, id) = drive_on(&cfg, Duration::from_millis(3), &mut job, 8);
+        let e = reg.entry(id).unwrap();
+        assert_eq!(e.class, Some(TerminalClass::DeadlineExceeded));
+        assert_eq!(e.attempts.len(), 1);
+        assert_eq!(
+            clock.now(),
+            Duration::from_millis(3),
+            "waited out the deadline"
+        );
+        assert!(
+            started.elapsed() < Duration::from_millis(500),
+            "no wall wait"
+        );
+    }
+
+    #[test]
+    fn virtual_backoff_lands_exactly_on_the_delay() {
+        let mut job = scripted(
+            vec![AttemptVerdict::Abort, AttemptVerdict::Success],
+            vec![vec![2, 2, 2], vec![2, 2, 2]],
+        );
+        let (cfg, clock) = virtual_config();
+        let (reg, id) = drive_on(&cfg, Duration::from_secs(10), &mut job, 4);
+        assert_eq!(reg.entry(id).unwrap().class, Some(TerminalClass::Accepted));
+        let s0 = job.seen[0].seed;
+        let wait = backoff_delay(1, cfg.backoff_base, cfg.backoff_cap, s0);
+        assert_ne!(
+            wait.subsec_nanos() % 1_000_000,
+            0,
+            "not a whole millisecond"
+        );
+        assert_eq!(clock.now(), wait);
     }
 
     #[test]

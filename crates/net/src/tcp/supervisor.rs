@@ -11,12 +11,12 @@
 //! thundering herd of reconnecting parties spreads out instead of
 //! synchronizing.
 
-use crate::clock::SharedClock;
 use crate::serve::backoff_delay;
 use crate::tcp::conn::{ConnConfig, FramedConn};
 use crate::tcp::frame::{Frame, VERSION};
 use crate::NetError;
 use std::net::{SocketAddr, TcpStream};
+use std::thread;
 use std::time::Duration;
 
 /// Reconnect policy of the supervisor.
@@ -76,21 +76,6 @@ pub fn connect_supervised(
     addr: SocketAddr,
     cfg: &SupervisorConfig,
 ) -> Result<(FramedConn, u32), NetError> {
-    connect_supervised_with_clock(addr, cfg, &crate::clock::wall())
-}
-
-/// [`connect_supervised`] with an explicit [`crate::clock::Clock`]
-/// governing the backoff sleeps (the one wall-clock wait of the
-/// supervisor; the TCP connect timeout itself is the kernel's).
-///
-/// # Errors
-///
-/// [`NetError::ConnectFailed`] once the attempt budget is spent.
-pub fn connect_supervised_with_clock(
-    addr: SocketAddr,
-    cfg: &SupervisorConfig,
-    clock: &SharedClock,
-) -> Result<(FramedConn, u32), NetError> {
     let mut failed = 0u32;
     for attempt in 1..=cfg.connect_attempts.max(1) {
         match TcpStream::connect_timeout(&addr, cfg.connect_timeout) {
@@ -101,7 +86,7 @@ pub fn connect_supervised_with_clock(
             Err(_) => {
                 failed += 1;
                 if attempt < cfg.connect_attempts {
-                    clock.sleep(backoff_delay(
+                    thread::sleep(backoff_delay(
                         attempt,
                         cfg.backoff_base,
                         cfg.backoff_cap,
@@ -133,22 +118,6 @@ pub fn attach(
     cfg: &SupervisorConfig,
     want_slot: Option<usize>,
 ) -> Result<Attachment, NetError> {
-    attach_with_clock(addr, cfg, want_slot, &crate::clock::wall())
-}
-
-/// [`attach`] with an explicit [`crate::clock::Clock`] governing the
-/// backoff sleeps between attachment attempts.
-///
-/// # Errors
-///
-/// [`NetError::ConnectFailed`] when the budget is spent,
-/// [`NetError::Refused`] on an explicit refusal.
-pub fn attach_with_clock(
-    addr: SocketAddr,
-    cfg: &SupervisorConfig,
-    want_slot: Option<usize>,
-    clock: &SharedClock,
-) -> Result<Attachment, NetError> {
     let mut failed = 0u32;
     for attempt in 1..=cfg.connect_attempts.max(1) {
         match try_attach_once(addr, cfg, want_slot) {
@@ -164,7 +133,7 @@ pub fn attach_with_clock(
             Err(_) => {
                 failed += 1;
                 if attempt < cfg.connect_attempts {
-                    clock.sleep(backoff_delay(
+                    thread::sleep(backoff_delay(
                         attempt,
                         cfg.backoff_base,
                         cfg.backoff_cap,

@@ -3,7 +3,7 @@
 //!
 //! The simulator runs *thousands* of concurrent handshake sessions
 //! through the **real** engine — real credentials, real DGKA, real
-//! Phase II/III crypto, the real service attempt loop semantics — under
+//! Phase II/III crypto, the real service attempt loop — under
 //! a virtual clock: latency, loss, backoff and deadlines are all
 //! simulated time, so a campaign that spans minutes of network time
 //! completes in seconds of CPU and performs **zero wall-clock sleeps**.
@@ -19,10 +19,10 @@
 //!
 //! * [`core`] — virtual time, the deterministic event queue, seeded
 //!   latency distributions, the trace fingerprint.
-//! * [`network`] — the simulated media: [`network::SimMedium`] (drop-in
-//!   for the lockstep `BroadcastNet`) and [`network::run_session`]
-//!   (virtual-time counterpart of the threaded hub, driving the
-//!   unmodified per-party `run_party` driver).
+//! * [`network`] — the simulated media: [`network::SimMedium`] (the
+//!   lockstep `BroadcastNet` plus virtual-time latency accounting) and
+//!   [`network::run_session`] (virtual-time counterpart of the threaded
+//!   hub, driving the unmodified per-party `run_party` driver).
 //! * [`adversary`] — pluggable schedules over the `shs-net` fault
 //!   vocabulary: partition, slow-loris, phase-timed crash, Sybil
 //!   flood, epoch churn.
@@ -31,11 +31,12 @@
 //!
 //! The crate root hosts the **capacity harness**: a discrete-event
 //! model of the session service (virtual workers, bounded admission
-//! queue, shed-on-overflow) whose per-session attempt loop mirrors
-//! `shs_net::serve`'s drive semantics — same liveness analysis, same
-//! survivor re-formation, same backoff and classification — with every
-//! handshake attempt executed by [`HandshakeJob::run_attempt_on`] over
-//! a [`SimMedium`].
+//! queue, shed-on-overflow). Each admitted session runs through the
+//! service's own attempt loop, [`shs_net::serve::drive`], on a fresh
+//! [`VirtualClock`], so liveness analysis, survivor re-formation,
+//! backoff, deadlines and classification are production's code. Every
+//! handshake attempt is executed by [`HandshakeJob::run_attempt_on`]
+//! over a [`SimMedium`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,12 +50,17 @@ use crate::adversary::{Kind, Schedule};
 use crate::core::{nanos, EventQueue, Nanos, TraceFingerprint};
 use crate::metrics::{ClassTally, LatencyHistogram, ScenarioReport};
 use crate::network::SimMedium;
+use parking_lot::Mutex;
 use shs_core::service::HandshakeJob;
 use shs_core::{HandshakeOptions, Member, SchemeKind};
 use shs_crypto::drbg::HmacDrbg;
+use shs_net::clock::{Clock, VirtualClock};
 use shs_net::observe::FaultCounters;
-use shs_net::serve::{backoff_delay, live_slots, AttemptContext, AttemptVerdict, TerminalClass};
+use shs_net::serve::{
+    drive, AttemptContext, AttemptOutcome, DriveConfig, SessionJob, SessionRegistry, TerminalClass,
+};
 use std::collections::VecDeque;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -141,8 +147,7 @@ pub struct ScenarioConfig {
     pub backoff_base: Duration,
     /// Backoff cap.
     pub backoff_cap: Duration,
-    /// Service seed (drives per-attempt seeds exactly like the real
-    /// service's drive loop).
+    /// Service seed; [`drive`] derives every attempt's seed from it.
     pub seed: u64,
 }
 
@@ -189,22 +194,44 @@ fn class_code(class: TerminalClass) -> u64 {
     }
 }
 
-fn add_faults(into: &mut FaultCounters, from: &FaultCounters) {
-    into.dropped += from.dropped;
-    into.duplicated += from.duplicated;
-    into.corrupted += from.corrupted;
-    into.truncated += from.truncated;
-    into.delayed += from.delayed;
-    into.redelivered += from.redelivered;
-    into.crash_silenced += from.crash_silenced;
-    into.partitioned += from.partitioned;
-    into.backpressure_dropped += from.backpressure_dropped;
+/// One simulated session as a service job: every attempt runs the real
+/// handshake over a fresh [`SimMedium`] with the schedule's latency
+/// model and fault plan, and charges the medium's virtual time to the
+/// session clock.
+struct VirtualJob {
+    job: HandshakeJob,
+    schedule: Schedule,
+    session: u64,
+    clock: VirtualClock,
+    exchanges: u64,
+    deliveries: u64,
+    fingerprint: TraceFingerprint,
 }
 
-/// Runs one session to a terminal class in virtual time: the attempt
-/// loop with deadline checks, liveness analysis, survivor re-formation
-/// and jittered backoff — `shs_net::serve`'s drive semantics, with the
-/// medium's virtual clock supplying all the time that passes.
+impl SessionJob for VirtualJob {
+    fn roster_len(&self) -> usize {
+        self.job.roster_len()
+    }
+
+    fn run_attempt(&mut self, ctx: &AttemptContext) -> AttemptOutcome {
+        let mut net = SimMedium::new(ctx.roster.len(), self.schedule.latency(self.session));
+        let m = self.job.roster_len();
+        if let Some(plan) = self.schedule.plan(self.session, ctx.attempt, m) {
+            net.set_fault_plan(plan);
+        }
+        let outcome = self.job.run_attempt_on(ctx, &mut net);
+        self.clock.advance_by(net.elapsed());
+        self.exchanges += net.exchanges();
+        self.deliveries += net.deliveries();
+        self.fingerprint
+            .fold(&[self.session, u64::from(ctx.attempt), net.fingerprint()]);
+        outcome
+    }
+}
+
+/// Runs one session to a terminal class in virtual time: the service's
+/// own attempt loop ([`drive`]) on a fresh virtual clock, so deadlines,
+/// liveness, re-formation, backoff and classification are production's.
 fn run_virtual_session(
     pool: &SimPool,
     schedule: Schedule,
@@ -214,89 +241,63 @@ fn run_virtual_session(
     let m = cfg.group_size;
     let slots = schedule.participants(session, m, pool.members.len(), pool.stale_from);
     let label = format!("sim/{}/{}", schedule.name(), session);
-    let mut job = HandshakeJob::new(
-        Arc::clone(&pool.members),
-        m,
-        HandshakeOptions::default(),
-        &label,
-    )
-    .with_slots(slots);
-    let deadline = nanos(cfg.deadline);
-    let mut out = SessionOutcome {
-        class: TerminalClass::DeadlineExceeded,
-        duration: 0,
-        reformations: 0,
-        attempts: 0,
+    let clock = VirtualClock::new();
+    let mut job = VirtualJob {
+        job: HandshakeJob::new(
+            Arc::clone(&pool.members),
+            m,
+            HandshakeOptions::default(),
+            &label,
+        )
+        .with_slots(slots),
+        schedule,
+        session,
+        clock: clock.clone(),
         exchanges: 0,
         deliveries: 0,
-        faults: FaultCounters::default(),
-        fingerprint: 0,
+        fingerprint: TraceFingerprint::new(),
     };
-    let mut fp = TraceFingerprint::new();
-    let mut roster: Vec<usize> = (0..m).collect();
-    let mut attempt: u32 = 0;
-    loop {
-        if out.duration >= deadline {
-            out.class = TerminalClass::DeadlineExceeded;
-            break;
-        }
-        // Per-attempt seed derivation identical to serve's drive loop.
-        let seed = cfg
-            .seed
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(session)
-            .wrapping_add(u64::from(attempt) << 32);
-        let ctx = AttemptContext {
-            session_id: session,
-            attempt,
-            roster: roster.clone(),
-            seed,
-        };
-        let mut net = SimMedium::new(roster.len(), schedule.latency(session));
-        if let Some(plan) = schedule.plan(session, attempt, m) {
-            net.set_fault_plan(plan);
-        }
-        let result = job.run_attempt_on(&ctx, &mut net);
-        out.attempts += 1;
-        out.exchanges += net.exchanges();
-        out.deliveries += net.deliveries();
-        out.duration = out.duration.saturating_add(nanos(net.elapsed()));
-        add_faults(&mut out.faults, result.traffic.faults());
-        fp.fold(&[session, u64::from(attempt), net.fingerprint()]);
-        let live = live_slots(&roster, &result.traffic);
-        match result.verdict {
-            AttemptVerdict::Success => {
-                out.class = TerminalClass::Accepted;
-                break;
-            }
-            AttemptVerdict::Failure => {
-                out.class = TerminalClass::Rejected;
-                break;
-            }
-            AttemptVerdict::Abort => {
-                if live.len() < 2 {
-                    out.class = TerminalClass::TooFewSurvivors;
-                    break;
-                }
-                if attempt + 1 >= cfg.max_attempts {
-                    out.class = TerminalClass::Exhausted;
-                    break;
-                }
-                if live.len() < roster.len() {
-                    out.reformations += 1;
-                    roster = live;
-                }
-                attempt += 1;
-                let wait = backoff_delay(attempt, cfg.backoff_base, cfg.backoff_cap, seed);
-                out.duration = out
-                    .duration
-                    .saturating_add(nanos(wait).min(deadline.saturating_sub(out.duration)));
-            }
-        }
+    let config = DriveConfig {
+        backoff_base: cfg.backoff_base,
+        backoff_cap: cfg.backoff_cap,
+        seed: cfg.seed,
+        clock: Arc::new(clock.clone()),
+    };
+    let registry = Mutex::new(SessionRegistry::new());
+    registry
+        .lock()
+        .admit_with_id(session, job.roster_len(), clock.now() + cfg.deadline);
+    let draining = AtomicBool::new(false);
+    drive(
+        &registry,
+        &draining,
+        &config,
+        session,
+        &mut job,
+        cfg.max_attempts,
+    );
+    let classified = registry
+        .into_inner()
+        .entry(session)
+        .and_then(|e| Some((e.class?, e)));
+    // lint:allow(panic-path) reason="drive leaves the session admitted above classified; a missing class is a harness bug, not wire data"
+    let (class, entry) = classified.expect("drive classifies the admitted session");
+    let mut faults = FaultCounters::default();
+    for a in &entry.attempts {
+        faults += a.traffic.faults();
     }
-    fp.fold(&[class_code(out.class), out.duration]);
-    out.fingerprint = fp.value();
-    out
+    let duration = nanos(clock.now());
+    job.fingerprint.fold(&[class_code(class), duration]);
+    SessionOutcome {
+        class,
+        duration,
+        reformations: u64::from(entry.reformations),
+        attempts: entry.attempts.len() as u64,
+        exchanges: job.exchanges,
+        deliveries: job.deliveries,
+        faults,
+        fingerprint: job.fingerprint.value(),
+    }
 }
 
 /// The service-model events of the capacity harness.
@@ -348,7 +349,7 @@ pub fn run_scenario(pool: &SimPool, schedule: Schedule, cfg: &ScenarioConfig) ->
         report.attempts += out.attempts;
         report.exchanges += out.exchanges;
         report.deliveries += out.deliveries;
-        add_faults(&mut report.faults, &out.faults);
+        report.faults += &out.faults;
         fp.fold(&[
             session,
             class_code(out.class),

@@ -3,21 +3,22 @@
 //! [`PartyLink`]) — the two seams through which the *unmodified*
 //! handshake engine and per-party driver run under virtual time.
 //!
-//! Both media replicate the delivery semantics of their production
-//! counterparts exactly — [`shs_net::sync::BroadcastNet`] for the
-//! lockstep medium, the threaded [`shs_net::hub`] for the per-party
-//! one — including [`FaultPlan`] consultation order, the eavesdropper
-//! log discipline (the log records what live senders put on the wire;
-//! per-receiver faults happen downstream) and per-sender crash clocks.
-//! What they add is *time*: every delivery gets a seeded latency draw,
-//! collect windows and patience are measured on the virtual clock, and
-//! nothing ever calls `thread::sleep`.
+//! [`SimMedium`] *is* the production lockstep medium: it wraps a
+//! synchronous [`shs_net::sync::BroadcastNet`], which delivers, injects
+//! faults and logs, and only adds time — a seeded latency draw per
+//! delivered copy and a patience charge when a live sender's copy is
+//! missing. The per-party `SimLink` replicates the threaded
+//! [`shs_net::hub`]'s semantics — [`FaultPlan`] consultation order, the
+//! eavesdropper log discipline (the log records what live senders put
+//! on the wire; per-receiver faults happen downstream) and per-sender
+//! crash clocks — under a coordinator that measures collect windows on
+//! the virtual clock. Neither medium ever calls `thread::sleep`.
 //!
 //! # Determinism
 //!
 //! The per-party session runs real threads (party bodies block in
 //! `collect` exactly like hub bodies do), so raw thread interleaving
-//! must not be allowed to leak into the trace. Three rules prevent it:
+//! must not be allowed to leak into the trace. Four rules prevent it:
 //!
 //! 1. **Staged broadcasts.** A `broadcast` only *stages* the message.
 //!    Staged messages are processed (logged, faulted, scheduled) in
@@ -39,8 +40,8 @@
 use crate::core::{nanos, EventQueue, LatencyModel, Nanos, TraceFingerprint};
 use shs_net::fault::FaultPlan;
 use shs_net::observe::TrafficLog;
-use shs_net::sync::Received;
-use shs_net::{Medium, NetError, PartyLink};
+use shs_net::sync::{BroadcastNet, Received};
+use shs_net::{DeliveryPolicy, Medium, NetError, PartyLink};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -53,19 +54,17 @@ pub const DEFAULT_EXCHANGE_PATIENCE: Duration = Duration::from_millis(20);
 // SimMedium: the lockstep medium under virtual time
 // ---------------------------------------------------------------------------
 
-/// A lockstep broadcast medium with virtual-time accounting: drop-in
-/// for [`shs_net::sync::BroadcastNet`] (same delivery and fault
-/// semantics, synchronous slot order), plus a virtual clock that
-/// charges each exchange what it would have cost on a real network —
-/// the maximum arrival latency when every view completed, or the full
-/// exchange patience when some delivery was lost and the engine would
-/// have waited out its window.
+/// The lockstep medium under virtual time: a synchronous
+/// [`BroadcastNet`], which does all delivery, fault injection and
+/// eavesdropper logging, plus a latency accountant that charges each
+/// exchange what it would have cost on a real network. Every delivered
+/// copy gets a seeded latency draw; the exchange costs the latest
+/// arrival when every live sender reached every receiver, or the full
+/// patience window when some live sender's copy is missing and the
+/// engine would have waited out its collect window.
 pub struct SimMedium {
-    slots: usize,
+    net: BroadcastNet<'static>,
     latency: LatencyModel,
-    patience: Nanos,
-    plan: Option<FaultPlan>,
-    log: TrafficLog,
     now: Nanos,
     exchange_seq: u64,
     deliveries: u64,
@@ -76,11 +75,8 @@ impl SimMedium {
     /// A fault-free simulated medium connecting `slots` parties.
     pub fn new(slots: usize, latency: LatencyModel) -> SimMedium {
         SimMedium {
-            slots,
+            net: BroadcastNet::new(slots, DeliveryPolicy::Synchronous),
             latency,
-            patience: nanos(DEFAULT_EXCHANGE_PATIENCE),
-            plan: None,
-            log: TrafficLog::new(),
             now: 0,
             exchange_seq: 0,
             deliveries: 0,
@@ -90,12 +86,7 @@ impl SimMedium {
 
     /// Installs a fault schedule; delivery is no longer guaranteed.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.plan = Some(plan);
-    }
-
-    /// Overrides the per-exchange patience window.
-    pub fn set_patience(&mut self, patience: Duration) {
-        self.patience = nanos(patience);
+        self.net.set_fault_plan(plan);
     }
 
     /// Virtual time elapsed on this medium.
@@ -121,7 +112,7 @@ impl SimMedium {
 
 impl Medium for SimMedium {
     fn slots(&self) -> usize {
-        self.slots
+        self.net.slots()
     }
 
     fn exchange(
@@ -129,103 +120,55 @@ impl Medium for SimMedium {
         round: &str,
         outgoing: Vec<Vec<u8>>,
     ) -> Result<Vec<Vec<Received>>, NetError> {
-        if outgoing.len() != self.slots {
-            return Err(NetError::IncompleteRound);
-        }
+        let inboxes = self.net.exchange(round, outgoing)?;
         self.exchange_seq += 1;
         let round_key = crate::core::fnv1a(round.as_bytes());
-        // Fault clock: release delayed deliveries, decide dead senders
-        // (identical order to BroadcastNet::exchange, so a given plan
-        // seed fires the same faults on both media).
-        let mut due = Vec::new();
-        let mut silent = vec![false; self.slots];
-        if let Some(plan) = self.plan.as_mut() {
-            due = plan.begin_exchange(round);
-            for (slot, muted) in silent.iter_mut().enumerate() {
-                *muted = plan.suppress_send(slot);
-            }
-        }
-        for (slot, payload) in outgoing.iter().enumerate() {
-            if !silent[slot] {
-                self.log.record(round, slot, payload);
-            }
-        }
-        let mut inboxes = Vec::with_capacity(self.slots);
+        let crashed = Medium::crashed_slots(&self.net);
         let mut max_arrival: Nanos = 0;
         let mut complete = true;
-        for to_slot in 0..self.slots {
-            let mut inbox: Vec<Received> = Vec::with_capacity(self.slots);
-            for (from_slot, payload) in outgoing.iter().enumerate() {
-                if silent[from_slot] {
-                    continue;
-                }
-                let copies = match self.plan.as_mut() {
-                    Some(plan) => plan.deliver(round, from_slot, to_slot, payload.clone()),
-                    None => vec![payload.clone()],
-                };
-                if copies.is_empty() {
-                    // A live sender's message never reached this
-                    // receiver in this exchange: its view is short and
-                    // the engine-side collect would wait out the window.
-                    complete = false;
-                }
-                for (ci, copy) in copies.into_iter().enumerate() {
-                    let lat =
-                        self.latency
-                            .draw(round, from_slot, to_slot, self.exchange_seq, ci as u64);
-                    max_arrival = max_arrival.max(lat);
-                    self.deliveries += 1;
-                    self.fingerprint.fold(&[
-                        round_key,
-                        from_slot as u64,
-                        to_slot as u64,
-                        copy.len() as u64,
-                        lat,
-                    ]);
-                    inbox.push(Received {
-                        from_slot,
-                        payload: copy,
-                    });
-                }
-            }
-            for r in due.iter().filter(|r| r.to_slot == to_slot) {
+        for (to_slot, inbox) in inboxes.iter().enumerate() {
+            // Copies per sender so far: the copy index of the next draw.
+            let mut copies = vec![0u64; inboxes.len()];
+            for r in inbox {
+                let copy = &mut copies[r.from_slot];
                 let lat = self
                     .latency
-                    .draw(round, r.from_slot, to_slot, self.exchange_seq, 0x8000);
+                    .draw(round, r.from_slot, to_slot, self.exchange_seq, *copy);
+                *copy += 1;
                 max_arrival = max_arrival.max(lat);
                 self.deliveries += 1;
-                self.fingerprint
-                    .fold(&[round_key, r.from_slot as u64, to_slot as u64, lat]);
-                inbox.push(Received {
-                    from_slot: r.from_slot,
-                    payload: r.payload.clone(),
-                });
+                self.fingerprint.fold(&[
+                    round_key,
+                    r.from_slot as u64,
+                    to_slot as u64,
+                    r.payload.len() as u64,
+                    lat,
+                ]);
             }
-            inboxes.push(inbox);
+            // A live sender's message that never reached this receiver
+            // leaves its view short: the collect waits out the window.
+            complete &= copies
+                .iter()
+                .enumerate()
+                .all(|(from, n)| *n > 0 || crashed.contains(&from));
         }
-        // Charge the exchange its virtual cost.
         let cost = if complete {
             max_arrival
         } else {
-            self.patience.max(max_arrival)
+            nanos(DEFAULT_EXCHANGE_PATIENCE).max(max_arrival)
         };
         self.now = self.now.saturating_add(cost);
         self.fingerprint
             .fold(&[round_key, self.exchange_seq, cost, u64::from(complete)]);
-        if let Some(plan) = self.plan.as_ref() {
-            self.log.set_faults(plan.counters().clone());
-        }
         Ok(inboxes)
     }
 
     fn traffic_snapshot(&self) -> TrafficLog {
-        self.log.clone()
+        self.net.traffic().clone()
     }
 
     fn crashed_slots(&self) -> Vec<usize> {
-        self.plan
-            .as_ref()
-            .map_or_else(Vec::new, |p| p.crashed_slots(self.slots))
+        Medium::crashed_slots(&self.net)
     }
 }
 
@@ -711,6 +654,8 @@ mod tests {
         assert!(report.traffic.faults().crash_silenced >= 1);
     }
 
+    /// The wrapped medium decides every delivery: the simulated one
+    /// returns what a bare `BroadcastNet` returns under the same plan.
     #[test]
     fn sim_medium_matches_broadcast_net_on_the_same_plan() {
         use shs_net::sync::BroadcastNet;
@@ -736,5 +681,22 @@ mod tests {
             "same log, same fault tallies"
         );
         assert!(sim.elapsed() > Duration::ZERO);
+    }
+
+    #[test]
+    fn sim_medium_charges_patience_only_for_missing_live_senders() {
+        let payloads: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; 8]).collect();
+        let elapsed_under = |plan: FaultPlan| {
+            let mut sim = SimMedium::new(3, LatencyModel::lan(2));
+            sim.set_fault_plan(plan);
+            Medium::exchange(&mut sim, "r1", payloads.clone()).unwrap();
+            sim.elapsed()
+        };
+        // A crashed sender's silence is expected: only latency is charged.
+        let crashed = elapsed_under(FaultPlan::new(2).with(FaultRule::crash_stop(2, 0)));
+        assert!(crashed < Duration::from_millis(1), "{crashed:?}");
+        // A live sender's lost copy leaves a view short: patience.
+        let lossy = elapsed_under(FaultPlan::new(2).with(FaultRule::drop().from(1).to(0)));
+        assert_eq!(lossy, DEFAULT_EXCHANGE_PATIENCE);
     }
 }

@@ -4,9 +4,32 @@
 
 use shs_sim::{run_suite, SuiteConfig};
 
+/// Trace fingerprints of the `SuiteConfig::smoke(0xE20)` run, as
+/// `bench_sim --smoke` prints them. Each folds every delivery, latency
+/// draw, exchange cost, attempt, class and virtual duration of its
+/// scenario, so a change here is a change in what the simulated
+/// sessions did, not noise.
+const SMOKE_FINGERPRINTS: [(&str, &str); 6] = [
+    ("clean", "f1781a68cecb2041"),
+    ("partition", "2a498797d25b5923"),
+    ("slow-loris", "8d85063c88dc8309"),
+    ("phase-crash", "16ee6b9601fde250"),
+    ("sybil-flood", "9c011a770e7098d8"),
+    ("epoch-churn", "8ab81c81a312a158"),
+];
+
 #[test]
 fn adversaries_produce_distinct_class_histograms() {
     let report = run_suite(&SuiteConfig::smoke(0xE20));
+    let fingerprints: Vec<(&str, String)> = std::iter::once(&report.capacity)
+        .chain(&report.scenarios)
+        .map(|r| (r.name, format!("{:016x}", r.fingerprint)))
+        .collect();
+    let pinned: Vec<(&str, String)> = SMOKE_FINGERPRINTS
+        .iter()
+        .map(|(name, fp)| (*name, fp.to_string()))
+        .collect();
+    assert_eq!(fingerprints, pinned, "smoke-suite trace fingerprints");
     let mut signatures = Vec::new();
     for r in &report.scenarios {
         let sig = r.classes.signature();
