@@ -7,15 +7,16 @@
 //! exponentiation becomes one masked table scan plus one Montgomery
 //! multiplication per window — no squarings at all.
 
-use crate::mont::{select_entry, window_chunk, MontCtx, WINDOW};
+use crate::mont::{window_chunk, MontCtx, WINDOW};
 use crate::Ubig;
 use std::sync::Arc;
 
 /// A precomputed fixed-base exponentiation table over a shared
 /// [`MontCtx`].
 ///
-/// `table[i][d] = base^(d · 2^{WINDOW·i}) mod n` in Montgomery form, for
-/// window positions `i < ⌈max_bits/WINDOW⌉` and digits `d < 2^WINDOW`.
+/// Row `i` holds `base^(d · 2^{WINDOW·i}) mod n` in Montgomery form for
+/// every digit `d < 2^WINDOW`, one flat buffer per window position
+/// `i < ⌈max_bits/WINDOW⌉`.
 /// [`FixedBase::pow`] is safe for secret exponents (masked scans,
 /// always-multiply); [`FixedBase::pow_vartime`] is the public-data fast
 /// path.
@@ -23,8 +24,8 @@ pub struct FixedBase {
     ctx: Arc<MontCtx>,
     base: Ubig,
     max_bits: u32,
-    /// `table[i][d]` = base^(d·2^{WINDOW·i}) in Montgomery form.
-    table: Vec<Vec<Vec<u64>>>,
+    /// `table[i]` = the flat window table of base^(2^{WINDOW·i}).
+    table: Vec<Vec<u64>>,
 }
 
 impl FixedBase {
@@ -38,17 +39,7 @@ impl FixedBase {
     /// Panics if `max_bits` is zero.
     pub fn new(ctx: Arc<MontCtx>, base: &Ubig, max_bits: u32) -> FixedBase {
         assert!(max_bits > 0, "fixed-base table needs a nonzero width");
-        let windows = max_bits.div_ceil(WINDOW);
-        let mut table = Vec::with_capacity(windows as usize);
-        // g_w = base^(2^{WINDOW·w}) in Montgomery form, advanced by WINDOW
-        // squarings per window position.
-        let mut g_w = ctx.to_mont(base);
-        for _ in 0..windows {
-            table.push(ctx.pow_table(&g_w));
-            for _ in 0..WINDOW {
-                g_w = ctx.mont_mul(&g_w, &g_w);
-            }
-        }
+        let table = ctx.fixed_base_rows(base, max_bits.div_ceil(WINDOW));
         FixedBase {
             ctx,
             base: base.clone(),
@@ -84,12 +75,12 @@ impl FixedBase {
         }
         let bits = exp.bits();
         let windows = bits.div_ceil(WINDOW);
-        let mut acc = self.ctx.one_mont().to_vec();
-        for w in 0..windows {
-            let entry = select_entry(&self.table[w as usize], window_chunk(exp, bits, w));
-            acc = self.ctx.mont_mul(&acc, &entry);
+        let mut s = self.ctx.scratch();
+        for (w, row) in (0..windows).zip(&self.table) {
+            let chunk = window_chunk(exp, bits, w);
+            self.ctx.mul_selected(&mut s, row, chunk);
         }
-        self.ctx.from_mont(&acc)
+        self.ctx.from_mont(s)
     }
 
     /// `base^exp mod n` by direct table indexing, zero digits skipped.
@@ -105,14 +96,14 @@ impl FixedBase {
         }
         let bits = exp.bits();
         let windows = bits.div_ceil(WINDOW);
-        let mut acc = self.ctx.one_mont().to_vec();
-        for w in 0..windows {
+        let mut s = self.ctx.scratch();
+        for (w, row) in (0..windows).zip(&self.table) {
             let chunk = window_chunk(exp, bits, w);
             if chunk != 0 {
-                acc = self.ctx.mont_mul(&acc, &self.table[w as usize][chunk]);
+                self.ctx.mul_indexed(&mut s, row, chunk);
             }
         }
-        self.ctx.from_mont(&acc)
+        self.ctx.from_mont(s)
     }
 }
 

@@ -1,6 +1,11 @@
 //! Montgomery modular arithmetic (CIOS reduction, Koç et al.) and
 //! fixed-window exponentiation, plus the shared-context cache and the
 //! Straus/Shamir simultaneous multi-exponentiation kernels.
+//!
+//! Every ladder runs on one allocation-free CIOS multiply over a per-call
+//! scratch (accumulator, its double buffer, CIOS accumulator, selected
+//! table entry) that is wiped when the call returns. Window tables are
+//! flat buffers of `2^WINDOW` k-limb entries.
 
 use crate::Ubig;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -106,23 +111,31 @@ impl MontCtx {
         &self.n
     }
 
-    /// `R mod n`, the Montgomery form of one.
-    pub(crate) fn one_mont(&self) -> &[u64] {
-        &self.r1
+    /// A fresh per-call scratch with the accumulator set to one (`R mod n`).
+    pub(crate) fn scratch(&self) -> Scratch {
+        Scratch {
+            acc: self.r1.clone(),
+            tmp: vec![0; self.k],
+            t: vec![0; self.k + 2],
+            entry: vec![0; self.k],
+        }
     }
 
-    /// CIOS Montgomery multiplication of two k-limb Montgomery-form values.
+    /// CIOS Montgomery multiplication `out = a·b·R⁻¹ mod n` of two k-limb
+    /// Montgomery-form values, with `t` (k + 2 limbs) as the accumulator.
+    /// Allocation-free; the only CIOS loop in the crate.
     ///
     /// Constant-trace: the limb-operation sequence depends only on `k`,
     /// never on the values of `a` or `b` (the final subtraction is always
     /// computed and selected by mask, not branched on).
     #[allow(clippy::needless_range_loop)] // textbook CIOS index arithmetic
-    pub(crate) fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
+    fn mont_mul_into(&self, a: &[u64], b: &[u64], out: &mut [u64], t: &mut [u64]) {
         let k = self.k;
-        let n = &self.n_limbs;
+        let n = &self.n_limbs[..k];
+        let (a, b, out, t) = (&a[..k], &b[..k], &mut out[..k], &mut t[..k + 2]);
         // 2k² limb multiplications: k per a·b[i] pass, k per reduction pass.
         crate::trace::limb_mul(2 * (k as u64) * (k as u64));
-        let mut t = vec![0u64; k + 2];
+        t.fill(0);
         for i in 0..k {
             let bi = b[i];
             // t += a * b[i]
@@ -149,51 +162,93 @@ impl MontCtx {
             t[k - 1] = s as u64;
             t[k] = t[k + 1].wrapping_add((s >> 64) as u64);
         }
-        // Final subtraction, branch-free: always compute `t - n` and select
-        // the reduced value by mask. CIOS guarantees the accumulator is
-        // below 2n, so one conditional subtraction suffices; doing it as a
-        // masked select removes the classic value-dependent timing leak of
-        // the "sometimes subtract" step.
+        // Final subtraction, branch-free: always write `t - n` to `out` and
+        // then keep it or restore `t` by mask. CIOS guarantees the
+        // accumulator is below 2n, so one conditional subtraction suffices;
+        // doing it as a masked select removes the classic value-dependent
+        // timing leak of the "sometimes subtract" step.
         crate::trace::limb_add(2 * k as u64);
         let overflow = t[k] != 0;
-        let mut out = t[..k].to_vec();
-        let mut diff = vec![0u64; k];
         let mut borrow = 0u64;
         for i in 0..k {
-            let (d, b1) = out[i].overflowing_sub(n[i]);
+            let (d, b1) = t[i].overflowing_sub(n[i]);
             let (d, b2) = d.overflowing_sub(borrow);
-            diff[i] = d;
+            out[i] = d;
             borrow = u64::from(b1) | u64::from(b2);
         }
-        // Subtract when the accumulator overflowed R or when out >= n
+        // Subtract when the accumulator overflowed R or when t >= n
         // (equivalently: the trial subtraction did not borrow). With the
         // overflow limb, the borrow cancels against the hidden 2^{64k}.
         let need_sub = overflow | (borrow == 0);
         let mask = 0u64.wrapping_sub(u64::from(need_sub));
         for i in 0..k {
-            out[i] = (diff[i] & mask) | (out[i] & !mask);
+            out[i] = (out[i] & mask) | (t[i] & !mask);
         }
-        out
     }
 
-    pub(crate) fn to_mont(&self, x: &Ubig) -> Vec<u64> {
+    /// `acc ← acc²`.
+    fn square(&self, s: &mut Scratch) {
+        self.mont_mul_into(&s.acc, &s.acc, &mut s.tmp, &mut s.t);
+        std::mem::swap(&mut s.acc, &mut s.tmp);
+    }
+
+    /// `acc ← acc · entry`.
+    fn mul_entry(&self, s: &mut Scratch) {
+        self.mont_mul_into(&s.acc, &s.entry, &mut s.tmp, &mut s.t);
+        std::mem::swap(&mut s.acc, &mut s.tmp);
+    }
+
+    /// `acc ← acc · table[idx]` for a flat window table, the entry fetched
+    /// by a masked scan into `entry`: every entry is read and only the
+    /// selected one kept, so neither the branch predictor nor the data
+    /// cache sees which window value the secret exponent produced.
+    pub(crate) fn mul_selected(&self, s: &mut Scratch, table: &[u64], idx: usize) {
+        s.entry.fill(0);
+        for (i, e) in table.chunks_exact(self.k).enumerate() {
+            let mask = 0u64.wrapping_sub(u64::from(i == idx));
+            for (o, &v) in s.entry.iter_mut().zip(e) {
+                *o |= v & mask;
+            }
+        }
+        self.mul_entry(s);
+    }
+
+    /// `acc ← acc · table[idx]` by direct index: the variable-time fetch of
+    /// the `*_vartime` ladders, for public exponents only.
+    pub(crate) fn mul_indexed(&self, s: &mut Scratch, table: &[u64], idx: usize) {
+        let k = self.k;
+        self.mont_mul_into(&s.acc, &table[idx * k..][..k], &mut s.tmp, &mut s.t);
+        std::mem::swap(&mut s.acc, &mut s.tmp);
+    }
+
+    /// `entry ← x·R mod n`, the Montgomery form of `x`.
+    fn to_mont(&self, x: &Ubig, s: &mut Scratch) {
         let reduced = x.rem(&self.n);
-        self.mont_mul(&pad(reduced.limbs(), self.k), &self.rr)
+        let limbs = reduced.limbs();
+        s.tmp.fill(0);
+        s.tmp[..limbs.len()].copy_from_slice(limbs);
+        self.mont_mul_into(&s.tmp, &self.rr, &mut s.entry, &mut s.t);
     }
 
+    /// The accumulator out of Montgomery form, `acc·R⁻¹ mod n`; consumes
+    /// (and so wipes) the scratch.
     #[allow(clippy::wrong_self_convention)] // Montgomery-form terminology
-    pub(crate) fn from_mont(&self, x: &[u64]) -> Ubig {
-        let mut one = vec![0u64; self.k];
-        one[0] = 1;
-        Ubig::from_limbs(self.mont_mul(x, &one))
+    pub(crate) fn from_mont(&self, mut s: Scratch) -> Ubig {
+        s.entry.fill(0);
+        s.entry[0] = 1;
+        self.mont_mul_into(&s.acc, &s.entry, &mut s.tmp, &mut s.t);
+        Ubig::from_limbs(std::mem::take(&mut s.tmp))
     }
 
     /// Modular multiplication `a*b mod n` via Montgomery form.
     pub fn modmul(&self, a: &Ubig, b: &Ubig) -> Ubig {
         crate::counters::record_modmul();
-        let am = self.to_mont(a);
-        let bm = self.to_mont(b);
-        self.from_mont(&self.mont_mul(&am, &bm))
+        let mut s = self.scratch();
+        self.to_mont(a, &mut s);
+        std::mem::swap(&mut s.acc, &mut s.entry);
+        self.to_mont(b, &mut s);
+        self.mul_entry(&mut s);
+        self.from_mont(s)
     }
 
     /// Modular exponentiation `base^exp mod n` with a fixed 4-bit window.
@@ -209,19 +264,18 @@ impl MontCtx {
         if exp.is_zero() {
             return Ubig::one().rem(&self.n);
         }
-        let base_m = self.to_mont(base);
-        let table = self.pow_table(&base_m);
+        let mut s = self.scratch();
+        self.to_mont(base, &mut s);
+        let table = self.pow_table(&s.entry, &mut s.t);
         let bits = exp.bits();
         let windows = bits.div_ceil(WINDOW);
-        let mut acc = self.r1.clone();
         for w in (0..windows).rev() {
             for _ in 0..WINDOW {
-                acc = self.mont_mul(&acc, &acc);
+                self.square(&mut s);
             }
-            let entry = select_entry(&table, window_chunk(exp, bits, w));
-            acc = self.mont_mul(&acc, &entry);
+            self.mul_selected(&mut s, &table, window_chunk(exp, bits, w));
         }
-        self.from_mont(&acc)
+        self.from_mont(s)
     }
 
     /// Variable-time modular exponentiation for **public** data.
@@ -236,25 +290,25 @@ impl MontCtx {
         if exp.is_zero() {
             return Ubig::one().rem(&self.n);
         }
-        let base_m = self.to_mont(base);
-        let table = self.pow_table(&base_m);
+        let mut s = self.scratch();
+        self.to_mont(base, &mut s);
+        let table = self.pow_table(&s.entry, &mut s.t);
         let bits = exp.bits();
         let windows = bits.div_ceil(WINDOW);
-        let mut acc = self.r1.clone();
         let mut started = false;
         for w in (0..windows).rev() {
             if started {
                 for _ in 0..WINDOW {
-                    acc = self.mont_mul(&acc, &acc);
+                    self.square(&mut s);
                 }
             }
             let chunk = window_chunk(exp, bits, w);
             if chunk != 0 {
-                acc = self.mont_mul(&acc, &table[chunk]);
+                self.mul_indexed(&mut s, &table, chunk);
                 started = true;
             }
         }
-        self.from_mont(&acc)
+        self.from_mont(s)
     }
 
     /// Constant-trace Straus/Shamir simultaneous multi-exponentiation:
@@ -273,22 +327,18 @@ impl MontCtx {
         let Some(bits) = pairs.iter().map(|(_, e)| e.bits()).max() else {
             return Ubig::one().rem(&self.n);
         };
-        let tables: Vec<Vec<Vec<u64>>> = pairs
-            .iter()
-            .map(|(b, _)| self.pow_table(&self.to_mont(b)))
-            .collect();
+        let mut s = self.scratch();
+        let tables = self.pow_tables(pairs.iter().map(|(b, _)| *b), &mut s);
         let windows = bits.div_ceil(WINDOW);
-        let mut acc = self.r1.clone();
         for w in (0..windows).rev() {
             for _ in 0..WINDOW {
-                acc = self.mont_mul(&acc, &acc);
+                self.square(&mut s);
             }
             for (table, (_, exp)) in tables.iter().zip(pairs) {
-                let entry = select_entry(table, window_chunk(exp, bits, w));
-                acc = self.mont_mul(&acc, &entry);
+                self.mul_selected(&mut s, table, window_chunk(exp, bits, w));
             }
         }
-        self.from_mont(&acc)
+        self.from_mont(s)
     }
 
     /// Variable-time Straus multi-exponentiation for **public** data:
@@ -302,41 +352,98 @@ impl MontCtx {
         let Some(bits) = live.iter().map(|(_, e)| e.bits()).max() else {
             return Ubig::one().rem(&self.n);
         };
-        let tables: Vec<Vec<Vec<u64>>> = live
-            .iter()
-            .map(|(b, _)| self.pow_table(&self.to_mont(b)))
-            .collect();
+        let mut s = self.scratch();
+        let tables = self.pow_tables(live.iter().map(|(b, _)| *b), &mut s);
         let windows = bits.div_ceil(WINDOW);
-        let mut acc = self.r1.clone();
         let mut started = false;
         for w in (0..windows).rev() {
             if started {
                 for _ in 0..WINDOW {
-                    acc = self.mont_mul(&acc, &acc);
+                    self.square(&mut s);
                 }
             }
             for (table, (_, exp)) in tables.iter().zip(&live) {
                 let chunk = window_chunk(exp, bits, w);
                 if chunk != 0 {
-                    acc = self.mont_mul(&acc, &table[chunk]);
+                    self.mul_indexed(&mut s, table, chunk);
                     started = true;
                 }
             }
         }
-        self.from_mont(&acc)
+        self.from_mont(s)
     }
 
-    /// Precomputes `base^0 .. base^{2^WINDOW - 1}` in Montgomery form.
-    pub(crate) fn pow_table(&self, base_m: &[u64]) -> Vec<Vec<u64>> {
-        let table_len = 1usize << WINDOW;
-        let mut table = Vec::with_capacity(table_len);
-        table.push(self.r1.clone());
-        table.push(base_m.to_vec());
-        for i in 2..table_len {
-            let prev: &Vec<u64> = &table[i - 1];
-            table.push(self.mont_mul(prev, base_m));
+    /// Precomputes `base^0 .. base^{2^WINDOW - 1}` in Montgomery form as one
+    /// flat buffer: entry `d` is limbs `d·k .. (d+1)·k`.
+    fn pow_table(&self, base_m: &[u64], t: &mut [u64]) -> Vec<u64> {
+        let k = self.k;
+        let mut table = vec![0u64; k << WINDOW];
+        table[..k].copy_from_slice(&self.r1);
+        table[k..2 * k].copy_from_slice(base_m);
+        for d in 2..1usize << WINDOW {
+            let (done, rest) = table.split_at_mut(d * k);
+            self.mont_mul_into(&done[(d - 1) * k..], base_m, rest, t);
         }
         table
+    }
+
+    /// One [`MontCtx::pow_table`] per base, for the Straus ladders.
+    fn pow_tables<'a>(
+        &self,
+        bases: impl Iterator<Item = &'a Ubig>,
+        s: &mut Scratch,
+    ) -> Vec<Vec<u64>> {
+        bases
+            .map(|b| {
+                self.to_mont(b, s);
+                self.pow_table(&s.entry, &mut s.t)
+            })
+            .collect()
+    }
+
+    /// The rows of a [`crate::FixedBase`] table: row `w` is the window
+    /// table of `base^(2^{WINDOW·w})`, for `windows` window positions.
+    pub(crate) fn fixed_base_rows(&self, base: &Ubig, windows: u32) -> Vec<Vec<u64>> {
+        let mut s = self.scratch();
+        self.to_mont(base, &mut s);
+        // acc = base^(2^{WINDOW·w}), advanced by WINDOW squarings per row.
+        std::mem::swap(&mut s.acc, &mut s.entry);
+        (0..windows)
+            .map(|_| {
+                let row = self.pow_table(&s.acc, &mut s.t);
+                for _ in 0..WINDOW {
+                    self.square(&mut s);
+                }
+                row
+            })
+            .collect()
+    }
+}
+
+/// The working buffers of one exponentiation call: the accumulator `acc`,
+/// its double buffer `tmp`, the `k + 2`-limb CIOS accumulator `t` and the
+/// masked-scan output `entry`. Allocated once per call; every multiply
+/// writes `tmp` and swaps it with `acc`.
+///
+/// Dropping it wipes all four, so a secret-exponent ladder leaves neither
+/// its intermediate powers nor its selected digits in freed heap memory
+/// (DESIGN.md §9).
+pub(crate) struct Scratch {
+    acc: Vec<u64>,
+    tmp: Vec<u64>,
+    t: Vec<u64>,
+    entry: Vec<u64>,
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        // Same best-effort erasure as `Ubig::wipe`: overwrite every limb,
+        // then route the buffer through `black_box` so the stores count as
+        // observed and are not elided as dead writes.
+        for buf in [&mut self.acc, &mut self.tmp, &mut self.t, &mut self.entry] {
+            buf.fill(0);
+            std::hint::black_box(buf);
+        }
     }
 }
 
@@ -351,20 +458,6 @@ pub(crate) fn window_chunk(exp: &Ubig, bits: u32, w: u32) -> usize {
     chunk
 }
 
-/// Masked constant-trace table lookup: reads every entry and keeps the
-/// selected one, so neither the branch predictor nor the data cache sees
-/// which window value the secret exponent produced.
-pub(crate) fn select_entry(table: &[Vec<u64>], idx: usize) -> Vec<u64> {
-    let mut out = vec![0u64; table[0].len()];
-    for (i, entry) in table.iter().enumerate() {
-        let mask = 0u64.wrapping_sub(u64::from(i == idx));
-        for (o, &e) in out.iter_mut().zip(entry) {
-            *o |= e & mask;
-        }
-    }
-    out
-}
-
 fn pad(limbs: &[u64], k: usize) -> Vec<u64> {
     let mut v = limbs.to_vec();
     v.resize(k, 0);
@@ -374,8 +467,10 @@ fn pad(limbs: &[u64], k: usize) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FixedBase;
 
-    /// Slow reference modpow by square-and-multiply with full divisions.
+    /// Slow reference modpow by square-and-multiply with full (Knuth)
+    /// divisions: no Montgomery code.
     fn slow_modpow(base: &Ubig, exp: &Ubig, m: &Ubig) -> Ubig {
         let mut acc = Ubig::one().rem(m);
         let mut b = base.rem(m);
@@ -401,6 +496,9 @@ mod tests {
 
     #[test]
     fn matches_slow_modpow_multilimb() {
+        // Every ladder against the division-based reference, one fixed
+        // case per width up to the Paper preset's 2048-bit (32-limb)
+        // modulus, with full-width exponents.
         let mut state = 0xdeadbeefcafef00du64;
         let mut next = || {
             state ^= state << 13;
@@ -408,14 +506,26 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for limbs in [2usize, 4, 7] {
+        for limbs in [2usize, 4, 7, 16, 32] {
             let mut mv: Vec<u64> = (0..limbs).map(|_| next()).collect();
             mv[0] |= 1; // odd
             let m = Ubig::from_limbs(mv);
-            let ctx = MontCtx::new(m.clone());
+            let ctx = std::sync::Arc::new(MontCtx::new(m.clone()));
             let b = Ubig::from_limbs((0..limbs + 1).map(|_| next()).collect());
-            let e = Ubig::from_limbs((0..2).map(|_| next()).collect());
-            assert_eq!(ctx.modpow(&b, &e), slow_modpow(&b, &e, &m), "limbs {limbs}");
+            let c = Ubig::from_limbs((0..limbs).map(|_| next()).collect());
+            let e = Ubig::from_limbs((0..limbs).map(|_| next()).collect());
+            let f = Ubig::from_limbs((0..2).map(|_| next()).collect());
+            let want = slow_modpow(&b, &e, &m);
+            assert_eq!(ctx.modpow(&b, &e), want, "limbs {limbs}");
+            assert_eq!(ctx.modpow_vartime(&b, &e), want, "limbs {limbs}");
+            let fb = FixedBase::new(std::sync::Arc::clone(&ctx), &b, 64 * limbs as u32);
+            assert_eq!(fb.pow(&e), want, "limbs {limbs}");
+            assert_eq!(fb.pow_vartime(&e), want, "limbs {limbs}");
+            let product = want.mul(&slow_modpow(&c, &f, &m)).rem(&m);
+            let pairs = [(&b, &e), (&c, &f)];
+            assert_eq!(ctx.multi_exp(&pairs), product, "limbs {limbs}");
+            assert_eq!(ctx.multi_exp_vartime(&pairs), product, "limbs {limbs}");
+            assert_eq!(ctx.modmul(&b, &c), b.mul(&c).rem(&m), "limbs {limbs}");
         }
     }
 

@@ -16,6 +16,21 @@ const TEST_PRIMES: &[&str] = &[
     "94a0bccb8a476a87e49d681d51d87c6455fa1ab8458f1f19", // 192-bit
 ];
 
+/// Square-and-multiply on `mulm` (schoolbook/Karatsuba product, Knuth
+/// division): an exponentiation reference that shares no code with the
+/// Montgomery kernels it checks.
+fn reference_modpow(base: &Ubig, exp: &Ubig, m: &Ubig) -> Ubig {
+    let mut acc = Ubig::one().rem(m);
+    let mut b = base.rem(m);
+    for i in 0..exp.bits() {
+        if exp.bit(i) {
+            acc = acc.mulm(&b, m);
+        }
+        b = b.sqm(m);
+    }
+    acc
+}
+
 /// Strategy: a Ubig of up to `limbs` limbs.
 fn ubig(limbs: usize) -> impl Strategy<Value = Ubig> {
     prop::collection::vec(any::<u64>(), 0..=limbs).prop_map(Ubig::from_limbs)
@@ -145,7 +160,7 @@ proptest! {
 
     #[test]
     fn modpow_matches_iterated_multiplication(
-        base in ubig(2), e in 0u32..50, m in odd_modulus(2)
+        base in ubig(8), e in 0u32..50, m in odd_modulus(8)
     ) {
         let mut acc = Ubig::one().rem(&m);
         for _ in 0..e {
@@ -221,48 +236,54 @@ proptest! {
     }
 
     #[test]
-    fn montgomery_matches_plain_reduction(a in ubig(4), b in ubig(4), m in odd_modulus(4)) {
+    fn montgomery_matches_plain_reduction(a in ubig(8), b in ubig(8), m in odd_modulus(8)) {
         let ctx = shs_bigint::mont::MontCtx::new(m.clone());
         prop_assert_eq!(ctx.modmul(&a, &b), a.mul(&b).rem(&m));
     }
 
-    // ---- acceleration-layer kernels agree with plain modpow ----------
+    // ---- every Montgomery ladder agrees with the mulm reference -------
+    //
+    // Moduli of 1–8 limbs (the Test preset's 256-bit RSA and 512-bit
+    // Schnorr moduli are 4 and 8 limbs); `mont.rs`'s unit tests add fixed
+    // 16- and 32-limb cases.
 
     #[test]
-    fn vartime_modpow_matches_ct(base in ubig(4), e in ubig(5), m in odd_modulus(4)) {
-        // Exponents up to 5 limbs against 4-limb moduli: exponent > modulus
-        // is routinely exercised.
-        let ctx = MontCtx::new(m);
-        prop_assert_eq!(ctx.modpow_vartime(&base, &e), ctx.modpow(&base, &e));
+    fn vartime_modpow_matches_ct(base in ubig(9), e in ubig(9), m in odd_modulus(8)) {
+        // Base and exponent up to 9 limbs against ≤ 8-limb moduli: both
+        // exceeding the modulus is routinely exercised.
+        let ctx = MontCtx::new(m.clone());
+        let want = reference_modpow(&base, &e, &m);
+        prop_assert_eq!(ctx.modpow(&base, &e), want.clone());
+        prop_assert_eq!(ctx.modpow_vartime(&base, &e), want);
     }
 
     #[test]
     fn multi_exp_matches_modpow_product(
-        b1 in ubig(4), b2 in ubig(4), b3 in ubig(4),
-        e1 in ubig(5), e2 in ubig(1), e3 in ubig(3),
-        m in odd_modulus(4),
+        b1 in ubig(8), b2 in ubig(8), b3 in ubig(8),
+        e1 in ubig(9), e2 in ubig(1), e3 in ubig(3),
+        m in odd_modulus(8),
     ) {
         // Deliberately mixed exponent widths (including frequent zeros from
         // the empty-limb case) so term padding to the longest width is hit.
         let ctx = MontCtx::new(m.clone());
         let pairs = [(&b1, &e1), (&b2, &e2), (&b3, &e3)];
-        let naive = ctx
-            .modpow(&b1, &e1)
-            .mulm(&ctx.modpow(&b2, &e2), &m)
-            .mulm(&ctx.modpow(&b3, &e3), &m);
+        let naive = reference_modpow(&b1, &e1, &m)
+            .mulm(&reference_modpow(&b2, &e2, &m), &m)
+            .mulm(&reference_modpow(&b3, &e3, &m), &m);
         prop_assert_eq!(ctx.multi_exp(&pairs), naive.clone());
         prop_assert_eq!(ctx.multi_exp_vartime(&pairs), naive);
     }
 
     #[test]
-    fn fixed_base_matches_modpow(base in ubig(4), e in ubig(4), m in odd_modulus(4)) {
+    fn fixed_base_matches_modpow(base in ubig(8), e in ubig(8), m in odd_modulus(8)) {
         let ctx = MontCtx::shared(&m);
-        // Table sized for 3 limbs: 4-limb exponents exercise the (public
-        // width-class) fallback, smaller ones the table path; zero and one
-        // come from the empty-limb strategy case.
-        let fb = FixedBase::new(std::sync::Arc::clone(&ctx), &base, 192);
-        prop_assert_eq!(fb.pow(&e), ctx.modpow(&base, &e));
-        prop_assert_eq!(fb.pow_vartime(&e), ctx.modpow(&base, &e));
+        // Table sized for 6 limbs: 7- and 8-limb exponents exercise the
+        // (public width-class) fallback, smaller ones the table path; zero
+        // and one come from the empty-limb strategy case.
+        let fb = FixedBase::new(std::sync::Arc::clone(&ctx), &base, 384);
+        let want = reference_modpow(&base, &e, &m);
+        prop_assert_eq!(fb.pow(&e), want.clone());
+        prop_assert_eq!(fb.pow_vartime(&e), want);
     }
 
     #[test]
