@@ -20,10 +20,15 @@
 //! # Module structure
 //!
 //! This module is the orchestrator: it owns the public session types and
-//! the phase sequencing. The moving parts live in focused submodules —
-//! `engine` (the budgeted exchange engine and the generic Phase-I
-//! scheduler driving [`crate::substrate::DgkaSlot`] state machines),
-//! `phase1`/`phase2`/`phase3` (one file per protocol phase), and
+//! the phase sequence, written once (`run_slots`) for both drivers. The
+//! lockstep driver ([`run_handshake_with_net`]) runs every slot of a
+//! session over a [`Medium`]; the per-party driver ([`party::run_party`])
+//! runs one slot over a [`shs_net::PartyLink`]. Both are thin wrappers
+//! that validate the session and package the result. The moving parts
+//! live in focused submodules — `engine` (the budgeted exchange engine,
+//! the only retry loop, over either transport),
+//! `phase1`/`phase2`/`phase3` (one file per protocol phase; Phase I
+//! drives the [`crate::substrate::DgkaSlot`] state machines), and
 //! `decoy` (every decoy/chaff construction in one place, since abort
 //! indistinguishability depends on their shapes).
 //!
@@ -197,6 +202,8 @@ pub struct SessionResult {
 /// Per-slot session state threaded through Phases II and III.
 pub(crate) struct SlotState<'a> {
     pub(crate) actor: &'a Actor<'a>,
+    /// The session slot this state belongs to.
+    pub(crate) index: usize,
     pub(crate) sid: Vec<u8>,
     pub(crate) k_prime: Key,
     pub(crate) contributions: Vec<Vec<u8>>,
@@ -244,31 +251,54 @@ pub fn run_handshake_with_net(
     rng: &mut (impl RngCore + ?Sized),
 ) -> Result<SessionResult, CoreError> {
     let mut rng = rng;
-    let rng: &mut dyn RngCore = &mut rng;
-    let m = actors.len();
-    if m < 2 || net.slots() != m {
+    if actors.len() < 2 || net.slots() != actors.len() {
         return Err(CoreError::BadSession);
     }
+    let mut ex = engine::Exchanger::over_medium(net, opts.budget);
+    let mut result = run_slots(actors, 0, opts, &mut ex, &mut rng)?;
+    result.traffic = net.traffic_snapshot();
+    result.stats.backpressure_dropped = result.traffic.faults().backpressure_dropped;
+    Ok(result)
+}
+
+/// The phase sequence of `GCD.Handshake`, shared by both drivers: runs
+/// session slots `first..first + actors.len()` through Phases I–III
+/// over `ex` and resolves their outcomes, costs and stats. The lockstep
+/// driver passes every slot; the per-party driver
+/// ([`party::run_party`]) passes only its own. The result's traffic log
+/// is left empty (the medium's snapshot is the caller's to take), and
+/// so is its transcript under [`TracePolicy::PreliminaryOnly`].
+///
+/// # Errors
+///
+/// Parameter rejections, network and codec errors are propagated.
+fn run_slots(
+    actors: &[Actor<'_>],
+    first: usize,
+    opts: &HandshakeOptions,
+    ex: &mut engine::Exchanger<'_>,
+    rng: &mut dyn RngCore,
+) -> Result<SessionResult, CoreError> {
+    let n = actors.len();
     let group = session_group(actors);
     let mimic = mimic_params(actors);
-    let mut costs = vec![SlotCosts::default(); m];
-    let mut ex = engine::Exchanger::new(net, opts.budget);
+    let mut costs = vec![SlotCosts::default(); n];
 
     // ---- Phase I: distributed group key agreement -----------------------
-    let phase1 = phase1::run(opts.dgka, group, m, &mut ex, &mut costs, rng)?;
+    let phase1 = phase1::run(opts.dgka, group, first, ex, &mut costs, rng)?;
     let mut aborts: Vec<Option<AbortReason>> = phase1.iter().map(|(_, a)| *a).collect();
-    let mut slots = phase1::bind_group_keys(actors, phase1, rng);
+    let mut slots = phase1::bind_group_keys(actors, first, phase1, rng);
 
     // ---- Phase II: MAC tags ---------------------------------------------
-    phase2::run(&mut slots, &mut ex, &mut costs)?;
+    phase2::run(&mut slots, ex, &mut costs)?;
 
     // ---- Phase III (unless preliminary-only) ----------------------------
     let mut transcript = HandshakeTranscript::default();
-    let mut verified: Vec<Vec<usize>> = vec![Vec::new(); m];
-    let mut duplicates: Vec<Vec<usize>> = vec![Vec::new(); m];
+    let mut verified: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut duplicates: Vec<Vec<usize>> = vec![Vec::new(); n];
     if opts.policy == TracePolicy::Full {
         (transcript, verified, duplicates) = phase3::run(
-            &mut slots, &aborts, group, &mimic, opts, &mut ex, &mut costs, rng,
+            &mut slots, &aborts, group, &mimic, opts, ex, &mut costs, rng,
         )?;
     }
 
@@ -276,50 +306,30 @@ pub fn run_handshake_with_net(
     // A crash-stopped slot never finished the session regardless of what
     // the local simulation computed for it: mark it aborted. The medium
     // reports both injected crash-stops and real dead connections.
-    for crashed in ex.net.crashed_slots() {
-        if crashed < m {
-            aborts[crashed] = Some(AbortReason::Crashed);
+    for crashed in ex.crashed_slots() {
+        if let Some(abort) = crashed.checked_sub(first).and_then(|k| aborts.get_mut(k)) {
+            *abort = Some(AbortReason::Crashed);
         }
     }
-    let traffic = ex.net.traffic_snapshot();
-    let transport = ex.net.transport_counters();
-    let stats = SessionStats {
-        exchanges: ex.exchanges,
-        retries: ex.retries,
-        budget_exhausted: ex.exhausted,
-        backpressure_dropped: traffic.faults().backpressure_dropped,
-        reconnects: transport.reconnects,
-        deadline_timeouts: transport.deadline_timeouts,
-    };
-    let mut outcomes = Vec::with_capacity(m);
-    for (i, slot) in slots.iter().enumerate() {
-        outcomes.push(resolve_outcome(
-            i,
-            slot,
-            aborts[i],
-            &verified[i],
-            &duplicates[i],
-            opts,
-            m,
-        ));
-    }
-
+    let m = ex.slots();
+    let outcomes = slots
+        .iter()
+        .zip(aborts)
+        .zip(verified.iter().zip(&duplicates))
+        .map(|((slot, abort), (v, d))| resolve_outcome(slot, abort, v, d, opts, m))
+        .collect();
     Ok(SessionResult {
         outcomes,
         transcript,
-        traffic,
+        traffic: TrafficLog::new(),
         costs,
-        stats,
+        stats: ex.stats(),
     })
 }
 
 /// Folds one slot's phase results into its [`Outcome`] — the acceptance
-/// logic of `Handshake(∆)` plus the partial-success extension, shared by
-/// the lockstep driver above and the per-party driver
-/// ([`crate::handshake::party`]), which must agree byte-for-byte on what
-/// "accepted" means.
-pub(crate) fn resolve_outcome(
-    i: usize,
+/// logic of `Handshake(∆)` plus the partial-success extension.
+fn resolve_outcome(
     slot: &SlotState<'_>,
     abort: Option<AbortReason>,
     verified_base: &[usize],
@@ -327,6 +337,7 @@ pub(crate) fn resolve_outcome(
     opts: &HandshakeOptions,
     m: usize,
 ) -> Outcome {
+    let i = slot.index;
     let ok = abort.is_none();
     let is_member = ok && matches!(slot.actor, Actor::Member(_));
     let delta = slot.delta_set.clone();

@@ -8,31 +8,23 @@
 //! hub in tests, a framed TCP connection to a relay in the `shs-node`
 //! daemon) and collecting its co-parties' payloads with a deadline.
 //!
-//! The phase logic is the *same code* the lockstep driver uses —
-//! `phase2::phase2_tag`, `phase3::phase3_payload`,
-//! `phase3::verify_slot`, `resolve_outcome` — so the
-//! two drivers cannot drift apart on what a handshake accepts. Only the
-//! exchange loop differs: a `PartyExchanger` retries a round (within
-//! the same [`crate::config::SessionBudget`]) while this party's *own*
-//! view is missing valid payloads, re-broadcasting its unchanged
-//! payload each attempt — which, over the TCP relay's cached
-//! retransmission, keeps per-slot wire shape uniform exactly like the
-//! lockstep engine's all-slots-retransmit rule.
+//! Both drivers run the same phase sequence (`run_slots`) over the same
+//! budgeted exchange engine, so they cannot drift apart on what a
+//! handshake accepts: here the engine retries a round while this
+//! party's *own* view is missing valid payloads, re-broadcasting its
+//! unchanged payload each attempt within the same
+//! [`crate::config::SessionBudget`].
 //!
 //! Quiet-abort cover is preserved: an aborting party keeps emitting
 //! chaff and decoys of ordinary-failure shape through every remaining
 //! round (the `DgkaSlot` chaff arms and the Phase-III decoy arm), so on
 //! the wire an abort is indistinguishable from a failed handshake.
 
-use crate::config::{HandshakeOptions, SessionBudget, TracePolicy};
-use crate::handshake::engine::{meter, note_send};
-use crate::handshake::{
-    phase2, phase3, resolve_outcome, AbortReason, Actor, Outcome, SessionStats, SlotCosts,
-    SlotState,
-};
+use crate::config::HandshakeOptions;
+use crate::handshake::engine::Exchanger;
+use crate::handshake::{run_slots, Actor, Outcome, SessionStats, SlotCosts};
 use crate::CoreError;
 use rand::RngCore;
-use shs_crypto::Key;
 use shs_net::PartyLink;
 use std::time::Duration;
 
@@ -47,67 +39,6 @@ pub struct PartyOutcome {
     /// Exchange/retry accounting plus transport robustness counters
     /// (reconnects, deadline timeouts) from the link.
     pub stats: SessionStats,
-}
-
-/// The distributed analogue of the exchange engine: one broadcast plus
-/// one deadline-bounded collect per attempt, retrying while this
-/// party's view is incomplete and budget remains.
-struct PartyExchanger<'l> {
-    link: &'l mut dyn PartyLink,
-    budget: SessionBudget,
-    collect_timeout: Duration,
-    exchanges: u32,
-    retries: u32,
-    exhausted: bool,
-}
-
-impl PartyExchanger<'_> {
-    /// Broadcasts `payload` under `label` and gathers one view,
-    /// retransmitting (the identical payload — shape uniformity) while
-    /// valid copies are missing. Returns the best view per sender.
-    fn round(
-        &mut self,
-        label: &str,
-        payload: &[u8],
-        valid: &mut dyn FnMut(usize, &[u8]) -> bool,
-    ) -> Result<Vec<Option<Vec<u8>>>, CoreError> {
-        let m = self.link.slots();
-        let mut view: Vec<Option<Vec<u8>>> = vec![None; m];
-        let mut attempt = 0u32;
-        loop {
-            self.exchanges += 1;
-            if attempt > 0 {
-                self.retries += 1;
-            }
-            self.link.broadcast(label, payload.to_vec())?;
-            let got = self
-                .link
-                .collect(label, self.collect_timeout, &mut |from, p| valid(from, p))?;
-            for (cell, incoming) in view.iter_mut().zip(got) {
-                if cell.is_none() {
-                    *cell = incoming;
-                }
-            }
-            let complete = view.iter().all(Option::is_some);
-            if complete || attempt >= self.budget.retries_per_round {
-                break;
-            }
-            if self.exchanges >= self.budget.max_exchanges {
-                self.exhausted = true;
-                break;
-            }
-            attempt += 1;
-        }
-        Ok(view)
-    }
-
-    fn abort_reason(&self) -> AbortReason {
-        if self.exhausted {
-            AbortReason::BudgetExhausted
-        } else {
-            AbortReason::KeyAgreement
-        }
-    }
 }
 
 /// Runs one party of a handshake session over `link`, as the slot the
@@ -127,120 +58,19 @@ pub fn run_party(
     rng: &mut (impl RngCore + ?Sized),
 ) -> Result<PartyOutcome, CoreError> {
     let mut rng = rng;
-    let rng: &mut dyn RngCore = &mut rng;
-    let m = link.slots();
     let i = link.slot();
-    if m < 2 || i >= m {
+    if link.slots() < 2 || i >= link.slots() {
         return Err(CoreError::BadSession);
     }
-    let single = std::slice::from_ref(actor);
-    let group = super::session_group(single);
-    let mimic = super::mimic_params(single);
-    let mut costs = SlotCosts::default();
-    let mut ex = PartyExchanger {
-        link,
-        budget: opts.budget,
-        collect_timeout,
-        exchanges: 0,
-        retries: 0,
-        exhausted: false,
+    let mut ex = Exchanger::over_link(link, collect_timeout, opts.budget);
+    let result = run_slots(std::slice::from_ref(actor), i, opts, &mut ex, &mut rng)?;
+    let (Some(outcome), Some(costs)) = (result.outcomes.into_iter().next(), result.costs.first())
+    else {
+        return Err(CoreError::BadSession);
     };
-
-    // ---- Phase I: this slot's side of the key agreement -----------------
-    let mut dgka = crate::factory::dgka_slot(opts.dgka, group, m, i, rng)?;
-    let rounds = dgka.rounds();
-    for t in 0..rounds {
-        let payload = meter(&mut costs, || dgka.emit(t, rng));
-        note_send(&mut costs, &payload);
-        let label = dgka.round_label(t);
-        let view = ex.round(&label, &payload, &mut |from, p| dgka.validate(t, from, p))?;
-        let incomplete = view.iter().any(Option::is_none).then(|| ex.abort_reason());
-        meter(&mut costs, || dgka.absorb(t, &view, incomplete, rng));
-    }
-    let (p1, abort) = meter(&mut costs, || dgka.finish(rng));
-
-    // ---- Blinding: k' = k* ⊕ k ------------------------------------------
-    let k_i = match actor {
-        Actor::Member(member) => member.group_key().clone(),
-        Actor::Outsider => Key::random(rng),
-    };
-    let mut slot = SlotState {
-        actor,
-        sid: p1.sid,
-        k_prime: p1.k_star.xor(&k_i),
-        contributions: p1.contributions,
-        seen_tags: Vec::new(),
-        delta_set: Vec::new(),
-        own_t6: None,
-    };
-
-    // ---- Phase II: MAC tag, Δ -------------------------------------------
-    let own_contribution = slot.contributions.get(i).cloned().unwrap_or_default();
-    let tag = phase2::phase2_tag(&slot.k_prime, &slot.sid, &own_contribution, i);
-    note_send(&mut costs, &tag);
-    let tag_len = tag.len();
-    let tag_view = ex.round("phase2-mac", &tag, &mut |_, p| p.len() == tag_len)?;
-    let seen: Vec<Vec<u8>> = tag_view
-        .iter()
-        .map(|v| v.clone().unwrap_or_default())
-        .collect();
-    let mut delta = Vec::new();
-    for j in 0..m {
-        if j == i {
-            delta.push(j);
-            continue;
-        }
-        let contribution_j = slot.contributions.get(j).map_or(&[][..], Vec::as_slice);
-        let expected = phase2::phase2_tag(&slot.k_prime, &slot.sid, contribution_j, j);
-        let seen_j = seen.get(j).map_or(&[][..], Vec::as_slice);
-        if shs_crypto::ct::eq(&expected, seen_j) {
-            delta.push(j);
-        }
-    }
-    slot.seen_tags = seen;
-    slot.delta_set = delta;
-
-    // ---- Phase III (unless preliminary-only) ----------------------------
-    let mut verified: Vec<usize> = Vec::new();
-    let mut duplicates: Vec<usize> = Vec::new();
-    if opts.policy == TracePolicy::Full {
-        let publish_real = abort.is_none()
-            && match slot.actor {
-                Actor::Member(_) => {
-                    slot.delta_set.len() == m || (opts.partial_success && slot.delta_set.len() >= 2)
-                }
-                Actor::Outsider => false,
-            };
-        let payload = meter(&mut costs, || {
-            phase3::phase3_payload(&mut slot, group, &mimic, publish_real, rng)
-        })?;
-        note_send(&mut costs, &payload);
-        let p3_view = ex.round("phase3-full", &payload, &mut |_, p| {
-            phase3::decode_p3(p).is_ok()
-        })?;
-        if abort.is_none() {
-            if let Actor::Member(member) = slot.actor {
-                (verified, duplicates) = meter(&mut costs, || {
-                    phase3::verify_slot(&slot, member, i, &p3_view)
-                });
-            }
-        }
-    }
-
-    // ---- Outcome --------------------------------------------------------
-    let transport = ex.link.transport_counters();
-    let stats = SessionStats {
-        exchanges: ex.exchanges,
-        retries: ex.retries,
-        budget_exhausted: ex.exhausted,
-        backpressure_dropped: 0, // relay-side; invisible to one party
-        reconnects: transport.reconnects,
-        deadline_timeouts: transport.deadline_timeouts,
-    };
-    let outcome = resolve_outcome(i, &slot, abort, &verified, &duplicates, opts, m);
     Ok(PartyOutcome {
         outcome,
-        costs,
-        stats,
+        costs: *costs,
+        stats: result.stats,
     })
 }

@@ -14,10 +14,10 @@ use shs_crypto::{aead, Key};
 use shs_groups::cs;
 use shs_groups::schnorr::SchnorrGroup;
 
-/// Runs Phase III: every slot broadcasts a real or decoy `(θ, δ)`
-/// frame, members verify their co-members' signatures, and scheme 2
-/// flags duplicate `T6` values. Returns the public transcript plus the
-/// per-slot `verified` and `duplicate` sets.
+/// Runs Phase III for the driven slots: each broadcasts a real or
+/// decoy `(θ, δ)` frame, members verify their co-members' signatures,
+/// and scheme 2 flags duplicate `T6` values. Returns the driven slots'
+/// transcript entries plus their `verified` and `duplicate` sets.
 ///
 /// # Errors
 ///
@@ -33,16 +33,17 @@ pub(crate) fn run(
     costs: &mut [SlotCosts],
     rng: &mut dyn RngCore,
 ) -> Result<(HandshakeTranscript, Vec<Vec<usize>>, Vec<Vec<usize>>), CoreError> {
-    let m = slots.len();
+    let m = ex.slots();
+    let n = slots.len();
     let mut transcript = HandshakeTranscript::default();
-    let mut verified: Vec<Vec<usize>> = vec![Vec::new(); m];
-    let mut duplicates: Vec<Vec<usize>> = vec![Vec::new(); m];
+    let mut verified: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut duplicates: Vec<Vec<usize>> = vec![Vec::new(); n];
 
-    let mut out_p3 = Vec::with_capacity(m);
-    for (i, (slot, cost)) in slots.iter_mut().zip(costs.iter_mut()).enumerate() {
+    let mut out_p3 = Vec::with_capacity(n);
+    for ((slot, cost), abort) in slots.iter_mut().zip(costs.iter_mut()).zip(aborts) {
         // Aborted slots publish decoys: on the wire they look exactly
         // like a member whose handshake merely failed.
-        let publish_real = aborts[i].is_none()
+        let publish_real = abort.is_none()
             && match slot.actor {
                 Actor::Member(_) => {
                     slot.delta_set.len() == m || (opts.partial_success && slot.delta_set.len() >= 2)
@@ -61,7 +62,9 @@ pub(crate) fn run(
     let views = ex.round("phase3-full", &out_p3, &mut |_, _, p| decode_p3(p).is_ok())?;
 
     // Build the public transcript (slot order) from the broadcast.
-    transcript.sid = slots[0].sid.clone();
+    if let Some(slot) = slots.first() {
+        transcript.sid = slot.sid.clone();
+    }
     for payload in &out_p3 {
         let (theta, delta) = decode_p3(payload)?;
         transcript.entries.push(TranscriptEntry { theta, delta });
@@ -73,28 +76,28 @@ pub(crate) fn run(
     // worker pool; results and modexp counts come back in slot order and
     // the outcome is byte-identical to a sequential run.
     let slots = &*slots;
-    let workers = crate::pool::verify_workers(m, opts.parallel_verify);
-    let per_slot = crate::pool::run_indexed(m, workers, |i| {
-        let slot = &slots[i];
+    let workers = crate::pool::verify_workers(n, opts.parallel_verify);
+    let per_slot = crate::pool::run_indexed(n, workers, |k| {
+        let slot = &slots[k];
         let Actor::Member(member) = slot.actor else {
             return None;
         };
-        if aborts[i].is_some() {
+        if aborts[k].is_some() {
             return None;
         }
         // The op counters are thread-local: measure on the worker and
         // carry the delta home in the result.
         let (counts, outcome) =
-            shs_bigint::counters::measure(|| verify_slot(slot, member, i, &views[i]));
+            shs_bigint::counters::measure(|| verify_slot(slot, member, &views[k]));
         Some((outcome, counts.modexp))
     });
-    for (i, result) in per_slot.into_iter().enumerate() {
+    for (k, result) in per_slot.into_iter().enumerate() {
         let Some(((v, d), modexp)) = result else {
             continue;
         };
-        verified[i] = v;
-        duplicates[i] = d;
-        costs[i].modexp += modexp;
+        verified[k] = v;
+        duplicates[k] = d;
+        costs[k].modexp += modexp;
     }
     Ok((transcript, verified, duplicates))
 }
@@ -102,12 +105,12 @@ pub(crate) fn run(
 /// One slot's Phase-III verification: checks every co-member frame in
 /// this slot's view and flags duplicate `T6` values (self-distinction).
 /// Returns `(verified, duplicates)` for the slot.
-pub(crate) fn verify_slot(
+fn verify_slot(
     slot: &SlotState<'_>,
     member: &crate::member::Member,
-    i: usize,
     view: &[Option<Vec<u8>>],
 ) -> (Vec<usize>, Vec<usize>) {
+    let i = slot.index;
     let mut verified = Vec::new();
     let mut duplicates = Vec::new();
     let expected_t7 = member
@@ -177,7 +180,7 @@ pub(crate) fn verify_slot(
 /// Self-distinction basis: the concatenation of everything sent in Phases
 /// I and II, as this slot saw it (§8.2: "the concatenation of all messages
 /// sent by the handshake participants").
-pub(crate) fn sd_basis(slot: &SlotState<'_>) -> Vec<u8> {
+fn sd_basis(slot: &SlotState<'_>) -> Vec<u8> {
     let mut basis = b"gcd-sd-basis".to_vec();
     basis.extend_from_slice(&slot.sid);
     for part in slot.contributions.iter().chain(&slot.seen_tags) {
@@ -187,7 +190,7 @@ pub(crate) fn sd_basis(slot: &SlotState<'_>) -> Vec<u8> {
     basis
 }
 
-pub(crate) fn phase3_payload(
+fn phase3_payload(
     slot: &mut SlotState<'_>,
     group: &'static SchnorrGroup,
     mimic: &SlotParams,
@@ -217,7 +220,7 @@ pub(crate) fn phase3_payload(
     Ok(w.into_bytes())
 }
 
-pub(crate) fn decode_p3(bytes: &[u8]) -> Result<(Vec<u8>, Vec<u8>), CoreError> {
+fn decode_p3(bytes: &[u8]) -> Result<(Vec<u8>, Vec<u8>), CoreError> {
     let mut r = crate::wire::Reader::new(bytes);
     let theta = r.take_bytes()?;
     let delta = r.take_bytes()?;

@@ -12,9 +12,9 @@
 //! mangled, delayed, or cut by a partition, and crash-stopped parties go
 //! silent after their `after_round`-th broadcast. Party bodies that must
 //! survive such a medium should use the deadline-based receives
-//! ([`PartyHandle::recv_timeout`], [`PartyHandle::collect_round_within`])
-//! instead of the blocking ones — a blocking [`PartyHandle::recv`] on a
-//! lossy medium can sit out its full (generous) deadline.
+//! ([`PartyHandle::recv_timeout`], [`PartyLink::collect`]) instead of
+//! the blocking ones — a blocking [`PartyHandle::recv`] on a lossy
+//! medium can sit out its full (generous) deadline.
 //!
 //! # Flow control
 //!
@@ -153,21 +153,15 @@ impl PartyHandle {
     ///
     /// # Errors
     ///
-    /// Propagates [`PartyHandle::recv`] errors: a guaranteed-delivery
-    /// medium never produces them while the hub lives, but a dropped hub
-    /// yields [`NetError::Disconnected`] instead of a panic.
+    /// [`NetError::Timeout`] if some slot's message is still missing at
+    /// the (generous) [`HubConfig::recv_deadline`] — a guaranteed-delivery
+    /// medium never produces it while the hub lives — and
+    /// [`NetError::Disconnected`] if the hub is gone.
     pub fn collect_round(&self, round: &str) -> Result<Vec<(usize, Vec<u8>)>, NetError> {
-        let mut got: Vec<Option<Vec<u8>>> = vec![None; self.slots];
-        let mut count = 0;
-        while count < self.slots {
-            let (from, r, payload) = self.recv()?;
-            if r == round && got[from].is_none() {
-                got[from] = Some(payload);
-                count += 1;
-            }
+        let got = self.collect_within(round, self.recv_deadline, &mut |_, _| true)?;
+        if got.iter().any(Option::is_none) {
+            return Err(NetError::Timeout);
         }
-        // The count loop above established completeness, so the filter
-        // never discards anything.
         Ok(got
             .into_iter()
             .enumerate()
@@ -175,13 +169,20 @@ impl PartyHandle {
             .collect())
     }
 
-    /// Collects up to one message per slot for the given round, giving up
-    /// on slots that produced nothing within `timeout` (overall
-    /// deadline). Entry `i` is `None` if slot `i`'s message never
-    /// arrived — dropped, partitioned, or its sender crashed. Duplicate
-    /// copies are discarded (first one wins); out-of-round arrivals are
-    /// skipped as in [`PartyHandle::collect_round`].
-    pub fn collect_round_within(&self, round: &str, timeout: Duration) -> Vec<Option<Vec<u8>>> {
+    /// The receive loop behind [`PartyHandle::collect_round`] and
+    /// [`PartyLink::collect`]: up to one copy per slot of `round`, the
+    /// first one that satisfies `valid` (so a corrupted copy cannot
+    /// displace a later valid retransmission), gathered until the view
+    /// is complete or `timeout` (an overall deadline) passes. Entry `i`
+    /// is `None` if no valid copy of slot `i`'s message arrived —
+    /// dropped, corrupted, partitioned, or its sender crashed.
+    /// Out-of-round arrivals are skipped.
+    fn collect_within(
+        &self,
+        round: &str,
+        timeout: Duration,
+        valid: &mut dyn FnMut(usize, &[u8]) -> bool,
+    ) -> Result<Vec<Option<Vec<u8>>>, NetError> {
         let deadline = Instant::now() + timeout;
         let mut got: Vec<Option<Vec<u8>>> = vec![None; self.slots];
         let mut count = 0;
@@ -192,15 +193,18 @@ impl PartyHandle {
             }
             match self.recv_timeout(left) {
                 Ok((from, r, payload)) => {
-                    if r == round && from < self.slots && got[from].is_none() {
-                        got[from] = Some(payload);
-                        count += 1;
+                    if let Some(cell @ None) = got.get_mut(from) {
+                        if r == round && valid(from, &payload) {
+                            *cell = Some(payload);
+                            count += 1;
+                        }
                     }
                 }
-                Err(_) => break,
+                Err(NetError::Timeout) => break,
+                Err(e) => return Err(e),
             }
         }
-        got
+        Ok(got)
     }
 }
 
@@ -218,42 +222,13 @@ impl PartyLink for PartyHandle {
         Ok(())
     }
 
-    /// Like [`PartyHandle::collect_round_within`], but with the caller's
-    /// validity filter so corrupted copies do not displace a later valid
-    /// retransmission (first-*valid*-copy-wins, as in the lockstep
-    /// engine).
     fn collect(
         &mut self,
         round: &str,
         timeout: Duration,
         valid: &mut dyn FnMut(usize, &[u8]) -> bool,
     ) -> Result<Vec<Option<Vec<u8>>>, NetError> {
-        let deadline = Instant::now() + timeout;
-        let mut got: Vec<Option<Vec<u8>>> = vec![None; self.slots];
-        let mut count = 0;
-        while count < self.slots {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            match self.recv_timeout(left) {
-                Ok((from, r, payload)) => {
-                    if r == round
-                        && from < self.slots
-                        && got.get(from).is_some_and(Option::is_none)
-                        && valid(from, &payload)
-                    {
-                        if let Some(cell) = got.get_mut(from) {
-                            *cell = Some(payload);
-                            count += 1;
-                        }
-                    }
-                }
-                Err(NetError::Timeout) => break,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(got)
+        self.collect_within(round, timeout, valid)
     }
 }
 
@@ -544,9 +519,10 @@ mod tests {
         let plan = FaultPlan::new(9).with(FaultRule::drop().from(2).to(0));
         let bodies: Vec<_> = (0..m)
             .map(|_| {
-                move |h: PartyHandle| {
+                move |mut h: PartyHandle| {
                     h.broadcast("r", vec![h.slot() as u8]);
-                    h.collect_round_within("r", Duration::from_millis(300))
+                    h.collect("r", Duration::from_millis(300), &mut |_, _| true)
+                        .expect("hub alive")
                         .iter()
                         .map(|p| p.is_some())
                         .collect::<Vec<_>>()
@@ -568,11 +544,16 @@ mod tests {
         let plan = FaultPlan::new(3).with(FaultRule::crash_stop(1, 1));
         let bodies: Vec<_> = (0..m)
             .map(|_| {
-                move |h: PartyHandle| {
+                move |mut h: PartyHandle| {
+                    let window = Duration::from_millis(300);
                     h.broadcast("r1", vec![1]);
-                    let r1 = h.collect_round_within("r1", Duration::from_millis(300));
+                    let r1 = h
+                        .collect("r1", window, &mut |_, _| true)
+                        .expect("hub alive");
                     h.broadcast("r2", vec![2]);
-                    let r2 = h.collect_round_within("r2", Duration::from_millis(300));
+                    let r2 = h
+                        .collect("r2", window, &mut |_, _| true)
+                        .expect("hub alive");
                     (
                         r1.iter().filter(|p| p.is_some()).count(),
                         r2.iter().filter(|p| p.is_some()).count(),
@@ -595,9 +576,10 @@ mod tests {
         let plan = FaultPlan::new(4).with(FaultRule::duplicate());
         let bodies: Vec<_> = (0..m)
             .map(|_| {
-                move |h: PartyHandle| {
+                move |mut h: PartyHandle| {
                     h.broadcast("r", vec![h.slot() as u8]);
-                    h.collect_round_within("r", Duration::from_millis(300))
+                    h.collect("r", Duration::from_millis(300), &mut |_, _| true)
+                        .expect("hub alive")
                         .iter()
                         .filter(|p| p.is_some())
                         .count()

@@ -18,7 +18,7 @@
 //!
 //! The per-party session runs real threads (party bodies block in
 //! `collect` exactly like hub bodies do), so raw thread interleaving
-//! must not be allowed to leak into the trace. Four rules prevent it:
+//! must not be allowed to leak into the trace. Five rules prevent it:
 //!
 //! 1. **Staged broadcasts.** A `broadcast` only *stages* the message.
 //!    Staged messages are processed (logged, faulted, scheduled) in
@@ -36,6 +36,14 @@
 //!    deadline before its thread gets scheduled would fabricate a
 //!    timeout (and a spurious retransmission) out of host scheduling
 //!    noise.
+//! 5. **Observed deadlines.** The session never advances while a
+//!    blocked party's deadline has expired unobserved. Parties that
+//!    enter a round together share a deadline; if the first thread to
+//!    wake could advance, its retransmission would be processed alone
+//!    and the others' in later batches, consuming the [`FaultPlan`]'s
+//!    coins in host-scheduling order. A ready state therefore always
+//!    has a waiting deadline ahead of the clock, and every advance
+//!    step makes progress.
 
 use crate::core::{nanos, EventQueue, LatencyModel, Nanos, TraceFingerprint};
 use shs_net::fault::FaultPlan;
@@ -231,10 +239,11 @@ struct SessionCore {
 
 impl SessionCore {
     /// Are all unfinished parties blocked in collect, with every
-    /// delivery they have received already drained? Only then may the
-    /// simulation advance (conservative synchronization: no party
-    /// could still produce an earlier event, and none is sitting on
-    /// unread mail that would change what it does next).
+    /// delivery they have received already drained and every deadline
+    /// still ahead? Only then may the simulation advance (conservative
+    /// synchronization: no party could still produce an earlier event,
+    /// and none is sitting on unread mail or an expired deadline that
+    /// would change what it does next).
     fn ready_to_advance(&self) -> bool {
         self.active > 0
             && self.waiting.iter().filter(|w| w.is_some()).count() == self.active
@@ -242,7 +251,7 @@ impl SessionCore {
                 .waiting
                 .iter()
                 .zip(&self.fresh_mail)
-                .all(|(w, fresh)| w.is_none() || !fresh)
+                .all(|(w, fresh)| w.is_none_or(|d| !fresh && d > self.now))
     }
 
     /// Processes one staged broadcast: crash clock, eavesdropper log,
@@ -299,49 +308,37 @@ impl SessionCore {
         }
     }
 
-    /// One advance step, called with every unfinished party blocked:
-    /// first flush staged broadcasts (no time passes), otherwise move
-    /// time forward to the next delivery or the earliest deadline.
-    ///
-    /// Returns whether anything changed. A `false` means virtual time
-    /// already sits at some party's expired deadline and only *that*
-    /// party (currently blocked) can make progress — the caller must
-    /// release the lock and wait, or the session livelocks.
-    fn advance(&mut self) -> bool {
+    /// One advance step, called from a ready state
+    /// ([`SessionCore::ready_to_advance`]): first flush staged
+    /// broadcasts (no time passes), otherwise deliver the next arrival
+    /// or move time forward to the earliest deadline. A ready state
+    /// has a waiting deadline later than `now`, so every step makes
+    /// progress.
+    fn advance(&mut self) {
         if !self.staged.is_empty() {
             let mut staged = std::mem::take(&mut self.staged);
             staged.sort_by_key(|s| (s.seq, s.slot));
             for s in staged {
                 self.process_broadcast(s);
             }
-            return true;
+            return;
         }
-        let was = self.now;
-        let mut popped = false;
-        match (self.queue.peek_time(), self.min_deadline()) {
-            (Some(t), Some(d)) if t <= d => popped = self.pop_delivery(),
-            (Some(_), Some(d)) => self.now = self.now.max(d),
-            (Some(_t), None) => popped = self.pop_delivery(),
+        let deadline = self.waiting.iter().flatten().copied().min();
+        match (self.queue.peek_time(), deadline) {
+            (Some(t), Some(d)) if t > d => self.now = self.now.max(d),
+            (Some(_), _) => self.pop_delivery(),
             (None, Some(d)) => self.now = self.now.max(d),
             (None, None) => {}
         }
-        popped || self.now > was
     }
 
-    fn min_deadline(&self) -> Option<Nanos> {
-        self.waiting.iter().flatten().copied().min()
-    }
-
-    fn pop_delivery(&mut self) -> bool {
+    fn pop_delivery(&mut self) {
         if let Some((t, d)) = self.queue.pop() {
             self.now = self.now.max(t);
             self.fingerprint
                 .fold(&[t, d.from as u64, d.to as u64, d.payload.len() as u64]);
             self.mailbox[d.to].push((d.round, d.from, d.payload));
             self.fresh_mail[d.to] = true;
-            true
-        } else {
-            false
         }
     }
 }
@@ -434,18 +431,13 @@ impl PartyLink for SimLink {
             if view.iter().all(Option::is_some) || core.now >= deadline {
                 break;
             }
-            let progressed = if core.ready_to_advance() {
-                let progressed = core.advance();
+            if core.ready_to_advance() {
+                core.advance();
                 self.shared.cv.notify_all();
-                progressed
             } else {
-                false
-            };
-            if !progressed {
-                // Either some party is still running (it will advance or
-                // notify), or virtual time sits at another party's
-                // expired deadline and only that party can move — hand
-                // the lock over instead of spinning on it.
+                // Some party is still running, or holds fresh mail or an
+                // expired deadline it has not yet observed: it will
+                // advance or notify once it blocks again.
                 core = self
                     .shared
                     .cv
@@ -591,6 +583,49 @@ mod tests {
         );
     }
 
+    /// One party's view of each round it ran.
+    type RoundViews = Vec<Vec<Option<Vec<u8>>>>;
+
+    /// Parties that run `rounds` rounds, retransmitting up to 3 times
+    /// while their view of a round is incomplete.
+    fn retransmitting_bodies(
+        m: usize,
+        rounds: &'static [&'static str],
+    ) -> Vec<impl FnOnce(SimLink) -> RoundViews + Send> {
+        (0..m)
+            .map(move |_| {
+                move |mut link: SimLink| {
+                    let me = PartyLink::slot(&link) as u8;
+                    let mut views = Vec::new();
+                    for (t, round) in rounds.iter().enumerate() {
+                        let mut view = vec![None; PartyLink::slots(&link)];
+                        for _attempt in 0..4 {
+                            link.broadcast(round, vec![me, t as u8]).unwrap();
+                            let got = link
+                                .collect(round, Duration::from_millis(10), &mut |_, _| true)
+                                .unwrap();
+                            for (cell, copy) in view.iter_mut().zip(got) {
+                                if cell.is_none() {
+                                    *cell = copy;
+                                }
+                            }
+                            if view.iter().all(Option::is_some) {
+                                break;
+                            }
+                        }
+                        views.push(view);
+                    }
+                    views
+                }
+            })
+            .collect()
+    }
+
+    /// Same seed, same trace — including retransmissions. Parties that
+    /// entered a round together share a collect deadline; when it
+    /// expires, every one of them must stage its retransmission before
+    /// the session advances, or the fault plan's coins are consumed in
+    /// host-scheduling order.
     #[test]
     fn same_seed_same_trace() {
         let run = || {
@@ -598,15 +633,28 @@ mod tests {
                 3,
                 FaultPlan::new(9).with(FaultRule::drop().with_probability(0.4)),
                 LatencyModel::lan(5),
-                echo_bodies(3),
+                retransmitting_bodies(3, &["r1", "r2", "r3", "r4"]),
             );
-            (report.fingerprint, report.elapsed, report.traffic)
+            (
+                report.fingerprint,
+                report.elapsed,
+                report.traffic,
+                report.outputs,
+            )
         };
-        let a = run();
-        let b = run();
-        assert_eq!(a.0, b.0, "fingerprint");
-        assert_eq!(a.1, b.1, "elapsed");
-        assert_eq!(a.2, b.2, "traffic log");
+        let first = run();
+        assert!(
+            first.2.len() > 3 * 4,
+            "the plan forces retransmissions: {} broadcasts",
+            first.2.len()
+        );
+        for replay in 1..30 {
+            let again = run();
+            assert_eq!(first.0, again.0, "fingerprint, replay {replay}");
+            assert_eq!(first.1, again.1, "elapsed, replay {replay}");
+            assert_eq!(first.2, again.2, "traffic log, replay {replay}");
+            assert_eq!(first.3, again.3, "outputs, replay {replay}");
+        }
     }
 
     #[test]

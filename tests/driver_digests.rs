@@ -1,0 +1,428 @@
+//! Byte-for-byte pins of both handshake drivers' outputs.
+//!
+//! Each configuration runs through the lockstep driver
+//! (`run_handshake_with_net` over `BroadcastNet`) and through the
+//! per-party driver (`run_party` over `shs-sim`'s deterministic
+//! `SimLink`). Everything a driver reports is folded into a SHA-256
+//! digest: outcomes with session-key bytes, per-slot costs, session
+//! stats, the Phase-III transcript (lockstep), virtual time and the
+//! event-trace fingerprint (per-party), and the eavesdropper's traffic
+//! log with payload bytes and fault counters. Each digest is compared
+//! with a committed constant, so a refactor of either driver must leave
+//! every one unchanged. A deliberate change to what a driver computes
+//! re-captures the tables; the failure message prints them.
+
+mod common;
+
+use std::time::Duration;
+
+use common::rng;
+use shs_core::config::DgkaChoice;
+use shs_core::handshake::party::run_party;
+use shs_core::handshake::run_handshake_with_net;
+use shs_core::{
+    AbortReason, Actor, HandshakeOptions, Member, Outcome, SchemeKind, SessionBudget, SessionStats,
+    SlotCosts, TracePolicy,
+};
+use shs_crypto::sha256::Sha256;
+use shs_net::fault::{FaultPlan, FaultRule};
+use shs_net::observe::TrafficLog;
+use shs_net::sync::BroadcastNet;
+use shs_net::DeliveryPolicy;
+use shs_sim::core::LatencyModel;
+use shs_sim::network::{run_session, SimLink};
+
+/// Per-round collect window of the per-party runs (virtual time).
+const COLLECT: Duration = Duration::from_millis(50);
+
+/// One seat of a roster: a member of group 0 or 1, or an outsider.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Seat {
+    G0,
+    G1,
+    Out,
+}
+
+struct Case {
+    name: &'static str,
+    scheme: SchemeKind,
+    roster: &'static [Seat],
+    opts: HandshakeOptions,
+    plan: fn() -> FaultPlan,
+    /// Does the per-party driver read the option this case varies?
+    per_party: bool,
+}
+
+fn case(name: &'static str, opts: HandshakeOptions, plan: fn() -> FaultPlan) -> Case {
+    Case {
+        name,
+        scheme: SchemeKind::Scheme1,
+        roster: &[Seat::G0, Seat::G0, Seat::G0],
+        opts,
+        plan,
+        per_party: true,
+    }
+}
+
+fn clean() -> FaultPlan {
+    FaultPlan::new(1)
+}
+
+fn cases() -> Vec<Case> {
+    let default = HandshakeOptions::default();
+    let plain = |name| case(name, default, clean);
+    vec![
+        plain("scheme1"),
+        Case {
+            scheme: SchemeKind::Scheme2SelfDistinct,
+            ..plain("scheme2")
+        },
+        Case {
+            scheme: SchemeKind::Scheme1Classic,
+            ..plain("scheme1-classic")
+        },
+        Case {
+            roster: &[Seat::G0, Seat::G0, Seat::Out],
+            ..plain("outsider")
+        },
+        Case {
+            roster: &[Seat::G0, Seat::Out, Seat::Out],
+            ..plain("lone-member")
+        },
+        Case {
+            roster: &[Seat::G0, Seat::G0, Seat::G1, Seat::G1],
+            ..plain("mixed-groups")
+        },
+        Case {
+            roster: &[Seat::G0; 4],
+            ..case(
+                "gdh2-m4",
+                HandshakeOptions::with_dgka(DgkaChoice::Gdh2),
+                clean,
+            )
+        },
+        case(
+            "authenticated-bd",
+            HandshakeOptions::with_dgka(DgkaChoice::AuthenticatedBd),
+            clean,
+        ),
+        case(
+            "preliminary-only",
+            HandshakeOptions {
+                policy: TracePolicy::PreliminaryOnly,
+                ..default
+            },
+            clean,
+        ),
+        Case {
+            // The per-party driver verifies its one slot on its own
+            // thread either way.
+            per_party: false,
+            ..case(
+                "sequential-verify",
+                HandshakeOptions {
+                    parallel_verify: false,
+                    ..default
+                },
+                clean,
+            )
+        },
+        case(
+            "adversarial-reorder",
+            HandshakeOptions {
+                delivery: DeliveryPolicy::AdversarialReorder { seed: 77 },
+                ..default
+            },
+            clean,
+        ),
+        case("crash-stop", default, || {
+            FaultPlan::new(12).with(FaultRule::crash_stop(2, 1))
+        }),
+        case("drop-one-phase2", default, || {
+            FaultPlan::new(13).with(
+                FaultRule::drop()
+                    .in_round("phase2-mac")
+                    .from(1)
+                    .to(0)
+                    .at_most(1),
+            )
+        }),
+        case("drop-35pct", default, || {
+            FaultPlan::new(14).with(FaultRule::drop().with_probability(0.35))
+        }),
+        case("corrupt-30pct", default, || {
+            FaultPlan::new(15).with(FaultRule::corrupt(2).with_probability(0.3))
+        }),
+        case("delay-phase3", default, || {
+            FaultPlan::new(16).with(
+                FaultRule::delay(1)
+                    .in_round("phase3-full")
+                    .from(1)
+                    .to(0)
+                    .at_most(1),
+            )
+        }),
+        case(
+            "budget-exhausted",
+            HandshakeOptions {
+                budget: SessionBudget {
+                    max_exchanges: 5,
+                    retries_per_round: 3,
+                },
+                ..default
+            },
+            || FaultPlan::new(17).with(FaultRule::drop().from(1).to(0)),
+        ),
+    ]
+}
+
+/// The case's roster: `Some(member)` per member seat, `None` per
+/// outsider. Each group is rebuilt from the case's seed, so every run
+/// of a case sees the same credentials.
+fn seats(case: &Case) -> Vec<Option<Member>> {
+    let mut r = rng(&format!("driver-digest-{}", case.name));
+    let mut members: Vec<std::vec::IntoIter<Member>> = Vec::new();
+    for g in [Seat::G0, Seat::G1] {
+        let n = case.roster.iter().filter(|s| **s == g).count();
+        let built = if n == 0 {
+            Vec::new()
+        } else {
+            common::group(case.scheme, n, &mut r).1
+        };
+        members.push(built.into_iter());
+    }
+    case.roster
+        .iter()
+        .map(|seat| match seat {
+            Seat::G0 => members[0].next(),
+            Seat::G1 => members[1].next(),
+            Seat::Out => None,
+        })
+        .collect()
+}
+
+fn actor(seat: &Option<Member>) -> Actor<'_> {
+    seat.as_ref().map_or(Actor::Outsider, Actor::Member)
+}
+
+/// A SHA-256 over a length-prefixed encoding of driver outputs.
+struct Digest(Sha256);
+
+impl Digest {
+    fn new(label: &str) -> Digest {
+        let mut d = Digest(Sha256::new());
+        d.bytes(label.as_bytes());
+        d
+    }
+
+    fn num(&mut self, v: u64) {
+        self.0.update(&v.to_be_bytes());
+    }
+
+    fn bytes(&mut self, b: &[u8]) {
+        self.num(b.len() as u64);
+        self.0.update(b);
+    }
+
+    fn slots(&mut self, s: &[usize]) {
+        self.num(s.len() as u64);
+        for &x in s {
+            self.num(x as u64);
+        }
+    }
+
+    fn outcome(&mut self, o: &Outcome) {
+        self.num(o.slot as u64);
+        self.num(u64::from(o.accepted));
+        self.slots(&o.same_group_slots);
+        self.slots(&o.verified_slots);
+        self.slots(&o.duplicate_slots);
+        match &o.session_key {
+            Some(key) => self.bytes(key.as_bytes()),
+            None => self.num(u64::MAX),
+        }
+        self.num(match o.abort {
+            None => 0,
+            Some(AbortReason::KeyAgreement) => 1,
+            Some(AbortReason::BudgetExhausted) => 2,
+            Some(AbortReason::Crashed) => 3,
+        });
+    }
+
+    fn costs(&mut self, c: &SlotCosts) {
+        self.num(c.modexp);
+        self.num(c.messages_sent);
+        self.num(c.bytes_sent);
+    }
+
+    fn stats(&mut self, s: &SessionStats) {
+        self.num(u64::from(s.exchanges));
+        self.num(u64::from(s.retries));
+        self.num(u64::from(s.budget_exhausted));
+        self.num(s.backpressure_dropped);
+        self.num(s.reconnects);
+        self.num(s.deadline_timeouts);
+    }
+
+    fn traffic(&mut self, t: &TrafficLog) {
+        self.num(t.len() as u64);
+        for r in t.records() {
+            self.bytes(r.round.as_bytes());
+            self.num(r.from_slot as u64);
+            self.bytes(&r.payload);
+        }
+        let f = t.faults();
+        for n in [
+            f.dropped,
+            f.duplicated,
+            f.corrupted,
+            f.truncated,
+            f.delayed,
+            f.redelivered,
+            f.crash_silenced,
+            f.partitioned,
+            f.backpressure_dropped,
+        ] {
+            self.num(n);
+        }
+    }
+
+    fn hex(self) -> String {
+        self.0.finalize()[..16]
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect()
+    }
+}
+
+fn lockstep_digest(case: &Case) -> String {
+    let seats = seats(case);
+    let actors: Vec<Actor<'_>> = seats.iter().map(actor).collect();
+    let mut net = BroadcastNet::new(actors.len(), case.opts.delivery);
+    net.set_fault_plan((case.plan)());
+    let mut r = rng(&format!("driver-digest-{}-lockstep", case.name));
+    let result = run_handshake_with_net(&actors, &case.opts, &mut net, &mut r)
+        .expect("lockstep session yields a structured result");
+    let mut d = Digest::new("lockstep");
+    for (outcome, costs) in result.outcomes.iter().zip(&result.costs) {
+        d.outcome(outcome);
+        d.costs(costs);
+    }
+    d.stats(&result.stats);
+    d.bytes(&result.transcript.sid);
+    for entry in &result.transcript.entries {
+        d.bytes(&entry.theta);
+        d.bytes(&entry.delta);
+    }
+    d.traffic(&result.traffic);
+    d.hex()
+}
+
+fn per_party_digest(case: &Case) -> String {
+    let seats = seats(case);
+    let m = seats.len();
+    let opts = case.opts;
+    let name = case.name;
+    let bodies: Vec<_> = seats
+        .into_iter()
+        .enumerate()
+        .map(|(i, seat)| {
+            move |mut link: SimLink| {
+                let mut r = rng(&format!("driver-digest-{name}-party-{i}"));
+                run_party(&actor(&seat), &opts, &mut link, COLLECT, &mut r)
+                    .expect("party yields a structured result")
+            }
+        })
+        .collect();
+    let report = run_session(m, (case.plan)(), LatencyModel::lan(m as u64), bodies);
+    let mut d = Digest::new("per-party");
+    for party in &report.outputs {
+        d.outcome(&party.outcome);
+        d.costs(&party.costs);
+        d.stats(&party.stats);
+    }
+    d.num(report.elapsed.as_nanos() as u64);
+    d.num(report.fingerprint);
+    d.traffic(&report.traffic);
+    d.hex()
+}
+
+/// Compares every computed digest with its pin and, on any mismatch,
+/// fails with the full table of computed values.
+fn check(pins: &[(&str, &str)], computed: Vec<(&'static str, String)>) {
+    let table: String = computed
+        .iter()
+        .map(|(name, digest)| format!("    (\"{name}\", \"{digest}\"),\n"))
+        .collect();
+    let names: Vec<&str> = computed.iter().map(|(name, _)| *name).collect();
+    let pinned: Vec<&str> = pins.iter().map(|(name, _)| *name).collect();
+    assert_eq!(names, pinned, "pinned configurations\n{table}");
+    let changed: Vec<&str> = computed
+        .iter()
+        .zip(pins)
+        .filter(|((_, digest), (_, pin))| digest != pin)
+        .map(|((name, _), _)| *name)
+        .collect();
+    assert!(changed.is_empty(), "digests changed: {changed:?}\n{table}");
+}
+
+const LOCKSTEP_PINS: &[(&str, &str)] = &[
+    ("scheme1", "df79324b974bbaf30db29a7e3a0f6807"),
+    ("scheme2", "7d2d4600dec95c9f0a83cf60d790f1fc"),
+    ("scheme1-classic", "bcf94b77b7b27ba8051485c5cb2be4a5"),
+    ("outsider", "a37f98ad215aa63a613e5b5d62ff1b90"),
+    ("lone-member", "f00134cda6dfd4eb2fa4a18ac39d8013"),
+    ("mixed-groups", "2accf63d3f2d1a9dee080eefe1377c26"),
+    ("gdh2-m4", "91b3e846ce65cf92a1799d7ea6050cbd"),
+    ("authenticated-bd", "7f1513321412721ac34ed8e980736e98"),
+    ("preliminary-only", "1dff59d14c6cc7a1c9dbd63a4cf095b9"),
+    ("sequential-verify", "e9648e7c1344d8adf4547b3eab3b76ed"),
+    ("adversarial-reorder", "4b42bfd746c64a301ee1353170948042"),
+    ("crash-stop", "cba43080389c9096edd21568bb71780f"),
+    ("drop-one-phase2", "b272bbe4f68e0afa3bcf45ca98f5715d"),
+    ("drop-35pct", "86183e63649c44941090c842f3941910"),
+    ("corrupt-30pct", "fcb4acc43a393fd62d8c188e34770a50"),
+    ("delay-phase3", "6262a7da24fac1704f8550cae8b6c33c"),
+    ("budget-exhausted", "5ea4b462425c422c911f5832136836f7"),
+];
+
+const PER_PARTY_PINS: &[(&str, &str)] = &[
+    ("scheme1", "d527b8ad0410710af2845736d481f1b6"),
+    ("scheme2", "634a8261c7e91a902a23ce96694c73cc"),
+    ("scheme1-classic", "8fb3839f4280d69d238c2cab80df4041"),
+    ("outsider", "381f82c639c9d5678903dd120e7f995d"),
+    ("lone-member", "e87ea4bf9694b6b9c79ea0aade32d552"),
+    ("mixed-groups", "f98eb23e475fc44539cfc10753fe54a3"),
+    ("gdh2-m4", "f647ce5251a1c7707e2009896f7acc22"),
+    ("authenticated-bd", "235c40ea3f8172026d09bb10c9f3f76b"),
+    ("preliminary-only", "80421902c5c198cc0b89c1fec5f39ebc"),
+    ("adversarial-reorder", "69b5c5d337df9a05a0b429ee62542848"),
+    ("crash-stop", "0b813aeea11c1daa60b5a4d7048d5644"),
+    ("drop-one-phase2", "adc87f5d78166c979399fa63a63a8ed5"),
+    ("drop-35pct", "968ca0707f150e171c00e34d63e49acc"),
+    ("corrupt-30pct", "7cd973cf659df5733c7c5670b1ea6694"),
+    ("delay-phase3", "2956881ae99d9fbb35211826a6f62c2e"),
+    ("budget-exhausted", "1ce55e198650da34b531cf502a04ec9e"),
+];
+
+/// `run_handshake_with_net` over `BroadcastNet`, 17 configurations.
+#[test]
+fn lockstep_driver_outputs_match_their_pins() {
+    let computed = cases()
+        .iter()
+        .map(|c| (c.name, lockstep_digest(c)))
+        .collect();
+    check(LOCKSTEP_PINS, computed);
+}
+
+/// `run_party` over `SimLink`, every configuration whose option the
+/// per-party driver reads (16).
+#[test]
+fn per_party_driver_outputs_match_their_pins() {
+    let computed = cases()
+        .iter()
+        .filter(|c| c.per_party)
+        .map(|c| (c.name, per_party_digest(c)))
+        .collect();
+    check(PER_PARTY_PINS, computed);
+}
