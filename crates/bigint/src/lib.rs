@@ -26,7 +26,7 @@
 //!   data, policed by the shs-lint `vartime-usage` rule.
 //! * Miller–Rabin primality testing and (safe-)prime generation
 //!   ([`prime`]).
-//! * Binary and extended GCD, modular inverse, Jacobi symbol, CRT
+//! * Binary and extended GCD, binary modular inverse, Jacobi symbol, CRT
 //!   ([`gcd`], [`jacobi`]).
 //! * Instrumentation counters ([`counters`]) so experiments can report the
 //!   *number* of modular exponentiations a protocol performs — the unit in

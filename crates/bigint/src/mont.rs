@@ -54,14 +54,7 @@ impl MontCtx {
         let mut n_limbs = n.limbs().to_vec();
         n_limbs.resize(k, 0);
 
-        // Newton iteration for n0^{-1} mod 2^64 (converges in 6 steps).
-        let n0 = n_limbs[0];
-        let mut inv: u64 = n0;
-        for _ in 0..6 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
-        }
-        debug_assert_eq!(n0.wrapping_mul(inv), 1);
-        let n0inv = inv.wrapping_neg();
+        let n0inv = neg_inv_limb(n_limbs[0]);
 
         let r = Ubig::one().shl(64 * k as u32).rem(&n);
         let rr_big = r.mul(&r).rem(&n);
@@ -456,6 +449,19 @@ pub(crate) fn window_chunk(exp: &Ubig, bits: u32, w: u32) -> usize {
         chunk = (chunk << 1) | usize::from(bit);
     }
     chunk
+}
+
+/// `−n0⁻¹ mod 2^64` for an odd limb `n0`: the Montgomery constant of a
+/// modulus whose low limb is `n0`, also the quotient seed of the binary
+/// inverse's halving step (`gcd::modinv`).
+pub(crate) fn neg_inv_limb(n0: u64) -> u64 {
+    // Newton iteration for n0^{-1} mod 2^64 (converges in 6 steps).
+    let mut inv: u64 = n0;
+    for _ in 0..6 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
+    }
+    debug_assert_eq!(n0.wrapping_mul(inv), 1);
+    inv.wrapping_neg()
 }
 
 fn pad(limbs: &[u64], k: usize) -> Vec<u64> {

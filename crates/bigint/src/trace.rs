@@ -6,12 +6,13 @@
 //! multiplications, additions/subtractions, quotient-digit estimates, and
 //! data-dependent branches — inside the bigint kernels
 //! ([`crate::mont::MontCtx`], [`crate::Ubig::mul`], [`crate::Ubig::divrem`],
-//! [`crate::gcd::ext_gcd`], Miller–Rabin). Tests capture the trace of a
-//! computation over one secret and assert it is *identical* to the trace
-//! over another secret of the same public width: any secret-dependent
-//! early-exit, skipped multiply, or conditional subtraction shows up as a
-//! count difference. This is the dynamic complement of the `shs-lint`
-//! static pass, which cannot see control flow.
+//! [`crate::gcd::ext_gcd`], [`crate::gcd::modinv`], Miller–Rabin). Tests
+//! capture the trace of a computation over one secret and assert it is
+//! *identical* to the trace over another secret of the same public width:
+//! any secret-dependent early-exit, skipped multiply, or conditional
+//! subtraction shows up as a count difference. This is the dynamic
+//! complement of the `shs-lint` static pass, which cannot see control
+//! flow.
 //!
 //! Recording is compiled to a no-op unless the crate is built with
 //! `--features trace-ops`, so production builds pay nothing. Counters are

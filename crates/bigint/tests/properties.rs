@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use shs_bigint::mont::MontCtx;
-use shs_bigint::{gcd, jacobi, CrtCtx, FixedBase, Int, Ubig};
+use shs_bigint::{gcd, jacobi, BigintError, CrtCtx, FixedBase, Int, Ubig};
 
 /// Odd primes of assorted widths (single-limb through three-limb) for the
 /// CRT agreement property; `CrtCtx` requires genuinely prime halves.
@@ -48,6 +48,25 @@ fn odd_modulus(limbs: usize) -> impl Strategy<Value = Ubig> {
         u.set_bit(1);
         u
     })
+}
+
+/// Strategy: a modulus of 1–`limbs` limbs, odd or even, an input of up
+/// to one limb more than the modulus, and a shift `z` below the input's
+/// width.
+fn inverse_case(limbs: usize) -> impl Strategy<Value = (Ubig, Ubig, u32)> {
+    (
+        prop::collection::vec(any::<u64>(), 1..=limbs),
+        prop::collection::vec(any::<u64>(), limbs + 1),
+        any::<u64>(),
+        any::<u32>(),
+    )
+        .prop_map(|(mut m, mut a, a_len, z)| {
+            let k = m.len();
+            m[k - 1] = m[k - 1].max(1);
+            a.truncate((a_len % (k as u64 + 2)) as usize);
+            let z = z % (64 * (k as u32 + 1));
+            (Ubig::from_limbs(m), Ubig::from_limbs(a), z)
+        })
 }
 
 proptest! {
@@ -192,11 +211,25 @@ proptest! {
     }
 
     #[test]
-    fn modinv_produces_inverses(a in ubig_nz(3), m in odd_modulus(3)) {
-        if let Ok(inv) = gcd::modinv(&a, &m) {
-            prop_assert_eq!(a.mulm(&inv, &m), Ubig::one().rem(&m));
-        } else {
-            prop_assert!(!gcd::gcd(&a.rem(&m), &m).is_one());
+    fn modinv_produces_inverses((m, a, z) in inverse_case(32)) {
+        // Odd moduli take the binary inverse, even ones the Euclid. `2^z`
+        // and the low `z` bits of `m` (so `m − a` is a multiple of 2^z)
+        // push long runs of trailing zeros through `u` and `v`.
+        for a in [a, Ubig::one().shl(z), m.sub(&m.shr(z).shl(z))] {
+            // The reference: the Euclid's Bezout cofactor, reduced.
+            let (g, x, _) = gcd::ext_gcd(&a.rem(&m), &m);
+            match gcd::modinv(&a, &m) {
+                Ok(inv) => {
+                    prop_assert!(g.is_one());
+                    prop_assert!(inv < m);
+                    prop_assert_eq!(a.mulm(&inv, &m), Ubig::one().rem(&m));
+                    prop_assert_eq!(inv, x.mod_ubig(&m));
+                }
+                Err(err) => {
+                    prop_assert_eq!(err, BigintError::NotInvertible);
+                    prop_assert!(!g.is_one());
+                }
+            }
         }
     }
 
