@@ -2,10 +2,11 @@
 //! fixed-window exponentiation, plus the shared-context cache and the
 //! Straus/Shamir simultaneous multi-exponentiation kernels.
 //!
-//! Every ladder runs on one allocation-free CIOS multiply over a per-call
-//! scratch (accumulator, its double buffer, CIOS accumulator, selected
-//! table entry) that is wiped when the call returns. Window tables are
-//! flat buffers of `2^WINDOW` k-limb entries.
+//! Every ladder runs on two allocation-free kernels, one CIOS multiply and
+//! one squaring, each written once and compiled per modulus width, over a
+//! per-call scratch (accumulator, its double buffer, kernel accumulator,
+//! selected table entry) that is wiped when the call returns. Window
+//! tables are flat buffers of `2^WINDOW` k-limb entries.
 
 use crate::Ubig;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -75,8 +76,9 @@ impl MontCtx {
     ///
     /// Contexts are expensive to build (one full division for `R mod n`,
     /// another for `R² mod n`); callers that exponentiate repeatedly under
-    /// the same modulus — `Ubig::modpow`, Miller–Rabin rounds, group
-    /// wrappers — hit a process-wide MRU cache instead of rebuilding.
+    /// the same modulus — `Ubig::modpow`, group wrappers, CRT halves — hit a
+    /// process-wide MRU cache instead of rebuilding. Miller–Rabin keeps its
+    /// candidates out of it with one owned context per candidate.
     ///
     /// # Panics
     ///
@@ -109,25 +111,62 @@ impl MontCtx {
         Scratch {
             acc: self.r1.clone(),
             tmp: vec![0; self.k],
-            t: vec![0; self.k + 2],
+            t: vec![0; (2 * self.k).max(self.k + 2)],
             entry: vec![0; self.k],
         }
     }
 
-    /// CIOS Montgomery multiplication `out = a·b·R⁻¹ mod n` of two k-limb
-    /// Montgomery-form values, with `t` (k + 2 limbs) as the accumulator.
-    /// Allocation-free; the only CIOS loop in the crate.
+    /// Montgomery multiplication `out = a·b·R⁻¹ mod n` of two k-limb
+    /// Montgomery-form values, with `t` as the accumulator. Allocation-free.
+    ///
+    /// Dispatches to the one CIOS body, [`MontCtx::cios_mul`], with the
+    /// width as a literal for the moduli the presets use (Test: 4-limb RSA
+    /// `n`, 8-limb Schnorr `p`; Small: 12 and 16; Paper: 32), so each of
+    /// those widths gets its own unrolled instance. Other widths run the
+    /// same body with the runtime `k`.
+    fn mont_mul_into(&self, a: &[u64], b: &[u64], out: &mut [u64], t: &mut [u64]) {
+        let k = self.k as u64;
+        // 2k² limb multiplications: k per a·b[i] pass, k per reduction pass.
+        crate::trace::limb_mul(2 * k * k);
+        match self.k {
+            4 => self.cios_mul(4, a, b, out, t),
+            8 => self.cios_mul(8, a, b, out, t),
+            12 => self.cios_mul(12, a, b, out, t),
+            16 => self.cios_mul(16, a, b, out, t),
+            32 => self.cios_mul(32, a, b, out, t),
+            k => self.cios_mul(k, a, b, out, t),
+        }
+    }
+
+    /// Montgomery squaring `out = a²·R⁻¹ mod n`, with `z` (2k limbs) as the
+    /// accumulator: the same value as `mont_mul_into(a, a, ..)` for
+    /// (3k² + k)/2 limb multiplications instead of 2k². Dispatched per
+    /// width like [`MontCtx::mont_mul_into`].
+    fn mont_sqr_into(&self, a: &[u64], out: &mut [u64], z: &mut [u64]) {
+        let k = self.k as u64;
+        // k(k − 1)/2 cross products, k diagonal squares, k² reduction.
+        crate::trace::limb_mul((3 * k * k + k) / 2);
+        match self.k {
+            4 => self.sos_sqr(4, a, out, z),
+            8 => self.sos_sqr(8, a, out, z),
+            12 => self.sos_sqr(12, a, out, z),
+            16 => self.sos_sqr(16, a, out, z),
+            32 => self.sos_sqr(32, a, out, z),
+            k => self.sos_sqr(k, a, out, z),
+        }
+    }
+
+    /// The CIOS body (Koç et al.), the crate's only Montgomery multiply;
+    /// `k` is a literal at every specialised call site. `t` holds k + 2
+    /// limbs.
     ///
     /// Constant-trace: the limb-operation sequence depends only on `k`,
-    /// never on the values of `a` or `b` (the final subtraction is always
-    /// computed and selected by mask, not branched on).
+    /// never on the values of `a` or `b` (see [`final_sub`]).
+    #[inline(always)]
     #[allow(clippy::needless_range_loop)] // textbook CIOS index arithmetic
-    fn mont_mul_into(&self, a: &[u64], b: &[u64], out: &mut [u64], t: &mut [u64]) {
-        let k = self.k;
+    fn cios_mul(&self, k: usize, a: &[u64], b: &[u64], out: &mut [u64], t: &mut [u64]) {
         let n = &self.n_limbs[..k];
-        let (a, b, out, t) = (&a[..k], &b[..k], &mut out[..k], &mut t[..k + 2]);
-        // 2k² limb multiplications: k per a·b[i] pass, k per reduction pass.
-        crate::trace::limb_mul(2 * (k as u64) * (k as u64));
+        let (a, b, t) = (&a[..k], &b[..k], &mut t[..k + 2]);
         t.fill(0);
         for i in 0..k {
             let bi = b[i];
@@ -155,33 +194,74 @@ impl MontCtx {
             t[k - 1] = s as u64;
             t[k] = t[k + 1].wrapping_add((s >> 64) as u64);
         }
-        // Final subtraction, branch-free: always write `t - n` to `out` and
-        // then keep it or restore `t` by mask. CIOS guarantees the
-        // accumulator is below 2n, so one conditional subtraction suffices;
-        // doing it as a masked select removes the classic value-dependent
-        // timing leak of the "sometimes subtract" step.
-        crate::trace::limb_add(2 * k as u64);
-        let overflow = t[k] != 0;
-        let mut borrow = 0u64;
+        let (low, top) = t.split_at(k);
+        final_sub(n, low, top[0], &mut out[..k]);
+    }
+
+    /// The squaring body: the full 2k-limb square in `z` (each cross
+    /// product `a[i]·a[j]`, i < j, once, then doubled, then the diagonal
+    /// `a[i]²` added), followed by k Montgomery reduction rows over `z`
+    /// (separated operand scanning). `k` is a literal at every specialised
+    /// call site. Constant-trace like [`MontCtx::cios_mul`].
+    #[inline(always)]
+    #[allow(clippy::needless_range_loop)] // textbook SOS index arithmetic
+    fn sos_sqr(&self, k: usize, a: &[u64], out: &mut [u64], z: &mut [u64]) {
+        let n = &self.n_limbs[..k];
+        let (a, z) = (&a[..k], &mut z[..2 * k]);
+        z.fill(0);
+        // Cross products: row i adds a[i]·a[i+1..k] at z[2i+1..] and its
+        // carry lands in z[i+k], which no earlier row has written.
         for i in 0..k {
-            let (d, b1) = t[i].overflowing_sub(n[i]);
-            let (d, b2) = d.overflowing_sub(borrow);
-            out[i] = d;
-            borrow = u64::from(b1) | u64::from(b2);
+            let ai = a[i];
+            let mut carry = 0u128;
+            for j in i + 1..k {
+                let s = z[i + j] as u128 + (ai as u128) * (a[j] as u128) + carry;
+                z[i + j] = s as u64;
+                carry = s >> 64;
+            }
+            z[i + k] = carry as u64;
         }
-        // Subtract when the accumulator overflowed R or when t >= n
-        // (equivalently: the trial subtraction did not borrow). With the
-        // overflow limb, the borrow cancels against the hidden 2^{64k}.
-        let need_sub = overflow | (borrow == 0);
-        let mask = 0u64.wrapping_sub(u64::from(need_sub));
+        // Double. The cross sum is below a²/2 < 2^{128k−1}, so no bit is
+        // shifted out.
+        let mut high_bit = 0u64;
+        for limb in z.iter_mut() {
+            let next = *limb >> 63;
+            *limb = (*limb << 1) | high_bit;
+            high_bit = next;
+        }
+        // Add the diagonal; the sum is a² < 2^{128k}, so the last carry is 0.
+        let mut carry = 0u128;
         for i in 0..k {
-            out[i] = (out[i] & mask) | (t[i] & !mask);
+            let sq = (a[i] as u128) * (a[i] as u128);
+            let s = z[2 * i] as u128 + (sq as u64) as u128 + carry;
+            z[2 * i] = s as u64;
+            let s = z[2 * i + 1] as u128 + (sq >> 64) + (s >> 64);
+            z[2 * i + 1] = s as u64;
+            carry = s >> 64;
         }
+        // Reduce one limb per row: z += m·n·2^{64i} clears z[i]. A row's
+        // carry out of z[i+k] waits in `top` for the next row, where it
+        // belongs one limb higher; after the last row it is the overflow
+        // bit of z[k..2k].
+        let mut top = 0u64;
+        for i in 0..k {
+            let m = z[i].wrapping_mul(self.n0inv);
+            let mut carry = 0u128;
+            for j in 0..k {
+                let s = z[i + j] as u128 + (m as u128) * (n[j] as u128) + carry;
+                z[i + j] = s as u64;
+                carry = s >> 64;
+            }
+            let s = z[i + k] as u128 + carry + top as u128;
+            z[i + k] = s as u64;
+            top = (s >> 64) as u64;
+        }
+        final_sub(n, &z[k..], top, &mut out[..k]);
     }
 
     /// `acc ← acc²`.
     fn square(&self, s: &mut Scratch) {
-        self.mont_mul_into(&s.acc, &s.acc, &mut s.tmp, &mut s.t);
+        self.mont_sqr_into(&s.acc, &mut s.tmp, &mut s.t);
         std::mem::swap(&mut s.acc, &mut s.tmp);
     }
 
@@ -414,9 +494,10 @@ impl MontCtx {
 }
 
 /// The working buffers of one exponentiation call: the accumulator `acc`,
-/// its double buffer `tmp`, the `k + 2`-limb CIOS accumulator `t` and the
-/// masked-scan output `entry`. Allocated once per call; every multiply
-/// writes `tmp` and swaps it with `acc`.
+/// its double buffer `tmp`, the kernel accumulator `t` (k + 2 limbs for a
+/// multiply, 2k for a squaring) and the masked-scan output `entry`.
+/// Allocated once per call; every multiply or squaring writes `tmp` and
+/// swaps it with `acc`.
 ///
 /// Dropping it wipes all four, so a secret-exponent ladder leaves neither
 /// its intermediate powers nor its selected digits in freed heap memory
@@ -437,6 +518,36 @@ impl Drop for Scratch {
             buf.fill(0);
             std::hint::black_box(buf);
         }
+    }
+}
+
+/// The Montgomery final subtraction, shared by both kernel bodies:
+/// `out ← v − n` if `v ≥ n`, else `out ← v`, for the k-limb value
+/// `v = low + overflow·2^{64k}` (below 2n).
+///
+/// Branch-free: `v − n` is always written to `out`, then kept or replaced
+/// by `low` through a mask, which removes the classic value-dependent
+/// timing leak of the "sometimes subtract" step. The mask passes through
+/// `black_box`: when the compiler can see it is all-zeros or all-ones, it
+/// turns the select back into a conditional copy of `low` (a branch) or a
+/// select between the two buffers' addresses (DESIGN.md §9).
+#[inline(always)]
+fn final_sub(n: &[u64], low: &[u64], overflow: u64, out: &mut [u64]) {
+    crate::trace::limb_add(2 * n.len() as u64);
+    let mut borrow = 0u64;
+    for ((o, &l), &m) in out.iter_mut().zip(low).zip(n) {
+        let (d, b1) = l.overflowing_sub(m);
+        let (d, b2) = d.overflowing_sub(borrow);
+        *o = d;
+        borrow = u64::from(b1) | u64::from(b2);
+    }
+    // Subtract when `v` overflowed R or when low >= n (the trial
+    // subtraction did not borrow). With the overflow limb, the borrow
+    // cancels against the hidden 2^{64k}.
+    let need_sub = (overflow != 0) | (borrow == 0);
+    let mask = std::hint::black_box(0u64.wrapping_sub(u64::from(need_sub)));
+    for (o, &l) in out.iter_mut().zip(low) {
+        *o = (*o & mask) | (l & !mask);
     }
 }
 
@@ -500,19 +611,24 @@ mod tests {
         }
     }
 
-    #[test]
-    fn matches_slow_modpow_multilimb() {
-        // Every ladder against the division-based reference, one fixed
-        // case per width up to the Paper preset's 2048-bit (32-limb)
-        // modulus, with full-width exponents.
-        let mut state = 0xdeadbeefcafef00du64;
-        let mut next = || {
+    /// Deterministic xorshift64 limb source.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state
-        };
-        for limbs in [2usize, 4, 7, 16, 32] {
+        }
+    }
+
+    #[test]
+    fn matches_slow_modpow_multilimb() {
+        // Every ladder against the division-based reference, one fixed
+        // case per width up to the Paper preset's 2048-bit (32-limb)
+        // modulus, with full-width exponents: each specialised instance
+        // and three fallback widths (2, 3 and 7 limbs).
+        let mut next = xorshift(0xdeadbeefcafef00d);
+        for limbs in [2usize, 3, 4, 7, 8, 12, 16, 32] {
             let mut mv: Vec<u64> = (0..limbs).map(|_| next()).collect();
             mv[0] |= 1; // odd
             let m = Ubig::from_limbs(mv);
@@ -532,6 +648,51 @@ mod tests {
             assert_eq!(ctx.multi_exp(&pairs), product, "limbs {limbs}");
             assert_eq!(ctx.multi_exp_vartime(&pairs), product, "limbs {limbs}");
             assert_eq!(ctx.modmul(&b, &c), b.mul(&c).rem(&m), "limbs {limbs}");
+        }
+    }
+
+    #[test]
+    fn squaring_kernel_edge_operands() {
+        // The squaring kernel against the multiply kernel on the same
+        // operand, and against a division-based check of a²·R⁻¹ mod n, at
+        // every width. Operands: 0, 1, n − 1, R mod n and all-ones limbs
+        // (R − 1, not reduced: the longest carry chains through the
+        // doubling and reduction passes). Moduli: a random odd one with
+        // the top bit set, and R − 1 itself (all-ones limbs, n0⁻¹ = −1).
+        // Widths: every specialised instance and four on the fallback.
+        let mut next = xorshift(0x5a5a_0f0f_3c3c_9696);
+        for k in [1usize, 2, 3, 4, 7, 8, 12, 16, 32] {
+            let mut random: Vec<u64> = (0..k).map(|_| next()).collect();
+            random[0] |= 1;
+            random[k - 1] |= 1 << 63;
+            let all_ones = vec![u64::MAX; k];
+            for n_limbs in [random, all_ones.clone()] {
+                let n = Ubig::from_limbs(n_limbs);
+                let ctx = MontCtx::new(n.clone());
+                let operands = [
+                    vec![0; k],
+                    pad(&[1], k),
+                    pad(n.sub_u64(1).limbs(), k),
+                    ctx.r1.clone(),
+                    all_ones.clone(),
+                ];
+                for a in operands {
+                    let (mut sqr, mut mul) = (vec![0; k], vec![0; k]);
+                    let mut s = ctx.scratch();
+                    ctx.mont_sqr_into(&a, &mut sqr, &mut s.t);
+                    ctx.mont_mul_into(&a, &a, &mut mul, &mut s.t);
+                    assert_eq!(sqr, mul, "k {k}, n {n:?}, a {a:?}");
+                    let (a, sqr) = (Ubig::from_limbs(a), Ubig::from_limbs(sqr));
+                    assert_eq!(
+                        sqr.shl(64 * k as u32).rem(&n),
+                        a.mul(&a).rem(&n),
+                        "k {k}, n {n:?}, a {a:?}"
+                    );
+                    if a < n {
+                        assert!(sqr < n, "k {k}: reduced operand, unreduced square");
+                    }
+                }
+            }
         }
     }
 
@@ -609,6 +770,18 @@ mod tests {
         // Empty product is one.
         assert_eq!(ctx.multi_exp(&[]), Ubig::one());
         assert_eq!(ctx.multi_exp_vartime(&[]), Ubig::one());
+    }
+
+    #[test]
+    fn primality_tests_leave_the_shared_cache_alone() {
+        // Miller–Rabin gives each candidate an owned context, so testing
+        // one cannot evict a live modulus from the shared cache.
+        use rand::SeedableRng;
+        let m89 = Ubig::one().shl(89).sub_u64(1); // a Mersenne prime
+        let mut rng = rand::rngs::StdRng::seed_from_u64(89);
+        assert!(crate::prime::is_prime(&m89, &mut rng));
+        let cache = shared_cache().lock().unwrap_or_else(|e| e.into_inner());
+        assert!(cache.iter().all(|c| c.n != m89));
     }
 
     #[test]

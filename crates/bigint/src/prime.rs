@@ -2,6 +2,7 @@
 //! safe primes (`p = 2p' + 1`) required by the ACJT / Kiayias–Yung group
 //! signature setting and by Schnorr groups.
 
+use crate::mont::MontCtx;
 use crate::{rng, Ubig};
 use rand::RngCore;
 use std::sync::OnceLock;
@@ -48,10 +49,14 @@ fn passes_trial_division(n: &Ubig) -> bool {
     true
 }
 
-/// One Miller–Rabin round with the given base.
-fn mr_round(n: &Ubig, base: &Ubig, d: &Ubig, s: u32) -> bool {
+/// One Miller–Rabin round with the given base, under the candidate's own
+/// Montgomery context.
+fn mr_round(ctx: &MontCtx, base: &Ubig, d: &Ubig, s: u32) -> bool {
+    let n = ctx.modulus();
     let n_minus_1 = n.sub_u64(1);
-    let mut x = base.modpow(d, n);
+    // `MontCtx::modpow` counts nothing; each round is one modexp.
+    crate::counters::record_modexp();
+    let mut x = ctx.modpow(base, d);
     if x.is_one() || x == n_minus_1 {
         crate::trace::branch();
         return true;
@@ -100,14 +105,17 @@ pub fn is_probable_prime(n: &Ubig, rounds: u32, rng: &mut (impl RngCore + ?Sized
         .expect("n-1 of odd n>2 is nonzero");
     let d = n_minus_1.shr(s);
 
-    if !mr_round(n, &Ubig::from_u64(2), &d, s) {
+    // One owned context for every round: a candidate is usually discarded,
+    // so it stays out of the shared cache that live moduli use.
+    let ctx = MontCtx::new(n.clone());
+    if !mr_round(&ctx, &Ubig::from_u64(2), &d, s) {
         return false;
     }
     let two = Ubig::from_u64(2);
     let hi = n_minus_1.clone();
     for _ in 0..rounds {
         let base = rng::range(rng, &two, &hi);
-        if !mr_round(n, &base, &d, s) {
+        if !mr_round(&ctx, &base, &d, s) {
             return false;
         }
     }

@@ -386,8 +386,8 @@ impl Ubig {
         }
         if m.is_odd() {
             // Shared cache: repeated exponentiation under the same modulus
-            // (Miller–Rabin rounds, group operations) reuses one context
-            // instead of re-deriving R² and n′ every call.
+            // (group operations) reuses one context instead of re-deriving
+            // R² and n′ every call.
             let ctx = crate::mont::MontCtx::shared(m);
             return ctx.modpow(self, exp);
         }

@@ -10,6 +10,7 @@
 
 use shs_bigint::mont::MontCtx;
 use shs_bigint::{trace, FixedBase, Ubig};
+use std::sync::Arc;
 
 /// Deterministic xorshift64* limb source.
 struct Xs(u64);
@@ -76,7 +77,7 @@ fn modpow_trace_is_exponent_independent() {
     let mut xs = Xs(0x5eed_5eed_5eed_5eed);
     // ≥ 8 pairs across several widths; each pair shares an exact bit-width
     // and must produce byte-identical operation traces.
-    for (i, bits) in [192u32, 256, 256, 320, 384, 512, 512, 768, 1024]
+    for (i, bits) in [192u32, 256, 256, 320, 384, 512, 512, 768, 1024, 2048]
         .into_iter()
         .enumerate()
     {
@@ -95,6 +96,57 @@ fn modpow_trace_is_exponent_independent() {
         // Sanity: the traced runs are still correct.
         assert_eq!(r1, base.modpow(&e1, &n));
         assert_eq!(r2, base.modpow(&e2, &n));
+    }
+}
+
+#[test]
+fn ladder_limb_counts_match_the_kernel_closed_form() {
+    // Each squaring runs the squaring kernel, (3k² + k)/2 limb
+    // multiplications; every other product runs the CIOS multiply, 2k².
+    // Both record 2k limb additions for the final subtraction. Bases are
+    // reduced, so no division runs. A ladder that squares through the
+    // multiply kernel, or gains or loses a product, fails here.
+    assert_harness_live();
+    let mut xs = Xs(0xc105_ed0f_c105_ed0f);
+    // One width with its own kernel instance, one on the fallback.
+    for k in [8usize, 7] {
+        let n = xs.modulus(k);
+        let ctx = Arc::new(MontCtx::new(n.clone()));
+        let kk = k as u64;
+        let cost = |squarings: u64, multiplies: u64| trace::OpTrace {
+            limb_add: (squarings + multiplies) * 2 * kk,
+            limb_mul: squarings * (3 * kk * kk + kk) / 2 + multiplies * 2 * kk * kk,
+            limb_div: 0,
+            branch: 0,
+        };
+        let bits = 64 * k as u32;
+        let windows = u64::from(bits.div_ceil(4));
+        let (b1, b2) = (xs.below(&n), xs.below(&n));
+        let (e1, e2) = (xs.exact_bits(bits), xs.exact_bits(bits));
+
+        // modpow: into Montgomery form, 14 table entries, 4 squarings and
+        // one multiply per window, out of Montgomery form.
+        let (t, _) = trace::capture(|| ctx.modpow(&b1, &e1));
+        assert_eq!(t, cost(4 * windows, 16 + windows), "modpow, k = {k}");
+
+        // Two-term multi_exp: per term, into Montgomery form and 14 table
+        // entries; per window, one shared chain of 4 squarings and one
+        // multiply per term; then out of Montgomery form.
+        let (t, _) = trace::capture(|| ctx.multi_exp(&[(&b1, &e1), (&b2, &e2)]));
+        assert_eq!(
+            t,
+            cost(4 * windows, 2 * 15 + 2 * windows + 1),
+            "multi_exp, k = {k}"
+        );
+
+        // FixedBase::new: into Montgomery form, then per row 14 table
+        // entries and the 4 squarings that advance to the next row.
+        let (t, _) = trace::capture(|| FixedBase::new(Arc::clone(&ctx), &b1, bits));
+        assert_eq!(
+            t,
+            cost(4 * windows, 1 + 14 * windows),
+            "FixedBase::new, k = {k}"
+        );
     }
 }
 
