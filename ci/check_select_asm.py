@@ -1,24 +1,30 @@
 #!/usr/bin/env python3
-"""Checks that the Montgomery final select compiles without a branch on its mask.
+"""Checks that the Montgomery selects compile without a branch on their masks.
 
-The final subtraction shared by both Montgomery kernels
-(`final_sub` in crates/bigint/src/mont.rs) keeps `v - n` or `v` by an
-all-zeros/all-ones mask, and passes that mask through
-`std::hint::black_box`. In the release assembly the barrier is an empty
-inline-asm block (`#APP` / `#NO_APP`) that takes the address of the stack
-slot holding the mask. The operation-count harness cannot see branches
-the compiler adds, so this script reads the x86-64 assembly instead.
+Two selects in crates/bigint/src/mont.rs take an all-zeros/all-ones mask
+and pass it through `std::hint::black_box`:
+- the final subtraction shared by both Montgomery kernels (`final_sub`)
+  keeps `v - n` or `v`;
+- the masked table scan behind every constant-trace ladder
+  (`MontCtx::mul_selected`) keeps one window-table entry out of all of
+  them, with one mask per entry.
+In the release assembly the barrier is an empty inline-asm block
+(`#APP` / `#NO_APP`) that takes the address of the stack slot holding the
+mask. The operation-count harness cannot see branches the compiler adds,
+so this script reads the x86-64 assembly instead.
 
 From every barrier in `MontCtx::mont_mul_into` and `MontCtx::mont_sqr_into`
-(the per-width instances of both kernels are inlined there) it follows the
-control flow to the function's returns. It tracks which registers, stack
-slots and flags hold data derived from the mask, the value that reached
-the barrier included, and fails if any such data
+(the per-width instances of both kernels are inlined there) and in
+`MontCtx::mul_selected` (kept out of line, so every ladder shares it) it
+follows the control flow to the function's returns. It tracks which
+registers, stack slots and flags hold data derived from the mask, the
+value that reached the barrier included, and fails if any such data
 - sets the flags that a conditional jump or a `cmov` reads,
 - forms part of a memory address or an indirect jump, or
 - is passed to a call in an argument register.
-It also fails if either function is missing or has no barrier, which is
-what removing the `black_box` or a renamed kernel looks like.
+It also fails if any of the three functions is missing or has no barrier,
+which is what removing the `black_box`, inlining the scan back into the
+ladders or a renamed kernel looks like.
 
 Usage (x86-64, from the repository root):
 
@@ -32,7 +38,7 @@ import os
 import re
 import sys
 
-KERNELS = ("mont_mul_into", "mont_sqr_into")
+KERNELS = ("mont_mul_into", "mont_sqr_into", "mul_selected")
 
 GPR = {
     "rax": ("rax", "eax", "ax", "al", "ah"),
@@ -158,17 +164,23 @@ def parse_function(lines, start):
 
 
 class State:
+    """Mask-derived registers, flags and stack slots, and `mem`: the base
+    registers of the other memory mask-derived data was stored through
+    ("*" for an absolute address). A load through one of those bases reads
+    mask-derived data. Distinct base registers are taken to point at
+    distinct objects: the selects store through the output or entry
+    pointer, and the ladders then load other pointers from the scratch."""
     __slots__ = ("regs", "flags", "slots", "mem")
 
-    def __init__(self, regs=(), flags=False, slots=(), mem=False):
+    def __init__(self, regs=(), flags=False, slots=(), mem=()):
         self.regs, self.flags = frozenset(regs), flags
-        self.slots, self.mem = frozenset(slots), mem
+        self.slots, self.mem = frozenset(slots), frozenset(mem)
 
     def merge(self, other):
         if other is None:
             return self
         return State(self.regs | other.regs, self.flags or other.flags,
-                     self.slots | other.slots, self.mem or other.mem)
+                     self.slots | other.slots, self.mem | other.mem)
 
     def key(self):
         return (self.regs, self.flags, self.slots, self.mem)
@@ -179,6 +191,12 @@ def slot_key(op):
     if m and m.group("base") == "%rsp" and not m.group("index"):
         return (m.group("disp") or "0") + "(%rsp)"
     return None
+
+
+def mem_base(op):
+    """The base register of a non-stack memory operand, "*" if it has none."""
+    m = MEM_RE.match(op)
+    return (m and reg_name(m.group("base") or "")) or "*"
 
 
 class Tracker:
@@ -203,8 +221,8 @@ class Tracker:
         if m:
             self.check_address(m, st, lineno, insn)
             slot = slot_key(op)
-            return slot in st.slots if slot else st.mem
-        return st.mem  # absolute or RIP-relative memory
+            return slot in st.slots if slot else mem_base(op) in st.mem
+        return "*" in st.mem  # absolute memory
 
     def check_address(self, m, st, lineno, insn):
         for part in ("base", "index"):
@@ -232,7 +250,7 @@ class Tracker:
                 elif not merge:
                     slots.discard(slot)
             elif tainted:
-                mem = True
+                mem = mem | {mem_base(op)}
         return State(regs, st.flags, slots, mem)
 
     def call(self, target, st, lineno, insn):
@@ -322,16 +340,29 @@ class Tracker:
         """Taint when the barrier at item `app` returns: the mask's stack
         slot, every register that still holds a value the mask was computed
         from in the same basic block, and the flags (the inline asm may
-        leave them as they were)."""
+        leave them as they were).
+
+        The slot is the one whose address the block takes with `lea`. In a
+        loop the compiler hoists that `lea` out of the loop, so a block
+        without one hands the barrier the slot it last stores to, provided
+        the function takes that slot's address somewhere."""
         first = app
         while first > 0 and self.items[first - 1][0] == "insn" \
                 and not is_jump(self.items[first - 1][1]):
             first -= 1
         block = [(it[1], it[2]) for it in self.items[first:app] if it[0] == "insn" and it[2]]
         leas = [ops for m, ops in block if root_of(m) == "lea" and slot_key(ops[0])]
-        if not leas:
-            return None
-        slot = slot_key(leas[-1][0])
+        if leas:
+            slot = slot_key(leas[-1][0])
+        else:
+            addressed = {slot_key(it[2][0]) for it in self.items
+                         if it[0] == "insn" and it[2] and root_of(it[1]) == "lea"}
+            addressed.discard(None)
+            stores = [slot_key(ops[-1]) for m, ops in block
+                      if root_of(m) in MOVES and slot_key(ops[-1]) in addressed]
+            if not stores:
+                return None
+            slot = stores[-1]
         # Backward slice: the instructions the stored mask depends on.
         needed, in_slice = {slot}, set()
         for i in range(len(block) - 1, -1, -1):
@@ -361,7 +392,7 @@ class Tracker:
             elif root in MOVES:
                 live.discard(dst)
         live.discard("rsp")
-        return State(live, True, {slot}, False)
+        return State(live, True, {slot})
 
     def run(self, start, st):
         work, seen = [(start, st)], {}
@@ -427,11 +458,11 @@ def main(argv):
             print(f"{kernel}: {len(barriers)} barrier(s) checked, "
                   f"{len(set(tracker.failures))} finding(s)")
     if failures:
-        print(f"\n{path}: the final select depends on its mask:", file=sys.stderr)
+        print(f"\n{path}: a select depends on its mask:", file=sys.stderr)
         for line in failures:
             print(f"  {line}", file=sys.stderr)
         return 1
-    print(f"{path}: no branch, cmov, address or call depends on the select mask")
+    print(f"{path}: no branch, cmov, address or call depends on a select mask")
     return 0
 
 

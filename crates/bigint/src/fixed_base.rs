@@ -1,15 +1,37 @@
 //! Fixed-base exponentiation with a precomputed window table.
 //!
 //! For a long-lived public base `g` (scheme generators `a, b, g, h, y` in
-//! the ACJT/KY group signatures), all squarings of the square-and-multiply
+//! the ACJT/KY group signatures, the Schnorr generator and the
+//! Cramer–Shoup tracing key), all squarings of the square-and-multiply
 //! ladder can be paid once at table-build time: store
 //! `g^(d · 2^{w·i})` for every window position `i` and digit `d`, and an
 //! exponentiation becomes one masked table scan plus one Montgomery
 //! multiplication per window — no squarings at all.
+//!
+//! [`FixedBase::shared`] interns tables process-wide by
+//! `(modulus, base, max_bits)`, so a key rebuilt from its parameters (the
+//! service admits every session with a fresh deserialization) reuses the
+//! tables instead of paying the precompute again.
+//!
+//! Lock order: the cache mutex is a leaf lock — no other lock is ever
+//! taken while it is held, and table construction happens outside the
+//! guard (the `lock-order` lint rule watches this file).
 
 use crate::mont::{window_chunk, MontCtx, WINDOW};
 use crate::Ubig;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
+
+/// Upper bound on interned tables. A table is tens to a few hundred KiB,
+/// and a long-lived service only ever sees a handful of groups, so the
+/// bound exists purely to keep many-group workloads (tests, fuzzing) from
+/// accumulating tables without limit.
+const SHARED_CACHE_CAP: usize = 64;
+
+/// The process-wide [`FixedBase::shared`] cache, most recently used last.
+fn shared_cache() -> &'static Mutex<Vec<Arc<FixedBase>>> {
+    static CACHE: OnceLock<Mutex<Vec<Arc<FixedBase>>>> = OnceLock::new();
+    CACHE.get_or_init(|| Mutex::new(Vec::new()))
+}
 
 /// A precomputed fixed-base exponentiation table over a shared
 /// [`MontCtx`].
@@ -46,6 +68,50 @@ impl FixedBase {
             max_bits,
             table,
         }
+    }
+
+    /// Returns the interned table for `base` over `ctx`'s modulus covering
+    /// exponents up to `max_bits` bits, building it on the first request.
+    ///
+    /// For **public** bases only: the cache is process-wide. The least
+    /// recently used table is evicted past a bound of 64. A table is built
+    /// outside the cache lock: a precompute is expensive at production
+    /// widths, and holding the lock across it would stall every other
+    /// thread's lookup. Two threads racing on the same key cost one
+    /// redundant precompute; the first insert wins and the loser adopts
+    /// it, so every caller shares one table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_bits` is zero.
+    pub fn shared(ctx: &Arc<MontCtx>, base: &Ubig, max_bits: u32) -> Arc<FixedBase> {
+        if let Some(table) = Self::lookup(ctx, base, max_bits) {
+            return table;
+        }
+        let table = Arc::new(FixedBase::new(Arc::clone(ctx), base, max_bits));
+        let mut cache = shared_cache().lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(existing) = cache.iter().find(|t| t.is(ctx, base, max_bits)) {
+            return Arc::clone(existing);
+        }
+        if cache.len() >= SHARED_CACHE_CAP {
+            cache.remove(0);
+        }
+        cache.push(Arc::clone(&table));
+        table
+    }
+
+    /// The interned table for the key, moved to the most recently used end.
+    fn lookup(ctx: &MontCtx, base: &Ubig, max_bits: u32) -> Option<Arc<FixedBase>> {
+        let mut cache = shared_cache().lock().unwrap_or_else(|e| e.into_inner());
+        let pos = cache.iter().position(|t| t.is(ctx, base, max_bits))?;
+        let table = cache.remove(pos);
+        cache.push(Arc::clone(&table));
+        Some(table)
+    }
+
+    /// Is this the table for `base` over `ctx`'s modulus at width `max_bits`?
+    fn is(&self, ctx: &MontCtx, base: &Ubig, max_bits: u32) -> bool {
+        self.max_bits == max_bits && self.base == *base && self.ctx.modulus() == ctx.modulus()
     }
 
     /// The widest exponent (in bits) the table covers.
@@ -136,6 +202,21 @@ mod tests {
             assert_eq!(fb.pow(&e), ctx.modpow(&g, &e));
             assert_eq!(fb.pow_vartime(&e), ctx.modpow(&g, &e));
         }
+    }
+
+    #[test]
+    fn rebuilt_pairs_share_one_interned_table() {
+        let n = Ubig::from_hex("f123456789abcdef123456789abcdef1").unwrap();
+        let base = Ubig::from_u64(0x1234_5678);
+        let e = Ubig::from_u64(0xdead_beef);
+        // Two contexts for one modulus: a key rebuilt from its parameters.
+        let a = FixedBase::shared(&Arc::new(MontCtx::new(n.clone())), &base, 64);
+        let b = FixedBase::shared(&MontCtx::shared(&n), &base, 64);
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(a.pow(&e), MontCtx::shared(&n).modpow(&base, &e));
+        // Another width or base is another table.
+        assert!(!Arc::ptr_eq(&a, &FixedBase::shared(a.ctx(), &base, 72)));
+        assert!(!Arc::ptr_eq(&a, &FixedBase::shared(a.ctx(), &e, 64)));
     }
 
     #[test]

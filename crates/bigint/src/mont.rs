@@ -275,10 +275,18 @@ impl MontCtx {
     /// by a masked scan into `entry`: every entry is read and only the
     /// selected one kept, so neither the branch predictor nor the data
     /// cache sees which window value the secret exponent produced.
+    ///
+    /// Each entry's mask passes through `black_box`, as in [`final_sub`]:
+    /// when the compiler can see it is all-zeros or all-ones, it skips
+    /// every entry but the selected one on a compare against `idx` and
+    /// loads only that entry (DESIGN.md §9). Never inlined, so every
+    /// ladder shares one compiled scan, the one `ci/check_select_asm.py`
+    /// reads.
+    #[inline(never)]
     pub(crate) fn mul_selected(&self, s: &mut Scratch, table: &[u64], idx: usize) {
         s.entry.fill(0);
         for (i, e) in table.chunks_exact(self.k).enumerate() {
-            let mask = 0u64.wrapping_sub(u64::from(i == idx));
+            let mask = std::hint::black_box(0u64.wrapping_sub(u64::from(i == idx)));
             for (o, &v) in s.entry.iter_mut().zip(e) {
                 *o |= v & mask;
             }

@@ -45,6 +45,10 @@ pub struct Party<'g> {
     m: usize,
     index: usize,
     r: Ubig,
+    /// The `z_i` this party broadcast in round 1.
+    z: Ubig,
+    /// The `X_i` this party broadcast in round 2, once it has.
+    x: Option<Ubig>,
     z_all: Option<Vec<Ubig>>,
 }
 
@@ -82,6 +86,8 @@ impl<'g> Party<'g> {
                 m,
                 index,
                 r,
+                z: z.clone(),
+                x: None,
                 z_all: None,
             },
             Round1 { sender: index, z },
@@ -94,18 +100,15 @@ impl<'g> Party<'g> {
     /// # Errors
     ///
     /// [`DgkaError::MissingMessage`] unless exactly one message per party
-    /// is supplied; [`DgkaError::BadElement`] for non-group values;
+    /// is supplied; [`DgkaError::BadElement`] for non-group values, or
+    /// when this party's own `z_i` comes back changed;
     /// [`DgkaError::ProtocolViolation`] on duplicate round processing.
     pub fn round2(&mut self, round1: &[Round1]) -> Result<Round2, DgkaError> {
         if self.z_all.is_some() {
             return Err(DgkaError::ProtocolViolation);
         }
         let z_all = collect_by_sender(round1, self.m, |msg| &msg.z)?;
-        for z in &z_all {
-            if !self.group.is_member(z) {
-                return Err(DgkaError::BadElement);
-            }
-        }
+        self.check_elements(&z_all, &self.z)?;
         let prev = &z_all[(self.index + self.m - 1) % self.m];
         let next = &z_all[(self.index + 1) % self.m];
         let ratio = self
@@ -114,6 +117,7 @@ impl<'g> Party<'g> {
             .map_err(|_| DgkaError::BadElement)?;
         let x = self.group.exp(&ratio, &self.r);
         self.z_all = Some(z_all);
+        self.x = Some(x.clone());
         Ok(Round2 {
             sender: self.index,
             x,
@@ -128,13 +132,13 @@ impl<'g> Party<'g> {
     /// [`DgkaError::ProtocolViolation`] if round 2 was not yet processed;
     /// otherwise as [`Party::round2`].
     pub fn finish(&self, round2: &[Round2]) -> Result<SessionOutput, DgkaError> {
-        let z_all = self.z_all.as_ref().ok_or(DgkaError::ProtocolViolation)?;
+        let (z_all, own_x) = self
+            .z_all
+            .as_ref()
+            .zip(self.x.as_ref())
+            .ok_or(DgkaError::ProtocolViolation)?;
         let x_all = collect_by_sender(round2, self.m, |msg| &msg.x)?;
-        for x in &x_all {
-            if !self.group.is_member(x) {
-                return Err(DgkaError::BadElement);
-            }
-        }
+        self.check_elements(&x_all, own_x)?;
         let m = self.m;
         let prev = &z_all[(self.index + m - 1) % m];
         // K = prev^{m·r_i} · Π_{t=0}^{m-2} X_{i+t}^{m-1-t}
@@ -160,6 +164,24 @@ impl<'g> Party<'g> {
     /// This party's position.
     pub fn index(&self) -> usize {
         self.index
+    }
+
+    /// Checks one round's values: this party's own must be exactly the
+    /// `own` it sent (stricter than membership, and no exponentiation),
+    /// every other one a member of the order-`q` subgroup.
+    fn check_elements(&self, all: &[Ubig], own: &Ubig) -> Result<(), DgkaError> {
+        let ok = all.iter().enumerate().all(|(j, v)| {
+            if j == self.index {
+                v == own
+            } else {
+                self.group.is_member(v)
+            }
+        });
+        if ok {
+            Ok(())
+        } else {
+            Err(DgkaError::BadElement)
+        }
     }
 }
 
@@ -313,6 +335,46 @@ mod tests {
         if !group().is_member(&bad.z) {
             assert_eq!(p0.round2(&[m0, bad]).err(), Some(DgkaError::BadElement));
         }
+    }
+
+    #[test]
+    fn own_echoed_values_must_come_back_unchanged() {
+        // Swapping a party's own echoed z, or its own X, for another valid
+        // subgroup element is caught by comparing with what it sent.
+        let m = 3;
+        let mut r = rng();
+        let mut parties = Vec::new();
+        let mut round1 = Vec::new();
+        for i in 0..m {
+            let (p, msg) = Party::start(group(), m, i, &mut r).unwrap();
+            parties.push(p);
+            round1.push(msg);
+        }
+        let mut swapped = round1.clone();
+        swapped[0].z = group().random_element(&mut r);
+        assert!(group().is_member(&swapped[0].z));
+        assert_eq!(
+            parties[0].round2(&swapped).err(),
+            Some(DgkaError::BadElement)
+        );
+
+        let round2: Vec<Round2> = parties
+            .iter_mut()
+            .map(|p| p.round2(&round1).unwrap())
+            .collect();
+        let mut swapped = round2.clone();
+        swapped[0].x = group().random_element(&mut r);
+        assert!(group().is_member(&swapped[0].x));
+        assert_eq!(
+            parties[0].finish(&swapped).err(),
+            Some(DgkaError::BadElement)
+        );
+        // The same values unchanged still agree.
+        let keys: Vec<_> = parties
+            .iter()
+            .map(|p| p.finish(&round2).unwrap().key)
+            .collect();
+        assert!(keys.iter().all(|k| *k == keys[0]));
     }
 
     #[test]

@@ -108,16 +108,18 @@ pub fn encrypt(
     payload: &[u8],
     rng: &mut (impl RngCore + ?Sized),
 ) -> Ciphertext {
+    // Every base is the generator or a tracing-key component: fixed-base
+    // tables.
     let r = group.random_exponent(rng);
     let u1 = group.exp_g(&r);
-    let u2 = group.exp(&pk.g2, &r);
-    let kem = group.exp(&pk.h, &r);
+    let u2 = group.exp_fixed(&pk.g2, &r);
+    let kem = group.exp_fixed(&pk.h, &r);
     let key = group.element_to_key(&kem, "cs-dem");
     let dem = aead::seal(&key, payload, b"cs-hybrid-v1", rng);
     let a = alpha(group, &u1, &u2, &dem);
     let v = group.mul(
-        &group.exp(&pk.c, &r),
-        &group.exp(&pk.d, &r.mulm(&a, group.q())),
+        &group.exp_fixed(&pk.c, &r),
+        &group.exp_fixed(&pk.d, &r.mulm(&a, group.q())),
     );
     Ciphertext { u1, u2, dem, v }
 }

@@ -10,9 +10,9 @@
 use crate::GroupError;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
-use shs_bigint::{mont::MontCtx, prime, rng as brng, Int, Sign, Ubig};
+use shs_bigint::{mont::MontCtx, prime, rng as brng, FixedBase, Int, Sign, Ubig};
 use shs_crypto::{drbg::HmacDrbg, hkdf};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Serializable Schnorr group parameters `(p, q, g)`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -29,7 +29,7 @@ pub struct SchnorrParams {
 #[derive(Debug, Clone)]
 pub struct SchnorrGroup {
     params: SchnorrParams,
-    ctx: MontCtx,
+    ctx: Arc<MontCtx>,
     /// `(p-1)/q`, the cofactor.
     cofactor: Ubig,
 }
@@ -147,7 +147,7 @@ impl SchnorrGroup {
         }
         Ok(SchnorrGroup {
             params,
-            ctx,
+            ctx: Arc::new(ctx),
             cofactor,
         })
     }
@@ -172,9 +172,22 @@ impl SchnorrGroup {
         &self.params.g
     }
 
-    /// `g^e mod p`.
+    /// `g^e mod p`, through `g`'s fixed-base table
+    /// ([`SchnorrGroup::exp_fixed`]).
     pub fn exp_g(&self, e: &Ubig) -> Ubig {
-        self.exp(&self.params.g, e)
+        self.exp_fixed(&self.params.g, e)
+    }
+
+    /// `base^e mod p` for a **public** base fixed before the call — the
+    /// generator or a public-key component, never a value received in the
+    /// session — through the process-wide [`FixedBase::shared`] table
+    /// covering exponents below `q`. The same value as
+    /// [`SchnorrGroup::exp`], with the exponent reduced mod `q` first, and
+    /// constant-trace like it, but with no squarings. Counts as one
+    /// modular exponentiation.
+    pub fn exp_fixed(&self, base: &Ubig, e: &Ubig) -> Ubig {
+        shs_bigint::counters::record_modexp();
+        FixedBase::shared(&self.ctx, base, self.params.q.bits()).pow(&e.rem(&self.params.q))
     }
 
     /// `base^e mod p` (counts as one modular exponentiation).

@@ -2,11 +2,45 @@
 
 use proptest::prelude::*;
 use rand::SeedableRng;
+use shs_bigint::{mont::MontCtx, rng as brng, Ubig};
 use shs_groups::schnorr::{SchnorrGroup, SchnorrPreset};
 use shs_groups::{cs, elgamal, pedersen};
 
 fn group() -> &'static SchnorrGroup {
     SchnorrGroup::system_wide(SchnorrPreset::Test)
+}
+
+/// `exp_g` and the Cramer–Shoup encryption bases (`g2`, `h`, `c`, `d`) run
+/// on fixed-base tables covering exponents below `q`. Each must equal the
+/// plain ladder on the unreduced exponent: at the edges of the reduction
+/// and on random exponents twice as wide as `q`.
+#[test]
+fn fixed_base_powers_match_the_plain_ladder() {
+    for preset in [SchnorrPreset::Test, SchnorrPreset::Small] {
+        let g = SchnorrGroup::system_wide(preset);
+        let ctx = MontCtx::new(g.p().clone());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(61);
+        let (pk, _) = cs::keygen(g, &mut rng);
+        let q = g.q();
+        let mut exps = vec![
+            Ubig::zero(),
+            Ubig::one(),
+            q.sub_u64(1),
+            q.clone(),
+            q.add_u64(1),
+        ];
+        exps.extend((0..6).map(|_| brng::random_bits(&mut rng, 2 * q.bits())));
+        for e in &exps {
+            assert_eq!(g.exp_g(e), ctx.modpow(g.g(), e), "{preset:?}: g^{e:?}");
+            for base in [g.g(), &pk.g2, &pk.h, &pk.c, &pk.d] {
+                assert_eq!(
+                    g.exp_fixed(base, e),
+                    ctx.modpow(base, e),
+                    "{preset:?}: {base:?}^{e:?}"
+                );
+            }
+        }
+    }
 }
 
 proptest! {

@@ -106,55 +106,57 @@ impl GroupPublicKey {
         &self.rsa
     }
 
-    /// Width bound for the fixed-base tables: the widest secret exponent a
-    /// signer ever raises a fixed base to is the `h'`-blind.
-    fn table_bits(&self) -> u32 {
-        self.params.blind_bits(self.params.h_bits())
-    }
-
     /// `a^e` via the precomputed table (constant-trace).
     fn pow_a(&self, e: &Int) -> Ubig {
         self.tables
             .a
-            .pow_signed(&self.rsa, &self.a, e, self.table_bits())
+            .pow_signed(&self.rsa, &self.a, e, self.params.table_bits())
     }
 
     /// `g^e` via the precomputed table (constant-trace).
     fn pow_g(&self, e: &Int) -> Ubig {
         self.tables
             .g
-            .pow_signed(&self.rsa, &self.g, e, self.table_bits())
+            .pow_signed(&self.rsa, &self.g, e, self.params.table_bits())
     }
 
     /// `h^e` via the precomputed table (constant-trace).
     fn pow_h(&self, e: &Int) -> Ubig {
         self.tables
             .h
-            .pow_signed(&self.rsa, &self.h, e, self.table_bits())
+            .pow_signed(&self.rsa, &self.h, e, self.params.table_bits())
     }
 
     /// `y^e` via the precomputed table (constant-trace).
     fn pow_y(&self, e: &Int) -> Ubig {
         self.tables
             .y
-            .pow_signed(&self.rsa, &self.y, e, self.table_bits())
+            .pow_signed(&self.rsa, &self.y, e, self.params.table_bits())
     }
 
     /// Unsigned-exponent variants for the certificate-equation paths.
     fn pow_a_u(&self, e: &Ubig) -> Ubig {
-        self.tables.a.pow(&self.rsa, &self.a, e, self.table_bits())
+        self.tables
+            .a
+            .pow(&self.rsa, &self.a, e, self.params.table_bits())
     }
 
     fn pow_g_u(&self, e: &Ubig) -> Ubig {
-        self.tables.g.pow(&self.rsa, &self.g, e, self.table_bits())
+        self.tables
+            .g
+            .pow(&self.rsa, &self.g, e, self.params.table_bits())
     }
 
     fn pow_h_u(&self, e: &Ubig) -> Ubig {
-        self.tables.h.pow(&self.rsa, &self.h, e, self.table_bits())
+        self.tables
+            .h
+            .pow(&self.rsa, &self.h, e, self.params.table_bits())
     }
 
     fn pow_y_u(&self, e: &Ubig) -> Ubig {
-        self.tables.y.pow(&self.rsa, &self.y, e, self.table_bits())
+        self.tables
+            .y
+            .pow(&self.rsa, &self.y, e, self.params.table_bits())
     }
 
     fn transcript_for(&self, message: &[u8], t: &[&Ubig; 3], b: &[Ubig; 4]) -> Transcript {
@@ -539,7 +541,9 @@ fn sign_inner(
 
     let w = brng::below(rng, &pow2(params.r_bits()));
     // Fixed public bases with secret exponents: precomputed constant-trace
-    // tables. Per-signature bases (T1, T2) stay on the plain kernel.
+    // tables. The signer knows T2 = g^w, so T2^{ρ_e} = g^{w·ρ_e} runs on
+    // g's table too (the product fits under `table_bits`; the params tests
+    // check it). Only T1 stays on the plain kernel.
     let t1 = rsa.mul(&key.a_cert, &pk.pow_y_u(&w));
     let t2 = pk.pow_g_u(&w);
     let t3 = rsa.mul(&pk.pow_g_u(&key.e), &pk.pow_h_u(&w));
@@ -554,7 +558,8 @@ fn sign_inner(
     // B4 = a^{ρ_x} y^{ρ_h} T1^{-ρ_e}.
     let b1 = pk.pow_g(&rho_w);
     let b2 = rsa.mul(&pk.pow_g(&rho_e), &pk.pow_h(&rho_w));
-    let b3 = rsa.mul(&rsa.exp_signed(&t2, &rho_e), &pk.pow_g(&rho_h.neg()));
+    let w_rho_e = Int::from_ubig(w.clone()).mul(&rho_e);
+    let b3 = rsa.mul(&pk.pow_g(&w_rho_e), &pk.pow_g(&rho_h.neg()));
     let b4 = rsa.mul(
         &rsa.mul(&pk.pow_a(&rho_x), &pk.pow_y(&rho_h)),
         &rsa.exp_signed(&t1, &rho_e.neg()),

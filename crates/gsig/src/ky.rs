@@ -134,62 +134,64 @@ impl GroupPublicKey {
         &self.rsa
     }
 
-    /// Width bound for the fixed-base tables: the widest secret exponent a
-    /// signer ever raises a fixed base to is the `h'`-blind.
-    fn table_bits(&self) -> u32 {
-        self.params.blind_bits(self.params.h_bits())
-    }
-
     /// `a^e` via the precomputed table (constant-trace).
     fn pow_a(&self, e: &Int) -> Ubig {
         self.tables
             .a
-            .pow_signed(&self.rsa, &self.a, e, self.table_bits())
+            .pow_signed(&self.rsa, &self.a, e, self.params.table_bits())
     }
 
     /// `b^e` via the precomputed table (constant-trace).
     fn pow_b(&self, e: &Int) -> Ubig {
         self.tables
             .b
-            .pow_signed(&self.rsa, &self.b, e, self.table_bits())
+            .pow_signed(&self.rsa, &self.b, e, self.params.table_bits())
     }
 
     /// `g^e` via the precomputed table (constant-trace).
     fn pow_g(&self, e: &Int) -> Ubig {
         self.tables
             .g
-            .pow_signed(&self.rsa, &self.g, e, self.table_bits())
+            .pow_signed(&self.rsa, &self.g, e, self.params.table_bits())
     }
 
     /// `h^e` via the precomputed table (constant-trace).
     fn pow_h(&self, e: &Int) -> Ubig {
         self.tables
             .h
-            .pow_signed(&self.rsa, &self.h, e, self.table_bits())
+            .pow_signed(&self.rsa, &self.h, e, self.params.table_bits())
     }
 
     /// `y^e` via the precomputed table (constant-trace).
     fn pow_y(&self, e: &Int) -> Ubig {
         self.tables
             .y
-            .pow_signed(&self.rsa, &self.y, e, self.table_bits())
+            .pow_signed(&self.rsa, &self.y, e, self.params.table_bits())
     }
 
     /// Unsigned-exponent table variants.
     fn pow_b_u(&self, e: &Ubig) -> Ubig {
-        self.tables.b.pow(&self.rsa, &self.b, e, self.table_bits())
+        self.tables
+            .b
+            .pow(&self.rsa, &self.b, e, self.params.table_bits())
     }
 
     fn pow_g_u(&self, e: &Ubig) -> Ubig {
-        self.tables.g.pow(&self.rsa, &self.g, e, self.table_bits())
+        self.tables
+            .g
+            .pow(&self.rsa, &self.g, e, self.params.table_bits())
     }
 
     fn pow_h_u(&self, e: &Ubig) -> Ubig {
-        self.tables.h.pow(&self.rsa, &self.h, e, self.table_bits())
+        self.tables
+            .h
+            .pow(&self.rsa, &self.h, e, self.params.table_bits())
     }
 
     fn pow_y_u(&self, e: &Ubig) -> Ubig {
-        self.tables.y.pow(&self.rsa, &self.y, e, self.table_bits())
+        self.tables
+            .y
+            .pow(&self.rsa, &self.y, e, self.params.table_bits())
     }
 
     /// Derives the common self-distinction base `T7` from session-unique
@@ -770,20 +772,26 @@ fn sign_inner(
     let two = |bits: u32| -> Ubig { pow2(bits) };
 
     // Fixed public bases with secret exponents go through the precomputed
-    // constant-trace tables; per-signature bases (T1, T2, T5, T7) stay on
-    // the plain Montgomery kernel.
+    // constant-trace tables. The signer knows the discrete logs of T2 = g^r,
+    // T5 = g^{k1} and a random T7 = g^{k2}, so their powers are powers of g
+    // as well: T5^x = g^{k1·x} and so on. By the parameter formulas every
+    // such product fits under `table_bits` (the params tests check it).
+    // Only T1 and a hashed common T7 stay on the plain Montgomery kernel.
     let r = brng::below(rng, &two(params.r_bits()));
     let k1 = brng::below(rng, &two(params.r_bits()));
     let t5 = pk.pow_g_u(&k1);
-    let t4 = rsa.exp(&t5, &key.x);
-    let t7 = match basis {
+    let t4 = pk.pow_g_u(&k1.mul(&key.x));
+    let (t7, k2) = match basis {
         SignBasis::Random => {
             let k2 = brng::below(rng, &two(params.r_bits()));
-            pk.pow_g_u(&k2)
+            (pk.pow_g_u(&k2), Some(k2))
         }
-        SignBasis::Common(bytes) => pk.common_t7(bytes),
+        SignBasis::Common(bytes) => (pk.common_t7(bytes), None),
     };
-    let t6 = rsa.exp(&t7, &key.x_prime);
+    let t6 = match &k2 {
+        Some(k2) => pk.pow_g_u(&k2.mul(&key.x_prime)),
+        None => rsa.exp(&t7, &key.x_prime),
+    };
     let t1 = rsa.mul(&key.a_cert, &pk.pow_y_u(&r));
     let t2 = pk.pow_g_u(&r);
     let t3 = rsa.mul(&pk.pow_g_u(&key.e), &pk.pow_h_u(&r));
@@ -808,9 +816,12 @@ fn sign_inner(
     // Commitments B1..B6.
     let b1 = pk.pow_g(&rho_r);
     let b2 = rsa.mul(&pk.pow_g(&rho_e), &pk.pow_h(&rho_r));
-    let b3 = rsa.mul(&rsa.exp_signed(&tags.t2, &rho_e), &pk.pow_g(&rho_h.neg()));
-    let b4 = rsa.exp_signed(&tags.t5, &rho_x);
-    let b5 = rsa.exp_signed(&tags.t7, &rho_xp);
+    let b3 = rsa.mul(&pk.pow_g(&times(&r, &rho_e)), &pk.pow_g(&rho_h.neg()));
+    let b4 = pk.pow_g(&times(&k1, &rho_x));
+    let b5 = match &k2 {
+        Some(k2) => pk.pow_g(&times(k2, &rho_xp)),
+        None => rsa.exp_signed(&tags.t7, &rho_xp),
+    };
     let b6 = rsa.mul(
         &rsa.mul(
             &rsa.mul(&pk.pow_a(&rho_x), &pk.pow_b(&rho_xp)),
@@ -841,6 +852,11 @@ fn sign_inner(
         s_r,
         s_h,
     }
+}
+
+/// `log · ρ` over `Z`: the exponent of `(g^log)^ρ` as a power of `g`.
+fn times(log: &Ubig, rho: &Int) -> Int {
+    Int::from_ubig(log.clone()).mul(rho)
 }
 
 /// `GSIG.Verify`: checks a signature; when `expected_t7` is provided

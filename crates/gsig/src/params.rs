@@ -152,6 +152,15 @@ impl GsigParams {
     pub fn blind_bits(&self, secret_bits: u32) -> u32 {
         eps(secret_bits + self.k)
     }
+
+    /// Width bound for the signers' fixed-base tables: the widest secret
+    /// exponent a signer raises a fixed base to is the `h'`-blind. The
+    /// products the signers run through `g`'s table (`k1·x`, `r·ρ_e`, …)
+    /// are narrower, so no signing exponent reaches `FixedBase::pow`'s
+    /// width-dependent fallback.
+    pub(crate) fn table_bits(&self) -> u32 {
+        self.blind_bits(self.h_bits())
+    }
 }
 
 fn pow2(bits: u32) -> Ubig {
@@ -178,6 +187,36 @@ mod tests {
         for preset in [GsigPreset::Small, GsigPreset::Paper] {
             let p = GsigParams::preset(preset);
             assert!(p.lambda2 > 4 * p.lp, "{preset:?}");
+        }
+    }
+
+    #[test]
+    fn signer_exponents_fit_the_tables() {
+        // Bit bounds of every exponent KY and ACJT `sign` send through a
+        // fixed-base table. Each random log (r, w, k1, k2) is below
+        // 2^{r_bits}, x and x' below 2^{λ1+1}, e below 2^{γ1+1}, and a
+        // blind of b bits has magnitude below 2^b.
+        for preset in [GsigPreset::Test, GsigPreset::Small, GsigPreset::Paper] {
+            let p = GsigParams::preset(preset);
+            let (log, x, e) = (p.r_bits(), p.lambda1 + 1, p.gamma1 + 1);
+            let exponents = [
+                ("r, w, k1, k2", log),
+                ("e", e),
+                ("ρ_r, ρ_w", p.blind_bits(p.r_bits())),
+                ("ρ_e", p.blind_bits(p.gamma2)),
+                ("ρ_x, ρ_x'", p.blind_bits(p.lambda2)),
+                ("ρ_h", p.blind_bits(p.h_bits())),
+                ("T4 = g^{k1·x}, T6 = g^{k2·x'}", log + x),
+                ("T5^{ρ_x}, T7^{ρ_x'}", log + p.blind_bits(p.lambda2)),
+                ("T2^{ρ_e}", log + p.blind_bits(p.gamma2)),
+            ];
+            for (what, bits) in exponents {
+                assert!(
+                    bits <= p.table_bits(),
+                    "{preset:?}: {what} needs {bits} bits, the tables cover {}",
+                    p.table_bits()
+                );
+            }
         }
     }
 

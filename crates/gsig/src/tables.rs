@@ -4,74 +4,20 @@
 //! Signing exponentiates these bases with *secret* exponents dozens of
 //! times per session; a [`FixedBase`] table removes every squaring from
 //! those calls while keeping the masked constant-trace scan. Tables live
-//! inside the public key (built on first use, shared by clones), and the
-//! underlying [`FixedBase`] values are additionally interned in a
-//! process-wide cache keyed by `(n, base, max_bits)` — a public key
+//! inside the public key (built on first use, shared by clones) and come
+//! from the process-wide [`FixedBase::shared`] cache, so a public key
 //! rebuilt through `from_params` (the service admits every session with
 //! a fresh deserialization) reuses the tables instead of paying the
 //! precompute again.
-//!
-//! Lock order: the cache mutex is a leaf lock — no other lock is ever
-//! taken while it is held, and table construction happens outside the
-//! guard (the `lock-order` lint rule watches this file).
 
 use shs_bigint::{FixedBase, Int, Ubig};
 use shs_groups::rsa::RsaGroup;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Cache key: the modulus and base pin the group element, `max_bits` the
-/// table width (the same base at a wider width is a different table).
-type TableKey = (Vec<u8>, Vec<u8>, u32);
-
-/// Process-wide interning cache for [`FixedBase`] tables. Bounded: a
-/// table is a few hundred KiB, and a long-lived service only ever sees a
-/// handful of groups, so the bound exists purely to keep pathological
-/// many-group workloads (tests, fuzzing) from accumulating without
-/// limit. Eviction removes one arbitrary entry, so hot tables are not
-/// collateral damage of a cold insert.
-fn table_cache() -> &'static Mutex<HashMap<TableKey, Arc<FixedBase>>> {
-    static CACHE: OnceLock<Mutex<HashMap<TableKey, Arc<FixedBase>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Upper bound on cached tables before an entry is evicted.
-const CACHE_CAP: usize = 64;
-
-/// Fetches (or builds and interns) the table for `base^e mod n` with
-/// exponents up to `max_bits` bits.
-fn shared_table(rsa: &RsaGroup, base: &Ubig, max_bits: u32) -> Arc<FixedBase> {
-    let key: TableKey = (rsa.n().to_bytes_be(), base.to_bytes_be(), max_bits);
-    if let Some(table) = table_cache()
-        .lock()
-        .expect("table cache poisoned")
-        .get(&key)
-    {
-        return Arc::clone(table);
-    }
-    // Built outside the guard: a precompute is expensive at production
-    // widths, and holding the leaf lock across it would stall every
-    // other thread's table lookup process-wide. Two threads racing on
-    // the same key cost one redundant precompute; the first insert wins
-    // and the loser adopts it, preserving the interning invariant.
-    let table = Arc::new(FixedBase::new(Arc::clone(rsa.ctx()), base, max_bits));
-    let mut cache = table_cache().lock().expect("table cache poisoned");
-    if let Some(existing) = cache.get(&key) {
-        return Arc::clone(existing);
-    }
-    if cache.len() >= CACHE_CAP {
-        if let Some(victim) = cache.keys().next().cloned() {
-            cache.remove(&victim);
-        }
-    }
-    cache.insert(key, Arc::clone(&table));
-    table
-}
+use std::sync::{Arc, OnceLock};
 
 /// A pair of fixed-base tables for one public base: one for the base
 /// itself and one for its inverse (signed blinds exponentiate both ways).
 /// Each side is built on first use, shared by clones of the holder, and
-/// interned in the process-wide cache so rebuilt keys do not repay the
+/// interned in [`FixedBase::shared`] so rebuilt keys do not repay the
 /// precompute.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FixedBasePair {
@@ -102,7 +48,7 @@ impl FixedBasePair {
                 let inv = base
                     .modinv(rsa.n())
                     .expect("non-invertible base would factor n");
-                shared_table(rsa, &inv, max_bits)
+                FixedBase::shared(rsa.ctx(), &inv, max_bits)
             });
             fb.pow(e.magnitude())
         } else {
@@ -111,27 +57,7 @@ impl FixedBasePair {
     }
 
     fn fwd(&self, rsa: &RsaGroup, base: &Ubig, max_bits: u32) -> &Arc<FixedBase> {
-        self.fwd.get_or_init(|| shared_table(rsa, base, max_bits))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::fixtures;
-
-    #[test]
-    fn rebuilt_pairs_share_one_interned_table() {
-        let (rsa, _) = fixtures::test_rsa_setting().clone();
-        let base = rsa.hash_to_qr(b"intern-test-base");
-        let a = FixedBasePair::default();
-        let b = FixedBasePair::default();
-        let e = Ubig::from_u64(0x1234_5678);
-        assert_eq!(a.pow(&rsa, &base, &e, 64), b.pow(&rsa, &base, &e, 64));
-        // Distinct OnceLocks, same interned table underneath.
-        assert!(Arc::ptr_eq(
-            a.fwd.get().expect("built"),
-            b.fwd.get().expect("built")
-        ));
+        self.fwd
+            .get_or_init(|| FixedBase::shared(rsa.ctx(), base, max_bits))
     }
 }
