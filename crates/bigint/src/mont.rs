@@ -101,6 +101,19 @@ impl MontCtx {
         ctx
     }
 
+    /// Zeroizes the context in place, as [`Ubig::wipe`] does: the modulus,
+    /// its limbs and both Montgomery constants, each of which determines
+    /// the modulus. For an owned context over a modulus that may become a
+    /// secret, such as a Miller–Rabin candidate.
+    pub(crate) fn wipe(&mut self) {
+        self.n.wipe();
+        for buf in [&mut self.n_limbs, &mut self.rr, &mut self.r1] {
+            buf.fill(0);
+            std::hint::black_box(buf);
+        }
+        self.n0inv = 0;
+    }
+
     /// The modulus.
     pub fn modulus(&self) -> &Ubig {
         &self.n
@@ -121,9 +134,10 @@ impl MontCtx {
     ///
     /// Dispatches to the one CIOS body, [`MontCtx::cios_mul`], with the
     /// width as a literal for the moduli the presets use (Test: 4-limb RSA
-    /// `n`, 8-limb Schnorr `p`; Small: 12 and 16; Paper: 32), so each of
-    /// those widths gets its own unrolled instance. Other widths run the
-    /// same body with the runtime `k`.
+    /// `n`, 8-limb Schnorr `p`, 9-limb certificate primes under
+    /// Miller–Rabin; Small: 12 and 16; Paper: 32), so each of those widths
+    /// gets its own unrolled instance. Other widths run the same body with
+    /// the runtime `k`.
     fn mont_mul_into(&self, a: &[u64], b: &[u64], out: &mut [u64], t: &mut [u64]) {
         let k = self.k as u64;
         // 2k² limb multiplications: k per a·b[i] pass, k per reduction pass.
@@ -131,6 +145,7 @@ impl MontCtx {
         match self.k {
             4 => self.cios_mul(4, a, b, out, t),
             8 => self.cios_mul(8, a, b, out, t),
+            9 => self.cios_mul(9, a, b, out, t),
             12 => self.cios_mul(12, a, b, out, t),
             16 => self.cios_mul(16, a, b, out, t),
             32 => self.cios_mul(32, a, b, out, t),
@@ -149,6 +164,7 @@ impl MontCtx {
         match self.k {
             4 => self.sos_sqr(4, a, out, z),
             8 => self.sos_sqr(8, a, out, z),
+            9 => self.sos_sqr(9, a, out, z),
             12 => self.sos_sqr(12, a, out, z),
             16 => self.sos_sqr(16, a, out, z),
             32 => self.sos_sqr(32, a, out, z),
@@ -636,7 +652,7 @@ mod tests {
         // modulus, with full-width exponents: each specialised instance
         // and three fallback widths (2, 3 and 7 limbs).
         let mut next = xorshift(0xdeadbeefcafef00d);
-        for limbs in [2usize, 3, 4, 7, 8, 12, 16, 32] {
+        for limbs in [2usize, 3, 4, 7, 8, 9, 12, 16, 32] {
             let mut mv: Vec<u64> = (0..limbs).map(|_| next()).collect();
             mv[0] |= 1; // odd
             let m = Ubig::from_limbs(mv);
@@ -669,7 +685,7 @@ mod tests {
         // the top bit set, and R − 1 itself (all-ones limbs, n0⁻¹ = −1).
         // Widths: every specialised instance and four on the fallback.
         let mut next = xorshift(0x5a5a_0f0f_3c3c_9696);
-        for k in [1usize, 2, 3, 4, 7, 8, 12, 16, 32] {
+        for k in [1usize, 2, 3, 4, 7, 8, 9, 12, 16, 32] {
             let mut random: Vec<u64> = (0..k).map(|_| next()).collect();
             random[0] |= 1;
             random[k - 1] |= 1 << 63;

@@ -108,8 +108,8 @@ fn ladder_limb_counts_match_the_kernel_closed_form() {
     // multiply kernel, or gains or loses a product, fails here.
     assert_harness_live();
     let mut xs = Xs(0xc105_ed0f_c105_ed0f);
-    // One width with its own kernel instance, one on the fallback.
-    for k in [8usize, 7] {
+    // Two widths with their own kernel instance, one on the fallback.
+    for k in [8usize, 9, 7] {
         let n = xs.modulus(k);
         let ctx = Arc::new(MontCtx::new(n.clone()));
         let kk = k as u64;

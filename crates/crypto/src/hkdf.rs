@@ -19,17 +19,21 @@ pub fn extract(salt: &[u8], ikm: &[u8]) -> [u8; 32] {
 pub fn expand(prk: &[u8; 32], info: &[u8], len: usize) -> Vec<u8> {
     assert!(len <= 255 * 32, "HKDF-Expand output too long");
     let mut out = Vec::with_capacity(len);
-    let mut t: Vec<u8> = Vec::new();
+    // One keyed state for every block: each block clones it instead of
+    // hashing the key pads again.
+    let keyed = hmac::HmacSha256::new(prk);
+    let mut t: &[u8] = &[];
     let mut counter = 1u8;
     while out.len() < len {
-        let mut h = hmac::HmacSha256::new(prk);
-        h.update(&t);
-        h.update(info);
-        h.update(&[counter]);
-        let block = h.finalize();
+        let block = keyed
+            .clone()
+            .chain(t)
+            .chain(info)
+            .chain(&[counter])
+            .finalize();
         let take = (len - out.len()).min(32);
         out.extend_from_slice(&block[..take]);
-        t = block.to_vec();
+        t = &out[out.len() - take..];
         counter = counter.saturating_add(1);
     }
     out

@@ -10,10 +10,16 @@ use crate::sha256::{self, Sha256};
 pub const TAG_LEN: usize = 32;
 
 /// Incremental HMAC-SHA-256.
+///
+/// Both keyed hashes are kept: the inner one with `K ⊕ ipad` absorbed and
+/// the outer one with `K ⊕ opad` absorbed. A clone of a fresh instance is
+/// therefore a keyed MAC that costs two SHA-256 compressions for a short
+/// message instead of four, which is how HMAC-DRBG and HKDF-Expand reuse
+/// one key across blocks.
 #[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    okey: [u8; 64],
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -25,15 +31,18 @@ impl HmacSha256 {
         } else {
             k[..key.len()].copy_from_slice(key);
         }
-        let mut ikey = [0u8; 64];
-        let mut okey = [0u8; 64];
-        for i in 0..64 {
-            ikey[i] = k[i] ^ 0x36;
-            okey[i] = k[i] ^ 0x5c;
+        let mut pad = [0u8; 64];
+        for (p, &b) in pad.iter_mut().zip(&k) {
+            *p = b ^ 0x36;
         }
-        let mut inner = Sha256::new();
-        inner.update(&ikey);
-        HmacSha256 { inner, okey }
+        let inner = Sha256::new().chain(&pad);
+        for (p, &b) in pad.iter_mut().zip(&k) {
+            *p = b ^ 0x5c;
+        }
+        let outer = Sha256::new().chain(&pad);
+        crate::wipe::wipe(&mut k);
+        crate::wipe::wipe(&mut pad);
+        HmacSha256 { inner, outer }
     }
 
     /// Absorbs message data.
@@ -50,10 +59,21 @@ impl HmacSha256 {
     /// Finishes and returns the tag.
     pub fn finalize(self) -> [u8; TAG_LEN] {
         let inner_digest = self.inner.finalize();
-        Sha256::new()
-            .chain(&self.okey)
-            .chain(&inner_digest)
-            .finalize()
+        self.outer.chain(&inner_digest).finalize()
+    }
+
+    /// Zeroizes both keyed hashes in place. Before it is finalized, an
+    /// instance is as good as the key: anyone holding it can MAC under
+    /// that key.
+    pub(crate) fn wipe(&mut self) {
+        self.inner.wipe();
+        self.outer.wipe();
+    }
+
+    /// Whether both keyed hashes are wiped.
+    #[cfg(test)]
+    pub(crate) fn is_wiped(&self) -> bool {
+        self.inner.is_wiped() && self.outer.is_wiped()
     }
 }
 

@@ -86,6 +86,23 @@ impl Sha256 {
         self
     }
 
+    /// Zeroizes the hasher in place: chaining state, buffered input and
+    /// length. A hasher that has absorbed a key holds key-equivalent state
+    /// (HMAC's keyed inner and outer hashes).
+    pub(crate) fn wipe(&mut self) {
+        self.state.fill(0);
+        std::hint::black_box(&mut self.state);
+        crate::wipe::wipe(&mut self.buf);
+        self.buf_len = 0;
+        self.total_len = 0;
+    }
+
+    /// Whether every field is zero, as [`Sha256::wipe`] leaves it.
+    #[cfg(test)]
+    pub(crate) fn is_wiped(&self) -> bool {
+        self.state == [0; 8] && self.buf == [0; 64] && self.buf_len == 0 && self.total_len == 0
+    }
+
     /// Finishes and returns the digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
