@@ -5,8 +5,9 @@
 //! half can be exercised: messages can be dropped, duplicated, corrupted,
 //! truncated or delayed, parties can crash-stop mid-session, and the
 //! medium can partition. A [`FaultPlan`] is a deterministic (seeded)
-//! schedule of [`FaultRule`]s consulted on every delivery by both
-//! [`crate::sync::BroadcastNet`] and the threaded [`crate::hub`]; every
+//! schedule of [`FaultRule`]s, with the per-sender crash clock and the
+//! per-label delay clock they run on, consulted on every delivery by the
+//! routing step every medium shares ([`crate::route::Router`]); every
 //! fault that fires is tallied in [`FaultCounters`], exposed through
 //! [`crate::observe::TrafficLog::faults`] so tests and benches can assert
 //! exactly which faults fired.
@@ -38,15 +39,16 @@ pub enum FaultKind {
     /// The delivery is held back and re-delivered on a *later* exchange
     /// carrying the same round label (i.e. a retransmission round).
     Delay {
-        /// How many matching exchanges to sit out.
+        /// How many exchanges of the label to sit out.
         rounds: u32,
     },
-    /// `slot` transmits during the first `after_round` exchanges, then
-    /// goes permanently silent (fail-stop party).
+    /// `slot` makes `after_round` sends, then goes permanently silent
+    /// (fail-stop party). On a lockstep medium, where every slot sends
+    /// once per exchange, that is its first `after_round` exchanges.
     CrashStop {
         /// The crashing sender slot.
         slot: usize,
-        /// Number of exchanges the slot participates in before dying.
+        /// Number of sends the slot makes before dying.
         after_round: u32,
     },
     /// Slots `< boundary` and slots `>= boundary` can no longer hear
@@ -172,26 +174,19 @@ impl FaultRule {
     }
 }
 
-/// A delivery held back by a [`FaultKind::Delay`] rule.
+/// A delivery held back by a [`FaultKind::Delay`] rule, released when
+/// a later exchange of its label opens.
 #[derive(Debug, Clone)]
-struct DelayedDelivery {
+pub(crate) struct DelayedDelivery {
     round: String,
-    from_slot: usize,
-    to_slot: usize,
-    payload: Vec<u8>,
-    /// Matching exchanges left to sit out.
-    remaining: u32,
-}
-
-/// A delayed delivery released by [`FaultPlan::begin_exchange`].
-#[derive(Debug, Clone)]
-pub struct Redelivery {
     /// Original sender slot.
-    pub from_slot: usize,
+    pub(crate) from_slot: usize,
     /// Receiver slot.
-    pub to_slot: usize,
+    pub(crate) to_slot: usize,
     /// Original (possibly already-tampered) payload.
-    pub payload: Vec<u8>,
+    pub(crate) payload: Vec<u8>,
+    /// Exchanges of the label left to sit out.
+    remaining: u32,
 }
 
 /// A deterministic, composable schedule of faults.
@@ -200,8 +195,9 @@ pub struct FaultPlan {
     rng: StdRng,
     rules: Vec<FaultRule>,
     delayed: Vec<DelayedDelivery>,
-    /// Exchanges seen so far (the `after_round` clock of crash-stop).
-    exchanges: u32,
+    /// The crash clock: per slot, sends that reached the wire, and
+    /// whether a send was ever silenced.
+    sends: Vec<(u32, bool)>,
     counters: FaultCounters,
 }
 
@@ -212,7 +208,7 @@ impl FaultPlan {
             rng: StdRng::seed_from_u64(seed),
             rules: Vec::new(),
             delayed: Vec::new(),
-            exchanges: 0,
+            sends: Vec::new(),
             counters: FaultCounters::default(),
         }
     }
@@ -228,64 +224,24 @@ impl FaultPlan {
         &self.counters
     }
 
-    /// Number of exchanges the plan has seen.
-    pub fn exchanges(&self) -> u32 {
-        self.exchanges
-    }
-
-    /// Is `slot` crash-stopped as of the current exchange?
-    pub fn crashed(&self, slot: usize) -> bool {
-        self.rules.iter().any(|r| {
-            matches!(r.kind, FaultKind::CrashStop { slot: s, after_round }
-                if s == slot && self.exchanges > after_round)
-        })
-    }
-
-    /// Every slot currently crash-stopped.
+    /// Every slot below `slots` that has crash-stopped: the crash clock
+    /// silenced at least one of its sends.
     pub fn crashed_slots(&self, slots: usize) -> Vec<usize> {
-        (0..slots).filter(|&s| self.crashed(s)).collect()
+        let silenced = |s: &usize| self.sends.get(*s).is_some_and(|&(_, x)| x);
+        (0..slots).filter(silenced).collect()
     }
 
-    /// The tightest crash-stop budget for `slot`: how many broadcasts it
-    /// gets before dying, if any rule targets it. Used by the hub, whose
-    /// crash clock ticks per sender broadcast rather than per exchange.
-    pub fn crash_budget(&self, slot: usize) -> Option<u32> {
-        self.rules
-            .iter()
-            .filter_map(|r| match r.kind {
-                FaultKind::CrashStop {
-                    slot: s,
-                    after_round,
-                } if s == slot => Some(after_round),
-                _ => None,
-            })
-            .min()
-    }
-
-    /// Counts one crash-suppressed broadcast (for media that implement
-    /// the crash clock themselves, like the hub and the `shs-sim`
-    /// virtual-time session, whose crash clocks tick per sender
-    /// broadcast rather than per exchange).
-    pub fn note_crash_silenced(&mut self) {
-        self.counters.crash_silenced += 1;
-    }
-
-    /// Marks the start of a broadcast exchange under `round`, returning
-    /// any delayed deliveries that come due on this (retransmission)
-    /// exchange. Call exactly once per `exchange`/hub-relay round.
-    pub fn begin_exchange(&mut self, round: &str) -> Vec<Redelivery> {
-        self.exchanges += 1;
+    /// Marks the opening of an exchange under `round`, returning the
+    /// delayed deliveries that come due on it: the delay clock of
+    /// `round` ticks once.
+    pub(crate) fn begin_exchange(&mut self, round: &str) -> Vec<DelayedDelivery> {
         let mut due = Vec::new();
         let mut kept = Vec::new();
         for mut d in self.delayed.drain(..) {
             if d.round == round {
                 if d.remaining <= 1 {
                     self.counters.redelivered += 1;
-                    due.push(Redelivery {
-                        from_slot: d.from_slot,
-                        to_slot: d.to_slot,
-                        payload: d.payload,
-                    });
+                    due.push(d);
                     continue;
                 }
                 d.remaining -= 1;
@@ -296,24 +252,39 @@ impl FaultPlan {
         due
     }
 
-    /// Should `slot`'s broadcast in the current exchange be suppressed
-    /// entirely (crash-stop)? Counts one suppression when true.
-    pub fn suppress_send(&mut self, slot: usize) -> bool {
-        // `begin_exchange` has already advanced the clock for this
-        // exchange, so "participates in `after_round` exchanges" means
-        // silent once exchanges > after_round.
-        if self.crashed(slot) {
-            self.counters.crash_silenced += 1;
-            true
-        } else {
-            false
+    /// Ticks `slot`'s crash clock for one send: `true` (counted as
+    /// crash-silenced) once the slot has spent the tightest
+    /// `after_round` of the rules naming it, otherwise the send counts
+    /// against that budget.
+    pub(crate) fn suppress_send(&mut self, slot: usize) -> bool {
+        let budget = self
+            .rules
+            .iter()
+            .filter_map(|r| match r.kind {
+                FaultKind::CrashStop {
+                    slot: s,
+                    after_round,
+                } if s == slot => Some(after_round),
+                _ => None,
+            })
+            .min();
+        if self.sends.len() <= slot {
+            self.sends.resize(slot + 1, (0, false));
         }
+        let (sent, silenced) = &mut self.sends[slot];
+        if budget.is_some_and(|b| *sent >= b) {
+            *silenced = true;
+            self.counters.crash_silenced += 1;
+            return true;
+        }
+        *sent += 1;
+        false
     }
 
     /// Runs the schedule for one delivery, returning the payload copies
     /// that actually arrive now (empty = dropped / delayed / partitioned;
     /// two entries = duplicated).
-    pub fn deliver(
+    pub(crate) fn deliver(
         &mut self,
         round: &str,
         from_slot: usize,

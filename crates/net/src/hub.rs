@@ -7,10 +7,11 @@
 //! claims the framework still works (§1.1 flexibility) — exercised by the
 //! E10 experiment.
 //!
-//! [`run_session_with_faults`] weakens the guarantee: the hub consults a
-//! [`FaultPlan`] on every relay, so deliveries may be lost, duplicated,
-//! mangled, delayed, or cut by a partition, and crash-stopped parties go
-//! silent after their `after_round`-th broadcast. Party bodies that must
+//! [`run_session_with_faults`] weakens the guarantee: the hub relays every
+//! message through the shared routing step ([`Router`]), which applies a
+//! [`FaultPlan`], so deliveries may be lost, duplicated, mangled,
+//! delayed, or cut by a partition, and crash-stopped parties go silent
+//! after their `after_round`-th send. Party bodies that must
 //! survive such a medium should use the deadline-based receives
 //! ([`PartyHandle::recv_timeout`], [`PartyLink::collect`]) instead of
 //! the blocking ones — a blocking [`PartyHandle::recv`] on a lossy
@@ -31,12 +32,13 @@
 
 use crate::fault::FaultPlan;
 use crate::observe::TrafficLog;
+use crate::route::Router;
 use crate::{NetError, PartyLink};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -48,8 +50,8 @@ use std::time::{Duration, Instant};
 /// under [`HubConfig::channel_capacity`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HubConfig {
-    /// Capacity of every channel (party → hub and hub → party) and cap
-    /// of the hub's internal reorder buffer. A sender whose channel is
+    /// Capacity of every channel, of the hub's reorder buffer and of each
+    /// party's held arrivals for later rounds. A sender whose channel is
     /// full blocks until the consumer drains — backpressure, not
     /// buffering without limit.
     pub channel_capacity: usize,
@@ -89,6 +91,9 @@ pub struct PartyHandle {
     recv_deadline: Duration,
     to_hub: Sender<Wire>,
     from_hub: Receiver<Wire>,
+    /// Arrivals for later rounds, oldest first, at most `capacity`.
+    held: RefCell<VecDeque<Wire>>,
+    capacity: usize,
 }
 
 impl std::fmt::Debug for PartyHandle {
@@ -132,24 +137,30 @@ impl PartyHandle {
         self.recv_timeout(self.recv_deadline)
     }
 
-    /// Blocks for the next delivery up to `timeout`.
+    /// Blocks for the next delivery up to `timeout`; arrivals a
+    /// collect held back for a later round come first.
     ///
     /// # Errors
     ///
     /// [`NetError::Timeout`] if nothing arrived in time,
     /// [`NetError::Disconnected`] if the hub is gone.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<(usize, String, Vec<u8>), NetError> {
+        let held = self.held.borrow_mut().pop_front();
+        let w = held.map_or_else(|| self.next_arrival(timeout), Ok)?;
+        Ok((w.from_slot, w.round, w.payload))
+    }
+
+    /// The next message off the hub channel, up to `timeout`.
+    fn next_arrival(&self, timeout: Duration) -> Result<Wire, NetError> {
         match self.from_hub.recv_timeout(timeout) {
-            Ok(w) => Ok((w.from_slot, w.round, w.payload)),
+            Ok(w) => Ok(w),
             Err(RecvTimeoutError::Timeout) => Err(NetError::Timeout),
             Err(RecvTimeoutError::Disconnected) => Err(NetError::Disconnected),
         }
     }
 
-    /// Collects one message per slot for the given round. Buffering
-    /// out-of-round arrivals is the caller's job in fully general
-    /// protocols; for the round-structured handshake protocols a simple
-    /// filter suffices because every party sends exactly once per round.
+    /// Collects one message per slot for the given round. Arrivals for
+    /// other rounds are held for a later collect.
     ///
     /// # Errors
     ///
@@ -175,8 +186,9 @@ impl PartyHandle {
     /// displace a later valid retransmission), gathered until the view
     /// is complete or `timeout` (an overall deadline) passes. Entry `i`
     /// is `None` if no valid copy of slot `i`'s message arrived —
-    /// dropped, corrupted, partitioned, or its sender crashed.
-    /// Out-of-round arrivals are skipped.
+    /// dropped, corrupted, partitioned, or its sender crashed. Other
+    /// rounds' arrivals are held: a co-party's next-round broadcast that
+    /// lands during a retry must not be lost.
     fn collect_within(
         &self,
         round: &str,
@@ -185,26 +197,44 @@ impl PartyHandle {
     ) -> Result<Vec<Option<Vec<u8>>>, NetError> {
         let deadline = Instant::now() + timeout;
         let mut got: Vec<Option<Vec<u8>>> = vec![None; self.slots];
-        let mut count = 0;
-        while count < self.slots {
+        let mut take = |w: Wire, got: &mut Vec<Option<Vec<u8>>>| {
+            if let Some(cell @ None) = got.get_mut(w.from_slot) {
+                if valid(w.from_slot, &w.payload) {
+                    *cell = Some(w.payload);
+                }
+            }
+        };
+        let earlier = std::mem::take(&mut *self.held.borrow_mut());
+        for w in earlier {
+            if w.round == round {
+                take(w, &mut got);
+            } else {
+                self.hold(w);
+            }
+        }
+        while got.iter().any(Option::is_none) {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 break;
             }
-            match self.recv_timeout(left) {
-                Ok((from, r, payload)) => {
-                    if let Some(cell @ None) = got.get_mut(from) {
-                        if r == round && valid(from, &payload) {
-                            *cell = Some(payload);
-                            count += 1;
-                        }
-                    }
-                }
+            match self.next_arrival(left) {
+                Ok(w) if w.round == round => take(w, &mut got),
+                Ok(w) => self.hold(w),
                 Err(NetError::Timeout) => break,
                 Err(e) => return Err(e),
             }
         }
         Ok(got)
+    }
+
+    /// Keeps an arrival for a later round, shedding the oldest held one
+    /// at capacity.
+    fn hold(&self, w: Wire) {
+        let mut held = self.held.borrow_mut();
+        if held.len() >= self.capacity {
+            held.pop_front();
+        }
+        held.push_back(w);
     }
 }
 
@@ -269,15 +299,10 @@ where
 }
 
 /// [`run_session`] over a faulty medium with explicit [`HubConfig`] flow
-/// control: the hub consults `plan` on every relay. The final
+/// control: the hub routes every message it picks through a [`Router`]
+/// holding `plan`, so exchanges, stand-ins and both fault clocks work as
+/// on every other medium (see [`crate::route`]). The final
 /// [`TrafficLog`] carries the plan's fault counters.
-///
-/// The crash-stop clock here is **per sender**: a `CrashStop { slot,
-/// after_round }` rule silences `slot` once it has broadcast
-/// `after_round` messages, which coincides with protocol rounds because
-/// every party broadcasts exactly once per round. The delay clock, as in
-/// the synchronous medium, re-releases a held delivery when a later
-/// message with the same round label (a retransmission) is relayed.
 ///
 /// # Panics
 ///
@@ -285,7 +310,7 @@ where
 pub fn run_session_with_config<T, F>(
     m: usize,
     seed: u64,
-    mut plan: FaultPlan,
+    plan: FaultPlan,
     config: HubConfig,
     bodies: Vec<F>,
 ) -> (Vec<T>, TrafficLog)
@@ -307,16 +332,16 @@ where
             recv_deadline: config.recv_deadline,
             to_hub: to_hub.clone(),
             from_hub: rx,
+            held: RefCell::new(VecDeque::new()),
+            capacity: config.channel_capacity,
         });
     }
     drop(to_hub);
 
-    let log = Arc::new(Mutex::new(TrafficLog::new()));
-    let hub_log = Arc::clone(&log);
     let hub = thread::spawn(move || {
         let mut rng = StdRng::seed_from_u64(seed);
+        let mut router = Router::new(m, Some(plan));
         let mut pending: Vec<Wire> = Vec::new();
-        let mut sent_by: Vec<u64> = vec![0; m];
         let mut bp_dropped: u64 = 0;
         // Push one delivery into a party inbox, waiting out transient
         // fullness up to the configured patience; a stubbornly full (or
@@ -339,49 +364,18 @@ where
                 }
             }
         };
-        let relay = |w: Wire,
-                     plan: &mut FaultPlan,
-                     sent_by: &mut Vec<u64>,
-                     bp_dropped: &mut u64,
-                     rng: &mut StdRng| {
-            // Crash-stop: the sender dies after its `after_round`-th
-            // broadcast; later messages never reach the wire or the log.
-            if let Some(after) = plan.crash_budget(w.from_slot) {
-                if sent_by[w.from_slot] >= u64::from(after) {
-                    plan.note_crash_silenced();
-                    return;
-                }
-            }
-            sent_by[w.from_slot] += 1;
-            hub_log.lock().record(&w.round, w.from_slot, &w.payload);
-            // Release deliveries delayed until a retransmission of this
-            // round label; their receiver order is adversarial too.
-            let mut due = plan.begin_exchange(&w.round);
-            for i in (1..due.len()).rev() {
-                let j = rng.gen_range(0..=i);
-                due.swap(i, j);
-            }
-            for d in due {
-                if let Some(tx) = party_txs.get(d.to_slot) {
+        let relay = |w: Wire, router: &mut Router, bp_dropped: &mut u64| {
+            let inboxes = router
+                .route(&w.round, [(w.from_slot, w.payload)], None, None)
+                .unwrap_or_default();
+            for (tx, inbox) in party_txs.iter().zip(inboxes) {
+                for r in inbox {
                     deliver(
                         tx,
                         Wire {
-                            from_slot: d.from_slot,
+                            from_slot: r.from_slot,
                             round: w.round.clone(),
-                            payload: d.payload,
-                        },
-                        bp_dropped,
-                    );
-                }
-            }
-            for (to_slot, tx) in party_txs.iter().enumerate() {
-                for copy in plan.deliver(&w.round, w.from_slot, to_slot, w.payload.clone()) {
-                    deliver(
-                        tx,
-                        Wire {
-                            from_slot: w.from_slot,
-                            round: w.round.clone(),
-                            payload: copy,
+                            payload: r.payload,
                         },
                         bp_dropped,
                     );
@@ -405,19 +399,18 @@ where
                     Err(_) => break,
                 }
             }
-            // Deliver a random pending message to all parties (in
-            // adversarial order relative to other messages).
+            // Relay a random pending message (in adversarial order
+            // relative to other messages).
             let idx = rng.gen_range(0..pending.len());
             let w = pending.swap_remove(idx);
-            relay(w, &mut plan, &mut sent_by, &mut bp_dropped, &mut rng);
+            relay(w, &mut router, &mut bp_dropped);
         }
         // Flush anything left after senders disconnected.
         while let Some(w) = pending.pop() {
-            relay(w, &mut plan, &mut sent_by, &mut bp_dropped, &mut rng);
+            relay(w, &mut router, &mut bp_dropped);
         }
-        let mut counters = plan.counters().clone();
-        counters.backpressure_dropped = bp_dropped;
-        hub_log.lock().set_faults(counters);
+        router.count_backpressure_drops(bp_dropped);
+        router.traffic().clone()
     });
 
     let threads: Vec<thread::JoinHandle<T>> = handles
@@ -431,9 +424,7 @@ where
         .map(|t| t.join().expect("party thread"))
         .collect();
     // lint:allow(panic-path) reason="propagates a hub-thread panic to the harness caller, documented under # Panics"
-    hub.join().expect("hub thread");
-    // lint:allow(panic-path) reason="hub thread joined above, so the log Arc is uniquely held here"
-    let log = Arc::try_unwrap(log).expect("hub done").into_inner();
+    let log = hub.join().expect("hub thread");
     (outputs, log)
 }
 
@@ -589,6 +580,34 @@ mod tests {
         let (outputs, log) = run_session_with_faults(m, 2, plan, bodies);
         assert_eq!(outputs, vec![m, m], "first copy wins, extras discarded");
         assert!(log.faults().duplicated >= 1);
+    }
+
+    #[test]
+    fn collect_holds_next_round_arrivals_for_later() {
+        // Slot 0 is a round ahead: its r2 lands while slot 1 still
+        // collects r1, and must wait for slot 1's collect of r2.
+        let m = 2;
+        let bodies: Vec<_> = (0..m)
+            .map(|slot: usize| {
+                move |mut h: PartyHandle| {
+                    if slot == 0 {
+                        h.broadcast("r2", vec![2]);
+                        return None;
+                    }
+                    let window = Duration::from_millis(300);
+                    let r1 = h
+                        .collect("r1", window, &mut |_, _| true)
+                        .expect("hub alive");
+                    assert!(r1.iter().all(Option::is_none), "nobody sent r1");
+                    let r2 = h
+                        .collect("r2", window, &mut |_, _| true)
+                        .expect("hub alive");
+                    r2[0].clone()
+                }
+            })
+            .collect();
+        let (outputs, _) = run_session(m, 3, bodies);
+        assert_eq!(outputs[1], Some(vec![2]), "slot 0's r2 was held, not lost");
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //!   variant where each party runs on its own thread and messages are
 //!   delivered through channels in adversarially perturbed order. Used by
 //!   the E10 model-agnosticism experiment.
+//! * [`route::Router`] — the routing step every medium shares (the TCP
+//!   relay and `shs-sim`'s media too): exchanges, retransmission
+//!   stand-ins, fault injection and the eavesdropper's log.
 //! * [`serve::Service`] — a long-lived multi-session service on top:
 //!   session lifecycle registry, bounded-queue admission control with
 //!   decoy-traffic load shedding, survivor re-formation after aborts,
@@ -25,14 +28,14 @@
 //!
 //! # Failure model
 //!
-//! By default both media guarantee delivery, matching the paper's system
-//! model. Installing a [`fault::FaultPlan`] (via
+//! By default every medium guarantees delivery, matching the paper's
+//! system model. Installing a [`fault::FaultPlan`] (via
 //! [`sync::BroadcastNet::set_fault_plan`] or
 //! [`hub::run_session_with_faults`]) weakens the medium to a lossy,
 //! malicious network: deliveries may be dropped, duplicated, corrupted,
 //! truncated, delayed to a later retransmission, cut by a partition, or
 //! silenced entirely by a crash-stopped sender. Two invariants hold
-//! regardless of the plan:
+//! regardless of the plan, on every medium:
 //!
 //! * **The eavesdropper log records what senders put on the wire.**
 //!   Per-receiver faults (drop/corrupt/truncate/delay/partition) never
@@ -53,6 +56,7 @@ pub mod clock;
 pub mod fault;
 pub mod hub;
 pub mod observe;
+pub mod route;
 pub mod serve;
 pub mod sync;
 pub mod tcp;
@@ -200,9 +204,9 @@ pub trait PartyLink {
 
     /// Collects one exchange of `round`: entry `j` is the first copy of
     /// slot `j`'s payload that satisfied `valid` (`None` where nothing
-    /// valid arrived before the deadline). Out-of-round arrivals and
-    /// invalid copies are discarded, matching the lockstep engine's
-    /// first-valid-copy-wins rule.
+    /// valid arrived before the deadline). Later and invalid copies are
+    /// discarded (the lockstep engine's first-valid-copy-wins rule);
+    /// in-process links hold other rounds' arrivals for later collects.
     ///
     /// # Errors
     ///

@@ -1,16 +1,19 @@
 //! The round-based anonymous broadcast medium.
 //!
 //! Protocol drivers hand a full round of per-slot broadcast payloads to
-//! [`BroadcastNet::exchange`]; the medium logs them for the eavesdropper,
-//! lets an optional man-in-the-middle rewrite what each receiver sees, and
-//! returns every receiver's inbox in policy order. Delivery is guaranteed
-//! (the paper's asynchronous model assumes guaranteed delivery; Fig. 5)
-//! *unless* a [`FaultPlan`] is installed, in which case deliveries may be
-//! dropped, duplicated, corrupted, truncated, delayed or partitioned, and
-//! crash-stopped senders go silent — see [`crate::fault`].
+//! [`BroadcastNet::exchange`]; the medium routes them as one exchange
+//! through the shared [`Router`] — which logs them for the eavesdropper,
+//! lets an optional man-in-the-middle rewrite what each receiver sees,
+//! and applies the fault plan — and returns every receiver's inbox in
+//! policy order. Delivery is guaranteed (the paper's asynchronous model
+//! assumes guaranteed delivery; Fig. 5) *unless* a [`FaultPlan`] is
+//! installed, in which case deliveries may be dropped, duplicated,
+//! corrupted, truncated, delayed or partitioned, and crash-stopped
+//! senders go silent — see [`crate::fault`].
 
 use crate::fault::FaultPlan;
 use crate::observe::TrafficLog;
+use crate::route::Router;
 use crate::{DeliveryPolicy, Medium, NetError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,11 +46,9 @@ pub type Interceptor<'a> = Box<dyn FnMut(InterceptCtx<'_>, &mut Vec<u8>) + 'a>;
 /// A deterministic round-based broadcast medium between `slots` anonymous
 /// parties.
 pub struct BroadcastNet<'a> {
-    slots: usize,
     policy: DeliveryPolicy,
-    log: TrafficLog,
+    router: Router,
     interceptor: Option<Interceptor<'a>>,
-    fault_plan: Option<FaultPlan>,
     reorder_rng: Option<StdRng>,
 }
 
@@ -56,9 +57,9 @@ impl std::fmt::Debug for BroadcastNet<'_> {
         write!(
             f,
             "BroadcastNet {{ slots: {}, policy: {:?}, observed: {} msgs }}",
-            self.slots,
+            self.slots(),
             self.policy,
-            self.log.len()
+            self.router.traffic().len()
         )
     }
 }
@@ -71,11 +72,9 @@ impl<'a> BroadcastNet<'a> {
             DeliveryPolicy::AdversarialReorder { seed } => Some(StdRng::seed_from_u64(seed)),
         };
         BroadcastNet {
-            slots,
             policy,
-            log: TrafficLog::new(),
+            router: Router::new(slots, None),
             interceptor: None,
-            fault_plan: None,
             reorder_rng,
         }
     }
@@ -87,23 +86,23 @@ impl<'a> BroadcastNet<'a> {
 
     /// Installs a fault schedule; delivery is no longer guaranteed.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault_plan = Some(plan);
+        self.router.plan = Some(plan);
     }
 
     /// The installed fault schedule, if any (e.g. to query
     /// [`FaultPlan::crashed_slots`] or inspect counters mid-session).
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_ref()
+        self.router.plan.as_ref()
     }
 
     /// Number of party slots.
     pub fn slots(&self) -> usize {
-        self.slots
+        self.router.slots
     }
 
     /// The eavesdropper's log so far.
     pub fn traffic(&self) -> &TrafficLog {
-        &self.log
+        self.router.traffic()
     }
 
     /// Performs one broadcast round: `outgoing[i]` is slot `i`'s broadcast
@@ -120,74 +119,22 @@ impl<'a> BroadcastNet<'a> {
         round: &str,
         outgoing: Vec<Vec<u8>>,
     ) -> Result<Vec<Vec<Received>>, NetError> {
-        if outgoing.len() != self.slots {
+        if outgoing.len() != self.slots() {
             return Err(NetError::IncompleteRound);
         }
-        // Advance the fault clock: release deliveries delayed until this
-        // (retransmission) exchange and decide which senders are dead.
-        let mut due = Vec::new();
-        let mut silent = vec![false; self.slots];
-        if let Some(plan) = self.fault_plan.as_mut() {
-            due = plan.begin_exchange(round);
-            for (slot, muted) in silent.iter_mut().enumerate() {
-                *muted = plan.suppress_send(slot);
-            }
-        }
-        // The eavesdropper logs what actually hit the wire: everything a
-        // live sender broadcast (per-receiver faults happen downstream of
-        // the observer), nothing from a crash-stopped sender.
-        for (slot, payload) in outgoing.iter().enumerate() {
-            if !silent[slot] {
-                self.log.record(round, slot, payload);
-            }
-        }
-        let mut inboxes = Vec::with_capacity(self.slots);
-        for to_slot in 0..self.slots {
-            let mut inbox: Vec<Received> = Vec::with_capacity(self.slots);
-            for (from_slot, payload) in outgoing.iter().enumerate() {
-                if silent[from_slot] {
-                    continue;
-                }
-                let mut payload = payload.clone();
-                if let Some(hook) = self.interceptor.as_mut() {
-                    hook(
-                        InterceptCtx {
-                            round,
-                            from_slot,
-                            to_slot,
-                        },
-                        &mut payload,
-                    );
-                }
-                match self.fault_plan.as_mut() {
-                    Some(plan) => {
-                        for copy in plan.deliver(round, from_slot, to_slot, payload) {
-                            inbox.push(Received {
-                                from_slot,
-                                payload: copy,
-                            });
-                        }
-                    }
-                    None => inbox.push(Received { from_slot, payload }),
-                }
-            }
-            for r in due.iter().filter(|r| r.to_slot == to_slot) {
-                inbox.push(Received {
-                    from_slot: r.from_slot,
-                    payload: r.payload.clone(),
-                });
-            }
-            if let Some(rng) = self.reorder_rng.as_mut() {
-                // Fisher–Yates with the adversary's coins.
+        let batch = outgoing.into_iter().enumerate();
+        let mut inboxes = self
+            .router
+            .route(round, batch, None, self.interceptor.as_mut())
+            .unwrap_or_else(|| vec![Vec::new(); self.slots()]);
+        if let Some(rng) = self.reorder_rng.as_mut() {
+            // Fisher–Yates with the adversary's coins, per receiver.
+            for inbox in &mut inboxes {
                 for i in (1..inbox.len()).rev() {
                     let j = rng.gen_range(0..=i);
                     inbox.swap(i, j);
                 }
             }
-            inboxes.push(inbox);
-        }
-        if let Some(plan) = self.fault_plan.as_ref() {
-            self.log.set_faults(plan.counters().clone());
         }
         Ok(inboxes)
     }
@@ -207,13 +154,11 @@ impl Medium for BroadcastNet<'_> {
     }
 
     fn traffic_snapshot(&self) -> TrafficLog {
-        self.log.clone()
+        self.router.traffic().clone()
     }
 
     fn crashed_slots(&self) -> Vec<usize> {
-        self.fault_plan
-            .as_ref()
-            .map_or_else(Vec::new, |p| p.crashed_slots(self.slots))
+        self.router.crashed_slots()
     }
 }
 

@@ -11,8 +11,8 @@
 //! * [`supervisor`] — budgeted, jitter-backoff dialing and the
 //!   `Hello`/`Welcome` attachment handshake,
 //! * [`relay::RelayHandle`] — the broadcast relay bridging connections
-//!   into lockstep exchanges, with the [`FaultPlan`] injected at the
-//!   framing boundary so the chaos suite runs unchanged over TCP,
+//!   into the shared routing step, with the [`FaultPlan`] injected at
+//!   the framing boundary so the chaos suite runs unchanged over TCP,
 //! * [`TcpSession`] — a [`Medium`]: the lockstep engine drives all
 //!   slots through one relay over real sockets,
 //! * [`TcpParty`] — a [`PartyLink`]: one party's endpoint for
@@ -371,6 +371,19 @@ mod tests {
         }
         let log = net.traffic_snapshot();
         assert_eq!(log.len(), 3, "the eavesdropper saw one send per slot");
+        net.finish();
+    }
+
+    #[test]
+    fn traffic_snapshot_includes_the_exchange_just_returned() {
+        // The relay publishes an exchange before shipping it, so the
+        // snapshot read right after `exchange` returns is never short.
+        let mut net = TcpSession::over_loopback(3, None).unwrap();
+        for k in 1..=2000 {
+            let outgoing: Vec<Vec<u8>> = (0..3).map(|i| vec![i as u8; 4]).collect();
+            net.exchange(&format!("r{k}"), outgoing).unwrap();
+            assert_eq!(net.traffic_snapshot().len(), 3 * k, "after exchange {k}");
+        }
         net.finish();
     }
 

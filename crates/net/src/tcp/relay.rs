@@ -1,44 +1,29 @@
-//! The broadcast relay: bridges framed TCP connections into lockstep
-//! exchanges, with fault injection at the framing boundary.
+//! The broadcast relay: bridges framed TCP connections into the shared
+//! routing step ([`Router`]), with fault injection at the framing
+//! boundary.
 //!
 //! One relay hosts one session of `slots` parties. Parties attach with
 //! a `Hello`/`Welcome` exchange (the seat roster supports re-attachment
-//! after a lost connection), then every `Broadcast` frame they send is
-//! gathered into per-round batches. When a batch is complete — or the
-//! round deadline expires after its first frame — the relay runs one
-//! *exchange*, exactly mirroring [`crate::sync::BroadcastNet`]:
-//!
-//! 1. the installed [`FaultPlan`]'s delay clock advances
-//!    (`begin_exchange`) and crash-stopped senders are suppressed,
-//! 2. the eavesdropper's [`TrafficLog`] records what each live sender
-//!    put on the wire (per-receiver faults happen downstream),
-//! 3. every receiver's inbox is built through [`FaultPlan::deliver`] —
-//!    frames in flight may be dropped, duplicated, corrupted,
-//!    truncated, delayed to a later matching exchange, or cut by a
-//!    partition — and shipped as `Broadcast` frames followed by one
-//!    `RoundEnd`.
-//!
-//! Because parties retransmit independently in the distributed setting,
-//! the relay keeps each seat's **last payload per round label** and
-//! fills it in for live seats that have not re-sent when a
-//! retransmission exchange fires: every exchange carries one payload
-//! per live slot, so retransmissions stay shape-uniform on the wire
-//! exactly as the lockstep engine's all-slots-retransmit rule
-//! guarantees in-process.
-//!
-//! A receiver that stops draining its socket past the write deadline
-//! loses frames (tallied as
+//! after a lost connection), then their `Broadcast` frames are gathered
+//! into batches per round label, at most one frame per seat; batches of
+//! different labels gather side by side. A label's oldest batch is
+//! routed once every attached seat has contributed or can be stood in,
+//! or `round_deadline` after its first frame. The relay publishes the
+//! [`TrafficLog`] and crashed set, then ships each attached receiver its
+//! copies as `Broadcast` frames and one `RoundEnd` — nothing when every
+//! frame was absorbed. A receiver that stops draining its socket past
+//! the write deadline loses frames (tallied as
 //! [`crate::observe::FaultCounters::backpressure_dropped`]) rather than
 //! wedging the relay — the same contract as the threaded hub.
 
 use crate::fault::FaultPlan;
 use crate::observe::TrafficLog;
+use crate::route::Router;
 use crate::tcp::conn::{ConnConfig, FramedConn};
 use crate::tcp::frame::{Frame, VERSION};
 use crate::{NetError, TransportCounters};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
 use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -50,9 +35,9 @@ use std::time::{Duration, Instant};
 pub struct RelayConfig {
     /// Number of party seats.
     pub slots: usize,
-    /// An exchange fires this long after its first frame even if some
-    /// live seat has not contributed (desynchronized parties; the seat's
-    /// cached payload for the label stands in when it exists).
+    /// A batch is routed this long after its first frame even if some
+    /// attached seat has neither contributed nor sent the label before
+    /// (so no stand-in exists for it).
     pub round_deadline: Duration,
     /// How long to wait for all seats to attach before starting with
     /// whoever came (absent seats count as vanished).
@@ -365,9 +350,16 @@ fn reader_loop(mut conn: FramedConn, slot: usize, idle: Duration, tx: &Sender<Ev
     let _ = tx.send(Event::Gone { slot, graceful });
 }
 
-/// Cap on frames parked for future exchanges; beyond it the oldest are
-/// shed like any other backpressure loss.
-const STASH_CAP: usize = 1024;
+/// Cap on batches being gathered; a frame beyond it is shed like any
+/// other backpressure loss.
+const BATCH_CAP: usize = 1024;
+
+/// Frames gathered under one round label, at most one per seat.
+struct Batch {
+    label: String,
+    frames: Vec<Option<Vec<u8>>>,
+    first_at: Instant,
+}
 
 struct CoreState {
     m: usize,
@@ -378,62 +370,68 @@ struct CoreState {
     /// Seats that disappeared without a graceful `Bye`.
     vanished: Vec<bool>,
     writers: Vec<Option<FramedConn>>,
-    /// Last payload each seat sent per round label (stand-in for
-    /// retransmission exchanges the seat did not re-send into).
-    cache: Vec<HashMap<String, Vec<u8>>>,
-    /// Frames waiting for a later exchange (other labels, duplicates).
-    stash: VecDeque<(usize, String, Vec<u8>)>,
-    plan: Option<FaultPlan>,
-    log: TrafficLog,
-    bp_dropped: u64,
+    /// Batches being gathered, oldest first (a label's oldest goes next).
+    batches: Vec<Batch>,
+    router: Router,
 }
 
 impl CoreState {
     fn apply(&mut self, ev: Event, roster: &Mutex<Vec<Seat>>) {
         match ev {
-            Event::Attached { slot, writer } => {
-                if let (Some(w), Some(a)) = (self.writers.get_mut(slot), self.alive.get_mut(slot)) {
-                    *w = Some(writer);
-                    *a = true;
-                }
-                if let Some(e) = self.ever_attached.get_mut(slot) {
-                    *e = true;
-                }
-                if let Some(v) = self.vanished.get_mut(slot) {
-                    *v = false;
-                }
-            }
             Event::Frame {
                 slot,
                 round,
                 payload,
-            } => {
-                if slot < self.m {
-                    if self.stash.len() >= STASH_CAP {
-                        self.stash.pop_front();
-                        self.bp_dropped += 1;
-                    }
-                    self.stash.push_back((slot, round, payload));
-                }
+            } => self.gather(slot, round, payload),
+            Event::Attached { slot, writer } if slot < self.m => {
+                self.writers[slot] = Some(writer);
+                self.alive[slot] = true;
+                self.ever_attached[slot] = true;
+                self.vanished[slot] = false;
             }
-            Event::Gone { slot, graceful } => {
-                if let Some(a) = self.alive.get_mut(slot) {
-                    *a = false;
-                }
-                if !graceful {
-                    if let Some(v) = self.vanished.get_mut(slot) {
-                        *v = true;
-                    }
-                }
-                if let Some(w) = self.writers.get_mut(slot) {
-                    if let Some(conn) = w.as_mut() {
-                        conn.abort();
-                    }
-                    *w = None;
-                }
+            Event::Gone { slot, graceful } if slot < self.m => {
+                self.retire(slot, !graceful);
                 if let Some(seat) = roster.lock().get_mut(slot) {
                     *seat = Seat::Gone;
                 }
+            }
+            _ => {}
+        }
+    }
+
+    /// Takes a seat out of the session; one that left without `Bye`
+    /// counts as crashed.
+    fn retire(&mut self, slot: usize, vanished: bool) {
+        self.alive[slot] = false;
+        self.vanished[slot] |= vanished;
+        if let Some(mut conn) = self.writers[slot].take() {
+            conn.abort();
+        }
+    }
+
+    /// Adds a frame to the oldest batch of its label that lacks this
+    /// seat, or opens a new batch.
+    fn gather(&mut self, slot: usize, label: String, payload: Vec<u8>) {
+        if slot >= self.m {
+            return;
+        }
+        let full = self.batches.len() >= BATCH_CAP;
+        let open = self
+            .batches
+            .iter_mut()
+            .find(|b| b.label == label && b.frames[slot].is_none());
+        match open {
+            Some(batch) => batch.frames[slot] = Some(payload),
+            None if full => self.router.count_backpressure_drops(1),
+            None => {
+                let mut frames = vec![None; self.m];
+                frames[slot] = Some(payload);
+                let first_at = Instant::now();
+                self.batches.push(Batch {
+                    label,
+                    frames,
+                    first_at,
+                });
             }
         }
     }
@@ -442,109 +440,77 @@ impl CoreState {
         self.alive.iter().any(|&a| a)
     }
 
+    /// Has every attached seat contributed to `batch` or can be stood
+    /// in, or has the batch waited out the round deadline?
+    fn ready(&self, batch: &Batch, round_deadline: Duration) -> bool {
+        batch.first_at.elapsed() >= round_deadline
+            || (0..self.m).all(|s| {
+                !self.alive[s] || batch.frames[s].is_some() || self.router.has_sent(&batch.label, s)
+            })
+    }
+
+    /// Routes every ready batch that is the oldest of its label.
+    fn route_ready(&mut self, round_deadline: Duration, shared: &Mutex<Shared>) {
+        while let Some(i) = (0..self.batches.len()).find(|&i| {
+            let label = &self.batches[i].label;
+            !self.batches[..i].iter().any(|b| b.label == *label)
+                && self.ready(&self.batches[i], round_deadline)
+        }) {
+            let batch = self.batches.remove(i);
+            self.run_exchange(batch, shared);
+        }
+    }
+
     /// All currently crashed seats: fault-plan crashes plus vanished
     /// connections.
     fn crashed(&self) -> Vec<usize> {
-        let mut out: Vec<usize> = self
-            .plan
-            .as_ref()
-            .map_or_else(Vec::new, |p| p.crashed_slots(self.m));
-        for (s, v) in self.vanished.iter().enumerate() {
-            if *v && !out.contains(&s) {
-                out.push(s);
-            }
-        }
-        out.sort_unstable();
-        out
+        let planned = self.router.crashed_slots();
+        (0..self.m)
+            .filter(|s| self.vanished[*s] || planned.contains(s))
+            .collect()
     }
 
     fn publish(&self, shared: &Mutex<Shared>, done: bool) {
+        let log = self.router.traffic().clone();
+        let crashed = self.crashed();
         let mut sh = shared.lock();
-        sh.log = self.log.clone();
-        // lint:allow(lock-order) reason="crashed() reaches FaultPlan::crashed_slots, which holds no lock; the analyzer's name-based resolution lands on RelayHandle::crashed_slots (which locks shared) instead"
-        sh.crashed = self.crashed();
+        sh.log = log;
+        sh.crashed = crashed;
         sh.done = done;
     }
 
-    /// Runs one exchange over `batch` (fresh frames per seat), exactly
-    /// mirroring `BroadcastNet::exchange` with the plan at the framing
-    /// boundary.
-    fn run_exchange(&mut self, label: &str, mut batch: Vec<Option<Vec<u8>>>) {
-        // Live seats that did not re-send: their cached payload for this
-        // label stands in, keeping retransmissions all-slots-uniform.
-        for (s, cell) in batch.iter_mut().enumerate() {
-            if cell.is_none() && self.alive.get(s).copied().unwrap_or(false) {
-                if let Some(p) = self.cache.get(s).and_then(|c| c.get(label)) {
-                    *cell = Some(p.clone());
-                }
-            }
-        }
-        let due = self
-            .plan
-            .as_mut()
-            .map_or_else(Vec::new, |p| p.begin_exchange(label));
-        let mut silent = vec![false; self.m];
-        if let Some(plan) = self.plan.as_mut() {
-            for (slot, muted) in silent.iter_mut().enumerate() {
-                *muted = plan.suppress_send(slot);
-            }
-        }
-        // The eavesdropper logs what live senders put on the wire.
-        for (s, payload) in batch.iter().enumerate() {
-            if let Some(p) = payload {
-                if !silent.get(s).copied().unwrap_or(false) {
-                    self.log.record(label, s, p);
-                }
-            }
-        }
-        for to in 0..self.m {
-            if !self.alive.get(to).copied().unwrap_or(false) {
+    /// Routes one batch and ships the result. The exchange is published
+    /// before any receiver can see it, so a snapshot taken once a
+    /// party holds its inbox includes the exchange.
+    fn run_exchange(&mut self, batch: Batch, shared: &Mutex<Shared>) {
+        let sends = batch
+            .frames
+            .into_iter()
+            .enumerate()
+            .filter_map(|(s, frame)| frame.map(|p| (s, p)));
+        let Some(inboxes) = self
+            .router
+            .route(&batch.label, sends, Some(&self.alive), None)
+        else {
+            return;
+        };
+        self.publish(shared, false);
+        for (to, inbox) in inboxes.into_iter().enumerate() {
+            if !self.alive[to] {
                 continue;
             }
-            let mut outbox: Vec<Frame> = Vec::new();
-            for (from, payload) in batch.iter().enumerate() {
-                let Some(p) = payload else { continue };
-                if silent.get(from).copied().unwrap_or(false) {
-                    continue;
-                }
-                let copies = match self.plan.as_mut() {
-                    Some(plan) => plan.deliver(label, from, to, p.clone()),
-                    None => vec![p.clone()],
-                };
-                for copy in copies {
-                    outbox.push(Frame::Broadcast {
-                        round: label.to_string(),
-                        from_slot: from as u32,
-                        payload: copy,
-                    });
-                }
-            }
-            for r in due.iter().filter(|r| r.to_slot == to) {
-                outbox.push(Frame::Broadcast {
-                    round: label.to_string(),
+            let mut outbox: Vec<Frame> = inbox
+                .into_iter()
+                .map(|r| Frame::Broadcast {
+                    round: batch.label.clone(),
                     from_slot: r.from_slot as u32,
-                    payload: r.payload.clone(),
-                });
-            }
+                    payload: r.payload,
+                })
+                .collect();
             outbox.push(Frame::RoundEnd {
-                round: label.to_string(),
+                round: batch.label.clone(),
             });
             self.ship(to, &outbox);
-        }
-        // Fresh frames update the retransmission cache.
-        for (s, payload) in batch.into_iter().enumerate() {
-            if let (Some(p), Some(c)) = (payload, self.cache.get_mut(s)) {
-                c.insert(label.to_string(), p);
-            }
-        }
-        if let Some(plan) = self.plan.as_ref() {
-            let mut counters = plan.counters().clone();
-            counters.backpressure_dropped += self.bp_dropped;
-            self.log.set_faults(counters);
-        } else if self.bp_dropped > 0 {
-            let mut counters = self.log.faults().clone();
-            counters.backpressure_dropped = self.bp_dropped;
-            self.log.set_faults(counters);
         }
     }
 
@@ -555,26 +521,10 @@ impl CoreState {
         let Some(Some(conn)) = self.writers.get_mut(to) else {
             return;
         };
-        for frame in outbox {
-            match conn.send(frame) {
-                Ok(()) => {}
-                Err(NetError::Timeout) => {
-                    self.bp_dropped += (outbox.len()) as u64;
-                    return;
-                }
-                Err(_) => {
-                    if let Some(a) = self.alive.get_mut(to) {
-                        *a = false;
-                    }
-                    if let Some(v) = self.vanished.get_mut(to) {
-                        *v = true;
-                    }
-                    if let Some(w) = self.writers.get_mut(to) {
-                        *w = None;
-                    }
-                    return;
-                }
-            }
+        match outbox.iter().try_for_each(|frame| conn.send(frame)) {
+            Ok(()) => {}
+            Err(NetError::Timeout) => self.router.count_backpressure_drops(outbox.len() as u64),
+            Err(_) => self.retire(to, true),
         }
     }
 }
@@ -594,11 +544,8 @@ fn core_loop(
         ever_attached: vec![false; m],
         vanished: vec![false; m],
         writers: (0..m).map(|_| None).collect(),
-        cache: vec![HashMap::new(); m],
-        stash: VecDeque::new(),
-        plan,
-        log: TrafficLog::new(),
-        bp_dropped: 0,
+        batches: Vec::new(),
+        router: Router::new(m, plan),
     };
 
     // ---- Gather: wait for the seats to attach --------------------------
@@ -618,76 +565,24 @@ fn core_loop(
     // crash-stopped; seats that attached and already left are judged by
     // how they left (the `Gone` event).
     for s in 0..m {
-        if !st.ever_attached.get(s).copied().unwrap_or(false) {
-            if let Some(v) = st.vanished.get_mut(s) {
-                *v = true;
-            }
-        }
+        st.vanished[s] |= !st.ever_attached[s];
     }
     st.publish(shared, !st.any_alive());
 
     // ---- Exchange loop -------------------------------------------------
-    'session: while st.any_alive() && !stop.load(Ordering::SeqCst) {
-        // Assemble one exchange: a label plus fresh frames per seat.
-        let mut label: Option<String> = None;
-        let mut batch: Vec<Option<Vec<u8>>> = vec![None; m];
-        let mut first_at: Option<Instant> = None;
-
-        loop {
-            // Fold parked frames in first.
-            let mut parked = std::mem::take(&mut st.stash);
-            while let Some((s, l, p)) = parked.pop_front() {
-                match &label {
-                    None => {
-                        label = Some(l);
-                        first_at = Some(Instant::now());
-                        if let Some(cell) = batch.get_mut(s) {
-                            *cell = Some(p);
-                        }
-                    }
-                    Some(cur) if *cur == l && batch.get(s).is_some_and(Option::is_none) => {
-                        if let Some(cell) = batch.get_mut(s) {
-                            *cell = Some(p);
-                        }
-                    }
-                    _ => st.stash.push_back((s, l, p)),
-                }
-            }
-
-            if let Some(l) = &label {
-                let complete = (0..m).all(|s| {
-                    !st.alive.get(s).copied().unwrap_or(false)
-                        || batch.get(s).is_some_and(Option::is_some)
-                        || st.cache.get(s).is_some_and(|c| c.contains_key(l))
-                });
-                let expired = first_at.is_some_and(|t| t.elapsed() >= config.round_deadline);
-                if complete || expired {
-                    break;
-                }
-            }
-            if !st.any_alive() {
-                break 'session;
-            }
-            if stop.load(Ordering::SeqCst) {
-                break 'session;
-            }
-            let wait = first_at.map_or(Duration::from_millis(100), |t| {
-                config
-                    .round_deadline
-                    .saturating_sub(t.elapsed())
-                    .min(Duration::from_millis(100))
-                    .max(Duration::from_millis(1))
-            });
-            match rx.recv_timeout(wait) {
-                Ok(ev) => st.apply(ev, roster),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break 'session,
-            }
-        }
-
-        if let Some(l) = label.take() {
-            st.run_exchange(&l, std::mem::take(&mut batch));
-            st.publish(shared, false);
+    while st.any_alive() && !stop.load(Ordering::SeqCst) {
+        st.route_ready(config.round_deadline, shared);
+        let wait = st
+            .batches
+            .iter()
+            .map(|b| config.round_deadline.saturating_sub(b.first_at.elapsed()))
+            .min()
+            .unwrap_or(Duration::from_millis(100))
+            .clamp(Duration::from_millis(1), Duration::from_millis(100));
+        match rx.recv_timeout(wait) {
+            Ok(ev) => st.apply(ev, roster),
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => break,
         }
     }
 

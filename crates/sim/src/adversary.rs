@@ -248,7 +248,14 @@ mod tests {
         assert!(s.plan(0, 1, 3).is_none());
         // Even sessions crash one victim, odd sessions two.
         assert_eq!(s.plan(0, 0, 3).unwrap().crashed_slots(3).len(), 0);
-        let even = FaultPlan::new(1).with(FaultRule::crash_stop(2, 2));
-        assert_eq!(even.crash_budget(2), Some(2));
+        // A crash-stop at 2 lets slot 2 make two sends, then silences it.
+        let plan = FaultPlan::new(1).with(FaultRule::crash_stop(2, 2));
+        let mut router = shs_net::route::Router::new(3, Some(plan));
+        for round in ["r1", "r2"] {
+            router.route(round, vec![(2, vec![2])], None, None);
+            assert!(router.crashed_slots().is_empty(), "alive in {round}");
+        }
+        router.route("r3", vec![(2, vec![2])], None, None);
+        assert_eq!(router.crashed_slots(), vec![2]);
     }
 }

@@ -7,12 +7,12 @@
 //! synchronous [`shs_net::sync::BroadcastNet`], which delivers, injects
 //! faults and logs, and only adds time — a seeded latency draw per
 //! delivered copy and a patience charge when a live sender's copy is
-//! missing. The per-party `SimLink` replicates the threaded
-//! [`shs_net::hub`]'s semantics — [`FaultPlan`] consultation order, the
-//! eavesdropper log discipline (the log records what live senders put
-//! on the wire; per-receiver faults happen downstream) and per-sender
-//! crash clocks — under a coordinator that measures collect windows on
-//! the virtual clock. Neither medium ever calls `thread::sleep`.
+//! missing. The per-party `SimLink` hands every broadcast to the routing
+//! step the threaded [`shs_net::hub`] uses too ([`Router`]: the
+//! [`FaultPlan`], both fault clocks, the eavesdropper log and the
+//! stand-ins) and adds only staging, latency draws and the event queue,
+//! under a coordinator that measures collect windows on the virtual
+//! clock. Neither medium ever calls `thread::sleep`.
 //!
 //! # Determinism
 //!
@@ -48,6 +48,7 @@
 use crate::core::{nanos, EventQueue, LatencyModel, Nanos, TraceFingerprint};
 use shs_net::fault::FaultPlan;
 use shs_net::observe::TrafficLog;
+use shs_net::route::Router;
 use shs_net::sync::{BroadcastNet, Received};
 use shs_net::{DeliveryPolicy, Medium, NetError, PartyLink};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -212,10 +213,10 @@ struct SessionCore {
     staged: Vec<Staged>,
     queue: EventQueue<Delivery>,
     /// Per-party received-but-unconsumed messages. Out-of-round
-    /// arrivals are *buffered* (not discarded like the wall-clock hub):
-    /// under virtual latency a fast party's next-round broadcast can
-    /// overtake a slow delivery, and dropping it would turn a
-    /// guaranteed-delivery run lossy.
+    /// arrivals are *buffered*, as on the wall-clock hub: under virtual
+    /// latency a fast party's next-round broadcast can overtake a slow
+    /// delivery, and dropping it would turn a guaranteed-delivery run
+    /// lossy.
     mailbox: Vec<Vec<(String, usize, Vec<u8>)>>,
     /// Slots with mail delivered since their last mailbox drain. A
     /// blocked party with fresh mail may already hold a completable
@@ -223,13 +224,10 @@ struct SessionCore {
     /// advancing the clock past its deadline would fabricate a timeout
     /// (and a retransmission) out of host scheduling noise.
     fresh_mail: Vec<bool>,
-    plan: FaultPlan,
-    /// Live (non-suppressed) broadcasts per sender: the crash clock,
-    /// ticking per sender broadcast exactly like the hub's.
-    sent_live: Vec<u64>,
+    /// The routing step: fault plan, clocks, eavesdropper log.
+    router: Router,
     /// All broadcast attempts per sender (canonical processing order).
     seq: Vec<u64>,
-    log: TrafficLog,
     latency: LatencyModel,
     fingerprint: TraceFingerprint,
     /// Monotone event id, assigned in canonical processing order; the
@@ -254,44 +252,28 @@ impl SessionCore {
                 .all(|(w, fresh)| w.is_none_or(|d| !fresh && d > self.now))
     }
 
-    /// Processes one staged broadcast: crash clock, eavesdropper log,
-    /// delayed-delivery release, per-receiver faulting, and arrival
-    /// scheduling. Mirrors the hub's `relay` closure.
+    /// Processes one staged broadcast: routes it, folds what went on the
+    /// wire into the fingerprint and schedules every copy, each drawing
+    /// its latency with the broadcast's sequence number and its index
+    /// among the copies from the same sender to the same receiver.
     fn process_broadcast(&mut self, s: Staged) {
-        if let Some(after) = self.plan.crash_budget(s.slot) {
-            if self.sent_live[s.slot] >= u64::from(after) {
-                self.plan.note_crash_silenced();
-                return;
-            }
-        }
-        self.sent_live[s.slot] += 1;
-        self.log.record(&s.round, s.slot, &s.payload);
+        let logged = self.router.traffic().len();
+        let inboxes = self
+            .router
+            .route(&s.round, [(s.slot, s.payload)], None, None)
+            .unwrap_or_default();
         let round_key = crate::core::fnv1a(s.round.as_bytes());
-        self.fingerprint
-            .fold(&[round_key, s.slot as u64, s.seq, s.payload.len() as u64]);
-        // Delayed deliveries keyed on this round label come due now.
-        let due = self.plan.begin_exchange(&s.round);
-        for (i, d) in due.into_iter().enumerate() {
-            let lat = self
-                .latency
-                .draw(&s.round, d.from_slot, d.to_slot, s.seq, 0x8000 + i as u64);
-            let at = self.now.saturating_add(lat);
-            self.eid += 1;
-            self.queue.push(
-                at,
-                self.eid,
-                Delivery {
-                    to: d.to_slot,
-                    from: d.from_slot,
-                    round: s.round.clone(),
-                    payload: d.payload,
-                },
-            );
+        let sent = self.router.traffic().records().get(logged..).unwrap_or(&[]);
+        for r in sent {
+            self.fingerprint
+                .fold(&[round_key, r.from_slot as u64, s.seq, r.payload.len() as u64]);
         }
-        for to in 0..self.m {
-            let copies = self.plan.deliver(&s.round, s.slot, to, s.payload.clone());
-            for (ci, copy) in copies.into_iter().enumerate() {
-                let lat = self.latency.draw(&s.round, s.slot, to, s.seq, ci as u64);
+        for (to, inbox) in inboxes.into_iter().enumerate() {
+            let mut copies = vec![0u64; self.m];
+            for r in inbox {
+                let copy = copies[r.from_slot];
+                copies[r.from_slot] += 1;
+                let lat = self.latency.draw(&s.round, r.from_slot, to, s.seq, copy);
                 let at = self.now.saturating_add(lat);
                 self.eid += 1;
                 self.queue.push(
@@ -299,9 +281,9 @@ impl SessionCore {
                     self.eid,
                     Delivery {
                         to,
-                        from: s.slot,
+                        from: r.from_slot,
                         round: s.round.clone(),
-                        payload: copy,
+                        payload: r.payload,
                     },
                 );
             }
@@ -506,10 +488,8 @@ where
             queue: EventQueue::new(),
             mailbox: vec![Vec::new(); m],
             fresh_mail: vec![false; m],
-            plan,
-            sent_live: vec![0; m],
+            router: Router::new(m, Some(plan)),
             seq: vec![0; m],
-            log: TrafficLog::new(),
             latency,
             fingerprint: TraceFingerprint::new(),
             eid: 0,
@@ -533,12 +513,10 @@ where
         // lint:allow(panic-path) reason="propagates a party-thread panic to the harness caller, documented under # Panics"
         .map(|t| t.join().expect("party thread"))
         .collect();
-    let mut core = shared.locked();
-    let counters = core.plan.counters().clone();
-    core.log.set_faults(counters);
+    let core = shared.locked();
     SimSessionReport {
         outputs,
-        traffic: core.log.clone(),
+        traffic: core.router.traffic().clone(),
         elapsed: Duration::from_nanos(core.now),
         fingerprint: core.fingerprint.value(),
     }

@@ -1,9 +1,10 @@
 //! Byte-for-byte pins of both handshake drivers' outputs.
 //!
 //! Each configuration runs through the lockstep driver
-//! (`run_handshake_with_net` over `BroadcastNet`) and through the
-//! per-party driver (`run_party` over `shs-sim`'s deterministic
-//! `SimLink`). Everything a driver reports is folded into a SHA-256
+//! (`run_handshake_with_net` over `BroadcastNet`, and again over
+//! `TcpSession` on loopback, which must reproduce the same pins) and
+//! through the per-party driver (`run_party` over `shs-sim`'s
+//! deterministic `SimLink`). Everything a driver reports is folded into a SHA-256
 //! digest: outcomes with session-key bytes, per-slot costs, session
 //! stats, the Phase-III transcript (lockstep), virtual time and the
 //! event-trace fingerprint (per-party), and the eavesdropper's traffic
@@ -28,7 +29,8 @@ use shs_crypto::sha256::Sha256;
 use shs_net::fault::{FaultPlan, FaultRule};
 use shs_net::observe::TrafficLog;
 use shs_net::sync::BroadcastNet;
-use shs_net::DeliveryPolicy;
+use shs_net::tcp::TcpSession;
+use shs_net::{DeliveryPolicy, Medium};
 use shs_sim::core::LatencyModel;
 use shs_sim::network::{run_session, SimLink};
 
@@ -296,12 +298,25 @@ impl Digest {
 }
 
 fn lockstep_digest(case: &Case) -> String {
+    let mut net = BroadcastNet::new(case.roster.len(), case.opts.delivery);
+    net.set_fault_plan((case.plan)());
+    lockstep_digest_over(case, &mut net)
+}
+
+/// The lockstep digest with every byte through the loopback relay.
+fn tcp_lockstep_digest(case: &Case) -> String {
+    let mut net =
+        TcpSession::over_loopback(case.roster.len(), Some((case.plan)())).expect("loopback relay");
+    let digest = lockstep_digest_over(case, &mut net);
+    net.finish();
+    digest
+}
+
+fn lockstep_digest_over(case: &Case, net: &mut dyn Medium) -> String {
     let seats = seats(case);
     let actors: Vec<Actor<'_>> = seats.iter().map(actor).collect();
-    let mut net = BroadcastNet::new(actors.len(), case.opts.delivery);
-    net.set_fault_plan((case.plan)());
     let mut r = rng(&format!("driver-digest-{}-lockstep", case.name));
-    let result = run_handshake_with_net(&actors, &case.opts, &mut net, &mut r)
+    let result = run_handshake_with_net(&actors, &case.opts, net, &mut r)
         .expect("lockstep session yields a structured result");
     let mut d = Digest::new("lockstep");
     for (outcome, costs) in result.outcomes.iter().zip(&result.costs) {
@@ -397,12 +412,12 @@ const PER_PARTY_PINS: &[(&str, &str)] = &[
     ("authenticated-bd", "235c40ea3f8172026d09bb10c9f3f76b"),
     ("preliminary-only", "80421902c5c198cc0b89c1fec5f39ebc"),
     ("adversarial-reorder", "69b5c5d337df9a05a0b429ee62542848"),
-    ("crash-stop", "0b813aeea11c1daa60b5a4d7048d5644"),
-    ("drop-one-phase2", "adc87f5d78166c979399fa63a63a8ed5"),
-    ("drop-35pct", "968ca0707f150e171c00e34d63e49acc"),
-    ("corrupt-30pct", "7cd973cf659df5733c7c5670b1ea6694"),
-    ("delay-phase3", "2956881ae99d9fbb35211826a6f62c2e"),
-    ("budget-exhausted", "1ce55e198650da34b531cf502a04ec9e"),
+    ("crash-stop", "411e32e9e308e2f034841032a7e95846"),
+    ("drop-one-phase2", "965e1ae24185b3836ae4099880bfd8c7"),
+    ("drop-35pct", "595ad6b04e27a37630c882dfacb93663"),
+    ("corrupt-30pct", "b8bdb1a3fd4d0bfa660aab7370c0acc8"),
+    ("delay-phase3", "8efcaf58bb38d475203954ede35d802a"),
+    ("budget-exhausted", "afff98dc1f80d4a62082e68faf162ab9"),
 ];
 
 /// `run_handshake_with_net` over `BroadcastNet`, 17 configurations.
@@ -411,6 +426,17 @@ fn lockstep_driver_outputs_match_their_pins() {
     let computed = cases()
         .iter()
         .map(|c| (c.name, lockstep_digest(c)))
+        .collect();
+    check(LOCKSTEP_PINS, computed);
+}
+
+/// `run_handshake_with_net` over `TcpSession`: the relay routes through
+/// the same step as `BroadcastNet`, so the same 17 pins hold.
+#[test]
+fn lockstep_driver_over_tcp_reproduces_the_pins() {
+    let computed = cases()
+        .iter()
+        .map(|c| (c.name, tcp_lockstep_digest(c)))
         .collect();
     check(LOCKSTEP_PINS, computed);
 }
