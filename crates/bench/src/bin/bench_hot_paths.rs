@@ -33,7 +33,11 @@
 //!
 //! `--smoke` shrinks sizes/iterations for CI; `--check` exits non-zero if
 //! any accelerated kernel is slower than its naive counterpart (the
-//! parallel-handshake metric gets a single-core tolerance).
+//! parallel-handshake metric gets a single-core tolerance). Every side of
+//! every row runs for at least 10 ms at smoke size, in passes that
+//! alternate between the two sides; each side's time is its median pass
+//! times the pass count. So neither timer noise nor a burst of load on
+//! the host decides a floor.
 
 use shs_bench::{group, rng, timed};
 use shs_bigint::{FixedBase, Int, Ubig};
@@ -74,7 +78,11 @@ fn main() {
 
     let modulus_bits: u32 = if smoke { 512 } else { 1024 };
     let kernel_iters: u32 = if smoke { 15 } else { 150 };
-    let handshake_runs: u32 = if smoke { 1 } else { 3 };
+    // Passes over the kernel inputs: at smoke size one pass of the
+    // fastest side takes 0.3–2 ms, so each row repeats enough passes to
+    // lift both sides past 10 ms.
+    let passes = |smoke_passes: u32| if smoke { smoke_passes } else { 1 };
+    let handshake_runs: u32 = if smoke { 6 } else { 3 };
 
     let mut r = rng("bench-hot-paths");
     let (rsa, secret) = RsaGroup::generate_deterministic(modulus_bits, b"bench-hot-paths-modulus");
@@ -88,21 +96,21 @@ fn main() {
 
     // --- fixed-base table vs plain modpow (signing shape) ---------------
     let fb = FixedBase::new(Arc::clone(rsa.ctx()), &base, exp_bits);
-    let (naive_s, _) = timed(|| {
+    let reps = passes(50);
+    let (naive_s, accel_s) = alternate(reps, |accel| {
         for e in &exps {
-            std::hint::black_box(base.modpow(e, rsa.n()));
-        }
-    });
-    let (accel_s, _) = timed(|| {
-        for e in &exps {
-            std::hint::black_box(fb.pow(e));
+            std::hint::black_box(if accel {
+                fb.pow(e)
+            } else {
+                base.modpow(e, rsa.n())
+            });
         }
     });
     metrics.push(Metric {
         name: "fixed_base_vs_modpow",
         naive_s,
         accel_s,
-        iters: kernel_iters,
+        iters: reps * kernel_iters,
         floor: 1.0,
     });
 
@@ -115,46 +123,46 @@ fn main() {
                 .collect()
         })
         .collect();
-    let (naive_s, _) = timed(|| {
+    let reps = passes(10);
+    let (naive_s, accel_s) = alternate(reps, |accel| {
         for es in &term_exps {
-            let mut acc = Ubig::one();
-            for (b, e) in bases.iter().zip(es) {
-                acc = rsa.mul(&acc, &rsa.exp_vartime(b, e.magnitude()));
+            if accel {
+                let terms: Vec<(&Ubig, &Int)> = bases.iter().zip(es).collect();
+                std::hint::black_box(rsa.multi_exp_vartime(&terms));
+            } else {
+                let mut acc = Ubig::one();
+                for (b, e) in bases.iter().zip(es) {
+                    acc = rsa.mul(&acc, &rsa.exp_vartime(b, e.magnitude()));
+                }
+                std::hint::black_box(acc);
             }
-            std::hint::black_box(acc);
-        }
-    });
-    let (accel_s, _) = timed(|| {
-        for es in &term_exps {
-            let terms: Vec<(&Ubig, &Int)> = bases.iter().zip(es).collect();
-            std::hint::black_box(rsa.multi_exp_vartime(&terms));
         }
     });
     metrics.push(Metric {
         name: "multi_exp_vs_naive",
         naive_s,
         accel_s,
-        iters: kernel_iters,
+        iters: reps * kernel_iters,
         floor: 1.0,
     });
 
     // --- vartime modpow vs constant-trace modpow (public data) ----------
     let ctx = rsa.ctx();
-    let (naive_s, _) = timed(|| {
+    let reps = passes(20);
+    let (naive_s, accel_s) = alternate(reps, |accel| {
         for e in &exps {
-            std::hint::black_box(ctx.modpow(&base, e));
-        }
-    });
-    let (accel_s, _) = timed(|| {
-        for e in &exps {
-            std::hint::black_box(ctx.modpow_vartime(&base, e));
+            std::hint::black_box(if accel {
+                ctx.modpow_vartime(&base, e)
+            } else {
+                ctx.modpow(&base, e)
+            });
         }
     });
     metrics.push(Metric {
         name: "vartime_modpow_vs_ct",
         naive_s,
         accel_s,
-        iters: kernel_iters,
+        iters: reps * kernel_iters,
         // Bonus metric (not in the acceptance set): direct table indexing
         // vs the masked scan; small but real. Allow timing jitter.
         floor: 0.9,
@@ -166,49 +174,44 @@ fn main() {
         .modinv(&secret.qr_order())
         .expect("65537 is coprime to the QR group order");
     let roots: Vec<Ubig> = (0..kernel_iters).map(|_| rsa.random_qr(&mut r)).collect();
-    let (naive_s, _) = timed(|| {
+    let reps = passes(25);
+    let (naive_s, accel_s) = alternate(reps, |accel| {
         for x in &roots {
-            std::hint::black_box(x.modpow(&d, rsa.n()));
-        }
-    });
-    let (accel_s, _) = timed(|| {
-        for x in &roots {
-            std::hint::black_box(
+            std::hint::black_box(if accel {
                 secret
                     .root(&rsa, x, &e_pub)
-                    .expect("QR elements have e-th roots"),
-            );
+                    .expect("QR elements have e-th roots")
+            } else {
+                x.modpow(&d, rsa.n())
+            });
         }
     });
     metrics.push(Metric {
         name: "crt_root_vs_plain",
         naive_s,
         accel_s,
-        iters: kernel_iters,
+        iters: reps * kernel_iters,
         floor: 1.0,
     });
 
     // --- binary modular inverse vs the Euclid (sign / verify shape) -----
-    // KY signing and batch verification invert bases mod n; each side
-    // runs long enough (>= 10 ms at smoke size) to rise above timer noise.
-    let inv_iters: u32 = if smoke { 600 } else { 1000 };
-    let units: Vec<Ubig> = (0..inv_iters).map(|_| rsa.random_qr(&mut r)).collect();
-    let (naive_s, _) = timed(|| {
+    // KY signing and batch verification invert bases mod n.
+    let inv_units: u32 = if smoke { 60 } else { 100 };
+    let units: Vec<Ubig> = (0..inv_units).map(|_| rsa.random_qr(&mut r)).collect();
+    let (naive_s, accel_s) = alternate(10, |accel| {
         for x in &units {
-            let (_, s, _) = shs_bigint::gcd::ext_gcd(x, rsa.n());
-            std::hint::black_box(s.mod_ubig(rsa.n()));
-        }
-    });
-    let (accel_s, _) = timed(|| {
-        for x in &units {
-            std::hint::black_box(x.modinv(rsa.n()).expect("QR elements are units"));
+            std::hint::black_box(if accel {
+                x.modinv(rsa.n()).expect("QR elements are units")
+            } else {
+                shs_bigint::gcd::ext_gcd(x, rsa.n()).1.mod_ubig(rsa.n())
+            });
         }
     });
     metrics.push(Metric {
         name: "modinv_vs_ext_gcd",
         naive_s,
         accel_s,
-        iters: inv_iters,
+        iters: 10 * inv_units,
         // Measured 4.7–7.5x at 512–1024 bits; a collapse below 2x means
         // the binary kernel has regressed toward the Euclid.
         floor: 2.0,
@@ -216,7 +219,7 @@ fn main() {
 
     // --- k=16 batch verification vs sequential verify (KY) --------------
     let batch_k = 16usize;
-    let batch_iters: u32 = if smoke { 1 } else { 5 };
+    let batch_iters: u32 = if smoke { 8 } else { 5 };
     let (gm, keys) = shs_gsig::fixtures::group_with_members(4);
     let pk = gm.public_key();
     let mut br = rng("bench-hot-paths-batch");
@@ -241,19 +244,16 @@ fn main() {
         .map(Vec::as_slice)
         .zip(batch_sigs.iter())
         .collect();
-    let (naive_s, _) = timed(|| {
-        for _ in 0..batch_iters {
-            for (m, sig) in &items {
-                shs_gsig::ky::verify(pk, m, sig, None).expect("bench signature verifies");
-            }
-        }
-    });
-    let (accel_s, _) = timed(|| {
-        for _ in 0..batch_iters {
+    let (naive_s, accel_s) = alternate(batch_iters, |accel| {
+        if accel {
             assert!(
                 shs_gsig::ky::verify_batch(pk, &items, None).all_valid(),
                 "bench batch verifies"
             );
+        } else {
+            for (m, sig) in &items {
+                shs_gsig::ky::verify(pk, m, sig, None).expect("bench signature verifies");
+            }
         }
     });
     metrics.push(Metric {
@@ -274,25 +274,18 @@ fn main() {
     let mut hr = rng("bench-hot-paths-handshake");
     let (_, members) = group(SchemeKind::Scheme1, m, &mut hr);
     let acts: Vec<Actor<'_>> = members.iter().map(Actor::Member).collect();
-    let mut run_handshakes = |parallel: bool| {
+    let (naive_s, accel_s) = alternate(handshake_runs, |parallel| {
         let opts = HandshakeOptions {
             parallel_verify: parallel,
             ..Default::default()
         };
-        let (secs, _) = timed(|| {
-            for _ in 0..handshake_runs {
-                let result = shs_core::handshake::run_handshake(&acts, &opts, &mut hr)
-                    .expect("bench handshake completes");
-                assert!(
-                    result.outcomes.iter().all(|o| o.accepted),
-                    "bench handshake must fully succeed"
-                );
-            }
-        });
-        secs
-    };
-    let naive_s = run_handshakes(false);
-    let accel_s = run_handshakes(true);
+        let result = shs_core::handshake::run_handshake(&acts, &opts, &mut hr)
+            .expect("bench handshake completes");
+        assert!(
+            result.outcomes.iter().all(|o| o.accepted),
+            "bench handshake must fully succeed"
+        );
+    });
     metrics.push(Metric {
         name: "handshake_parallel_vs_sequential",
         naive_s,
@@ -334,6 +327,24 @@ fn main() {
             metrics.len()
         );
     }
+}
+
+/// Seconds for `passes` passes of the naive side (`side(false)`) and of
+/// the accelerated side (`side(true)`), taken in turn so that drift in
+/// the host's load lands on both. Each side counts as its median pass
+/// times `passes`, so a burst of load during a few passes does not decide
+/// a floor.
+fn alternate(passes: u32, mut side: impl FnMut(bool)) -> (f64, f64) {
+    let (mut naive, mut accel) = (Vec::new(), Vec::new());
+    for _ in 0..passes {
+        naive.push(timed(|| side(false)).0);
+        accel.push(timed(|| side(true)).0);
+    }
+    let total = |mut xs: Vec<f64>| {
+        xs.sort_by(f64::total_cmp);
+        xs[xs.len() / 2] * f64::from(passes)
+    };
+    (total(naive), total(accel))
 }
 
 /// Hand-rolled JSON: the offline build has no serde_json.

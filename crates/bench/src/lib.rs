@@ -1,7 +1,10 @@
-//! Shared helpers for the benchmark harness: deterministic fixtures and a
-//! small fixed-width table printer used by the `table_*` / `fig_*`
-//! binaries that regenerate the paper's quantitative claims (see
-//! `EXPERIMENTS.md` at the repository root for the experiment index).
+//! Shared helpers for the benchmark harness: deterministic fixtures,
+//! a wall-clock timer and host metadata, plus the paper's experiments
+//! ([`paper`]) and the table type they print through ([`table`]). See
+//! `EXPERIMENTS.md` at the repository root for the experiment index.
+
+pub mod paper;
+pub mod table;
 
 use rand::RngCore;
 use shs_core::{GroupAuthority, Member, SchemeKind};
@@ -19,18 +22,6 @@ pub fn group(
     rng: &mut impl RngCore,
 ) -> (GroupAuthority, Vec<Member>) {
     shs_core::fixtures::group_with_members(scheme, n, rng).expect("bench fixture")
-}
-
-/// Prints a row of fixed-width cells.
-pub fn row(cells: &[String]) {
-    let line: Vec<String> = cells.iter().map(|c| format!("{c:>12}")).collect();
-    println!("{}", line.join("  "));
-}
-
-/// Prints a header row followed by a rule.
-pub fn header(cells: &[&str]) {
-    row(&cells.iter().map(|c| c.to_string()).collect::<Vec<_>>());
-    println!("{}", "-".repeat(cells.len() * 14));
 }
 
 /// Arithmetic mean of a u64 slice.

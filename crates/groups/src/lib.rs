@@ -11,10 +11,8 @@
 //!
 //! On top of these the crate provides:
 //!
-//! * [`elgamal`] — textbook ElGamal (IND-CPA) over a Schnorr group.
 //! * [`cs`] — Cramer–Shoup hybrid encryption (IND-CCA2), the paper's
 //!   tracing encryption `ENC(pk_T, ·)` of §7.
-//! * [`pedersen`] — Pedersen commitments over a Schnorr group.
 //!
 //! All exponentiation flows through `shs-bigint`'s instrumented `modpow`,
 //! so protocol-level experiments can count modular exponentiations exactly
@@ -24,8 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod cs;
-pub mod elgamal;
-pub mod pedersen;
 pub mod rsa;
 pub mod schnorr;
 

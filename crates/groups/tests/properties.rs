@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use shs_bigint::{mont::MontCtx, rng as brng, Ubig};
+use shs_groups::cs;
 use shs_groups::schnorr::{SchnorrGroup, SchnorrPreset};
-use shs_groups::{cs, elgamal, pedersen};
 
 fn group() -> &'static SchnorrGroup {
     SchnorrGroup::system_wide(SchnorrPreset::Test)
@@ -64,16 +64,6 @@ proptest! {
     }
 
     #[test]
-    fn elgamal_roundtrip_random_messages(seed in any::<u64>()) {
-        let g = group();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let (pk, sk) = elgamal::keygen(g, &mut rng);
-        let m = g.random_element(&mut rng);
-        let ct = elgamal::encrypt(g, &pk, &m, &mut rng).unwrap();
-        prop_assert_eq!(elgamal::decrypt(g, &sk, &ct).unwrap(), m);
-    }
-
-    #[test]
     fn cramer_shoup_roundtrip_arbitrary_payloads(
         payload in prop::collection::vec(any::<u8>(), 0..120),
         seed in any::<u64>(),
@@ -98,21 +88,6 @@ proptest! {
         let i = idx.index(ct.dem.len());
         ct.dem[i] ^= 0x40;
         prop_assert!(cs::decrypt(g, &sk, &ct).is_err());
-    }
-
-    #[test]
-    fn pedersen_binding_under_random_openings(seed in any::<u64>()) {
-        let g = group();
-        let params = pedersen::CommitParams::derive(g);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let m1 = g.random_exponent(&mut rng);
-        let m2 = g.random_exponent(&mut rng);
-        let (c1, o1) = params.commit(g, &m1, &mut rng);
-        prop_assert!(params.verify(g, &c1, &o1));
-        if m1 != m2 {
-            let bad = pedersen::Opening { m: m2, r: o1.r.clone() };
-            prop_assert!(!params.verify(g, &c1, &bad));
-        }
     }
 
     #[test]

@@ -36,8 +36,14 @@ use crate::observe::TrafficLog;
 use crate::sync::Received;
 use crate::tcp::frame::Frame;
 use crate::{Medium, NetError, PartyLink, TransportCounters};
+use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
+
+/// Cap on the frames a [`TcpParty`] holds for rounds other than the one
+/// it is collecting; the oldest is shed at capacity, as in the hub's
+/// held queue.
+const HELD_CAP: usize = 1024;
 
 /// A lockstep broadcast session over real TCP sockets: one in-process
 /// relay plus one framed connection per slot, all on loopback.
@@ -195,7 +201,8 @@ impl Medium for TcpSession {
 /// Implements [`PartyLink`]: `broadcast` ships one `Broadcast` frame,
 /// `collect` gathers the relay's exchange up to its `RoundEnd`,
 /// heartbeating while it waits and transparently re-attaching (with its
-/// reserved seat) when the connection dies under it.
+/// reserved seat) when the connection dies under it. Frames of other
+/// rounds that arrive meanwhile are held for that round's collect.
 pub struct TcpParty {
     conn: FramedConn,
     slot: usize,
@@ -206,6 +213,9 @@ pub struct TcpParty {
     /// A quiet collect pings the relay at this period so idle detection
     /// never fires on a merely slow round.
     heartbeat_period: Duration,
+    /// `Broadcast` and `RoundEnd` frames of rounds other than the one
+    /// being collected, oldest first, at most [`HELD_CAP`].
+    held: VecDeque<Frame>,
 }
 
 impl std::fmt::Debug for TcpParty {
@@ -242,7 +252,17 @@ impl TcpParty {
             sup,
             counters,
             heartbeat_period: Duration::from_secs(1),
+            held: VecDeque::new(),
         })
+    }
+
+    /// Keeps another round's frame for a later collect, shedding the
+    /// oldest held one at capacity.
+    fn hold(&mut self, frame: Frame) {
+        if self.held.len() >= HELD_CAP {
+            self.held.pop_front();
+        }
+        self.held.push_back(frame);
     }
 
     /// Re-dials the relay and reclaims this party's seat.
@@ -296,7 +316,29 @@ impl PartyLink for TcpParty {
     ) -> Result<Vec<Option<Vec<u8>>>, NetError> {
         let deadline = Instant::now() + timeout;
         let mut got: Vec<Option<Vec<u8>>> = vec![None; self.slots];
-        loop {
+        let mut take = |from_slot: u32, payload: Vec<u8>, got: &mut Vec<Option<Vec<u8>>>| {
+            let from = from_slot as usize;
+            if let Some(cell @ None) = got.get_mut(from) {
+                if valid(from, &payload) {
+                    *cell = Some(payload);
+                }
+            }
+        };
+        // This round's frames that an earlier collect held, up to its
+        // `RoundEnd`; everything else stays held, in order.
+        let mut ended = false;
+        for frame in std::mem::take(&mut self.held) {
+            match frame {
+                Frame::Broadcast {
+                    round: r,
+                    from_slot,
+                    payload,
+                } if !ended && r == round => take(from_slot, payload, &mut got),
+                Frame::RoundEnd { round: r } if !ended && r == round => ended = true,
+                other => self.hold(other),
+            }
+        }
+        while !ended {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 // Quiet deadline: an incomplete view, not an error —
@@ -308,24 +350,9 @@ impl PartyLink for TcpParty {
                     round: r,
                     from_slot,
                     payload,
-                }) => {
-                    if r != round {
-                        continue; // stale round in flight
-                    }
-                    let from = from_slot as usize;
-                    if from >= self.slots {
-                        continue;
-                    }
-                    let cell = got.get_mut(from).ok_or(NetError::IncompleteRound)?;
-                    if cell.is_none() && valid(from, &payload) {
-                        *cell = Some(payload);
-                    }
-                }
-                Ok(Frame::RoundEnd { round: r }) => {
-                    if r == round {
-                        break;
-                    }
-                }
+                }) if r == round => take(from_slot, payload, &mut got),
+                Ok(Frame::RoundEnd { round: r }) if r == round => ended = true,
+                Ok(frame @ (Frame::Broadcast { .. } | Frame::RoundEnd { .. })) => self.hold(frame),
                 Ok(Frame::Heartbeat) => {}
                 Ok(Frame::Bye) => return Err(NetError::Disconnected),
                 Ok(_) => {}
@@ -465,6 +492,46 @@ mod tests {
         assert_eq!(view[1], None, "the short copy must be filtered out");
         p.finish();
         other.join().unwrap();
+        relay.shutdown();
+    }
+
+    #[test]
+    fn collect_keeps_frames_of_a_round_shipped_while_another_is_collected() {
+        let relay = RelayHandle::bind(
+            "127.0.0.1:0",
+            RelayConfig {
+                gather_deadline: Duration::from_secs(5),
+                ..RelayConfig::new(2)
+            },
+            None,
+        )
+        .unwrap();
+        let addr = relay.addr();
+        let other = thread::spawn(move || {
+            let mut p = TcpParty::attach(addr, SupervisorConfig::default(), Some(1)).unwrap();
+            p.broadcast("b", vec![1; 8]).unwrap();
+            let view = p
+                .collect("b", Duration::from_secs(5), &mut |_, _| true)
+                .unwrap();
+            p.finish();
+            view
+        });
+        let mut p = TcpParty::attach(addr, SupervisorConfig::default(), Some(0)).unwrap();
+        p.broadcast("b", vec![0; 8]).unwrap();
+        // Once slot 1 has round `b`, the relay has shipped it to slot 0
+        // too, which reads it while it still collects round `a`.
+        let both = other.join().unwrap();
+        assert!(both.iter().all(Option::is_some));
+        let a = p
+            .collect("a", Duration::from_millis(300), &mut |_, _| true)
+            .unwrap();
+        assert_eq!(a, vec![None, None], "round `a` was never shipped");
+        let b = p
+            .collect("b", Duration::from_secs(2), &mut |_, _| true)
+            .unwrap();
+        assert_eq!(b[0].as_deref(), Some(&[0u8; 8][..]));
+        assert_eq!(b[1].as_deref(), Some(&[1u8; 8][..]), "round `b` was held");
+        p.finish();
         relay.shutdown();
     }
 }

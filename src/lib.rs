@@ -11,8 +11,7 @@
 //! * [`cgkd`] — LKH / Subset-Difference / star key distribution.
 //! * [`dgka`] — Burmester–Desmedt, GDH.2, and the Katz–Yung
 //!   authenticated compiler.
-//! * [`groups`] — Schnorr groups, `QR(n)`, ElGamal, Cramer–Shoup,
-//!   Pedersen commitments.
+//! * [`groups`] — Schnorr groups, `QR(n)`, Cramer–Shoup.
 //! * [`crypto`] — SHA-256 / HMAC / HKDF / ChaCha20 / AEAD / HMAC-DRBG.
 //! * [`bigint`] — the arbitrary-precision arithmetic everything rests on.
 //! * [`net`] — the anonymous-channel network simulator.
