@@ -140,11 +140,6 @@ impl Int {
         Int::new(sign, self.mag.mul(&other.mag))
     }
 
-    /// Multiplication by an unsigned big integer.
-    pub fn mul_ubig(&self, other: &Ubig) -> Int {
-        Int::new(self.sign, self.mag.mul(other))
-    }
-
     /// Reduces into the canonical residue range `[0, m)`.
     ///
     /// # Panics

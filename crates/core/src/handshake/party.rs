@@ -4,9 +4,10 @@
 //! [`super::run_handshake_with_net`] is the *lockstep* driver — it owns
 //! every slot and performs whole exchanges on a [`shs_net::Medium`].
 //! This module is its distributed counterpart: [`run_party`] drives
-//! exactly one slot, broadcasting through a [`PartyLink`] (the threaded
-//! hub in tests, a framed TCP connection to a relay in the `shs-node`
-//! daemon) and collecting its co-parties' payloads with a deadline.
+//! exactly one slot, broadcasting through a [`PartyLink`] (`shs-sim`'s
+//! virtual-time `SimLink` in tests, a framed TCP connection to a relay
+//! in the `shs-node` daemon) and collecting its co-parties' payloads
+//! with a deadline.
 //!
 //! Both drivers run the same phase sequence (`run_slots`) over the same
 //! budgeted exchange engine, so they cannot drift apart on what a

@@ -61,14 +61,6 @@ pub struct Ciphertext {
     pub v: Ubig,
 }
 
-impl Ciphertext {
-    /// Total serialized payload length in bytes (used by the handshake to
-    /// produce shape-identical decoys).
-    pub fn dem_len(&self) -> usize {
-        self.dem.len()
-    }
-}
-
 /// Generates a Cramer–Shoup keypair over the given Schnorr group.
 pub fn keygen(group: &SchnorrGroup, rng: &mut (impl RngCore + ?Sized)) -> (PublicKey, SecretKey) {
     let g2 = loop {

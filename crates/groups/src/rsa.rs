@@ -280,11 +280,6 @@ impl RsaSecret {
         self.p1.mul(&self.q1)
     }
 
-    /// Euler's totient `φ(n) = 4p'q'`.
-    pub fn phi(&self) -> Ubig {
-        self.p.sub_u64(1).mul(&self.q.sub_u64(1))
-    }
-
     /// Is `x` a quadratic residue mod `n`? (Requires the factorization:
     /// QR mod both primes.)
     pub fn is_qr(&self, x: &Ubig) -> bool {

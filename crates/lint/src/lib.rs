@@ -25,7 +25,8 @@
 //! * **vartime-usage** — variable-time kernels only in allowlisted files.
 //! * **allow-hygiene** — every `// lint:allow(<rule>) reason="…"`
 //!   exception must carry a reason and suppress something under each
-//!   rule it names.
+//!   rule it names, and every path a policy scope names must match a
+//!   scanned file.
 //!
 //! **Interprocedural analyses** (a lightweight syntax layer
 //! ([`syntax`]), a workspace call graph ([`graph`]), then dataflow):
@@ -89,6 +90,10 @@ impl Mode {
 pub struct Linter {
     policy: Policy,
     root: PathBuf,
+    /// The policy file's name under `root`, and its text, so that a
+    /// stale policy entry is reported at its own line.
+    policy_name: String,
+    policy_src: String,
 }
 
 impl Linter {
@@ -106,12 +111,25 @@ impl Linter {
             .parent()
             .map(Path::to_path_buf)
             .unwrap_or_else(|| PathBuf::from("."));
-        Ok(Linter { policy, root })
+        let policy_name = policy_path
+            .file_name()
+            .map_or_else(String::new, |n| n.to_string_lossy().into_owned());
+        Ok(Linter {
+            policy,
+            root,
+            policy_name,
+            policy_src: src,
+        })
     }
 
     /// Builds a linter from an already-parsed policy (used by tests).
     pub fn from_policy(policy: Policy, root: PathBuf) -> Linter {
-        Linter { policy, root }
+        Linter {
+            policy,
+            root,
+            policy_name: "lint-policy.toml".to_string(),
+            policy_src: String::new(),
+        }
     }
 
     /// The scan root.
@@ -128,7 +146,9 @@ impl Linter {
         self.lint_workspace_mode(Mode::Full)
     }
 
-    /// Lints the workspace with an explicit pass selection.
+    /// Lints the workspace with an explicit pass selection. The token
+    /// pass also reports, as `allow-hygiene`, every policy path entry
+    /// that matches no scanned file.
     ///
     /// # Errors
     ///
@@ -139,7 +159,44 @@ impl Linter {
             collect_rs_files(&self.root.join(dir), &mut files)?;
         }
         files.sort();
-        self.lint_files_mode(&files, mode)
+        let mut report = self.lint_files_mode(&files, mode)?;
+        if mode.tokens() {
+            let scanned: Vec<String> = files
+                .iter()
+                .map(|f| self.relative_name(f))
+                .filter(|rel| !self.policy.excluded(rel))
+                .collect();
+            report.findings.extend(self.stale_policy_paths(&scanned));
+            sort_findings(&mut report.findings);
+        }
+        Ok(report)
+    }
+
+    /// One finding per policy path entry that matches none of `scanned`,
+    /// at the entry's line within its section of the policy file.
+    fn stale_policy_paths(&self, scanned: &[String]) -> Vec<Finding> {
+        let lines: Vec<&str> = self.policy_src.lines().collect();
+        self.policy
+            .unmatched_paths(scanned)
+            .into_iter()
+            .map(|(key, entry)| {
+                let header = format!("[{}]", key.rsplit_once('.').map_or(key, |(s, _)| s));
+                let quoted = format!("\"{entry}\"");
+                let start = lines.iter().position(|l| l.trim() == header).unwrap_or(0);
+                let line = lines
+                    .iter()
+                    .skip(start)
+                    .position(|l| l.contains(&quoted))
+                    .map_or(1, |i| start + i + 1);
+                Finding::new(
+                    &self.policy_name,
+                    line as u32,
+                    1,
+                    Rule::AllowHygiene,
+                    format!("`{key}` entry `{entry}` matches no scanned file"),
+                )
+            })
+            .collect()
     }
 
     /// Lints an explicit set of files (both passes).
@@ -233,9 +290,7 @@ impl Linter {
                 .findings
                 .extend(rules::finalize(rel, &lexed[i], file_raw, mode));
         }
-        report
-            .findings
-            .sort_by(|a, b| (&a.file, a.line, a.col).cmp(&(&b.file, b.line, b.col)));
+        sort_findings(&mut report.findings);
         report
     }
 
@@ -248,6 +303,11 @@ impl Linter {
             .collect::<Vec<_>>()
             .join("/")
     }
+}
+
+/// Report order: by file, then position.
+fn sort_findings(findings: &mut [Finding]) {
+    findings.sort_by(|a, b| (&a.file, a.line, a.col).cmp(&(&b.file, b.line, b.col)));
 }
 
 /// An interprocedural `secret-taint` finding that lands on the same line
@@ -305,6 +365,35 @@ macros = ["println"]
         let fs = linter.lint_source("m.rs", bad);
         assert_eq!(fs.len(), 2);
         assert!(linter.lint_source("m.rs", "fn f() {}").is_empty());
+    }
+
+    #[test]
+    fn stale_policy_entry_is_reported_at_its_line_in_its_section() {
+        let src = r#"
+[secret]
+types = ["Key"]
+idents = ["k"]
+[sinks]
+macros = ["println"]
+[rules.panic-path]
+paths = ["gone.rs"]
+[rules.lock-order]
+paths = [
+    "gone.rs",
+]
+"#;
+        let linter = Linter {
+            policy: Policy::parse(src).unwrap(),
+            root: PathBuf::from("."),
+            policy_name: "p.toml".to_string(),
+            policy_src: src.to_string(),
+        };
+        let at: Vec<(String, u32)> = linter
+            .stale_policy_paths(&["kept.rs".to_string()])
+            .into_iter()
+            .map(|f| (f.file, f.line))
+            .collect();
+        assert_eq!(at, [("p.toml".to_string(), 8), ("p.toml".to_string(), 11)]);
     }
 
     #[test]

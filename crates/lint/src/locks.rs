@@ -2,7 +2,7 @@
 //! `send-under-lock`).
 //!
 //! Scope is the policy's `[rules.lock-order] paths` list — the
-//! concurrency layers (`shs_net::{serve,tcp,hub,sync}`, `shs_core::pool`).
+//! concurrency layers (`shs_net::{serve,tcp,sync}`, `shs_core::pool`).
 //! Within each function the analysis replays mutex/channel events in
 //! token order, tracking live guards via the syntax layer's approximated
 //! release points, and:

@@ -38,7 +38,8 @@ pub enum Rule {
     /// Interprocedural: a blocking channel `send`/`recv` (directly or via
     /// a callee) while holding a mutex guard.
     SendUnderLock,
-    /// A malformed or unused `lint:allow` directive.
+    /// A malformed or unused `lint:allow` directive, or a policy path
+    /// entry that matches no scanned file.
     AllowHygiene,
 }
 
@@ -260,20 +261,45 @@ impl Policy {
     pub fn excluded(&self, rel: &str) -> bool {
         self.scan_exclude.iter().any(|e| rel.contains(e.as_str()))
     }
+
+    /// Path-scope entries that match none of `files` (policy-root-relative
+    /// names), as `(key, entry)` in policy order. Such an entry scopes or
+    /// exempts nothing: it names a deleted or moved file.
+    pub fn unmatched_paths(&self, files: &[String]) -> Vec<(&'static str, &str)> {
+        let scopes: [(&'static str, &[String]); 6] = [
+            ("rules.panic-path.paths", &self.panic_paths),
+            ("rules.index-path.paths", &self.index_paths),
+            ("rules.factory-dispatch.paths", &self.factory_paths),
+            ("rules.vartime-usage.paths", &self.vartime_paths),
+            ("taint.wire-allow-paths", &self.wire_allow_paths),
+            ("rules.lock-order.paths", &self.lock_paths),
+        ];
+        let mut out = Vec::new();
+        for (key, list) in scopes {
+            for p in list {
+                if !files.iter().any(|f| path_matches(p, f)) {
+                    out.push((key, p.as_str()));
+                }
+            }
+        }
+        out
+    }
 }
 
-/// A path matches a policy list by exact match, suffix match, or glob
+fn path_listed(list: &[String], rel: &str) -> bool {
+    list.iter().any(|p| path_matches(p, rel))
+}
+
+/// A path matches a policy entry by exact match, suffix match, or glob
 /// (`*` matches within one path segment, `**` across segments), so
 /// workspace policies can cover whole modules (`crates/core/src/handshake/*`)
 /// while fixture policies can still name bare file names.
-fn path_listed(list: &[String], rel: &str) -> bool {
-    list.iter().any(|p| {
-        if p.contains('*') {
-            glob_match(p, rel)
-        } else {
-            rel == p.as_str() || rel.ends_with(p.as_str())
-        }
-    })
+fn path_matches(p: &str, rel: &str) -> bool {
+    if p.contains('*') {
+        glob_match(p, rel)
+    } else {
+        rel == p || rel.ends_with(p)
+    }
 }
 
 /// Minimal glob matcher: `*` matches any run of non-`/` characters, `**`

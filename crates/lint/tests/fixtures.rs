@@ -3,7 +3,7 @@
 //! the exact expected findings asserted. The `shs-lint` binary itself is
 //! exercised for exit codes and report formats via `CARGO_BIN_EXE_shs-lint`.
 
-use shs_lint::{Linter, Rule};
+use shs_lint::{Linter, Policy, Rule};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -135,6 +135,42 @@ fn allow_hygiene_fixture_pair() {
         ]
     );
     assert_eq!(lint_one("good/allow_hygiene.rs"), vec![]);
+}
+
+#[test]
+fn policy_path_matching_no_scanned_file_is_reported() {
+    let policy = Policy::parse(
+        r#"
+[secret]
+types = ["Key"]
+idents = ["k_prime"]
+[sinks]
+macros = ["println"]
+[rules.panic-path]
+paths = ["panic_path.rs", "deleted.rs"]
+[rules.lock-order]
+paths = ["good/*", "bad/*"]
+[scan]
+roots = ["good"]
+"#,
+    )
+    .expect("policy parses");
+    let report = Linter::from_policy(policy, fixtures_root())
+        .lint_workspace()
+        .expect("fixture tree lints");
+    let stale: Vec<String> = report
+        .findings
+        .iter()
+        .filter(|f| f.file == "lint-policy.toml")
+        .map(|f| format!("[{}] {}", f.rule, f.message))
+        .collect();
+    assert_eq!(
+        stale,
+        [
+            "[allow-hygiene] `rules.panic-path.paths` entry `deleted.rs` matches no scanned file",
+            "[allow-hygiene] `rules.lock-order.paths` entry `bad/*` matches no scanned file",
+        ]
+    );
 }
 
 #[test]

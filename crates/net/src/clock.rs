@@ -9,9 +9,8 @@
 //! whose `sleep` *advances* time instead of blocking, so deep backoff
 //! schedules cost zero wall-clock time and stay bit-reproducible.
 //!
-//! The threaded hub's delivery patience and the TCP supervisor's
-//! reconnect backoff wait on real threads and sockets, so they use the
-//! OS clock directly.
+//! The TCP relay's write deadline and the TCP supervisor's reconnect
+//! backoff wait on real sockets, so they use the OS clock directly.
 //!
 //! The trait is deliberately tiny: a monotonic "now" as a [`Duration`]
 //! since the clock's own epoch, plus a sleep. Durations (rather than

@@ -10,10 +10,9 @@
 //!   medium with pluggable delivery order ([`DeliveryPolicy`]), an
 //!   eavesdropper-facing traffic log ([`observe`]) and a
 //!   man-in-the-middle interception hook.
-//! * [`hub::run_session`] — a threaded, asynchronous (guaranteed-delivery)
-//!   variant where each party runs on its own thread and messages are
-//!   delivered through channels in adversarially perturbed order. Used by
-//!   the E10 model-agnosticism experiment.
+//! * [`tcp`] — a framed TCP transport: [`tcp::TcpParty`] is one party's
+//!   wall-clock [`PartyLink`] to a broadcast relay ([`tcp::RelayHandle`]).
+//!   Its in-process, virtual-time counterpart is `shs-sim`'s `SimLink`.
 //! * [`route::Router`] — the routing step every medium shares (the TCP
 //!   relay and `shs-sim`'s media too): exchanges, retransmission
 //!   stand-ins, fault injection and the eavesdropper's log.
@@ -30,8 +29,8 @@
 //!
 //! By default every medium guarantees delivery, matching the paper's
 //! system model. Installing a [`fault::FaultPlan`] (via
-//! [`sync::BroadcastNet::set_fault_plan`] or
-//! [`hub::run_session_with_faults`]) weakens the medium to a lossy,
+//! [`sync::BroadcastNet::set_fault_plan`] or the relay's
+//! [`tcp::RelayHandle::bind`]) weakens the medium to a lossy,
 //! malicious network: deliveries may be dropped, duplicated, corrupted,
 //! truncated, delayed to a later retransmission, cut by a partition, or
 //! silenced entirely by a crash-stopped sender. Two invariants hold
@@ -54,7 +53,6 @@
 
 pub mod clock;
 pub mod fault;
-pub mod hub;
 pub mod observe;
 pub mod route;
 pub mod serve;
@@ -184,8 +182,8 @@ pub trait Medium {
 /// party runs in its own thread or OS process (the distributed
 /// counterpart of [`Medium`], which holds all slots in one place).
 ///
-/// [`hub::PartyHandle`] implements this over in-process channels (the
-/// test seam); [`tcp::TcpParty`] implements it over a framed TCP
+/// `shs-sim`'s `SimLink` implements this in process under virtual time
+/// (the test seam); [`tcp::TcpParty`] implements it over a framed TCP
 /// connection to a relay.
 pub trait PartyLink {
     /// This party's anonymous slot.

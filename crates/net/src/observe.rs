@@ -41,9 +41,9 @@ pub struct FaultCounters {
     pub crash_silenced: u64,
     /// Deliveries cut by a network partition.
     pub partitioned: u64,
-    /// Deliveries the threaded hub shed because a receiver's bounded
-    /// inbox stayed full past its delivery patience (flow control, not
-    /// an injected fault — but still a loss the runtime must absorb).
+    /// Deliveries the TCP relay shed because a receiver stopped draining
+    /// its socket past the write deadline (flow control, not an injected
+    /// fault — but still a loss the runtime must absorb).
     pub backpressure_dropped: u64,
 }
 

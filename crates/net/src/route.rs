@@ -1,15 +1,14 @@
 //! The routing step: everything between "slot `s` sent payload `p` under
 //! label `L`" and "these copies reach these receivers", written once.
-//! `BroadcastNet`, the threaded hub, the TCP relay and `shs-sim`'s
-//! `SimLink` hand their broadcasts to a [`Router`] and keep only their
-//! transport; it owns the [`FaultPlan`] with its crash and delay clocks,
-//! the eavesdropper's [`TrafficLog`] and each slot's last payload per
-//! label. Slot `s`'s k-th broadcast of `L` belongs to `L`'s k-th
-//! exchange; the copy that opens exchange k ≥ 2 brings a stand-in (the
-//! cached payload) for every other attached slot that has sent `L`, a
-//! copy already stood in for is absorbed, and a slot's first copy after
-//! later exchanges opened without it fills those too. DESIGN.md §4 has
-//! the full model.
+//! `BroadcastNet`, the TCP relay and `shs-sim`'s `SimLink` hand their
+//! broadcasts to a [`Router`] and keep only their transport; it owns the
+//! [`FaultPlan`] with its crash and delay clocks, the eavesdropper's
+//! [`TrafficLog`] and each slot's last payload per label. Slot `s`'s
+//! k-th broadcast of `L` belongs to `L`'s k-th exchange; the copy that
+//! opens exchange k ≥ 2 brings a stand-in (the cached payload) for every
+//! other attached slot that has sent `L`, a copy already stood in for is
+//! absorbed, and a slot's first copy after later exchanges opened
+//! without it fills those too. DESIGN.md §4 has the full model.
 
 use crate::fault::FaultPlan;
 use crate::observe::TrafficLog;

@@ -422,6 +422,46 @@ mod tests {
         }))
     }
 
+    /// A two-slot job whose every attempt aborts with both slots live.
+    struct AbortingJob;
+
+    impl SessionJob for AbortingJob {
+        fn roster_len(&self) -> usize {
+            2
+        }
+        fn run_attempt(&mut self, _ctx: &AttemptContext) -> AttemptOutcome {
+            let mut traffic = TrafficLog::new();
+            for slot in 0..2 {
+                traffic.record("p1", slot, b"decoy");
+            }
+            AttemptOutcome {
+                verdict: AttemptVerdict::Abort,
+                traffic,
+            }
+        }
+    }
+
+    #[test]
+    fn unset_spec_budgets_take_the_service_defaults() {
+        let svc = Service::start(ServiceConfig {
+            workers: 1,
+            default_deadline: Duration::from_secs(300),
+            default_max_attempts: 2,
+            ..ServiceConfig::default()
+        });
+        let id = svc.submit(SessionSpec::new(Box::new(AbortingJob))).id();
+        assert!(svc.wait_idle(Duration::from_secs(10)));
+        let e = svc.entry(id).unwrap();
+        assert_eq!(e.attempts.len(), 2, "default_max_attempts applies");
+        assert_eq!(e.class, Some(TerminalClass::Exhausted));
+        assert!(
+            e.deadline > Duration::from_secs(299),
+            "default_deadline applies: {:?}",
+            e.deadline
+        );
+        assert!(svc.shutdown(Duration::from_secs(5)).clean());
+    }
+
     #[test]
     fn sessions_complete_and_registry_stays_leak_free() {
         let svc = Service::start(ServiceConfig {

@@ -189,7 +189,7 @@ pub struct RegistryStats {
     /// Illegal lifecycle transitions that were requested (and refused).
     pub illegal_transitions: u64,
     /// Messages lost to backpressure across every recorded attempt
-    /// (bounded-queue sheds in the hub, outbox sheds at the TCP relay).
+    /// (outbox sheds at the TCP relay).
     pub backpressure_dropped: u64,
 }
 

@@ -91,31 +91,28 @@ pub struct AttemptRecord {
 pub struct SessionSpec {
     /// The job to run.
     pub job: Box<dyn SessionJob>,
-    /// Attempts allowed (including the first); at least 1 is assumed.
+    /// Attempts allowed (including the first); 0 takes the service's
+    /// `default_max_attempts` at submission.
     pub max_attempts: u32,
-    /// Per-session deadline, measured from admission.
+    /// Per-session deadline, measured from admission; zero takes the
+    /// service's `default_deadline` at submission.
     pub deadline: Duration,
 }
 
 impl SessionSpec {
-    /// A spec with the service defaults filled in at submission time.
+    /// A spec with both budgets unset: [`super::Service::submit`] fills
+    /// them from its [`super::ServiceConfig`].
     pub fn new(job: Box<dyn SessionJob>) -> SessionSpec {
         SessionSpec {
             job,
-            max_attempts: 4,
-            deadline: Duration::from_secs(30),
+            max_attempts: 0,
+            deadline: Duration::ZERO,
         }
     }
 
     /// Overrides the attempt budget.
     pub fn with_max_attempts(mut self, n: u32) -> SessionSpec {
         self.max_attempts = n.max(1);
-        self
-    }
-
-    /// Overrides the per-session deadline.
-    pub fn with_deadline(mut self, d: Duration) -> SessionSpec {
-        self.deadline = d;
         self
     }
 }

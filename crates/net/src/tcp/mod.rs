@@ -41,8 +41,7 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 /// Cap on the frames a [`TcpParty`] holds for rounds other than the one
-/// it is collecting; the oldest is shed at capacity, as in the hub's
-/// held queue.
+/// it is collecting; the oldest is shed at capacity.
 const HELD_CAP: usize = 1024;
 
 /// A lockstep broadcast session over real TCP sockets: one in-process

@@ -14,7 +14,7 @@
 //! frame was absorbed. A receiver that stops draining its socket past
 //! the write deadline loses frames (tallied as
 //! [`crate::observe::FaultCounters::backpressure_dropped`]) rather than
-//! wedging the relay — the same contract as the threaded hub.
+//! wedging the relay: a slow party cannot deadlock the medium.
 
 use crate::fault::FaultPlan;
 use crate::observe::TrafficLog;

@@ -21,8 +21,9 @@
 //!   latency distributions, the trace fingerprint.
 //! * [`network`] — the simulated media: [`network::SimMedium`] (the
 //!   lockstep `BroadcastNet` plus virtual-time latency accounting) and
-//!   [`network::run_session`] (virtual-time counterpart of the threaded
-//!   hub, driving the unmodified per-party `run_party` driver).
+//!   [`network::run_session`] (the in-process per-party medium, the
+//!   virtual-time counterpart of `TcpParty`, driving the unmodified
+//!   per-party `run_party` driver).
 //! * [`adversary`] — pluggable schedules over the `shs-net` fault
 //!   vocabulary: partition, slow-loris, phase-timed crash, Sybil
 //!   flood, epoch churn.

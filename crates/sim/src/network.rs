@@ -8,16 +8,17 @@
 //! faults and logs, and only adds time — a seeded latency draw per
 //! delivered copy and a patience charge when a live sender's copy is
 //! missing. The per-party `SimLink` hands every broadcast to the routing
-//! step the threaded [`shs_net::hub`] uses too ([`Router`]: the
-//! [`FaultPlan`], both fault clocks, the eavesdropper log and the
-//! stand-ins) and adds only staging, latency draws and the event queue,
-//! under a coordinator that measures collect windows on the virtual
-//! clock. Neither medium ever calls `thread::sleep`.
+//! step every medium shares ([`Router`]: the [`FaultPlan`], both fault
+//! clocks, the eavesdropper log and the stand-ins) and adds only
+//! staging, latency draws and the event queue, under a coordinator that
+//! measures collect windows on the virtual clock. Neither medium ever
+//! calls `thread::sleep`. `SimLink` is the one in-process `PartyLink`;
+//! `shs_net::tcp::TcpParty` is its wall-clock counterpart.
 //!
 //! # Determinism
 //!
 //! The per-party session runs real threads (party bodies block in
-//! `collect` exactly like hub bodies do), so raw thread interleaving
+//! `collect` exactly as they do over TCP), so raw thread interleaving
 //! must not be allowed to leak into the trace. Five rules prevent it:
 //!
 //! 1. **Staged broadcasts.** A `broadcast` only *stages* the message.
@@ -213,7 +214,7 @@ struct SessionCore {
     staged: Vec<Staged>,
     queue: EventQueue<Delivery>,
     /// Per-party received-but-unconsumed messages. Out-of-round
-    /// arrivals are *buffered*, as on the wall-clock hub: under virtual
+    /// arrivals are *buffered*, as on a `TcpParty`: under virtual
     /// latency a fast party's next-round broadcast can overtake a slow
     /// delivery, and dropping it would turn a guaranteed-delivery run
     /// lossy.
@@ -457,15 +458,14 @@ pub struct SimSessionReport<T> {
     pub fingerprint: u64,
 }
 
-/// Runs `m` party bodies over the simulated medium — the virtual-time
-/// analogue of [`shs_net::hub::run_session_with_faults`]: same
-/// guaranteed-delivery semantics under an empty plan, same fault
-/// vocabulary under a non-empty one, but collect timeouts are virtual
-/// and the whole session performs zero wall-clock sleeps.
+/// Runs `m` party bodies, each on its own thread, over the simulated
+/// medium: guaranteed delivery under an empty plan, the shared fault
+/// vocabulary under a non-empty one. Collect timeouts are virtual, and
+/// the whole session performs zero wall-clock sleeps.
 ///
 /// # Panics
 ///
-/// Panics if a party thread panics (as the hub does).
+/// Panics if a party thread panics.
 pub fn run_session<T, F>(
     m: usize,
     plan: FaultPlan,
@@ -646,6 +646,67 @@ mod tests {
         assert!(report.outputs[0][1].is_none(), "slot 0 lost slot 1's hello");
         assert!(report.outputs[1][0].is_some());
         assert_eq!(report.traffic.faults().dropped, 1);
+    }
+
+    /// Every copy duplicated: collect keeps one copy per sender, the
+    /// first to arrive; the extra copy is never even offered to the
+    /// validity filter.
+    #[test]
+    fn duplicated_copies_are_collected_once_first_copy_wins() {
+        let m = 3;
+        let bodies: Vec<_> = (0..m)
+            .map(|_| {
+                move |mut link: SimLink| {
+                    let me = PartyLink::slot(&link) as u8;
+                    link.broadcast("r", vec![me]).unwrap();
+                    let mut offered = vec![0; m];
+                    let view = link
+                        .collect("r", Duration::from_millis(50), &mut |from, _| {
+                            offered[from] += 1;
+                            true
+                        })
+                        .unwrap();
+                    (view, offered)
+                }
+            })
+            .collect();
+        let report = run_session(
+            m,
+            FaultPlan::new(4).with(FaultRule::duplicate()),
+            LatencyModel::lan(2),
+            bodies,
+        );
+        for (slot, (view, offered)) in report.outputs.iter().enumerate() {
+            for (from, v) in view.iter().enumerate() {
+                assert_eq!(v.as_deref(), Some(&[from as u8][..]), "slot {slot}");
+            }
+            assert_eq!(offered, &vec![1; m], "slot {slot}: one copy per sender");
+        }
+        assert_eq!(report.traffic.faults().duplicated, (m * m) as u64);
+        assert_eq!(report.traffic.len(), m, "the wire saw one send each");
+    }
+
+    /// Slot 0 is a round ahead: its `r2` lands while slot 1 still
+    /// collects `r1`, and must wait for slot 1's collect of `r2`.
+    #[test]
+    fn collect_holds_next_round_arrivals_for_later() {
+        let bodies: Vec<_> = (0..2)
+            .map(|slot| {
+                move |mut link: SimLink| {
+                    if slot == 0 {
+                        link.broadcast("r2", vec![2]).unwrap();
+                        return None;
+                    }
+                    let window = Duration::from_millis(30);
+                    let r1 = link.collect("r1", window, &mut |_, _| true).unwrap();
+                    assert!(r1.iter().all(Option::is_none), "nobody sent r1");
+                    let r2 = link.collect("r2", window, &mut |_, _| true).unwrap();
+                    r2[0].clone()
+                }
+            })
+            .collect();
+        let report = run_session(2, FaultPlan::new(3), LatencyModel::lan(3), bodies);
+        assert_eq!(report.outputs[1], Some(vec![2]), "slot 0's r2 was held");
     }
 
     #[test]

@@ -74,47 +74,72 @@ fn reordered_delivery_preserves_self_distinction() {
 }
 
 #[test]
-fn threaded_async_hub_reaches_agreement() {
-    // The fully asynchronous threaded hub (each party on its own OS
-    // thread, hub delivering in adversarial order) still completes a
-    // Burmester–Desmedt agreement — the DGKA building block really is
-    // model-agnostic, not just round-shuffled.
+fn per_party_bd_reaches_agreement_under_jittered_delivery() {
+    // Each party runs on its own thread behind a `SimLink` whose seeded
+    // latency (100 µs base, up to 5 ms jitter) lets a fast party's
+    // second-round message overtake a slow first-round one: a
+    // Burmester–Desmedt agreement still completes — the DGKA building
+    // block really is model-agnostic, not just round-shuffled. Virtual
+    // time makes each seed's interleaving replay exactly.
     use shs_dgka::bd;
     use shs_groups::schnorr::{SchnorrGroup, SchnorrPreset};
-    use shs_net::hub::{run_session, PartyHandle};
+    use shs_net::fault::FaultPlan;
+    use shs_net::PartyLink;
+    use shs_sim::core::LatencyModel;
+    use shs_sim::network::{run_session, SimLink};
+    use std::time::Duration;
 
     let m = 4usize;
-    let bodies: Vec<_> = (0..m)
-        .map(|i| {
-            move |h: PartyHandle| {
-                let group = SchnorrGroup::system_wide(SchnorrPreset::Test);
-                let mut rng = shs_crypto::drbg::HmacDrbg::from_seed(format!("hub-{i}").as_bytes());
-                let (mut party, r1) = bd::Party::start(group, m, i, &mut rng).unwrap();
-                h.broadcast("bd-r1", encode(&r1.sender, &r1.z));
-                let round1: Vec<bd::Round1> = h
-                    .collect_round("bd-r1")
-                    .expect("guaranteed delivery")
-                    .into_iter()
-                    .map(|(_, p)| decode_r1(&p))
-                    .collect();
-                let r2 = party.round2(&round1).unwrap();
-                h.broadcast("bd-r2", encode(&r2.sender, &r2.x));
-                let round2: Vec<bd::Round2> = h
-                    .collect_round("bd-r2")
-                    .expect("guaranteed delivery")
-                    .into_iter()
-                    .map(|(_, p)| decode_r2(&p))
-                    .collect();
-                party.finish(&round2).unwrap().key
-            }
-        })
-        .collect();
-    let (keys, log) = run_session(m, 1234, bodies);
-    for k in &keys[1..] {
-        assert_eq!(k, &keys[0], "all parties agree over the async hub");
+    let run = |seed: u64| {
+        let bodies: Vec<_> = (0..m)
+            .map(|i| {
+                move |mut link: SimLink| {
+                    let group = SchnorrGroup::system_wide(SchnorrPreset::Test);
+                    let mut rng =
+                        shs_crypto::drbg::HmacDrbg::from_seed(format!("bd-{seed}-{i}").as_bytes());
+                    let (mut party, r1) = bd::Party::start(group, m, i, &mut rng).unwrap();
+                    link.broadcast("bd-r1", encode(&r1.sender, &r1.z)).unwrap();
+                    let round1: Vec<bd::Round1> = collect_all(&mut link, "bd-r1")
+                        .iter()
+                        .map(|p| decode_r1(p))
+                        .collect();
+                    let r2 = party.round2(&round1).unwrap();
+                    link.broadcast("bd-r2", encode(&r2.sender, &r2.x)).unwrap();
+                    let round2: Vec<bd::Round2> = collect_all(&mut link, "bd-r2")
+                        .iter()
+                        .map(|p| decode_r2(p))
+                        .collect();
+                    party.finish(&round2).unwrap().key
+                }
+            })
+            .collect();
+        let latency = LatencyModel {
+            base: Duration::from_micros(100),
+            jitter: Duration::from_millis(5),
+            seed,
+        };
+        run_session(m, FaultPlan::new(seed), latency, bodies)
+    };
+    for seed in [1u64, 2, 3] {
+        let report = run(seed);
+        for k in &report.outputs[1..] {
+            assert_eq!(k, &report.outputs[0], "seed {seed}: all parties agree");
+        }
+        assert_eq!(report.traffic.len(), 2 * m, "seed {seed}: one send each");
     }
-    assert_eq!(log.len(), 2 * m);
+    let (a, b) = (run(1), run(1));
+    assert_eq!(a.fingerprint, b.fingerprint, "seed 1 replays");
+    assert_eq!(a.outputs, b.outputs);
 
+    /// Every slot's payload of `round`; guaranteed delivery means the
+    /// view is complete long before the (virtual) deadline.
+    fn collect_all(link: &mut SimLink, round: &str) -> Vec<Vec<u8>> {
+        link.collect(round, Duration::from_secs(1), &mut |_, _| true)
+            .unwrap()
+            .into_iter()
+            .map(|p| p.expect("guaranteed delivery"))
+            .collect()
+    }
     fn encode(sender: &usize, v: &shs_bigint::Ubig) -> Vec<u8> {
         let mut out = (*sender as u32).to_be_bytes().to_vec();
         out.extend_from_slice(&v.to_bytes_be());

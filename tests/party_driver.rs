@@ -10,38 +10,38 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{group, rng};
+use common::{group, rng, run_tcp_parties};
 use shs_core::handshake::party::{run_party, PartyOutcome};
 use shs_core::{Actor, HandshakeOptions, Member, SchemeKind};
 use shs_net::fault::{FaultPlan, FaultRule};
-use shs_net::hub::run_session;
 use shs_net::observe::TrafficLog;
-use shs_net::tcp::{RelayConfig, RelayHandle, SupervisorConfig, TcpParty};
+use shs_net::tcp::{RelayConfig, TcpParty};
 use shs_sim::core::LatencyModel;
-use shs_sim::network::SimLink;
+use shs_sim::network::{run_session, SimLink};
 
 const COLLECT: Duration = Duration::from_secs(5);
 
-/// Three co-members, each on its own thread behind a hub link: everyone
+/// Three co-members, each on its own thread behind a `SimLink`: everyone
 /// accepts and derives the same session key — exactly what the lockstep
 /// driver concludes for the same configuration.
 #[test]
-fn hub_parties_agree_with_lockstep_acceptance() {
-    let mut r = rng("party-hub-accept");
+fn sim_parties_agree_with_lockstep_acceptance() {
+    let mut r = rng("party-sim-accept");
     let (_, members) = group(SchemeKind::Scheme1, 3, &mut r);
     let opts = HandshakeOptions::default();
     let bodies: Vec<_> = members
         .into_iter()
         .enumerate()
         .map(|(i, member)| {
-            move |mut link: shs_net::hub::PartyHandle| {
-                let mut r = rng(&format!("party-hub-accept-{i}"));
+            move |mut link: SimLink| {
+                let mut r = rng(&format!("party-sim-accept-{i}"));
                 run_party(&Actor::Member(&member), &opts, &mut link, COLLECT, &mut r)
                     .expect("party completes")
             }
         })
         .collect();
-    let (results, traffic) = run_session(3, 7, bodies);
+    let report = run_session(3, FaultPlan::new(7), LatencyModel::lan(7), bodies);
+    let (results, traffic) = (report.outputs, report.traffic);
     let keys: Vec<_> = results
         .iter()
         .map(|p| p.outcome.session_key.clone().expect("keyed"))
@@ -61,8 +61,8 @@ fn hub_parties_agree_with_lockstep_acceptance() {
 /// Mixed groups over party links: an ordinary failure — completions
 /// without keys, not aborts — matching the lockstep semantics.
 #[test]
-fn hub_parties_fail_ordinarily_across_groups() {
-    let mut r = rng("party-hub-mixed");
+fn sim_parties_fail_ordinarily_across_groups() {
+    let mut r = rng("party-sim-mixed");
     let (_, mut ours) = group(SchemeKind::Scheme1, 2, &mut r);
     let (_, mut foreign) = group(SchemeKind::Scheme1, 1, &mut r);
     let mut members = Vec::new();
@@ -76,14 +76,14 @@ fn hub_parties_fail_ordinarily_across_groups() {
         .into_iter()
         .enumerate()
         .map(|(i, member)| {
-            move |mut link: shs_net::hub::PartyHandle| {
-                let mut r = rng(&format!("party-hub-mixed-{i}"));
+            move |mut link: SimLink| {
+                let mut r = rng(&format!("party-sim-mixed-{i}"));
                 run_party(&Actor::Member(&member), &opts, &mut link, COLLECT, &mut r)
                     .expect("party completes")
             }
         })
         .collect();
-    let (results, _) = run_session(3, 8, bodies);
+    let results = run_session(3, FaultPlan::new(8), LatencyModel::lan(8), bodies).outputs;
     for (i, p) in results.iter().enumerate() {
         assert!(!p.outcome.accepted, "slot {i} rejects");
         assert!(p.outcome.session_key.is_none());
@@ -105,35 +105,22 @@ fn tcp_parties_complete_a_real_network_handshake() {
     let mut r = rng("party-tcp-accept");
     let (_, members) = group(SchemeKind::Scheme1, 2, &mut r);
     let opts = HandshakeOptions::default();
-    let relay = RelayHandle::bind(
-        "127.0.0.1:0",
-        RelayConfig {
-            gather_deadline: Duration::from_secs(10),
-            ..RelayConfig::new(2)
-        },
-        None,
-    )
-    .expect("bind relay");
-    let addr = relay.addr();
-    let workers: Vec<_> = members
+    let bodies: Vec<_> = members
         .into_iter()
         .enumerate()
         .map(|(i, member)| {
-            std::thread::spawn(move || {
-                let sup = SupervisorConfig {
-                    seed: i as u64,
-                    ..SupervisorConfig::default()
-                };
-                let mut link = TcpParty::attach(addr, sup, Some(i)).expect("attach");
+            move |link: &mut TcpParty| {
                 let mut r = rng(&format!("party-tcp-accept-{i}"));
-                let out = run_party(&Actor::Member(&member), &opts, &mut link, COLLECT, &mut r)
-                    .expect("party completes");
-                link.finish();
-                out
-            })
+                run_party(&Actor::Member(&member), &opts, link, COLLECT, &mut r)
+                    .expect("party completes")
+            }
         })
         .collect();
-    let results: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+    let config = RelayConfig {
+        gather_deadline: Duration::from_secs(10),
+        ..RelayConfig::new(2)
+    };
+    let (results, log) = run_tcp_parties(config, None, bodies);
     let keys: Vec<_> = results
         .iter()
         .map(|p| p.outcome.session_key.clone().expect("keyed"))
@@ -144,10 +131,7 @@ fn tcp_parties_complete_a_real_network_handshake() {
         assert!(p.outcome.abort.is_none());
         assert_eq!(keys[i], keys[0]);
     }
-    assert!(relay.wait_done(Duration::from_secs(5)), "relay drained");
-    let log = relay.traffic();
     assert!(!log.is_empty(), "relay-side eavesdropper saw the session");
-    relay.shutdown();
 }
 
 /// The `drop-one-phase2` plan of `tests/driver_digests.rs`: the first
@@ -196,35 +180,10 @@ fn assert_recovered(medium: &str, results: &[PartyOutcome], log: &TrafficLog) {
     );
 }
 
-/// One lost Phase-II delivery over the threaded hub: slot 0's
-/// retransmission brings its co-parties' cached tags, and their Phase-III
-/// broadcasts that land meanwhile are held for slot 0's next collect.
-#[test]
-fn hub_parties_recover_from_one_lost_phase2_delivery() {
-    let members = recovery_members("party-hub-drop");
-    let opts = HandshakeOptions::default();
-    let bodies: Vec<_> = (0..3)
-        .map(|i| {
-            let members = Arc::clone(&members);
-            move |mut link: shs_net::hub::PartyHandle| {
-                let mut r = rng(&format!("party-hub-drop-{i}"));
-                let window = Duration::from_millis(500);
-                run_party(
-                    &Actor::Member(&members[i]),
-                    &opts,
-                    &mut link,
-                    window,
-                    &mut r,
-                )
-                .expect("party completes")
-            }
-        })
-        .collect();
-    let (results, log) = shs_net::hub::run_session_with_faults(3, 13, drop_one_phase2(), bodies);
-    assert_recovered("hub", &results, &log);
-}
-
-/// The same loss over `shs-sim`'s virtual-time `SimLink`.
+/// One lost Phase-II delivery over `shs-sim`'s virtual-time `SimLink`:
+/// slot 0's retransmission brings its co-parties' cached tags, and their
+/// Phase-III broadcasts that land meanwhile are held for slot 0's next
+/// collect.
 #[test]
 fn sim_parties_recover_from_one_lost_phase2_delivery() {
     let members = recovery_members("party-sim-drop");
@@ -246,7 +205,7 @@ fn sim_parties_recover_from_one_lost_phase2_delivery() {
             }
         })
         .collect();
-    let report = shs_sim::network::run_session(3, drop_one_phase2(), LatencyModel::lan(3), bodies);
+    let report = run_session(3, drop_one_phase2(), LatencyModel::lan(3), bodies);
     assert_recovered("sim", &report.outputs, &report.traffic);
 }
 
@@ -257,45 +216,23 @@ fn sim_parties_recover_from_one_lost_phase2_delivery() {
 fn tcp_parties_recover_from_one_lost_phase2_delivery() {
     let members = recovery_members("party-tcp-drop");
     let opts = HandshakeOptions::default();
-    let relay = RelayHandle::bind(
-        "127.0.0.1:0",
-        RelayConfig {
-            gather_deadline: Duration::from_secs(10),
-            round_deadline: Duration::from_secs(5),
-            ..RelayConfig::new(3)
-        },
-        Some(drop_one_phase2()),
-    )
-    .expect("bind relay");
-    let addr = relay.addr();
-    let workers: Vec<_> = (0..3)
+    let bodies: Vec<_> = (0..3)
         .map(|i| {
             let members = Arc::clone(&members);
-            std::thread::spawn(move || {
-                let sup = SupervisorConfig {
-                    seed: i as u64,
-                    ..SupervisorConfig::default()
-                };
-                let mut link = TcpParty::attach(addr, sup, Some(i)).expect("attach");
+            move |link: &mut TcpParty| {
                 let mut r = rng(&format!("party-tcp-drop-{i}"));
                 let window = Duration::from_secs(1);
-                let out = run_party(
-                    &Actor::Member(&members[i]),
-                    &opts,
-                    &mut link,
-                    window,
-                    &mut r,
-                )
-                .expect("party completes");
-                link.finish();
-                out
-            })
+                run_party(&Actor::Member(&members[i]), &opts, link, window, &mut r)
+                    .expect("party completes")
+            }
         })
         .collect();
-    let results: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
-    assert!(relay.wait_done(Duration::from_secs(5)), "relay drained");
-    let log = relay.traffic();
-    relay.shutdown();
+    let config = RelayConfig {
+        gather_deadline: Duration::from_secs(10),
+        round_deadline: Duration::from_secs(5),
+        ..RelayConfig::new(3)
+    };
+    let (results, log) = run_tcp_parties(config, Some(drop_one_phase2()), bodies);
     assert_recovered("tcp", &results, &log);
 }
 
@@ -330,7 +267,7 @@ fn sim_delayed_copy_is_released_by_the_retransmission() {
             }
         })
         .collect();
-    let report = shs_sim::network::run_session(3, plan, LatencyModel::lan(3), bodies);
+    let report = run_session(3, plan, LatencyModel::lan(3), bodies);
     let retries: Vec<u32> = report.outputs.iter().map(|p| p.stats.retries).collect();
     assert_eq!(retries, vec![1, 0, 0], "only slot 0 retransmits, once");
     let faults = report.traffic.faults();

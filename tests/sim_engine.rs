@@ -1,20 +1,21 @@
 //! The discrete-event simulator is a *medium*, not a fork of the
 //! engine: the same parties, seeds and rosters must produce the same
-//! bytes whether the session runs over the threaded wall-clock hub,
-//! the lockstep `BroadcastNet`, or `shs-sim`'s virtual-time media —
-//! and a simulated campaign must reproduce bit-for-bit from its seed.
+//! bytes whether the session runs over real TCP through the relay, the
+//! lockstep `BroadcastNet`, or `shs-sim`'s virtual-time media — and a
+//! simulated campaign must reproduce bit-for-bit from its seed.
 
 mod common;
 
 use std::time::Duration;
 
-use common::{actors, group, rng};
+use common::{actors, group, rng, run_tcp_parties};
 use shs_core::handshake::party::run_party;
 use shs_core::handshake::run_handshake_with_net;
 use shs_core::{Actor, HandshakeOptions, SchemeKind};
 use shs_net::fault::FaultPlan;
 use shs_net::observe::{TrafficLog, TrafficRecord};
 use shs_net::sync::BroadcastNet;
+use shs_net::tcp::{RelayConfig, TcpParty};
 use shs_sim::adversary::{Kind, Schedule};
 use shs_sim::core::LatencyModel;
 use shs_sim::network::{run_session, SimLink, SimMedium};
@@ -22,8 +23,8 @@ use shs_sim::{run_scenario, ScenarioConfig, SimPool};
 
 const COLLECT: Duration = Duration::from_secs(5);
 
-/// Thread scheduling makes the hub's log order nondeterministic (the
-/// sim's is canonical); order both by identity before comparing bytes.
+/// The relay logs in the order frames cross the sockets (the sim's order
+/// is canonical); order both by identity before comparing bytes.
 fn canonical(log: &TrafficLog) -> Vec<TrafficRecord> {
     let mut records = log.records().to_vec();
     records.sort_by(|a, b| {
@@ -34,28 +35,34 @@ fn canonical(log: &TrafficLog) -> Vec<TrafficRecord> {
 
 /// A fault-free session driven by the unmodified per-party driver over
 /// the simulated medium produces the byte-identical transcript — same
-/// rounds, same slots, same payload bytes — as the threaded hub run
-/// with the same seed and roster, plus the same acceptances and keys.
+/// rounds, same slots, same payload bytes — as three `TcpParty` links
+/// through a loopback relay with the same roster and per-party seeds,
+/// plus the same acceptances and keys.
 #[test]
-fn simulated_session_matches_hub_transcript_byte_for_byte() {
-    let label = "sim-hub-equiv";
-    // Hub run. (Each run rebuilds the identical group from the same
+fn simulated_session_matches_tcp_transcript_byte_for_byte() {
+    let label = "sim-tcp-equiv";
+    // TCP run. (Each run rebuilds the identical group from the same
     // seed so it owns its members — determinism end to end.)
     let mut r = rng(label);
     let (_, members) = group(SchemeKind::Scheme1, 3, &mut r);
     let opts = HandshakeOptions::default();
-    let hub_bodies: Vec<_> = members
+    let tcp_bodies: Vec<_> = members
         .into_iter()
         .enumerate()
         .map(|(i, member)| {
-            move |mut link: shs_net::hub::PartyHandle| {
+            move |link: &mut TcpParty| {
                 let mut r = rng(&format!("{label}-{i}"));
-                run_party(&Actor::Member(&member), &opts, &mut link, COLLECT, &mut r)
-                    .expect("hub party completes")
+                run_party(&Actor::Member(&member), &opts, link, COLLECT, &mut r)
+                    .expect("tcp party completes")
             }
         })
         .collect();
-    let (hub_results, hub_traffic) = shs_net::hub::run_session(3, 7, hub_bodies);
+    let config = RelayConfig {
+        gather_deadline: Duration::from_secs(10),
+        round_deadline: Duration::from_secs(5),
+        ..RelayConfig::new(3)
+    };
+    let (tcp_results, tcp_traffic) = run_tcp_parties(config, None, tcp_bodies);
 
     // Simulated run: same members, same per-party seeds, virtual time.
     let mut r = rng(label);
@@ -73,20 +80,20 @@ fn simulated_session_matches_hub_transcript_byte_for_byte() {
         .collect();
     let report = run_session(3, FaultPlan::new(7), LatencyModel::lan(7), sim_bodies);
 
-    for (slot, (h, s)) in hub_results.iter().zip(&report.outputs).enumerate() {
-        assert!(h.outcome.accepted && s.outcome.accepted, "slot {slot}");
-        assert_eq!(h.outcome.session_key, s.outcome.session_key, "slot {slot}");
+    for (slot, (t, s)) in tcp_results.iter().zip(&report.outputs).enumerate() {
+        assert!(t.outcome.accepted && s.outcome.accepted, "slot {slot}");
+        assert_eq!(t.outcome.session_key, s.outcome.session_key, "slot {slot}");
         assert_eq!(
-            h.outcome.same_group_slots, s.outcome.same_group_slots,
+            t.outcome.same_group_slots, s.outcome.same_group_slots,
             "slot {slot}"
         );
         assert_eq!(
-            h.outcome.verified_slots, s.outcome.verified_slots,
+            t.outcome.verified_slots, s.outcome.verified_slots,
             "slot {slot}"
         );
     }
     assert_eq!(
-        canonical(&hub_traffic),
+        canonical(&tcp_traffic),
         canonical(&report.traffic),
         "the eavesdropper cannot tell the simulated wire from the real one"
     );
