@@ -26,8 +26,9 @@ const SECTIONS: [Section; 10] = [
         let sweep = [2, 3, 4, 6, 8, 12, 16];
         let bd = DgkaChoice::BurmesterDesmedt;
         SchemeKind::ALL
-            .map(|s| paper::handshake_costs(s, bd, &sweep))
-            .into()
+            .iter()
+            .flat_map(|&s| [0, 8].map(|revoked| paper::handshake_costs(s, bd, revoked, &sweep)))
+            .collect()
     }),
     (&["e3"], |_| {
         vec![paper::dgka_comparison(&[2, 3, 4, 6, 8, 12, 16, 24, 32])]
@@ -61,7 +62,7 @@ const SECTIONS: [Section; 10] = [
     }),
     (&["e11", "e12", "e14"], |_| {
         let mut tables: Vec<Table> = DgkaChoice::ALL
-            .map(|d| paper::handshake_costs(SchemeKind::Scheme1, d, &[2, 4, 8]))
+            .map(|d| paper::handshake_costs(SchemeKind::Scheme1, d, 0, &[2, 4, 8]))
             .into();
         tables.extend([paper::cgkd_ablation(8), paper::instantiation_matrix(3)]);
         tables

@@ -12,7 +12,7 @@ use shs_bigint::{counters, Ubig};
 use shs_cgkd::{lkh::LkhController, sd::SdController, star::StarController, Controller};
 use shs_core::config::{CgkdChoice, DgkaChoice};
 use shs_core::factory;
-use shs_core::fixtures::group_with_config;
+use shs_core::fixtures::{group_with_config, group_with_revoked};
 use shs_core::handshake::{run_handshake, run_handshake_with_net};
 use shs_core::{
     Actor, GroupConfig, HandshakeOptions, Member, SchemeKind, SessionResult, SlotCosts,
@@ -69,17 +69,25 @@ fn all_accepted(result: &SessionResult) -> bool {
 }
 
 /// **E1/E2, E11**: per-party cost of a clean lockstep handshake under
-/// `scheme` with `dgka` as Phase I and an empty CRL, one row per session
-/// size in `sweep`.
-pub fn handshake_costs(scheme: SchemeKind, dgka: DgkaChoice, sweep: &[usize]) -> Table {
+/// `scheme` with `dgka` as Phase I, after `revoked` members have left
+/// the group, one row per session size in `sweep`. Under verifier-local
+/// revocation (Schemes 1 and 2) every party scans the CRL once per
+/// co-member's signature, (m − 1)·r exponentiations on top.
+pub fn handshake_costs(
+    scheme: SchemeKind,
+    dgka: DgkaChoice,
+    revoked: usize,
+    sweep: &[usize],
+) -> Table {
     let mut table = Table::new(
-        format!("E1/E2, E11: {scheme:?} over {dgka:?}, per-party handshake cost vs m"),
-        "each party computes O(m) modular exponentiations and sends and receives O(m) messages (§8.1, §8.2), under any DGKA (§6)",
-        &["m", "exp/party", "exp/m", "msgs sent", "msgs rcvd", "bytes sent", "dgka rounds"],
+        format!("E1/E2, E11: {scheme:?} over {dgka:?}, r = {revoked} revoked, per-party handshake cost vs m"),
+        "each party computes O(m) modular exponentiations, plus (m - 1)r for a CRL of r tokens under VLR (§3), and sends and receives O(m) messages (§8.1, §8.2), under any DGKA (§6)",
+        &["m", "r", "exp/party", "exp/m", "msgs sent", "msgs rcvd", "bytes sent", "dgka rounds"],
         &["wall s"],
     );
     let mut r = rng("table-e1");
-    let (_, members) = group(scheme, sweep.iter().copied().max().unwrap_or(0), &mut r);
+    let size = sweep.iter().copied().max().unwrap_or(0);
+    let (_, members) = group_with_revoked(scheme, size, revoked, &mut r).expect("bench fixture");
     let opts = HandshakeOptions::with_dgka(dgka);
     for &m in sweep {
         let (secs, result) = timed(|| handshake(&members[..m], &opts, &mut r));
@@ -90,6 +98,7 @@ pub fn handshake_costs(scheme: SchemeKind, dgka: DgkaChoice, sweep: &[usize]) ->
         table.push(
             vec![
                 m.into(),
+                revoked.into(),
                 Cell::per_slot(&exps),
                 Cell::Real(mean(&exps) / m as f64, 2),
                 Cell::per_slot(&per_slot(|c| c.messages_sent)),
@@ -447,7 +456,8 @@ pub fn trace(sweep: &[usize]) -> Table {
 }
 
 /// **E9**: one KY verification against each CRL size in `crl_sizes`
-/// (ascending; tokens of members that never signed).
+/// (ascending; tokens of members that never signed), through the same
+/// revocation scan the handshake runs.
 pub fn vlr_cost(crl_sizes: &[usize]) -> Table {
     let mut table = Table::new(
         "E9: VLR signature verification vs CRL size",
@@ -460,17 +470,17 @@ pub fn vlr_cost(crl_sizes: &[usize]) -> Table {
     let pk = gm.public_key();
     let sig = ky::sign(pk, &keys[0], b"m", ky::SignBasis::Random, &mut r);
     let params = GsigParams::preset(GsigPreset::Test);
-    let mut tokens = Vec::new();
+    let mut crl = Crl::new();
     let mut empty_s = None;
     for &size in crl_sizes {
-        while tokens.len() < size {
-            tokens.push(ky::RevocationToken {
-                id: ky::MemberId(1000 + tokens.len() as u64),
+        while crl.len() < size {
+            crl.push(ky::RevocationToken {
+                id: ky::MemberId(1000 + crl.len() as u64),
                 x: params.sample_lambda(&mut r),
             });
         }
         let (c, (secs, verdict)) =
-            counters::measure(|| timed(|| ky::verify_with_tokens(pk, b"m", &sig, None, &tokens)));
+            counters::measure(|| timed(|| ky::verify_with_crl(pk, b"m", &sig, None, &crl)));
         assert!(verdict.is_ok(), "crl size {size}: signature rejected");
         let base = *empty_s.get_or_insert(secs);
         table.push(

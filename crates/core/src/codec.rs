@@ -262,17 +262,19 @@ pub fn encode_crl_delta(p: &GsigParams, delta: &CrlDelta) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// [`WireError`] on truncation or absurd counts.
+/// [`WireError`] on truncation, or [`WireError::BadLength`] for a token
+/// count the remaining bytes cannot hold (checked before anything is
+/// reserved for it).
 pub fn decode_crl_delta(p: &GsigParams, bytes: &[u8]) -> Result<CrlDelta, WireError> {
     let tw = token_width(p);
     let mut r = Reader::new(bytes);
     let from_version = r.take_u64()?;
     let to_version = r.take_u64()?;
-    let count = r.take_u32()?;
-    if count > 1 << 20 {
+    let count = r.take_u32()? as usize;
+    if count > r.remaining() / (8 + tw) {
         return Err(WireError::BadLength);
     }
-    let mut new_tokens = Vec::with_capacity(count as usize);
+    let mut new_tokens = Vec::with_capacity(count);
     for _ in 0..count {
         let id = MemberId(r.take_u64()?);
         let x = r.take_ubig_fixed(tw)?;
@@ -359,5 +361,22 @@ mod tests {
         };
         let bytes = encode_crl_delta(&params, &empty);
         assert_eq!(decode_crl_delta(&params, &bytes).unwrap(), empty);
+    }
+
+    #[test]
+    fn crl_delta_count_beyond_the_input_rejected_before_reserving() {
+        let params = shs_gsig::params::GsigParams::preset(shs_gsig::params::GsigPreset::Test);
+        // A bare 20-byte header promising 2^20 tokens: reserving for them
+        // first would take 32 MiB.
+        let mut w = Writer::new();
+        w.put_u64(0);
+        w.put_u64(1 << 20);
+        w.put_u32(1 << 20);
+        let header = w.into_bytes();
+        assert_eq!(header.len(), 20);
+        assert_eq!(
+            decode_crl_delta(&params, &header),
+            Err(WireError::BadLength)
+        );
     }
 }

@@ -279,15 +279,10 @@ pub struct HandshakeOptions {
     pub budget: SessionBudget,
     /// Verify co-members' Phase-III signatures on a scoped worker pool
     /// (one job per slot). Results are merged in slot order, so the
-    /// transcript and outcomes are byte-identical either way; this only
-    /// trades wall-clock time. Per-slot costs are identical too while the
-    /// CRL is empty. With revoked members they are not: the process-wide
-    /// verdict memo in `Crl::is_revoked` charges each signature's
-    /// revocation scan to whichever slot checks it first, so the split of
-    /// CRL modexps across slots (and even their session total) depends on
-    /// thread timing and on what the process verified before (ROADMAP.md
-    /// item 1, "Honest revocation cost"). Disable to pin the engine to
-    /// one thread (e.g. under a deterministic profiler).
+    /// transcript, outcomes and per-slot costs are identical either way
+    /// (every slot pays its own CRL scan); this only trades wall-clock
+    /// time. Disable to pin the engine to one thread (e.g. under a
+    /// deterministic profiler).
     pub parallel_verify: bool,
 }
 

@@ -34,6 +34,31 @@ pub fn group_with_members(
     group_with_config(GroupConfig::test(scheme), n, rng)
 }
 
+/// Builds a test authority plus `n` fully-updated members, after
+/// `revoked` more members have joined and been removed, so under a VLR
+/// scheme every member's CRL holds `revoked` tokens. With `revoked = 0`
+/// this is [`group_with_members`], draw for draw.
+///
+/// # Errors
+///
+/// Propagates admission, removal and update errors (none occur for
+/// valid sizes within capacity).
+pub fn group_with_revoked(
+    scheme: SchemeKind,
+    n: usize,
+    revoked: usize,
+    rng: &mut impl RngCore,
+) -> Result<(GroupAuthority, Vec<Member>), CoreError> {
+    let (mut ga, mut members) = group_with_members(scheme, n + revoked, rng)?;
+    for leaver in members.split_off(n) {
+        let update = ga.remove(leaver.id(), rng)?;
+        for m in members.iter_mut() {
+            m.apply_update(&update)?;
+        }
+    }
+    Ok((ga, members))
+}
+
 /// Builds an authority for `config` plus `n` fully-updated members.
 ///
 /// # Errors

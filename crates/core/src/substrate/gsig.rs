@@ -243,9 +243,9 @@ impl GsigCredential for KyCredential {
         crl: &Crl,
     ) -> Vec<Option<Option<Ubig>>> {
         // Decode individually (failures stay per-item), combine the
-        // group equations across the batch, then run the memoized CRL
-        // check per surviving signature — revocation is signature-local
-        // and does not batch.
+        // group equations across the batch, then scan the CRL per
+        // surviving signature — revocation is signature-local and does
+        // not batch.
         let decoded: Vec<Option<ky::Signature>> = items
             .iter()
             .map(|(_, sig_bytes)| codec::decode_ky_sig(&self.pk.params, sig_bytes).ok())

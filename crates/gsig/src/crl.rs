@@ -9,40 +9,21 @@
 
 use crate::ky::{GroupPublicKey, RevocationToken, Signature};
 use serde::{Deserialize, Serialize};
-use shs_crypto::sha256;
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use shs_bigint::{counters, FixedBase};
+use std::sync::Arc;
 
 /// A versioned list of revocation tokens.
 ///
-/// Checking a signature against a VLR-style CRL is inherently `O(r)` the
-/// *first* time — `T5` is fresh randomness per signature, so each token
-/// needs its own exponentiation — but the handshake re-checks the same
-/// signatures from many member instances in the same process. The CRL
-/// therefore keeps a running *fingerprint* (a hash chain over the token
-/// insertion sequence) and memoizes verdicts process-wide keyed on
-/// `(fingerprint, version, signature tags)`: every re-check of a known
-/// signature is an `O(1)` table hit, from any clone of the same CRL
-/// state.
+/// The version counts the tokens: [`Crl::push`] adds one token per
+/// version and [`Crl::apply`] accepts only a delta whose version span
+/// equals its token count, so a member's list can neither skip, repeat
+/// nor rewind an update.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Crl {
     /// Monotone version; bumped on every revocation.
     pub version: u64,
     /// Tokens of all revoked members.
     pub tokens: Vec<RevocationToken>,
-    /// Hash chain over the token insertion sequence: two CRL states with
-    /// the same fingerprint hold the same tokens in the same order, so
-    /// memoized verdicts transfer between clones.
-    fingerprint: [u8; 32],
-}
-
-/// Bound on the process-wide verdict memo; on overflow the table is
-/// cleared (verdicts are pure caches and re-derivable).
-const MEMO_CAP: usize = 8192;
-
-fn memo() -> &'static Mutex<HashMap<[u8; 32], bool>> {
-    static MEMO: OnceLock<Mutex<HashMap<[u8; 32], bool>>> = OnceLock::new();
-    MEMO.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
 /// An incremental CRL update (what actually travels in rekey messages).
@@ -56,12 +37,15 @@ pub struct CrlDelta {
     pub new_tokens: Vec<RevocationToken>,
 }
 
-/// Error applying a CRL delta out of order.
+/// Error applying a CRL delta that does not continue the member's list:
+/// it starts at another version than the list holds, or its version span
+/// is not its token count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VersionMismatch {
-    /// The version the member holds.
+    /// The version the member's list holds, or reaches with the delta's
+    /// tokens.
     pub have: u64,
-    /// The version the delta expects.
+    /// The version the delta names for it.
     pub expected: u64,
 }
 
@@ -69,7 +53,7 @@ impl std::fmt::Display for VersionMismatch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "CRL delta expects version {} but member holds {}",
+            "CRL delta names version {} where the member's list is at {}",
             self.expected, self.have
         )
     }
@@ -103,35 +87,16 @@ impl CrlDelta {
     }
 }
 
-/// Digest of one token for the fingerprint chain.
-fn token_digest(token: &RevocationToken) -> [u8; 32] {
-    let x = token.x.to_bytes_be();
-    let mut data = Vec::with_capacity(16 + x.len());
-    data.extend_from_slice(&token.id.0.to_be_bytes());
-    data.extend_from_slice(&(x.len() as u64).to_be_bytes());
-    data.extend_from_slice(&x);
-    sha256::digest(&data)
-}
-
 impl Crl {
     /// An empty CRL at version 0.
     pub fn new() -> Crl {
         Crl::default()
     }
 
-    /// Absorbs one appended token into the fingerprint chain.
-    fn absorb(&mut self, token: &RevocationToken) {
-        let mut data = [0u8; 64];
-        data[..32].copy_from_slice(&self.fingerprint);
-        data[32..].copy_from_slice(&token_digest(token));
-        self.fingerprint = sha256::digest(&data);
-    }
-
     /// Appends a token, bumping the version, and returns the delta to
     /// distribute.
     pub fn push(&mut self, token: RevocationToken) -> CrlDelta {
         let from_version = self.version;
-        self.absorb(&token);
         self.tokens.push(token.clone());
         self.version += 1;
         CrlDelta {
@@ -142,13 +107,15 @@ impl Crl {
     }
 
     /// Applies a delta received from the group authority. Deltas stream:
-    /// a batched epoch's merged delta applies in one call, and the
-    /// fingerprint chain advances token by token exactly as it did on
-    /// the authority side, so memoized verdicts stay shared.
+    /// a batched epoch's merged delta applies in one call.
     ///
     /// # Errors
     ///
-    /// [`VersionMismatch`] when deltas arrive out of order.
+    /// [`VersionMismatch`] when the delta does not start at this list's
+    /// version (out of order or replayed), or when its version span is
+    /// not its token count: every genuine delta spans exactly that,
+    /// since [`Crl::push`] adds one token per version and
+    /// [`CrlDelta::merge`] concatenates.
     pub fn apply(&mut self, delta: &CrlDelta) -> Result<(), VersionMismatch> {
         if delta.from_version != self.version {
             return Err(VersionMismatch {
@@ -156,53 +123,42 @@ impl Crl {
                 expected: delta.from_version,
             });
         }
-        for token in &delta.new_tokens {
-            self.absorb(token);
-            self.tokens.push(token.clone());
+        let reached = self.version.checked_add(delta.new_tokens.len() as u64);
+        if reached != Some(delta.to_version) {
+            return Err(VersionMismatch {
+                have: reached.unwrap_or(u64::MAX),
+                expected: delta.to_version,
+            });
         }
+        self.tokens.extend_from_slice(&delta.new_tokens);
         self.version = delta.to_version;
         Ok(())
     }
 
-    /// Does this signature match any revoked member?
+    /// Does this signature match any revoked member, that is,
+    /// `T5^x = T4` for some token `x`?
     ///
-    /// First check of a fresh signature costs one exponentiation per
-    /// token (inherent to verifier-local revocation: `T5` is per-
-    /// signature randomness); every later check of the same signature
-    /// against the same CRL state — from this instance or any clone —
-    /// is an `O(1)` memo hit.
+    /// Costs one exponentiation per token, inherent to verifier-local
+    /// revocation: `T5` is fresh randomness per signature, so no check
+    /// carries over to another signature. Tokens are member-only
+    /// secrets, so every token goes through the masked constant-trace
+    /// [`FixedBase::pow`] of one table on `T5`, built per call at the
+    /// public token width `λ1 + 1`, and the scan does not stop at a
+    /// match. Each token counts one modular exponentiation, as
+    /// [`shs_groups::rsa::RsaGroup::exp`] does.
     pub fn is_revoked(&self, pk: &GroupPublicKey, sig: &Signature) -> bool {
         if self.tokens.is_empty() {
             return false;
         }
-        let key = self.memo_key(sig);
-        {
-            let table = memo().lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(&verdict) = table.get(&key) {
-                return verdict;
-            }
-        }
-        let verdict = self.tokens.iter().any(|t| t.matches(pk, sig));
-        let mut table = memo().lock().unwrap_or_else(|e| e.into_inner());
-        if table.len() >= MEMO_CAP {
-            table.clear();
-        }
-        table.insert(key, verdict);
-        verdict
-    }
-
-    /// Memo key: CRL state (fingerprint + version) and the signature's
-    /// revocation-relevant tags.
-    fn memo_key(&self, sig: &Signature) -> [u8; 32] {
-        let t5 = sig.tags.t5.to_bytes_be();
-        let t4 = sig.tags.t4.to_bytes_be();
-        let mut data = Vec::with_capacity(56 + t5.len() + t4.len());
-        data.extend_from_slice(&self.fingerprint);
-        data.extend_from_slice(&self.version.to_be_bytes());
-        data.extend_from_slice(&(t5.len() as u64).to_be_bytes());
-        data.extend_from_slice(&t5);
-        data.extend_from_slice(&t4);
-        sha256::digest(&data)
+        let t5 = FixedBase::new(
+            Arc::clone(pk.rsa().ctx()),
+            &sig.tags.t5,
+            pk.params.lambda1 + 1,
+        );
+        self.tokens.iter().fold(false, |revoked, token| {
+            counters::record_modexp();
+            revoked | (t5.pow(&token.x) == sig.tags.t4)
+        })
     }
 
     /// Number of revoked members.
@@ -220,7 +176,8 @@ impl Crl {
 mod tests {
     use super::*;
     use crate::fixtures;
-    use crate::ky::{self, SignBasis};
+    use crate::ky::{self, MemberId, SignBasis};
+    use shs_bigint::Ubig;
     use shs_crypto::drbg::HmacDrbg;
 
     #[test]
@@ -253,15 +210,21 @@ mod tests {
 
     #[test]
     fn is_revoked_detects_signatures() {
-        let (mut gm, keys) = fixtures::group_with_members_mut(2);
+        let (mut gm, keys) = fixtures::group_with_members_mut(3);
         let pk = ky::GroupPublicKey::from_params(gm.public_key().to_params());
         let mut rng = HmacDrbg::from_seed(b"crl-test");
         let sig_revoked = ky::sign(&pk, &keys[0], b"m", SignBasis::Random, &mut rng);
         let sig_ok = ky::sign(&pk, &keys[1], b"m", SignBasis::Random, &mut rng);
         let mut crl = Crl::new();
         crl.push(gm.revoke(keys[0].id).unwrap());
-        assert!(crl.is_revoked(&pk, &sig_revoked));
-        assert!(!crl.is_revoked(&pk, &sig_ok));
+        crl.push(gm.revoke(keys[2].id).unwrap());
+        // The first token matches, and the scan still runs both: a check
+        // costs the same whether and where a token matches.
+        for (sig, revoked) in [(&sig_revoked, true), (&sig_ok, false)] {
+            let (ops, verdict) = counters::measure(|| crl.is_revoked(&pk, sig));
+            assert_eq!(verdict, revoked);
+            assert_eq!(ops.modexp, 2);
+        }
     }
 
     #[test]
@@ -286,7 +249,7 @@ mod tests {
         assert_eq!(merged.to_version, 3);
         member_crl.apply(&merged).unwrap();
         // Token-by-token and batched application land on the identical
-        // state, fingerprint chain included.
+        // state.
         assert_eq!(authority_crl, member_crl);
     }
 
@@ -305,27 +268,46 @@ mod tests {
     }
 
     #[test]
-    fn repeated_checks_memoized_across_clones() {
-        let (mut gm, keys) = fixtures::group_with_members_mut(2);
-        let pk = ky::GroupPublicKey::from_params(gm.public_key().to_params());
-        let mut rng = HmacDrbg::from_seed(b"crl-memo");
-        let sig_revoked = ky::sign(&pk, &keys[0], b"m", SignBasis::Random, &mut rng);
-        let sig_ok = ky::sign(&pk, &keys[1], b"m", SignBasis::Random, &mut rng);
+    fn delta_whose_span_is_not_its_token_count_rejected() {
+        let token = |id| RevocationToken {
+            id: MemberId(id),
+            x: Ubig::from_u64(3),
+        };
         let mut crl = Crl::new();
-        crl.push(gm.revoke(keys[0].id).unwrap());
-        let clone = crl.clone();
-        // Same verdicts from the original and a clone (memo-hit path),
-        // repeated to exercise both the miss and the hit branch.
-        for _ in 0..2 {
-            assert!(crl.is_revoked(&pk, &sig_revoked));
-            assert!(clone.is_revoked(&pk, &sig_revoked));
-            assert!(!crl.is_revoked(&pk, &sig_ok));
-            assert!(!clone.is_revoked(&pk, &sig_ok));
-        }
-        // Advancing the CRL changes the state key: verdicts re-derive
-        // and the now-revoked member is caught.
-        crl.push(gm.revoke(keys[1].id).unwrap());
-        assert!(crl.is_revoked(&pk, &sig_ok));
-        assert!(!clone.is_revoked(&pk, &sig_ok), "clone is at the old state");
+        // A delta that claims no version step for its one token would
+        // apply again and again at version 0.
+        let stuck = CrlDelta {
+            from_version: 0,
+            to_version: 0,
+            new_tokens: vec![token(1)],
+        };
+        assert_eq!(
+            crl.apply(&stuck),
+            Err(VersionMismatch {
+                have: 1,
+                expected: 0
+            })
+        );
+        // One that claims more steps than tokens would skip versions.
+        let skipping = CrlDelta {
+            to_version: 5,
+            ..stuck.clone()
+        };
+        assert!(crl.apply(&skipping).is_err());
+        assert_eq!(
+            crl,
+            Crl::new(),
+            "a rejected delta leaves the list as it was"
+        );
+        crl.push(token(1));
+        crl.push(token(2));
+        // One that steps back would rewind the version.
+        let rewind = CrlDelta {
+            from_version: 2,
+            to_version: 1,
+            new_tokens: Vec::new(),
+        };
+        assert!(crl.apply(&rewind).is_err());
+        assert_eq!((crl.version, crl.len()), (2, 2));
     }
 }

@@ -338,13 +338,6 @@ pub struct RevocationToken {
     pub x: Ubig,
 }
 
-impl RevocationToken {
-    /// Does `sig` belong to the member this token revokes?
-    pub fn matches(&self, pk: &GroupPublicKey, sig: &Signature) -> bool {
-        pk.rsa().exp(&sig.tags.t5, &self.x) == sig.tags.t4
-    }
-}
-
 /// The group manager: holds the RSA trapdoor, the opening key `θ` and the
 /// member registry.
 pub struct GroupManager {
@@ -973,8 +966,8 @@ fn equations_hold(pk: &GroupPublicKey, sig: &Signature) -> bool {
 /// soundness bound.
 ///
 /// Revocation is *not* checked here — pair with
-/// [`crate::crl::Crl::is_revoked`] per surviving signature (the check is
-/// memoized and signature-local, so it does not batch).
+/// [`crate::crl::Crl::is_revoked`] per surviving signature (the scan is
+/// signature-local, so it does not batch).
 pub fn verify_batch(
     pk: &GroupPublicKey,
     items: &[(&[u8], &Signature)],
@@ -1096,33 +1089,9 @@ fn rlc_holds(
     rsa.multi_exp_vartime(&lhs_terms) == rsa.multi_exp_vartime(&rhs_terms)
 }
 
-/// Verifies a signature against a CRL of VLR tokens: the signature must be
-/// valid *and* not match any revoked member's trapdoor.
-///
-/// # Errors
-///
-/// [`GsigError::InvalidSignature`] for invalid proofs,
-/// [`GsigError::RevokedMember`] when a token matches.
-pub fn verify_with_tokens(
-    pk: &GroupPublicKey,
-    message: &[u8],
-    sig: &Signature,
-    expected_t7: Option<&Ubig>,
-    tokens: &[RevocationToken],
-) -> Result<(), GsigError> {
-    verify(pk, message, sig, expected_t7)?;
-    for token in tokens {
-        if token.matches(pk, sig) {
-            return Err(GsigError::RevokedMember);
-        }
-    }
-    Ok(())
-}
-
-/// Verifies a signature against a [`crate::crl::Crl`]: like
-/// [`verify_with_tokens`], but routed through the CRL's memoized
-/// revocation check so repeated checks of the same signature against the
-/// same CRL state cost `O(1)`.
+/// Verifies a signature against a [`crate::crl::Crl`]: the signature must
+/// be valid *and* match no revoked member's token
+/// ([`crate::crl::Crl::is_revoked`], one exponentiation per token).
 ///
 /// # Errors
 ///
@@ -1221,6 +1190,7 @@ fn pow2(bits: u32) -> Ubig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crl::Crl;
     use crate::fixtures as test_support;
     use rand::SeedableRng;
 
@@ -1303,19 +1273,19 @@ mod tests {
         let mut r = rng();
         let sig0 = sign(&pk, &keys[0], b"m", SignBasis::Random, &mut r);
         let sig1 = sign(&pk, &keys[1], b"m", SignBasis::Random, &mut r);
-        let token = gm.revoke(keys[0].id).unwrap();
+        let mut crl = Crl::new();
+        crl.push(gm.revoke(keys[0].id).unwrap());
         // Revoked member's signature is rejected; the other's passes.
         assert_eq!(
-            verify_with_tokens(&pk, b"m", &sig0, None, std::slice::from_ref(&token)),
+            verify_with_crl(&pk, b"m", &sig0, None, &crl),
             Err(GsigError::RevokedMember)
         );
-        verify_with_tokens(&pk, b"m", &sig1, None, std::slice::from_ref(&token))
-            .expect("not revoked");
+        verify_with_crl(&pk, b"m", &sig1, None, &crl).expect("not revoked");
         // Fresh signatures from the revoked key are also caught (VLR works
         // on future signatures, not just past ones).
         let sig0b = sign(&pk, &keys[0], b"m2", SignBasis::Random, &mut r);
         assert_eq!(
-            verify_with_tokens(&pk, b"m2", &sig0b, None, &[token]),
+            verify_with_crl(&pk, b"m2", &sig0b, None, &crl),
             Err(GsigError::RevokedMember)
         );
     }
@@ -1441,21 +1411,5 @@ mod tests {
         let mut cl = claim(pk, &keys[0], &sig);
         cl.s = cl.s.add(&Int::from_i64(1));
         assert!(verify_claim(pk, &sig, &cl).is_err());
-    }
-
-    #[test]
-    fn per_member_tracing_token_finds_only_that_member() {
-        // The user-tracing feature of KY (App. H): whoever holds a
-        // member's trapdoor x can test signatures for that member —
-        // without being able to open anyone else's.
-        let (mut gm, keys) = test_support::group_with_members_mut(2);
-        let pk = GroupPublicKey::from_params(gm.public_key().to_params());
-        let mut r = rng();
-        let sig_0 = sign(&pk, &keys[0], b"m", SignBasis::Random, &mut r);
-        let sig_1 = sign(&pk, &keys[1], b"m", SignBasis::Random, &mut r);
-        // GM delegates tracing of member 0 by releasing its token.
-        let token = gm.revoke(keys[0].id).unwrap();
-        assert!(token.matches(&pk, &sig_0));
-        assert!(!token.matches(&pk, &sig_1));
     }
 }

@@ -11,7 +11,9 @@
 //! log with payload bytes and fault counters. Each digest is compared
 //! with a committed constant, so a refactor of either driver must leave
 //! every one unchanged. A deliberate change to what a driver computes
-//! re-captures the tables; the failure message prints them.
+//! re-captures the tables; the failure message prints them. A session
+//! whose CRL holds revoked members' tokens has pins of its own, in both
+//! lockstep verify modes and per party.
 
 mod common;
 
@@ -19,11 +21,12 @@ use std::time::Duration;
 
 use common::rng;
 use shs_core::config::DgkaChoice;
-use shs_core::handshake::party::run_party;
+use shs_core::fixtures;
+use shs_core::handshake::party::{run_party, PartyOutcome};
 use shs_core::handshake::run_handshake_with_net;
 use shs_core::{
-    AbortReason, Actor, HandshakeOptions, Member, Outcome, SchemeKind, SessionBudget, SessionStats,
-    SlotCosts, TracePolicy,
+    AbortReason, Actor, HandshakeOptions, Member, Outcome, SchemeKind, SessionBudget,
+    SessionResult, SessionStats, SlotCosts, TracePolicy,
 };
 use shs_crypto::sha256::Sha256;
 use shs_net::fault::{FaultPlan, FaultRule};
@@ -32,7 +35,7 @@ use shs_net::sync::BroadcastNet;
 use shs_net::tcp::TcpSession;
 use shs_net::{DeliveryPolicy, Medium};
 use shs_sim::core::LatencyModel;
-use shs_sim::network::{run_session, SimLink};
+use shs_sim::network::{run_session, SimLink, SimSessionReport};
 
 /// Per-round collect window of the per-party runs (virtual time).
 const COLLECT: Duration = Duration::from_millis(50);
@@ -53,6 +56,9 @@ struct Case {
     plan: fn() -> FaultPlan,
     /// Does the per-party driver read the option this case varies?
     per_party: bool,
+    /// Members of group 0 revoked before the session, so its members'
+    /// CRL holds this many tokens.
+    revoked: usize,
 }
 
 fn case(name: &'static str, opts: HandshakeOptions, plan: fn() -> FaultPlan) -> Case {
@@ -63,6 +69,7 @@ fn case(name: &'static str, opts: HandshakeOptions, plan: fn() -> FaultPlan) -> 
         opts,
         plan,
         per_party: true,
+        revoked: 0,
     }
 }
 
@@ -178,6 +185,24 @@ fn cases() -> Vec<Case> {
     ]
 }
 
+/// A Scheme-1 session of three members whose CRL holds 8 tokens, in
+/// either verify mode. Both modes share the case's name and so its
+/// seeds.
+fn crl8(parallel_verify: bool) -> Case {
+    let opts = HandshakeOptions {
+        parallel_verify,
+        ..HandshakeOptions::default()
+    };
+    Case {
+        revoked: 8,
+        ..case("crl8", opts, clean)
+    }
+}
+
+/// Modexps each slot of a [`crl8`] session pays: E1's 14m + 19 at
+/// m = 3, plus one per token for each of the two co-members' signatures.
+const CRL8_SLOT_MODEXPS: u64 = 14 * 3 + 19 + 2 * 8;
+
 /// The case's roster: `Some(member)` per member seat, `None` per
 /// outsider. Each group is rebuilt from the case's seed, so every run
 /// of a case sees the same credentials.
@@ -189,7 +214,10 @@ fn seats(case: &Case) -> Vec<Option<Member>> {
         let built = if n == 0 {
             Vec::new()
         } else {
-            common::group(case.scheme, n, &mut r).1
+            let revoked = if g == Seat::G0 { case.revoked } else { 0 };
+            fixtures::group_with_revoked(case.scheme, n, revoked, &mut r)
+                .expect("group fixture")
+                .1
         };
         members.push(built.into_iter());
     }
@@ -312,12 +340,16 @@ fn tcp_lockstep_digest(case: &Case) -> String {
     digest
 }
 
-fn lockstep_digest_over(case: &Case, net: &mut dyn Medium) -> String {
+fn lockstep_run(case: &Case, net: &mut dyn Medium) -> SessionResult {
     let seats = seats(case);
     let actors: Vec<Actor<'_>> = seats.iter().map(actor).collect();
     let mut r = rng(&format!("driver-digest-{}-lockstep", case.name));
-    let result = run_handshake_with_net(&actors, &case.opts, net, &mut r)
-        .expect("lockstep session yields a structured result");
+    run_handshake_with_net(&actors, &case.opts, net, &mut r)
+        .expect("lockstep session yields a structured result")
+}
+
+fn lockstep_digest_over(case: &Case, net: &mut dyn Medium) -> String {
+    let result = lockstep_run(case, net);
     let mut d = Digest::new("lockstep");
     for (outcome, costs) in result.outcomes.iter().zip(&result.costs) {
         d.outcome(outcome);
@@ -333,7 +365,7 @@ fn lockstep_digest_over(case: &Case, net: &mut dyn Medium) -> String {
     d.hex()
 }
 
-fn per_party_digest(case: &Case) -> String {
+fn per_party_run(case: &Case) -> SimSessionReport<PartyOutcome> {
     let seats = seats(case);
     let m = seats.len();
     let opts = case.opts;
@@ -349,7 +381,11 @@ fn per_party_digest(case: &Case) -> String {
             }
         })
         .collect();
-    let report = run_session(m, (case.plan)(), LatencyModel::lan(m as u64), bodies);
+    run_session(m, (case.plan)(), LatencyModel::lan(m as u64), bodies)
+}
+
+fn per_party_digest(case: &Case) -> String {
+    let report = per_party_run(case);
     let mut d = Digest::new("per-party");
     for party in &report.outputs {
         d.outcome(&party.outcome);
@@ -451,4 +487,56 @@ fn per_party_driver_outputs_match_their_pins() {
         .map(|c| (c.name, per_party_digest(c)))
         .collect();
     check(PER_PARTY_PINS, computed);
+}
+
+const CRL_LOCKSTEP_PINS: &[(&str, &str)] = &[
+    ("crl8", "3707200ed3a2713fb1b8e804881f2855"),
+    ("crl8-sequential-verify", "3707200ed3a2713fb1b8e804881f2855"),
+];
+
+const CRL_PER_PARTY_PINS: &[(&str, &str)] = &[("crl8", "0ac5b2d7c744372ec11b607c03d7891a")];
+
+/// Sessions whose CRL holds 8 tokens, through the lockstep driver in
+/// both verify modes and through `run_party` over `SimLink`. Costs are
+/// part of each digest, and the two lockstep pins are equal: every slot
+/// pays its own revocation scan whichever thread verifies it.
+#[test]
+fn crl_sessions_match_their_pins() {
+    let lockstep = vec![
+        ("crl8", lockstep_digest(&crl8(true))),
+        ("crl8-sequential-verify", lockstep_digest(&crl8(false))),
+    ];
+    check(CRL_LOCKSTEP_PINS, lockstep);
+    check(
+        CRL_PER_PARTY_PINS,
+        vec![("crl8", per_party_digest(&crl8(true)))],
+    );
+}
+
+/// A seeded session run again in the same process pays its revocation
+/// scans again: nothing one party verified is charged to another, or to
+/// a later session.
+#[test]
+fn repeated_crl_session_pays_every_slot_its_own_scan() {
+    for run in 0..2 {
+        for parallel in [true, false] {
+            let case = crl8(parallel);
+            let mut net = BroadcastNet::new(case.roster.len(), case.opts.delivery);
+            let costs: Vec<u64> = lockstep_run(&case, &mut net)
+                .costs
+                .iter()
+                .map(|c| c.modexp)
+                .collect();
+            assert_eq!(
+                costs, [CRL8_SLOT_MODEXPS; 3],
+                "lockstep, parallel_verify = {parallel}, run {run}"
+            );
+        }
+        let costs: Vec<u64> = per_party_run(&crl8(true))
+            .outputs
+            .iter()
+            .map(|p| p.costs.modexp)
+            .collect();
+        assert_eq!(costs, [CRL8_SLOT_MODEXPS; 3], "per party, run {run}");
+    }
 }

@@ -13,11 +13,6 @@
 //!   `instantiation_matrix` assert them; here those sections are only
 //!   rendered.
 //! - E13's completion rates: seeded samples, not claims.
-//! - The CRL term of E1/E2, (m − 1)·r more modexps per party. The
-//!   cross-party CRL memo (ROADMAP item 1) charges one party's token scan
-//!   to another, so per-slot counts under a non-empty CRL depend on the
-//!   verify order. E1/E2 run with an empty CRL; E9 measures the r term
-//!   for one verification.
 
 use shs_bench::paper;
 use shs_bench::table::{Cell, Table};
@@ -41,34 +36,43 @@ fn log2(n: u64) -> u64 {
 #[test]
 fn e1_e2_every_party_pays_linear_exponentiations_and_messages() {
     let sweep = [2usize, 3, 4, 8, 16];
-    // (scheme, modexps per party = a·m + b, bytes sent per party)
-    for (scheme, a, b, bytes) in [
-        (SchemeKind::Scheme1, 14, 19, 1287),
-        (SchemeKind::Scheme2SelfDistinct, 14, 18, 1287),
-        (SchemeKind::Scheme1Classic, 8, 17, 1044),
+    // (scheme, modexps per party = a·m + b + v·(m − 1)·r, bytes sent per
+    // party); v = 1 under verifier-local revocation, where every party
+    // scans the CRL once per co-member's signature, and 0 under
+    // registry-only revocation.
+    for (scheme, a, b, v, bytes) in [
+        (SchemeKind::Scheme1, 14, 19, 1, 1287),
+        (SchemeKind::Scheme2SelfDistinct, 14, 18, 1, 1287),
+        (SchemeKind::Scheme1Classic, 8, 17, 0, 1044),
     ] {
-        let t = rendered(paper::handshake_costs(
-            scheme,
-            DgkaChoice::BurmesterDesmedt,
-            &sweep,
-        ));
-        let ms: Vec<u64> = sweep.iter().map(|&m| m as u64).collect();
-        assert_eq!(t.ints("m"), ms);
-        // `ints` fails on a per-slot column whose slots disagree, so each
-        // count below holds for every slot.
-        assert_eq!(
-            t.ints("exp/party"),
-            ms.iter().map(|m| a * m + b).collect::<Vec<_>>(),
-            "{scheme:?}"
-        );
-        assert_eq!(t.ints("msgs sent"), vec![4; sweep.len()], "{scheme:?}");
-        assert_eq!(
-            t.ints("msgs rcvd"),
-            ms.iter().map(|m| 4 * (m - 1)).collect::<Vec<_>>(),
-            "{scheme:?}"
-        );
-        assert_eq!(t.ints("bytes sent"), vec![bytes; sweep.len()], "{scheme:?}");
-        assert_eq!(t.ints("dgka rounds"), vec![2; sweep.len()], "{scheme:?}");
+        for r in [0u64, 8] {
+            let t = rendered(paper::handshake_costs(
+                scheme,
+                DgkaChoice::BurmesterDesmedt,
+                r as usize,
+                &sweep,
+            ));
+            let ms: Vec<u64> = sweep.iter().map(|&m| m as u64).collect();
+            assert_eq!(t.ints("m"), ms);
+            assert_eq!(t.ints("r"), vec![r; sweep.len()]);
+            // `ints` fails on a per-slot column whose slots disagree, so
+            // each count below holds for every slot.
+            assert_eq!(
+                t.ints("exp/party"),
+                ms.iter()
+                    .map(|m| a * m + b + v * (m - 1) * r)
+                    .collect::<Vec<_>>(),
+                "{scheme:?}, r = {r}"
+            );
+            assert_eq!(t.ints("msgs sent"), vec![4; sweep.len()], "{scheme:?}");
+            assert_eq!(
+                t.ints("msgs rcvd"),
+                ms.iter().map(|m| 4 * (m - 1)).collect::<Vec<_>>(),
+                "{scheme:?}"
+            );
+            assert_eq!(t.ints("bytes sent"), vec![bytes; sweep.len()], "{scheme:?}");
+            assert_eq!(t.ints("dgka rounds"), vec![2; sweep.len()], "{scheme:?}");
+        }
     }
 }
 
@@ -162,11 +166,12 @@ fn e11_authenticated_bd_costs_and_dgka_rounds() {
     let gdh = rendered(paper::handshake_costs(
         SchemeKind::Scheme1,
         DgkaChoice::Gdh2,
+        0,
         &sweep,
     ));
     assert_eq!(gdh.ints("dgka rounds"), ms);
     let ake = DgkaChoice::AuthenticatedBd;
-    let ake = rendered(paper::handshake_costs(SchemeKind::Scheme1, ake, &sweep));
+    let ake = rendered(paper::handshake_costs(SchemeKind::Scheme1, ake, 0, &sweep));
     assert_eq!(ake.ints("dgka rounds"), vec![4; sweep.len()]);
     let per_party: Vec<u64> = ms.iter().map(|m| 20 * m + 23).collect();
     assert_eq!(
