@@ -142,6 +142,11 @@ impl GsigParams {
         2 * self.lp
     }
 
+    /// Samples a blinding exponent `r < 2^{r_bits}`.
+    pub(crate) fn sample_r(&self, rng: &mut (impl RngCore + ?Sized)) -> Ubig {
+        brng::below(rng, &pow2(self.r_bits()))
+    }
+
     /// Bit bound for the product secret `h' = e·r`
     /// (`e < 2^{γ1+1}`, `r < 2^{2ℓp}`).
     pub fn h_bits(&self) -> u32 {
@@ -163,7 +168,8 @@ impl GsigParams {
     }
 }
 
-fn pow2(bits: u32) -> Ubig {
+/// `2^bits`.
+pub(crate) fn pow2(bits: u32) -> Ubig {
     let mut u = Ubig::zero();
     u.set_bit(bits);
     u

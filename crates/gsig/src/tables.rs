@@ -25,15 +25,37 @@ pub(crate) struct FixedBasePair {
     inv: OnceLock<Arc<FixedBase>>,
 }
 
-impl FixedBasePair {
-    /// `base^e mod n` for a non-negative exponent, through the table.
-    /// Counts one modular exponentiation (parity with [`RsaGroup::exp`]).
-    pub(crate) fn pow(&self, rsa: &RsaGroup, base: &Ubig, e: &Ubig, max_bits: u32) -> Ubig {
-        shs_bigint::counters::record_modexp();
-        self.fwd(rsa, base, max_bits).pow(e)
-    }
+/// A public-key base: its transcript label, value, tables, and the
+/// exponent width the tables cover.
+#[derive(Clone, Copy)]
+pub(crate) struct KeyBase<'a> {
+    pub(crate) rsa: &'a RsaGroup,
+    pub(crate) label: &'static str,
+    pub(crate) value: &'a Ubig,
+    pub(crate) tables: &'a FixedBasePair,
+    pub(crate) bits: u32,
+}
 
-    /// `base^e mod n` for a signed exponent: negative exponents go through
+/// The key bases of one public key, in `labels` order, with tables
+/// covering `bits`-bit exponents.
+pub(crate) fn key_bases<'a, const N: usize>(
+    rsa: &'a RsaGroup,
+    bits: u32,
+    labels: [&'static str; N],
+    values: [&'a Ubig; N],
+    tables: &'a [FixedBasePair; N],
+) -> [KeyBase<'a>; N] {
+    std::array::from_fn(|i| KeyBase {
+        rsa,
+        label: labels[i],
+        value: values[i],
+        tables: &tables[i],
+        bits,
+    })
+}
+
+impl KeyBase<'_> {
+    /// `base^e mod n` through the table; negative exponents go through
     /// the inverse-base table, mirroring [`RsaGroup::exp_signed`]. Counts
     /// one modular exponentiation.
     ///
@@ -41,23 +63,24 @@ impl FixedBasePair {
     ///
     /// Panics if the base is not invertible (probability `~ 1/p'` —
     /// finding such a base factors `n`).
-    pub(crate) fn pow_signed(&self, rsa: &RsaGroup, base: &Ubig, e: &Int, max_bits: u32) -> Ubig {
+    pub(crate) fn pow(&self, e: &Int) -> Ubig {
         shs_bigint::counters::record_modexp();
-        if e.is_negative() {
-            let fb = self.inv.get_or_init(|| {
-                let inv = base
-                    .modinv(rsa.n())
-                    .expect("non-invertible base would factor n");
-                FixedBase::shared(rsa.ctx(), &inv, max_bits)
-            });
-            fb.pow(e.magnitude())
+        let (ctx, bits) = (self.rsa.ctx(), self.bits);
+        let fb = if e.is_negative() {
+            self.tables.inv.get_or_init(|| {
+                let inv = self.value.modinv(self.rsa.n());
+                FixedBase::shared(ctx, &inv.expect("non-invertible base would factor n"), bits)
+            })
         } else {
-            self.fwd(rsa, base, max_bits).pow(e.magnitude())
-        }
+            self.tables
+                .fwd
+                .get_or_init(|| FixedBase::shared(ctx, self.value, bits))
+        };
+        fb.pow(e.magnitude())
     }
 
-    fn fwd(&self, rsa: &RsaGroup, base: &Ubig, max_bits: u32) -> &Arc<FixedBase> {
-        self.fwd
-            .get_or_init(|| FixedBase::shared(rsa.ctx(), base, max_bits))
+    /// [`KeyBase::pow`] for a non-negative exponent.
+    pub(crate) fn pow_u(&self, e: &Ubig) -> Ubig {
+        self.pow(&Int::from_ubig(e.clone()))
     }
 }
