@@ -30,18 +30,19 @@
 use crate::graph::{CallGraph, FnId};
 use crate::policy::{Policy, Rule};
 use crate::report::Finding;
-use crate::syntax::{Call, FileSyntax, FnDef, SyncOp};
+use crate::syntax::{Call, FileSyntax, FnDef, SyncOp, UNWRAPS_GUARD};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Names bound directly to lock guards (`let reg = self.registry.lock();`,
-/// with or without an `.unwrap()`/`.expect(…)` in between).
+/// with or without an `.unwrap()`, `.expect(…)` or `.unwrap_or_else(…)`
+/// in between).
 fn guard_bound_names(def: &FnDef) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
     for b in &def.bindings {
         let Some(pc) = b.primary_call else { continue };
         let c = &def.calls[pc];
         let is_lock = c.callee == "lock"
-            || (matches!(c.callee.as_str(), "unwrap" | "expect")
+            || (UNWRAPS_GUARD.contains(&c.callee.as_str())
                 && c.recv
                     .call_ids
                     .iter()
@@ -533,6 +534,22 @@ paths = ["*.rs"]
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, Rule::SendUnderLock);
         assert!(f[0].message.contains("`to_hub`"), "{}", f[0].message);
+    }
+
+    #[test]
+    fn poison_tolerant_guard_is_held_in_either_argument_form() {
+        // `unwrap_or_else` unwraps the `LockResult` into the guard, by a
+        // path to `PoisonError::into_inner` or by a closure calling it.
+        let src = "fn f(&self) { let g = self.reg.lock().unwrap_or_else(PoisonError::into_inner); \
+                   self.to_hub.send(m); }\n\
+                   fn g(&self) { let g = self.reg.lock().unwrap_or_else(|e| e.into_inner()); \
+                   self.to_hub.send(m); }\n\
+                   fn h(&self) { let n = self.reg.lock().unwrap_or_else(|e| e.into_inner()).len(); \
+                   self.to_hub.send(m); }";
+        let f = run(&[("a.rs", src)]);
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f.iter().all(|f| f.rule == Rule::SendUnderLock), "{f:?}");
+        assert_eq!((f[0].line, f[1].line), (1, 2), "{f:?}");
     }
 
     #[test]

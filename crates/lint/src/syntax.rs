@@ -901,6 +901,10 @@ fn collect_sync_events(toks: &[Tok], start: usize, end: usize, def: &mut FnDef) 
     def.sync_events.sort_by_key(|e| e.tok_idx);
 }
 
+/// Adaptors that turn a `LockResult` into the guard it holds, so a `let`
+/// bound through them binds the guard itself.
+pub(crate) const UNWRAPS_GUARD: [&str; 3] = ["unwrap", "expect", "unwrap_or_else"];
+
 /// Approximates where the guard returned by `call` (an `x.lock()`) dies.
 ///
 /// * `let g = x.lock();` → end of the enclosing block (or `drop(g)`);
@@ -921,13 +925,13 @@ fn guard_release(toks: &[Tok], body_start: usize, body_end: usize, call: &Call) 
     let head = &toks[s];
     // `let id = x.lock().admit(…);` binds the *result of the chain*, not
     // the guard — the guard is a temporary dying at the `;`. Only
-    // `.unwrap()`/`.expect(…)` keep the guard alive (they unwrap a
-    // `LockResult` into the guard itself).
+    // `.unwrap()`, `.expect(…)` and `.unwrap_or_else(…)` keep the guard
+    // alive (they unwrap a `LockResult` into the guard itself).
     let chain_consumed = head.is_ident("let") && {
         let mut i = call.close_idx + 1;
         while i + 1 < body_end
             && toks[i].is_punct(".")
-            && (toks[i + 1].is_ident("unwrap") || toks[i + 1].is_ident("expect"))
+            && UNWRAPS_GUARD.iter().any(|u| toks[i + 1].is_ident(u))
         {
             i += 2;
             if i < body_end && toks[i].is_punct("(") {
