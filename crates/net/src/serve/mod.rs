@@ -54,10 +54,9 @@ pub use shed::{backoff_delay, DecoyShape, ShapeBook};
 
 use crate::clock::SharedClock;
 use crate::observe::TrafficLog;
-use crossbeam::channel::{bounded, RecvTimeoutError, Sender, TrySendError};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -155,7 +154,7 @@ pub struct Service {
     clock: SharedClock,
     /// Per-worker submission queues; cleared on shutdown to disconnect
     /// the workers.
-    queues: Vec<Sender<WorkItem>>,
+    queues: Vec<SyncSender<WorkItem>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -180,7 +179,7 @@ impl Service {
         let mut queues = Vec::with_capacity(n);
         let mut workers = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = bounded::<WorkItem>(per_queue);
+            let (tx, rx) = sync_channel::<WorkItem>(per_queue);
             queues.push(tx);
             let shards = Arc::clone(&shards);
             let shapes = Arc::clone(&shapes);
@@ -202,7 +201,10 @@ impl Service {
                             item.spec.max_attempts,
                         );
                         if let Some(traffic) = summary.clean_traffic {
-                            shapes.lock().learn(roster_len, &traffic);
+                            shapes
+                                .lock()
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .learn(roster_len, &traffic);
                         }
                     }
                     Err(RecvTimeoutError::Timeout) => continue,
@@ -241,6 +243,7 @@ impl Service {
         let shard = (id % n as u64) as usize;
         self.shards[shard]
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .admit_with_id(id, roster_len, self.clock.now() + spec.deadline);
         if !self.draining.load(Ordering::SeqCst) {
             let mut item = WorkItem { id, shard, spec };
@@ -248,8 +251,8 @@ impl Service {
                 let q = (shard + offset) % n;
                 match self.queues[q].try_send(item) {
                     Ok(()) => return Submitted::Queued(id),
-                    // The shim's try_send hands the message back either
-                    // way; reclaim it and try the next sibling queue.
+                    // `try_send` hands the message back either way;
+                    // reclaim it and try the next sibling queue.
                     Err(TrySendError::Full(back)) | Err(TrySendError::Disconnected(back)) => {
                         item = back;
                     }
@@ -261,9 +264,12 @@ impl Service {
         let decoy = self
             .shapes
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .template(roster_len)
             .map(|t| t.synthesize(self.config.seed ^ id.wrapping_mul(0x9e37)));
-        let mut reg = self.shards[shard].lock();
+        let mut reg = self.shards[shard]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let _ = reg.transition(id, SessionState::Aborted, Some(TerminalClass::Shed));
         if let Some(d) = &decoy {
             let _ = reg.set_decoy_traffic(id, d.clone());
@@ -273,7 +279,10 @@ impl Service {
 
     /// Non-terminal sessions across every shard.
     fn total_active(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().active()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).active())
+            .sum()
     }
 
     /// Blocks until every admitted session is terminal or `timeout`
@@ -301,7 +310,7 @@ impl Service {
         let mut swept = 0u64;
         let mut running_at_drain = 0u64;
         for shard in self.shards.iter() {
-            let mut reg = shard.lock();
+            let mut reg = shard.lock().unwrap_or_else(PoisonError::into_inner);
             for e in reg.snapshot() {
                 match e.state {
                     SessionState::Gathering
@@ -345,7 +354,7 @@ impl Service {
     pub fn stats(&self) -> RegistryStats {
         let mut total = RegistryStats::default();
         for shard in self.shards.iter() {
-            total.absorb(&shard.lock().stats());
+            total.absorb(&shard.lock().unwrap_or_else(PoisonError::into_inner).stats());
         }
         total
     }
@@ -354,6 +363,7 @@ impl Service {
     pub fn entry(&self, id: SessionId) -> Option<SessionEntry> {
         self.shards[(id % self.shards.len() as u64) as usize]
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .entry(id)
     }
 
@@ -362,7 +372,7 @@ impl Service {
         let mut all: Vec<SessionEntry> = self
             .shards
             .iter()
-            .flat_map(|s| s.lock().snapshot())
+            .flat_map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).snapshot())
             .collect();
         all.sort_unstable_by_key(|e| e.id);
         all
@@ -370,14 +380,21 @@ impl Service {
 
     /// Ids of non-terminal sessions across all shards (the leak check).
     pub fn leaks(&self) -> Vec<SessionId> {
-        let mut ids: Vec<SessionId> = self.shards.iter().flat_map(|s| s.lock().leaks()).collect();
+        let mut ids: Vec<SessionId> = self
+            .shards
+            .iter()
+            .flat_map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).leaks())
+            .collect();
         ids.sort_unstable();
         ids
     }
 
     /// Roster sizes the shape book can already imitate.
     pub fn known_decoy_sizes(&self) -> Vec<usize> {
-        self.shapes.lock().known_sizes()
+        self.shapes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .known_sizes()
     }
 
     /// The configuration the service was started with.

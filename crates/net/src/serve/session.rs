@@ -21,8 +21,8 @@ use super::registry::{RegistryError, SessionId, SessionRegistry, SessionState, T
 use super::shed::backoff_delay;
 use crate::clock::SharedClock;
 use crate::observe::TrafficLog;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// What the service tells a job about the attempt it is asking for.
@@ -177,7 +177,10 @@ fn classify(
     id: SessionId,
     class: TerminalClass,
 ) -> Result<(), RegistryError> {
-    registry.lock().transition(id, class.state(), Some(class))
+    registry
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .transition(id, class.state(), Some(class))
 }
 
 /// Runs the admitted session `id` to a terminal state: the attempt loop
@@ -199,7 +202,7 @@ pub fn drive(
         clean_traffic: None,
     };
     let deadline = {
-        let mut reg = registry.lock();
+        let mut reg = registry.lock().unwrap_or_else(PoisonError::into_inner);
         match reg.deadline(id) {
             Some(deadline) if reg.transition(id, SessionState::Running, None).is_ok() => deadline,
             // Unknown, or classified before a worker reached it (e.g. a
@@ -231,16 +234,19 @@ pub fn drive(
             summary.clean_traffic = Some(outcome.traffic.clone());
         }
         let verdict = outcome.verdict;
-        let _ = registry.lock().record_attempt(
-            id,
-            AttemptRecord {
-                attempt,
-                roster: roster.clone(),
-                verdict,
-                live_slots: live.clone(),
-                traffic: outcome.traffic,
-            },
-        );
+        let _ = registry
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .record_attempt(
+                id,
+                AttemptRecord {
+                    attempt,
+                    roster: roster.clone(),
+                    verdict,
+                    live_slots: live.clone(),
+                    traffic: outcome.traffic,
+                },
+            );
         match verdict {
             AttemptVerdict::Success => {
                 let _ = classify(registry, id, TerminalClass::Accepted);
@@ -265,7 +271,10 @@ pub fn drive(
                 }
                 if live.len() < roster.len() {
                     // Survivor re-formation: retry among the live slots.
-                    let _ = registry.lock().note_reformation(id);
+                    let _ = registry
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .note_reformation(id);
                     roster = live;
                 }
                 attempt += 1;
@@ -378,10 +387,18 @@ mod tests {
         max_attempts: u32,
     ) -> (SessionRegistry, SessionId) {
         let registry = Mutex::new(SessionRegistry::new());
-        let id = registry.lock().admit(job.len, cfg.clock.now() + deadline);
+        let id = registry
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .admit(job.len, cfg.clock.now() + deadline);
         let draining = AtomicBool::new(false);
         drive(&registry, &draining, cfg, id, job, max_attempts);
-        (registry.into_inner(), id)
+        (
+            registry
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner),
+            id,
+        )
     }
 
     fn run_scripted(

@@ -22,11 +22,10 @@ use crate::route::Router;
 use crate::tcp::conn::{ConnConfig, FramedConn};
 use crate::tcp::frame::{Frame, VERSION};
 use crate::{NetError, TransportCounters};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -134,7 +133,7 @@ impl RelayHandle {
         let roster = Arc::new(Mutex::new(vec![Seat::Free; config.slots]));
         // Events: frames from every reader plus attach/gone notices.
         // Bounded so a flooding sender backpressures at its socket.
-        let (tx, rx) = bounded::<Event>(1024);
+        let (tx, rx) = sync_channel::<Event>(1024);
 
         let accept_thread = {
             let stop = Arc::clone(&stop);
@@ -166,24 +165,38 @@ impl RelayHandle {
 
     /// Snapshot of the eavesdropper's log so far.
     pub fn traffic(&self) -> TrafficLog {
-        self.shared.lock().log.clone()
+        self.shared
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .log
+            .clone()
     }
 
     /// Seats currently considered crash-stopped: fault-plan crashes plus
     /// seats that vanished without a graceful `Bye`.
     pub fn crashed_slots(&self) -> Vec<usize> {
-        self.shared.lock().crashed.clone()
+        self.shared
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .crashed
+            .clone()
     }
 
     /// Relay-side transport counters.
     pub fn counters(&self) -> TransportCounters {
-        self.shared.lock().counters
+        self.shared
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .counters
     }
 
     /// Has the session completed (every attached seat said `Bye` or
     /// vanished)?
     pub fn done(&self) -> bool {
-        self.shared.lock().done
+        self.shared
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .done
     }
 
     /// Blocks until the session completes or `timeout` expires; returns
@@ -225,7 +238,7 @@ fn accept_loop(
     listener: &TcpListener,
     config: &RelayConfig,
     stop: &AtomicBool,
-    tx: &Sender<Event>,
+    tx: &SyncSender<Event>,
     roster: &Mutex<Vec<Seat>>,
 ) {
     let mut readers: Vec<thread::JoinHandle<()>> = Vec::new();
@@ -253,7 +266,7 @@ fn accept_loop(
 fn admit(
     stream: std::net::TcpStream,
     config: &RelayConfig,
-    tx: &Sender<Event>,
+    tx: &SyncSender<Event>,
     roster: &Mutex<Vec<Seat>>,
 ) -> Option<thread::JoinHandle<()>> {
     let mut conn = FramedConn::new(stream, config.conn).ok()?;
@@ -267,7 +280,7 @@ fn admit(
         return None;
     }
     let slot = {
-        let mut seats = roster.lock();
+        let mut seats = roster.lock().unwrap_or_else(PoisonError::into_inner);
         let want = (want_slot != u32::MAX).then_some(want_slot as usize);
         let granted = match want {
             Some(s) => seats
@@ -297,7 +310,11 @@ fn admit(
         })
         .is_err()
     {
-        if let Some(seat) = roster.lock().get_mut(slot) {
+        if let Some(seat) = roster
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get_mut(slot)
+        {
             *seat = Seat::Gone;
         }
         return None;
@@ -305,7 +322,11 @@ fn admit(
     let writer = match conn.try_clone() {
         Ok(w) => w,
         Err(_) => {
-            if let Some(seat) = roster.lock().get_mut(slot) {
+            if let Some(seat) = roster
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get_mut(slot)
+            {
                 *seat = Seat::Gone;
             }
             return None;
@@ -321,7 +342,7 @@ fn admit(
 
 /// Reads one seat's connection until `Bye`, disconnect, idle timeout or
 /// a malformed frame; forwards broadcasts, swallows heartbeats.
-fn reader_loop(mut conn: FramedConn, slot: usize, idle: Duration, tx: &Sender<Event>) {
+fn reader_loop(mut conn: FramedConn, slot: usize, idle: Duration, tx: &SyncSender<Event>) {
     let graceful = loop {
         match conn.recv_within(idle) {
             Ok(Frame::Broadcast { round, payload, .. }) => {
@@ -391,7 +412,11 @@ impl CoreState {
             }
             Event::Gone { slot, graceful } if slot < self.m => {
                 self.retire(slot, !graceful);
-                if let Some(seat) = roster.lock().get_mut(slot) {
+                if let Some(seat) = roster
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .get_mut(slot)
+                {
                     *seat = Seat::Gone;
                 }
             }
@@ -473,7 +498,7 @@ impl CoreState {
     fn publish(&self, shared: &Mutex<Shared>, done: bool) {
         let log = self.router.traffic().clone();
         let crashed = self.crashed();
-        let mut sh = shared.lock();
+        let mut sh = shared.lock().unwrap_or_else(PoisonError::into_inner);
         sh.log = log;
         sh.crashed = crashed;
         sh.done = done;

@@ -51,7 +51,6 @@ use crate::adversary::{Kind, Schedule};
 use crate::core::{nanos, EventQueue, Nanos, TraceFingerprint};
 use crate::metrics::{ClassTally, LatencyHistogram, ScenarioReport};
 use crate::network::SimMedium;
-use parking_lot::Mutex;
 use shs_core::service::HandshakeJob;
 use shs_core::{HandshakeOptions, Member, SchemeKind};
 use shs_crypto::drbg::HmacDrbg;
@@ -62,7 +61,7 @@ use shs_net::serve::{
 };
 use std::collections::VecDeque;
 use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// A credential pool shared by every simulated session: `members`
@@ -267,6 +266,7 @@ fn run_virtual_session(
     let registry = Mutex::new(SessionRegistry::new());
     registry
         .lock()
+        .unwrap_or_else(PoisonError::into_inner)
         .admit_with_id(session, job.roster_len(), clock.now() + cfg.deadline);
     let draining = AtomicBool::new(false);
     drive(
@@ -279,6 +279,7 @@ fn run_virtual_session(
     );
     let classified = registry
         .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
         .entry(session)
         .and_then(|e| Some((e.class?, e)));
     // lint:allow(panic-path) reason="drive leaves the session admitted above classified; a missing class is a harness bug, not wire data"
