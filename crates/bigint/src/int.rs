@@ -7,12 +7,11 @@
 //! is provided by `shs-groups`.
 
 use crate::Ubig;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// Sign of an [`Int`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Sign {
     /// Negative (magnitude is non-zero).
     Minus,
@@ -23,7 +22,7 @@ pub enum Sign {
 /// A signed arbitrary-precision integer in sign-magnitude form.
 ///
 /// Invariant: zero always has sign [`Sign::Plus`].
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Int {
     sign: Sign,
     mag: Ubig,

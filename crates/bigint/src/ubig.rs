@@ -1,14 +1,13 @@
 //! The [`Ubig`] arbitrary-precision natural number.
 
 use crate::BigintError;
-use serde::{Deserialize, Serialize};
 
 /// An arbitrary-precision natural number (unsigned big integer).
 ///
 /// Stored as little-endian `u64` limbs with the invariant that the most
 /// significant limb is non-zero (zero is represented by an empty limb
 /// vector).
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct Ubig {
     pub(crate) limbs: Vec<u64>,
 }

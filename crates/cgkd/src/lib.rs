@@ -29,11 +29,10 @@ pub mod star;
 pub mod tree;
 
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use shs_crypto::Key;
 
 /// A member identity inside a CGKD scheme (assigned by the controller).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct UserId(pub u64);
 
 impl std::fmt::Display for UserId {

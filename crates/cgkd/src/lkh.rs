@@ -21,13 +21,12 @@
 use crate::tree;
 use crate::{BroadcastStats, CgkdError, Controller, MemberState, UserId};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use shs_crypto::{aead, Key};
 use std::collections::HashMap;
 
 /// One encrypted rekey item: the new key of `node`, encrypted under the
 /// key of `under` (a child of `node`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RekeyItem {
     /// Tree node whose key is being replaced.
     pub node: u32,
@@ -39,7 +38,7 @@ pub struct RekeyItem {
 
 /// A rekey broadcast: all items for one membership change (or one whole
 /// batched epoch).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LkhBroadcast {
     /// Epoch this broadcast moves the group *to*.
     pub epoch: u64,

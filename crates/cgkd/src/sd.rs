@@ -16,7 +16,6 @@
 use crate::tree::{ancestor_at, depth, is_ancestor_or_self, lca};
 use crate::{BroadcastStats, CgkdError, Controller, MemberState, UserId};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use shs_crypto::{aead, hmac, Key};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -97,7 +96,7 @@ impl std::fmt::Debug for LabelArena {
 }
 
 /// A subset in a broadcast cover.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Subset {
     /// All leaves (used only when nobody is revoked).
     Full,
@@ -111,7 +110,7 @@ pub enum Subset {
 }
 
 /// One encrypted item of an SD broadcast.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SdItem {
     /// Which subset's key encrypts this item.
     pub subset: Subset,
@@ -121,7 +120,7 @@ pub struct SdItem {
 
 /// An SD rekey broadcast: the session key under a cover of the non-revoked
 /// set.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SdBroadcast {
     /// Epoch this broadcast establishes.
     pub epoch: u64,

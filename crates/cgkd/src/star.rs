@@ -7,13 +7,12 @@
 
 use crate::{BroadcastStats, CgkdError, Controller, MemberState, UserId};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use shs_crypto::{aead, Key};
 use std::collections::HashMap;
 
 /// One item: the new group key encrypted under one member's individual
 /// key.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StarItem {
     /// Recipient.
     pub id: UserId,
@@ -22,7 +21,7 @@ pub struct StarItem {
 }
 
 /// A star rekey broadcast.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StarBroadcast {
     /// Epoch this broadcast moves the group to.
     pub epoch: u64,

@@ -3,39 +3,15 @@
 //!
 //! The three substrate selectors ([`SchemeKind`], [`CgkdChoice`],
 //! [`DgkaChoice`]) are *data*, not dispatch: the only module allowed to
-//! `match` on them is [`crate::factory`]. Everything else — including the
-//! wire codecs in this module — goes through their `ALL` arrays or the
-//! boolean capability accessors.
+//! `match` on them is [`crate::factory`]. Everything else goes through
+//! their `ALL` arrays or the boolean capability accessors.
 
-use crate::wire::{Reader, WireError, Writer};
-use serde::{Deserialize, Serialize};
 use shs_groups::schnorr::SchnorrPreset;
 use shs_gsig::params::GsigPreset;
 use shs_net::DeliveryPolicy;
 
-/// Parameter presets in wire-tag order (shared by both preset enums,
-/// which have the same three sizes).
-const GSIG_PRESETS: [GsigPreset; 3] = [GsigPreset::Test, GsigPreset::Small, GsigPreset::Paper];
-const SCHNORR_PRESETS: [SchnorrPreset; 3] = [
-    SchnorrPreset::Test,
-    SchnorrPreset::Small,
-    SchnorrPreset::Paper,
-];
-
-/// Position of `value` in `all`, as a wire tag. The arrays are
-/// exhaustive, so the lookup always succeeds (asserted by round-trip
-/// tests over every variant).
-fn tag_of<T: PartialEq>(all: &[T], value: &T) -> u8 {
-    all.iter().position(|v| v == value).unwrap_or(0) as u8
-}
-
-/// Variant of `all` at wire tag `tag`.
-fn from_tag<T: Copy>(all: &[T], tag: u8) -> Result<T, WireError> {
-    all.get(tag as usize).copied().ok_or(WireError::BadTag)
-}
-
 /// Which group-signature scheme instantiates the framework's GSIG slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchemeKind {
     /// §8.1 as shipped: Kiayias–Yung signatures with per-signature random
     /// `T7`, verifier-local revocation via the member CRL. Unlinkability,
@@ -52,8 +28,8 @@ pub enum SchemeKind {
 }
 
 impl SchemeKind {
-    /// Every GSIG instantiation, in wire-tag order. Iterate this (rather
-    /// than matching) to enumerate the instantiation matrix.
+    /// Every GSIG instantiation. Iterate this (rather than matching) to
+    /// enumerate the instantiation matrix.
     pub const ALL: [SchemeKind; 3] = [
         SchemeKind::Scheme1,
         SchemeKind::Scheme2SelfDistinct,
@@ -74,7 +50,7 @@ impl SchemeKind {
 /// Which CGKD scheme backs the group (the **C** of GCD is pluggable,
 /// §5: "any centralized group key distribution scheme satisfying the
 /// functionality and security requirements ... can be integrated").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CgkdChoice {
     /// Logical Key Hierarchy (Wong–Gouda–Lam): stateful members,
     /// `O(log n)` rekeying. The default.
@@ -88,7 +64,7 @@ pub enum CgkdChoice {
 }
 
 impl CgkdChoice {
-    /// Every CGKD backend, in wire-tag order.
+    /// Every CGKD backend.
     pub const ALL: [CgkdChoice; 3] = [
         CgkdChoice::Lkh,
         CgkdChoice::SubsetDifference,
@@ -97,7 +73,7 @@ impl CgkdChoice {
 }
 
 /// Configuration of one group (one `GA`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupConfig {
     /// GSIG parameter preset.
     pub gsig_preset: GsigPreset,
@@ -146,39 +122,6 @@ impl GroupConfig {
             ..GroupConfig::test(scheme)
         }
     }
-
-    /// Serializes the configuration for storage or transport.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u8(tag_of(&GSIG_PRESETS, &self.gsig_preset));
-        w.put_u8(tag_of(&SCHNORR_PRESETS, &self.schnorr_preset));
-        w.put_u8(tag_of(&SchemeKind::ALL, &self.scheme));
-        w.put_u8(tag_of(&CgkdChoice::ALL, &self.cgkd));
-        w.put_u32(self.capacity);
-        w.into_bytes()
-    }
-
-    /// Deserializes a configuration written by [`GroupConfig::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on truncation or unknown tags.
-    pub fn from_bytes(bytes: &[u8]) -> Result<GroupConfig, WireError> {
-        let mut r = Reader::new(bytes);
-        let gsig_preset = from_tag(&GSIG_PRESETS, r.take_u8()?)?;
-        let schnorr_preset = from_tag(&SCHNORR_PRESETS, r.take_u8()?)?;
-        let scheme = from_tag(&SchemeKind::ALL, r.take_u8()?)?;
-        let cgkd = from_tag(&CgkdChoice::ALL, r.take_u8()?)?;
-        let capacity = r.take_u32()?;
-        r.finish()?;
-        Ok(GroupConfig {
-            gsig_preset,
-            schnorr_preset,
-            scheme,
-            cgkd,
-            capacity,
-        })
-    }
 }
 
 impl Default for GroupConfig {
@@ -189,7 +132,7 @@ impl Default for GroupConfig {
 
 /// Which phases of `GCD.Handshake` run (§7 remark: the protocol is
 /// tailorable; traceability can be dropped by stopping after Phase II).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TracePolicy {
     /// All three phases (traceable).
     Full,
@@ -199,7 +142,7 @@ pub enum TracePolicy {
 
 /// Which DGKA protocol runs Phase I (the framework is a compiler: any
 /// secure group key agreement slots in, §6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DgkaChoice {
     /// Burmester–Desmedt \[11\]: two broadcast rounds, constant
     /// exponentiations per party. The default.
@@ -216,17 +159,12 @@ pub enum DgkaChoice {
 }
 
 impl DgkaChoice {
-    /// Every DGKA protocol, in wire-tag order.
+    /// Every DGKA protocol.
     pub const ALL: [DgkaChoice; 3] = [
         DgkaChoice::BurmesterDesmedt,
         DgkaChoice::Gdh2,
         DgkaChoice::AuthenticatedBd,
     ];
-}
-
-impl TracePolicy {
-    /// Both phase policies, in wire-tag order.
-    pub const ALL: [TracePolicy; 2] = [TracePolicy::Full, TracePolicy::PreliminaryOnly];
 }
 
 /// Round budget of a session on a possibly-lossy medium.
@@ -240,7 +178,7 @@ impl TracePolicy {
 /// always terminates within `base + min(max_exchanges, labels ×
 /// retries_per_round)` exchanges, with slots that could not recover
 /// reporting a structured abort instead of hanging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionBudget {
     /// Hard cap on total exchanges (base + retransmissions); once
     /// reached, no further retransmissions are attempted.
@@ -264,7 +202,7 @@ impl Default for SessionBudget {
 }
 
 /// Options of one handshake session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HandshakeOptions {
     /// Phase policy.
     pub policy: TracePolicy,
@@ -307,71 +245,6 @@ impl HandshakeOptions {
             ..HandshakeOptions::default()
         }
     }
-
-    /// Serializes the options for storage or transport.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u8(tag_of(&TracePolicy::ALL, &self.policy));
-        w.put_u8(u8::from(self.partial_success));
-        // DeliveryPolicy is encoded at fixed width: a tag byte plus the
-        // seed (zero for the synchronous model, which has none).
-        match self.delivery {
-            DeliveryPolicy::Synchronous => {
-                w.put_u8(0);
-                w.put_u64(0);
-            }
-            DeliveryPolicy::AdversarialReorder { seed } => {
-                w.put_u8(1);
-                w.put_u64(seed);
-            }
-        }
-        w.put_u8(tag_of(&DgkaChoice::ALL, &self.dgka));
-        w.put_u32(self.budget.max_exchanges);
-        w.put_u32(self.budget.retries_per_round);
-        w.put_u8(u8::from(self.parallel_verify));
-        w.into_bytes()
-    }
-
-    /// Deserializes options written by [`HandshakeOptions::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on truncation or unknown tags.
-    pub fn from_bytes(bytes: &[u8]) -> Result<HandshakeOptions, WireError> {
-        let mut r = Reader::new(bytes);
-        let policy = from_tag(&TracePolicy::ALL, r.take_u8()?)?;
-        let partial_success = match r.take_u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(WireError::BadTag),
-        };
-        let delivery_tag = r.take_u8()?;
-        let seed = r.take_u64()?;
-        let delivery = match delivery_tag {
-            0 => DeliveryPolicy::Synchronous,
-            1 => DeliveryPolicy::AdversarialReorder { seed },
-            _ => return Err(WireError::BadTag),
-        };
-        let dgka = from_tag(&DgkaChoice::ALL, r.take_u8()?)?;
-        let budget = SessionBudget {
-            max_exchanges: r.take_u32()?,
-            retries_per_round: r.take_u32()?,
-        };
-        let parallel_verify = match r.take_u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(WireError::BadTag),
-        };
-        r.finish()?;
-        Ok(HandshakeOptions {
-            policy,
-            partial_success,
-            delivery,
-            dgka,
-            budget,
-            parallel_verify,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -393,60 +266,5 @@ mod tests {
         let o = HandshakeOptions::default();
         assert_eq!(o.policy, TracePolicy::Full);
         assert!(o.partial_success);
-    }
-
-    #[test]
-    fn group_config_roundtrips_over_the_full_matrix() {
-        for scheme in SchemeKind::ALL {
-            for cgkd in CgkdChoice::ALL {
-                let c = GroupConfig {
-                    cgkd,
-                    capacity: 17,
-                    ..GroupConfig::test(scheme)
-                };
-                let bytes = c.to_bytes();
-                assert_eq!(GroupConfig::from_bytes(&bytes), Ok(c));
-            }
-        }
-    }
-
-    #[test]
-    fn handshake_options_roundtrip_over_all_variants() {
-        for policy in TracePolicy::ALL {
-            for dgka in DgkaChoice::ALL {
-                for delivery in [
-                    DeliveryPolicy::Synchronous,
-                    DeliveryPolicy::AdversarialReorder { seed: 99 },
-                ] {
-                    let o = HandshakeOptions {
-                        policy,
-                        partial_success: false,
-                        delivery,
-                        dgka,
-                        budget: SessionBudget {
-                            max_exchanges: 5,
-                            retries_per_round: 1,
-                        },
-                        parallel_verify: false,
-                    };
-                    let bytes = o.to_bytes();
-                    assert_eq!(HandshakeOptions::from_bytes(&bytes), Ok(o));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn config_decoding_rejects_malformed_input() {
-        let c = GroupConfig::default().to_bytes();
-        assert!(GroupConfig::from_bytes(&c[..c.len() - 1]).is_err());
-        let mut bad_tag = c.clone();
-        bad_tag[2] = 9;
-        assert_eq!(GroupConfig::from_bytes(&bad_tag), Err(WireError::BadTag));
-        let o = HandshakeOptions::default().to_bytes();
-        assert!(HandshakeOptions::from_bytes(&o[..o.len() - 1]).is_err());
-        let mut trailing = o.clone();
-        trailing.push(0);
-        assert!(HandshakeOptions::from_bytes(&trailing).is_err());
     }
 }

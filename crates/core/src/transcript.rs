@@ -1,11 +1,9 @@
 //! Handshake transcripts and tracing outcomes.
 
-use serde::{Deserialize, Serialize};
-
 /// The `{(θ_i, δ_i)}` record of one handshake's Phase III, as observable
 /// on the anonymous channel (this is exactly what `GCD.TraceUser` takes as
 /// input).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HandshakeTranscript {
     /// The DGKA session id binding the transcript.
     pub sid: Vec<u8>,
@@ -14,7 +12,7 @@ pub struct HandshakeTranscript {
 }
 
 /// One slot's Phase III publication.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TranscriptEntry {
     /// `θ_i = SENC(k'_i, σ_i)` — or decoy bytes.
     pub theta: Vec<u8>,

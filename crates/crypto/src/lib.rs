@@ -43,14 +43,12 @@ pub mod hmac;
 pub mod sha256;
 pub mod wipe;
 
-use serde::{Deserialize, Serialize};
-
 /// A 256-bit symmetric key.
 ///
 /// Used for group keys (CGKD), session keys (DGKA), the blinded keys
 /// `k' = k* ⊕ k` of the handshake, and all MAC/cipher keys derived from
 /// them.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Key([u8; 32]);
 
 impl Key {

@@ -13,12 +13,11 @@
 
 use crate::{bd, sig, DgkaError, SessionOutput};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use shs_crypto::sha256::Sha256;
 use shs_groups::schnorr::SchnorrGroup;
 
 /// A signed protocol message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignedMsg {
     /// Sender position.
     pub sender: usize,

@@ -16,13 +16,12 @@
 
 use crate::{DgkaError, SessionOutput};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use shs_bigint::Ubig;
 use shs_crypto::sha256::Sha256;
 use shs_groups::schnorr::SchnorrGroup;
 
 /// Round-1 broadcast: `z_i = g^{r_i}`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Round1 {
     /// Sender's position `i ∈ [0, m)`.
     pub sender: usize,
@@ -31,7 +30,7 @@ pub struct Round1 {
 }
 
 /// Round-2 broadcast: `X_i = (z_{i+1}/z_{i-1})^{r_i}`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Round2 {
     /// Sender's position.
     pub sender: usize,

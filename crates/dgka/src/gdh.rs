@@ -12,13 +12,12 @@
 
 use crate::{DgkaError, SessionOutput};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use shs_bigint::Ubig;
 use shs_crypto::sha256::Sha256;
 use shs_groups::schnorr::SchnorrGroup;
 
 /// Upflow message passed from party `i` to party `i+1`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Upflow {
     /// How many parties have contributed (the sender's position + 1).
     pub contributors: usize,
@@ -29,7 +28,7 @@ pub struct Upflow {
 }
 
 /// Final broadcast from the last party.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Broadcast {
     /// `values[j] = g^{∏_{l ≠ j} r_l}` for every party `j` (the last
     /// party's own slot carries the value it already consumed, kept for

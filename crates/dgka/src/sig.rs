@@ -3,13 +3,12 @@
 //! ([`crate::ake`]).
 
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use shs_bigint::Ubig;
 use shs_crypto::sha256::Sha256;
 use shs_groups::schnorr::SchnorrGroup;
 
 /// A long-term signing key `x ∈ Z_q`.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct SigningKey {
     x: Ubig,
 }
@@ -21,14 +20,14 @@ impl std::fmt::Debug for SigningKey {
 }
 
 /// The matching verification key `y = g^x`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VerifyKey {
     /// `g^x mod p`.
     pub y: Ubig,
 }
 
 /// A Schnorr signature `(R, s)` with `g^s = R · y^{H(R‖y‖m)}`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Signature {
     /// Commitment `g^r`.
     pub big_r: Ubig,

@@ -15,12 +15,11 @@
 use crate::schnorr::SchnorrGroup;
 use crate::GroupError;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use shs_bigint::Ubig;
 use shs_crypto::{aead, sha256};
 
 /// A Cramer–Shoup public key.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PublicKey {
     /// Second generator (random subgroup element).
     pub g2: Ubig,
@@ -33,7 +32,7 @@ pub struct PublicKey {
 }
 
 /// A Cramer–Shoup secret key.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct SecretKey {
     x1: Ubig,
     x2: Ubig,
@@ -49,7 +48,7 @@ impl std::fmt::Debug for SecretKey {
 }
 
 /// A hybrid Cramer–Shoup ciphertext.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ciphertext {
     /// `g1^r`.
     pub u1: Ubig,

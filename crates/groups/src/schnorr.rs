@@ -9,13 +9,12 @@
 
 use crate::GroupError;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use shs_bigint::{mont::MontCtx, prime, rng as brng, FixedBase, Int, Sign, Ubig};
 use shs_crypto::{drbg::HmacDrbg, hkdf};
 use std::sync::{Arc, OnceLock};
 
 /// Serializable Schnorr group parameters `(p, q, g)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchnorrParams {
     /// The field prime `p`.
     pub p: Ubig,
@@ -35,7 +34,7 @@ pub struct SchnorrGroup {
 }
 
 /// Size presets for the system-wide DGKA parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchnorrPreset {
     /// 512-bit `p`, 160-bit `q` — fast, for tests and CI.
     Test,

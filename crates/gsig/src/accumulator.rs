@@ -14,12 +14,11 @@
 //! revocation.
 
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use shs_bigint::{gcd, Ubig};
 use shs_groups::rsa::{RsaGroup, RsaSecret};
 
 /// The public accumulator value.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Accumulator {
     /// The base `u` the accumulator started from.
     pub base: Ubig,
@@ -28,7 +27,7 @@ pub struct Accumulator {
 }
 
 /// A member's witness: `w` with `w^e = v`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Witness {
     /// The witness value.
     pub w: Ubig,
@@ -37,7 +36,7 @@ pub struct Witness {
 }
 
 /// An update event members replay to refresh their witnesses.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UpdateEvent {
     /// A prime was added; members raise their witness to it.
     Added(Ubig),

@@ -22,9 +22,8 @@ use crate::sigma::{key_bases, Base, Bind, Equation, KeyBase, Relation, Witness, 
 use crate::tables::FixedBasePair;
 use crate::GsigError;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use shs_bigint::{rng as brng, Int, Ubig};
-use shs_groups::rsa::{RsaGroup, RsaParams, RsaSecret};
+use shs_groups::rsa::{RsaGroup, RsaSecret};
 
 pub use crate::join::{JoinRequest, JoinSecret};
 pub use crate::ky::MemberId;
@@ -50,53 +49,7 @@ pub struct GroupPublicKey {
     tables: [FixedBasePair; 5],
 }
 
-/// Serializable form of [`GroupPublicKey`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GroupPublicKeyParams {
-    /// Interval parameters.
-    pub params: GsigParams,
-    /// Modulus.
-    pub rsa: RsaParams,
-    /// See [`GroupPublicKey::a`].
-    pub a: Ubig,
-    /// See [`GroupPublicKey::a0`].
-    pub a0: Ubig,
-    /// See [`GroupPublicKey::g`].
-    pub g: Ubig,
-    /// See [`GroupPublicKey::h`].
-    pub h: Ubig,
-    /// See [`GroupPublicKey::y`].
-    pub y: Ubig,
-}
-
 impl GroupPublicKey {
-    /// Serializable parameters.
-    pub fn to_params(&self) -> GroupPublicKeyParams {
-        GroupPublicKeyParams {
-            params: self.params,
-            rsa: self.rsa.params(),
-            a: self.a.clone(),
-            a0: self.a0.clone(),
-            g: self.g.clone(),
-            h: self.h.clone(),
-            y: self.y.clone(),
-        }
-    }
-
-    /// Rebuilds from parameters.
-    pub fn from_params(p: GroupPublicKeyParams) -> GroupPublicKey {
-        GroupPublicKey {
-            params: p.params,
-            rsa: RsaGroup::from_params(p.rsa),
-            a: p.a,
-            a0: p.a0,
-            g: p.g,
-            h: p.h,
-            y: p.y,
-            tables: Default::default(),
-        }
-    }
-
     /// The RSA group.
     pub fn rsa(&self) -> &RsaGroup {
         &self.rsa
@@ -162,7 +115,7 @@ fn relation<'a>(
 }
 
 /// An ACJT signature.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Signature {
     /// `A·y^w`.
     pub t1: Ubig,
@@ -187,7 +140,7 @@ pub struct Signature {
 }
 
 /// A member's signing key: `(A, e, x)` with `x` known only to the member.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct MemberKey {
     /// Pseudonymous identity.
     pub id: MemberId,
@@ -211,7 +164,7 @@ impl std::fmt::Debug for MemberKey {
 
 /// GM-side member record: note there is **no** tracing trapdoor — only the
 /// certificate, preserving full-anonymity.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemberRecord {
     /// Member identity.
     pub id: MemberId,
@@ -244,7 +197,7 @@ impl std::fmt::Debug for GroupManager {
 }
 
 /// GM's join reply.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JoinResponse {
     /// Assigned identity.
     pub id: MemberId,

@@ -8,7 +8,6 @@
 //! revocation tokens of [`crate::ky`].
 
 use crate::ky::{GroupPublicKey, RevocationToken, Signature};
-use serde::{Deserialize, Serialize};
 use shs_bigint::{counters, FixedBase};
 use std::sync::Arc;
 
@@ -18,7 +17,7 @@ use std::sync::Arc;
 /// version and [`Crl::apply`] accepts only a delta whose version span
 /// equals its token count, so a member's list can neither skip, repeat
 /// nor rewind an update.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Crl {
     /// Monotone version; bumped on every revocation.
     pub version: u64,
@@ -27,7 +26,7 @@ pub struct Crl {
 }
 
 /// An incremental CRL update (what actually travels in rekey messages).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrlDelta {
     /// Version the delta applies on top of.
     pub from_version: u64,
@@ -211,7 +210,7 @@ mod tests {
     #[test]
     fn is_revoked_detects_signatures() {
         let (mut gm, keys) = fixtures::group_with_members_mut(3);
-        let pk = ky::GroupPublicKey::from_params(gm.public_key().to_params());
+        let pk = gm.public_key().clone();
         let mut rng = HmacDrbg::from_seed(b"crl-test");
         let sig_revoked = ky::sign(&pk, &keys[0], b"m", SignBasis::Random, &mut rng);
         let sig_ok = ky::sign(&pk, &keys[1], b"m", SignBasis::Random, &mut rng);

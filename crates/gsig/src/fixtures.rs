@@ -78,7 +78,13 @@ mod tests {
     fn seeded_groups_are_deterministic() {
         let (gm1, k1) = fresh_group_seeded(1, b"same-seed");
         let (gm2, k2) = fresh_group_seeded(1, b"same-seed");
-        assert_eq!(gm1.public_key().to_params(), gm2.public_key().to_params());
+        let (pk1, pk2) = (gm1.public_key(), gm2.public_key());
+        assert_eq!(pk1.params, pk2.params);
+        assert_eq!(pk1.rsa().n(), pk2.rsa().n());
+        assert_eq!(
+            [&pk1.a, &pk1.a0, &pk1.b, &pk1.g, &pk1.h, &pk1.y],
+            [&pk2.a, &pk2.a0, &pk2.b, &pk2.g, &pk2.h, &pk2.y]
+        );
         assert_eq!(k1[0].certificate(), k2[0].certificate());
     }
 }

@@ -8,12 +8,11 @@ use crate::sigma::verify::{self as verifier, Proof};
 use crate::sigma::{Base, Bind, Equation, KeyBase, Relation, Witness, PLUS};
 use crate::GsigError;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use shs_bigint::{Int, Ubig};
 
 /// A member's first join message: the commitment `C = base^x` to its
 /// secret plus a proof of knowledge of `x ∈ Λ`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JoinRequest {
     /// `C = a^x` in ACJT, `C = b^{x'}` in KY.
     pub commitment: Ubig,

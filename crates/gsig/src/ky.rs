@@ -35,14 +35,13 @@ use crate::sigma::{key_bases, Base, Bind, Equation, KeyBase, Relation, Witness, 
 use crate::tables::FixedBasePair;
 use crate::GsigError;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use shs_bigint::{rng as brng, Int, Ubig};
-use shs_groups::rsa::{RsaGroup, RsaParams, RsaSecret};
+use shs_groups::rsa::{RsaGroup, RsaSecret};
 
 pub use crate::join::{JoinRequest, JoinSecret};
 
 /// An opaque member identity assigned by the group manager.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MemberId(pub u64);
 
 impl std::fmt::Display for MemberId {
@@ -74,57 +73,7 @@ pub struct GroupPublicKey {
     tables: [FixedBasePair; 6],
 }
 
-/// Serializable form of [`GroupPublicKey`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GroupPublicKeyParams {
-    /// Interval parameters.
-    pub params: GsigParams,
-    /// RSA modulus.
-    pub rsa: RsaParams,
-    /// Generators and tracing key.
-    pub a: Ubig,
-    /// See [`GroupPublicKey::a0`].
-    pub a0: Ubig,
-    /// See [`GroupPublicKey::b`].
-    pub b: Ubig,
-    /// See [`GroupPublicKey::g`].
-    pub g: Ubig,
-    /// See [`GroupPublicKey::h`].
-    pub h: Ubig,
-    /// See [`GroupPublicKey::y`].
-    pub y: Ubig,
-}
-
 impl GroupPublicKey {
-    /// Serializable parameters.
-    pub fn to_params(&self) -> GroupPublicKeyParams {
-        GroupPublicKeyParams {
-            params: self.params,
-            rsa: self.rsa.params(),
-            a: self.a.clone(),
-            a0: self.a0.clone(),
-            b: self.b.clone(),
-            g: self.g.clone(),
-            h: self.h.clone(),
-            y: self.y.clone(),
-        }
-    }
-
-    /// Rebuilds from parameters.
-    pub fn from_params(p: GroupPublicKeyParams) -> GroupPublicKey {
-        GroupPublicKey {
-            params: p.params,
-            rsa: RsaGroup::from_params(p.rsa),
-            a: p.a,
-            a0: p.a0,
-            b: p.b,
-            g: p.g,
-            h: p.h,
-            y: p.y,
-            tables: Default::default(),
-        }
-    }
-
     /// The RSA group (for callers needing raw `QR(n)` operations).
     pub fn rsa(&self) -> &RsaGroup {
         &self.rsa
@@ -262,7 +211,7 @@ fn claim_relation<'a>(pk: &'a GroupPublicKey, sig: &'a Signature) -> Relation<'a
 }
 
 /// The seven tags of a KY signature.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tags {
     /// `A·y^r`.
     pub t1: Ubig,
@@ -281,7 +230,7 @@ pub struct Tags {
 }
 
 /// A KY group signature.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Signature {
     /// The tags `T1..T7`.
     pub tags: Tags,
@@ -314,7 +263,7 @@ pub enum SignBasis<'a> {
 }
 
 /// A member's signing key.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct MemberKey {
     /// The member's pseudonymous identity.
     pub id: MemberId,
@@ -344,7 +293,7 @@ impl std::fmt::Debug for MemberKey {
 }
 
 /// A registry entry kept by the group manager.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemberRecord {
     /// Member identity.
     pub id: MemberId,
@@ -361,7 +310,7 @@ pub struct MemberRecord {
 /// A verifier-local revocation token: the revoked member's tracing
 /// trapdoor. Distributed to members inside encrypted CGKD updates (the
 /// paper's member-only CRL).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RevocationToken {
     /// Identity being revoked (informational).
     pub id: MemberId,
@@ -391,7 +340,7 @@ impl std::fmt::Debug for GroupManager {
 }
 
 /// The GM's reply: the certificate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JoinResponse {
     /// Assigned identity.
     pub id: MemberId,
@@ -406,7 +355,7 @@ pub struct JoinResponse {
 /// Output of [`GroupManager::open`]: the signer plus a Chaum–Pedersen
 /// proof that the opening is correct (the "incontestable evidence" of the
 /// paper's `Open`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Opening {
     /// The identified signer.
     pub id: MemberId,
@@ -417,7 +366,7 @@ pub struct Opening {
 }
 
 /// Chaum–Pedersen discrete-log-equality proof for openings.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpeningProof {
     /// Fiat–Shamir challenge.
     pub c: Ubig,
@@ -791,7 +740,7 @@ pub fn verify_with_crl(
 /// revealing `x'` — that a given signature is its own. This is the
 /// claiming feature of the Kiayias–Yung scheme the paper's Appendix H
 /// points out ("(T6, T7) allows one to claim its signatures").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Claim {
     /// Fiat–Shamir challenge.
     pub c: Ubig,
@@ -894,8 +843,7 @@ mod tests {
     #[test]
     fn vlr_revocation_blocks_member() {
         let (mut gm, keys) = test_support::group_with_members_mut(2);
-        let pk_params = gm.public_key().to_params();
-        let pk = GroupPublicKey::from_params(pk_params);
+        let pk = gm.public_key().clone();
         let mut r = rng();
         let sig0 = sign(&pk, &keys[0], b"m", SignBasis::Random, &mut r);
         let sig1 = sign(&pk, &keys[1], b"m", SignBasis::Random, &mut r);
@@ -966,35 +914,11 @@ mod tests {
     #[test]
     fn bad_join_pok_rejected() {
         let (mut gm, _keys) = test_support::group_with_members_mut(1);
-        let pk_params = gm.public_key().to_params();
-        let pk = GroupPublicKey::from_params(pk_params);
+        let pk = gm.public_key().clone();
         let mut r = rng();
         let (_secret, mut req) = start_join(&pk, &mut r);
         req.commitment = pk.rsa().random_qr(&mut r); // break the proof
         assert_eq!(gm.admit(&req, &mut r).err(), Some(GsigError::JoinRejected));
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let (gm, keys) = test_support::group_with_members(1);
-        let pk = gm.public_key();
-        let mut r = rng();
-        let sig = sign(pk, &keys[0], b"serialize", SignBasis::Random, &mut r);
-        let json = serde_json_like(&sig);
-        assert!(!json.is_empty());
-        // Public key params roundtrip.
-        let params = pk.to_params();
-        let rebuilt = GroupPublicKey::from_params(params.clone());
-        assert_eq!(rebuilt.to_params(), params);
-        verify(&rebuilt, b"serialize", &sig, None).unwrap();
-    }
-
-    /// Minimal serialization smoke check without pulling in serde_json.
-    fn serde_json_like(sig: &Signature) -> Vec<u8> {
-        // bincode-style: use serde's Debug-ish surrogate via postcard?
-        // Neither is a dependency; a Debug format suffices as a smoke test
-        // that all fields are reachable.
-        format!("{sig:?}").into_bytes()
     }
 
     #[test]

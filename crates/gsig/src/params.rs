@@ -16,7 +16,6 @@
 //! strict.
 
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use shs_bigint::{prime, rng as brng, Ubig};
 
 /// The `ε` slack as a rational: `ceil(bits * 9 / 8)`.
@@ -25,7 +24,7 @@ fn eps(bits: u32) -> u32 {
 }
 
 /// Derived interval parameters for one signature setting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GsigParams {
     /// Bit length of the RSA modulus `n`.
     pub modulus_bits: u32,
@@ -44,7 +43,7 @@ pub struct GsigParams {
 }
 
 /// Size presets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GsigPreset {
     /// 256-bit modulus, 80-bit challenges, relaxed `λ2` — for tests.
     Test,

@@ -59,11 +59,10 @@ pub mod serve;
 pub mod sync;
 pub mod tcp;
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Delivery-order policy of the medium.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeliveryPolicy {
     /// Messages of a round are delivered in slot order (synchronous
     /// model).
@@ -120,7 +119,7 @@ impl std::error::Error for NetError {}
 /// report zeros; the TCP transport counts real socket events so the
 /// hardened runtime's session accounting
 /// (`shs-core`'s `SessionStats`) can surface them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportCounters {
     /// Successful re-attachments after a lost connection (each one cost
     /// at least one backoff sleep).

@@ -6,10 +6,8 @@
 //! a failed or simulated one — and check that nothing but the payload
 //! randomness differs: same rounds, same slots, same sizes.
 
-use serde::{Deserialize, Serialize};
-
 /// One observed transmission.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrafficRecord {
     /// Protocol-phase label (e.g. `"dgka-round1"`, `"phase2-mac"`).
     pub round: String,
@@ -23,7 +21,7 @@ pub struct TrafficRecord {
 ///
 /// Exposed through [`TrafficLog::faults`] so tests and benches can assert
 /// exactly which faults fired during a session.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultCounters {
     /// Deliveries silently discarded.
     pub dropped: u64,
@@ -77,7 +75,7 @@ impl std::ops::AddAssign<&FaultCounters> for FaultCounters {
 }
 
 /// An ordered log of observed transmissions.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrafficLog {
     records: Vec<TrafficRecord>,
     faults: FaultCounters,
