@@ -8,16 +8,6 @@
 
 use crate::mont::MontCtx;
 use crate::{BigintError, Ubig};
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Capacity of the process-wide [`CrtCtx::shared`] cache (one entry per
-/// live RSA trapdoor; a workspace rarely holds more than a couple).
-const SHARED_CACHE_CAP: usize = 8;
-
-fn shared_cache() -> &'static Mutex<Vec<Arc<CrtCtx>>> {
-    static CACHE: OnceLock<Mutex<Vec<Arc<CrtCtx>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(Vec::new()))
-}
 
 /// A reusable CRT exponentiation context for a known factorization
 /// `n = p·q` with `p`, `q` **odd primes**.
@@ -29,10 +19,13 @@ fn shared_cache() -> &'static Mutex<Vec<Arc<CrtCtx>>> {
 /// The exponent reduction `e mod (p−1)` relies on Fermat's little
 /// theorem, so the result is only correct when `p` and `q` really are
 /// prime — which the authority generating them guarantees.
-#[derive(Debug)]
+///
+/// The factorization is a trapdoor, so the context owns both halves'
+/// Montgomery contexts: they never enter the process-wide
+/// [`MontCtx::shared`] cache, and `Debug` prints no field.
 pub struct CrtCtx {
-    p_ctx: Arc<MontCtx>,
-    q_ctx: Arc<MontCtx>,
+    p_ctx: MontCtx,
+    q_ctx: MontCtx,
     /// `p − 1` and `q − 1` (Fermat exponent moduli).
     p1: Ubig,
     q1: Ubig,
@@ -56,39 +49,13 @@ impl CrtCtx {
     pub fn new(p: &Ubig, q: &Ubig) -> Result<CrtCtx, BigintError> {
         let qinv_p = crate::gcd::modinv(&q.rem(p), p).map_err(|_| BigintError::NotCoprime)?;
         Ok(CrtCtx {
-            p_ctx: MontCtx::shared(p),
-            q_ctx: MontCtx::shared(q),
+            p_ctx: MontCtx::new(p.clone()),
+            q_ctx: MontCtx::new(q.clone()),
             p1: p.sub_u64(1),
             q1: q.sub_u64(1),
             qinv_p,
             n: p.mul(q),
         })
-    }
-
-    /// Returns a shared, cached context for `(p, q)`, building it on a
-    /// miss. Same contract as [`CrtCtx::new`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BigintError::NotCoprime`] when `gcd(p, q) != 1`.
-    pub fn shared(p: &Ubig, q: &Ubig) -> Result<Arc<CrtCtx>, BigintError> {
-        let mut cache = shared_cache().lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(pos) = cache
-            .iter()
-            .position(|c| c.p_ctx.modulus() == p && c.q_ctx.modulus() == q)
-        {
-            let ctx = cache.remove(pos);
-            cache.push(Arc::clone(&ctx));
-            return Ok(ctx);
-        }
-        drop(cache);
-        let ctx = Arc::new(CrtCtx::new(p, q)?);
-        let mut cache = shared_cache().lock().unwrap_or_else(|e| e.into_inner());
-        if cache.len() >= SHARED_CACHE_CAP {
-            cache.remove(0);
-        }
-        cache.push(Arc::clone(&ctx));
-        Ok(ctx)
     }
 
     /// The recombined modulus `n = p·q`.
@@ -134,19 +101,9 @@ impl CrtCtx {
     }
 }
 
-impl Ubig {
-    /// `self^exp mod p·q` using the known factorization — see
-    /// [`CrtCtx::modpow`]. Builds (or fetches) a shared [`CrtCtx`].
-    ///
-    /// Records exactly one `modexp`, matching the plain [`Ubig::modpow`]
-    /// call it replaces, so experiment cost tables are unchanged by the
-    /// acceleration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BigintError::NotCoprime`] when `gcd(p, q) != 1`.
-    pub fn modpow_crt(&self, exp: &Ubig, p: &Ubig, q: &Ubig) -> Result<Ubig, BigintError> {
-        Ok(CrtCtx::shared(p, q)?.modpow(self, exp))
+impl std::fmt::Debug for CrtCtx {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "CrtCtx {{ p: ****, q: **** }}")
     }
 }
 
@@ -185,18 +142,6 @@ mod tests {
         let e = Ubig::from_u64(100 * 102);
         let b = Ubig::from_u64(7);
         assert_eq!(ctx.modpow(&b, &e), b.modpow(&e, &n));
-    }
-
-    #[test]
-    fn shared_cache_roundtrip() {
-        let p = Ubig::from_u64(1_000_003);
-        let q = Ubig::from_u64(1_000_033);
-        let a = CrtCtx::shared(&p, &q).unwrap();
-        let b = CrtCtx::shared(&p, &q).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        let x = Ubig::from_u64(424_242);
-        let e = Ubig::from_u64(65_537);
-        assert_eq!(a.modpow(&x, &e), x.modpow(&e, a.modulus()));
     }
 
     #[test]

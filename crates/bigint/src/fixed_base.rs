@@ -9,9 +9,11 @@
 //! multiplication per window — no squarings at all.
 //!
 //! [`FixedBase::shared`] interns tables process-wide by
-//! `(modulus, base, max_bits)`, so a key rebuilt from its parameters (the
-//! service admits every session with a fresh deserialization) reuses the
-//! tables instead of paying the precompute again.
+//! `(modulus, base, max_bits)`. Its callers: the Schnorr generator and the
+//! Cramer–Shoup public key (`SchnorrGroup::exp_fixed` in `shs-groups`),
+//! which keep no tables of their own, and the ACJT/KY public keys, whose
+//! clones taken before first use share one table instead of each paying
+//! the precompute.
 //!
 //! Lock order: the cache mutex is a leaf lock — no other lock is ever
 //! taken while it is held, and table construction happens outside the

@@ -20,10 +20,10 @@
 //!   ([`mont::MontCtx::shared`]), and an acceleration layer: fixed-base
 //!   precomputation tables ([`fixed_base::FixedBase`]), Straus/Shamir
 //!   simultaneous multi-exponentiation ([`mont::MontCtx::multi_exp`]) and
-//!   CRT-split exponentiation for known factorizations
-//!   ([`crt::CrtCtx`], [`Ubig::modpow_crt`]). Constant-trace kernels for
-//!   secret exponents; explicitly-named `*_vartime` fast paths for public
-//!   data, policed by the shs-lint `vartime-usage` rule.
+//!   CRT-split exponentiation for known factorizations ([`crt::CrtCtx`]).
+//!   Constant-trace kernels for secret exponents; explicitly-named
+//!   `*_vartime` fast paths for public data, policed by the shs-lint
+//!   `vartime-usage` rule.
 //! * Miller–Rabin primality testing and (safe-)prime generation
 //!   ([`prime`]).
 //! * Binary and extended GCD, binary modular inverse, Jacobi symbol, CRT

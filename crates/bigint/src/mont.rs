@@ -15,8 +15,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub(crate) const WINDOW: u32 = 4;
 
 /// Capacity of the process-wide [`MontCtx::shared`] cache. A handshake
-/// workspace touches a handful of moduli (RSA n per scheme, Schnorr p/q,
-/// CRT halves); 16 covers every live modulus with room to spare.
+/// workspace touches a handful of moduli (RSA n per scheme, Schnorr p/q);
+/// 16 covers every live modulus with room to spare.
 const SHARED_CACHE_CAP: usize = 16;
 
 fn shared_cache() -> &'static Mutex<Vec<Arc<MontCtx>>> {
@@ -76,9 +76,10 @@ impl MontCtx {
     ///
     /// Contexts are expensive to build (one full division for `R mod n`,
     /// another for `R² mod n`); callers that exponentiate repeatedly under
-    /// the same modulus — `Ubig::modpow`, group wrappers, CRT halves — hit a
-    /// process-wide MRU cache instead of rebuilding. Miller–Rabin keeps its
-    /// candidates out of it with one owned context per candidate.
+    /// the same public modulus — `Ubig::modpow`, group wrappers — hit a
+    /// process-wide MRU cache instead of rebuilding. Secret moduli stay out
+    /// of it: Miller–Rabin gives each candidate one owned context, and a
+    /// [`CrtCtx`](crate::crt::CrtCtx) owns the contexts of its two primes.
     ///
     /// # Panics
     ///
@@ -806,6 +807,18 @@ mod tests {
         assert!(crate::prime::is_prime(&m89, &mut rng));
         let cache = shared_cache().lock().unwrap_or_else(|e| e.into_inner());
         assert!(cache.iter().all(|c| c.n != m89));
+    }
+
+    #[test]
+    fn crt_contexts_leave_the_shared_cache_alone() {
+        // The halves of a CRT context are an RSA trapdoor: building one
+        // must not leave either prime in the process-wide cache.
+        let p = Ubig::one().shl(107).sub_u64(1); // Mersenne primes
+        let q = Ubig::one().shl(61).sub_u64(1);
+        let ctx = crate::crt::CrtCtx::new(&p, &q).unwrap();
+        assert_eq!(ctx.modulus(), &p.mul(&q));
+        let cache = shared_cache().lock().unwrap_or_else(|e| e.into_inner());
+        assert!(cache.iter().all(|c| c.n != p && c.n != q));
     }
 
     #[test]

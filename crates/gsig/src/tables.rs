@@ -4,11 +4,11 @@
 //! Signing exponentiates these bases with *secret* exponents dozens of
 //! times per session; a [`FixedBase`] table removes every squaring from
 //! those calls while keeping the masked constant-trace scan. Tables live
-//! inside the public key (built on first use, shared by clones) and come
-//! from the process-wide [`FixedBase::shared`] cache, so a public key
-//! rebuilt through `from_params` (the service admits every session with
-//! a fresh deserialization) reuses the tables instead of paying the
-//! precompute again.
+//! inside the public key (built on first use, shared by clones taken
+//! after it) and come from the process-wide [`FixedBase::shared`] cache,
+//! so a clone taken before first use reuses the tables instead of paying
+//! the precompute again: each substrate adapter in `shs-core` clones its
+//! manager's key right after setup.
 
 use shs_bigint::{FixedBase, Int, Ubig};
 use shs_groups::rsa::RsaGroup;
@@ -17,8 +17,8 @@ use std::sync::{Arc, OnceLock};
 /// A pair of fixed-base tables for one public base: one for the base
 /// itself and one for its inverse (signed blinds exponentiate both ways).
 /// Each side is built on first use, shared by clones of the holder, and
-/// interned in [`FixedBase::shared`] so rebuilt keys do not repay the
-/// precompute.
+/// interned in [`FixedBase::shared`] so a clone taken before first use
+/// does not repay the precompute.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FixedBasePair {
     fwd: OnceLock<Arc<FixedBase>>,
