@@ -19,7 +19,7 @@
 //! taken while it is held, and table construction happens outside the
 //! guard (the `lock-order` lint rule watches this file).
 
-use crate::mont::{window_chunk, MontCtx, WINDOW};
+use crate::mont::{window_chunk, MontCtx, Scratch, WINDOW};
 use crate::Ubig;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -141,14 +141,49 @@ impl FixedBase {
         if exp.is_zero() {
             return Ubig::one().rem(self.ctx.modulus());
         }
+        let mut s = self.ctx.scratch();
+        self.mul_windows(&mut s, exp);
+        self.ctx.from_mont(s)
+    }
+
+    /// `factor · base^exp mod n`, constant-trace for secret exponents: the
+    /// windows of [`FixedBase::pow`], run on an accumulator that starts at
+    /// the public `factor` instead of one, so the product costs no
+    /// multiplication of its own. Exponents wider than `max_bits` fall back
+    /// to `modpow` and one modular multiplication.
+    pub fn pow_times(&self, exp: &Ubig, factor: &Ubig) -> Ubig {
+        if exp.bits() > self.max_bits {
+            return self.ctx.modmul(&self.ctx.modpow(&self.base, exp), factor);
+        }
+        let mut s = self.ctx.scratch_at(factor);
+        self.mul_windows(&mut s, exp);
+        self.ctx.from_mont(s)
+    }
+
+    /// `acc ← acc · base^exp` for an exponent the table covers: one masked
+    /// scan and one multiplication per window of `exp`'s public width.
+    fn mul_windows(&self, s: &mut Scratch, exp: &Ubig) {
         let bits = exp.bits();
         let windows = bits.div_ceil(WINDOW);
-        let mut s = self.ctx.scratch();
         for (w, row) in (0..windows).zip(&self.table) {
             let chunk = window_chunk(exp, bits, w);
-            self.ctx.mul_selected(&mut s, row, chunk);
+            self.ctx.mul_selected(s, row, chunk);
         }
-        self.ctx.from_mont(s)
+    }
+
+    /// `base^(2^j) mod n`, a power of the public base with a public
+    /// exponent, read off the table build's squaring chain: row
+    /// `⌊j/WINDOW⌋` holds it at digit `2^(j mod WINDOW)`, and past the last
+    /// row the chain goes on from that row's base by squarings alone.
+    pub fn squared(&self, j: u32) -> Ubig {
+        let row = ((j / WINDOW) as usize).min(self.table.len() - 1);
+        let k = self.table[row].len() >> WINDOW;
+        let (digit, squarings) = match j - row as u32 * WINDOW {
+            left if left < WINDOW => (1 << left, 0),
+            left => (1, left),
+        };
+        self.ctx
+            .square_repeatedly(&self.table[row][digit * k..], squarings)
     }
 
     /// `base^exp mod n` by direct table indexing, zero digits skipped.

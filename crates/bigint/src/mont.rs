@@ -130,6 +130,26 @@ impl MontCtx {
         }
     }
 
+    /// A fresh per-call scratch with the accumulator set to `x` (its
+    /// Montgomery form `x·R mod n`).
+    pub(crate) fn scratch_at(&self, x: &Ubig) -> Scratch {
+        let mut s = self.scratch();
+        self.to_mont(x, &mut s);
+        std::mem::swap(&mut s.acc, &mut s.entry);
+        s
+    }
+
+    /// `x^(2^squarings) mod n` for a k-limb Montgomery-form `x`, out of
+    /// Montgomery form.
+    pub(crate) fn square_repeatedly(&self, x: &[u64], squarings: u32) -> Ubig {
+        let mut s = self.scratch();
+        s.acc.copy_from_slice(&x[..self.k]);
+        for _ in 0..squarings {
+            self.square(&mut s);
+        }
+        self.from_mont(s)
+    }
+
     /// Montgomery multiplication `out = a·b·R⁻¹ mod n` of two k-limb
     /// Montgomery-form values, with `t` as the accumulator. Allocation-free.
     ///
@@ -298,14 +318,28 @@ impl MontCtx {
     /// every entry but the selected one on a compare against `idx` and
     /// loads only that entry (DESIGN.md §9). Never inlined, so every
     /// ladder shares one compiled scan, the one `ci/check_select_asm.py`
-    /// reads.
+    /// reads. Dispatched per width like [`MontCtx::mont_mul_into`] to one
+    /// body, [`select_entry`]; other widths run the same scan over the
+    /// runtime `k` straight into `entry`.
     #[inline(never)]
     pub(crate) fn mul_selected(&self, s: &mut Scratch, table: &[u64], idx: usize) {
-        s.entry.fill(0);
-        for (i, e) in table.chunks_exact(self.k).enumerate() {
-            let mask = std::hint::black_box(0u64.wrapping_sub(u64::from(i == idx)));
-            for (o, &v) in s.entry.iter_mut().zip(e) {
-                *o |= v & mask;
+        match self.k {
+            4 => select_entry::<4>(table, idx, &mut s.entry),
+            8 => select_entry::<8>(table, idx, &mut s.entry),
+            9 => select_entry::<9>(table, idx, &mut s.entry),
+            12 => select_entry::<12>(table, idx, &mut s.entry),
+            16 => select_entry::<16>(table, idx, &mut s.entry),
+            32 => select_entry::<32>(table, idx, &mut s.entry),
+            k => {
+                s.entry.fill(0);
+                let mut left = idx;
+                for e in table.chunks_exact(k) {
+                    let mask = std::hint::black_box(0u64.wrapping_sub(u64::from(left == 0)));
+                    for (o, &v) in s.entry.iter_mut().zip(e) {
+                        *o |= v & mask;
+                    }
+                    left = left.wrapping_sub(1);
+                }
             }
         }
         self.mul_entry(s);
@@ -574,6 +608,31 @@ fn final_sub(n: &[u64], low: &[u64], overflow: u64, out: &mut [u64]) {
     for (o, &l) in out.iter_mut().zip(low) {
         *o = (*o & mask) | (l & !mask);
     }
+}
+
+/// The masked scan of [`MontCtx::mul_selected`] at a width `K` known at
+/// compile time: `entry ← table[idx]` for a flat table of `2^WINDOW`
+/// K-limb entries, every entry read.
+///
+/// The kept entry gathers in a local array, which the compiler keeps in
+/// registers: the barrier on each mask may read or write any memory whose
+/// address has escaped, so an accumulator in `entry`'s heap buffer would be
+/// stored and reloaded around every entry. The digit counts down to zero,
+/// which marks the kept entry, and both slices are bounds-checked before
+/// the first barrier, so no panic path sits among the masks.
+#[inline(always)]
+fn select_entry<const K: usize>(table: &[u64], idx: usize, entry: &mut [u64]) {
+    let (table, entry) = (&table[..K << WINDOW], &mut entry[..K]);
+    let mut acc = [0u64; K];
+    let mut left = idx;
+    for e in table.chunks_exact(K) {
+        let mask = std::hint::black_box(0u64.wrapping_sub(u64::from(left == 0)));
+        for (a, &v) in acc.iter_mut().zip(e) {
+            *a |= v & mask;
+        }
+        left = left.wrapping_sub(1);
+    }
+    entry.copy_from_slice(&acc);
 }
 
 /// Extracts the 4-bit window `w` of `exp` (bits past `bits` read as zero).

@@ -31,6 +31,32 @@ fn reference_modpow(base: &Ubig, exp: &Ubig, m: &Ubig) -> Ubig {
     acc
 }
 
+/// Strategy: an exponent whose 4-bit windows, from the lowest, run
+/// through every digit 0–15 once (an odd stride from a random start),
+/// then up to eight random digits and a nonzero top digit, so that every
+/// digit sits below the exponent's top window.
+fn every_digit_exponent() -> impl Strategy<Value = Ubig> {
+    (
+        0u64..16,
+        0u64..8,
+        prop::collection::vec(0u64..16, 0..=8),
+        1u64..16,
+    )
+        .prop_map(|(start, half_stride, tail, top)| {
+            let stride = 2 * half_stride + 1;
+            let digits = (0..16).map(|i| (start + i * stride) % 16).chain(tail);
+            let mut e = Ubig::zero();
+            for (i, d) in digits.chain([top]).enumerate() {
+                for b in 0..4 {
+                    if (d >> b) & 1 == 1 {
+                        e.set_bit(4 * i as u32 + b);
+                    }
+                }
+            }
+            e
+        })
+}
+
 /// Strategy: a Ubig of up to `limbs` limbs.
 fn ubig(limbs: usize) -> impl Strategy<Value = Ubig> {
     prop::collection::vec(any::<u64>(), 0..=limbs).prop_map(Ubig::from_limbs)
@@ -317,6 +343,36 @@ proptest! {
         let want = reference_modpow(&base, &e, &m);
         prop_assert_eq!(fb.pow(&e), want.clone());
         prop_assert_eq!(fb.pow_vartime(&e), want);
+    }
+
+    #[test]
+    fn every_scan_arm_matches_the_reference(
+        limbs in prop::collection::vec(any::<u64>(), 3 * 33),
+        e in every_digit_exponent(),
+        f in every_digit_exponent(),
+    ) {
+        // Each constant-trace ladder at every width with its own compiled
+        // table scan and kernels, and at one width on the runtime-k
+        // fallback (5 limbs). Every digit 0–15 selects its table entry in
+        // each exponent, so a scan arm that keeps another entry than the
+        // digit names, or a width that dispatches to the wrong arm, gives
+        // a wrong power.
+        let (n, rest) = limbs.split_at(33);
+        let (b, c) = rest.split_at(33);
+        for k in [4usize, 5, 8, 9, 12, 16, 32] {
+            let mut m = n[..k].to_vec();
+            m[0] |= 1;
+            m[k - 1] |= 1 << 63;
+            let m = Ubig::from_limbs(m);
+            let (b, c) = (Ubig::from_limbs(b[..=k].to_vec()), Ubig::from_limbs(c[..k].to_vec()));
+            let ctx = std::sync::Arc::new(MontCtx::new(m.clone()));
+            let want = reference_modpow(&b, &e, &m);
+            prop_assert_eq!(ctx.modpow(&b, &e), want.clone(), "modpow, {} limbs", k);
+            let fb = FixedBase::new(std::sync::Arc::clone(&ctx), &b, e.bits());
+            prop_assert_eq!(fb.pow(&e), want.clone(), "FixedBase::pow, {} limbs", k);
+            let product = want.mulm(&reference_modpow(&c, &f, &m), &m);
+            prop_assert_eq!(ctx.multi_exp(&[(&b, &e), (&c, &f)]), product, "multi_exp, {} limbs", k);
+        }
     }
 
     #[test]

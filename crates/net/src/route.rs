@@ -28,11 +28,19 @@ struct SlotState {
 /// Exchange state of one round label.
 #[derive(Debug)]
 struct LabelState {
-    label: String,
+    /// The label: its byte range in the router's `names`.
+    name: std::ops::Range<usize>,
     /// Exchanges of the label opened so far.
     opened: u32,
-    slots: Vec<SlotState>,
 }
+
+/// One send of a routing call: the sending slot, its payload and the
+/// number of exchanges it fills with a logged copy.
+type Send = (usize, Vec<u8>, u32);
+
+/// Labels whose state a router reserves room for up front: a session's
+/// two key-agreement rounds and Phases II and III.
+const RESERVED_LABELS: usize = 4;
 
 /// The routing step every broadcast medium runs its traffic through
 /// (see the module docs).
@@ -43,6 +51,12 @@ pub struct Router {
     log: TrafficLog,
     /// Per round label, in first-use order (a session has a handful).
     labels: Vec<LabelState>,
+    /// Every label's name, back to back.
+    names: String,
+    /// Every label's slot states, `slots` per label in `labels` order.
+    states: Vec<SlotState>,
+    /// The sends of a routing call: one buffer, emptied by every call.
+    sends: Vec<Send>,
     backpressure_dropped: u64,
 }
 
@@ -54,9 +68,20 @@ impl Router {
             slots,
             plan,
             log: TrafficLog::new(),
-            labels: Vec::new(),
+            labels: Vec::with_capacity(RESERVED_LABELS),
+            names: String::with_capacity(16 * RESERVED_LABELS),
+            states: Vec::with_capacity(slots * RESERVED_LABELS),
+            sends: Vec::with_capacity(slots),
             backpressure_dropped: 0,
         }
+    }
+
+    /// The position of `label` in first-use order, if it has been routed.
+    fn label_index(&self, label: &str) -> Option<usize> {
+        let names = self.names.as_bytes();
+        self.labels
+            .iter()
+            .rposition(|st| names.get(st.name.clone()) == Some(label.as_bytes()))
     }
 
     /// The eavesdropper's log so far, with the fault tallies.
@@ -73,10 +98,9 @@ impl Router {
 
     /// Has `slot` sent `label`, so a retransmission can stand in for it?
     pub(crate) fn has_sent(&self, label: &str, slot: usize) -> bool {
-        self.labels
-            .iter()
-            .find(|st| st.label == label)
-            .and_then(|st| st.slots.get(slot))
+        self.label_index(label)
+            .filter(|_| slot < self.slots)
+            .and_then(|i| self.states.get(i * self.slots + slot))
             .is_some_and(|s| s.last.is_some())
     }
 
@@ -102,22 +126,24 @@ impl Router {
     ) -> Option<Vec<Vec<Received>>> {
         let m = self.slots;
         let is_attached = |s: usize| attached.is_none_or(|a| a.get(s) == Some(&true));
-        if !self.labels.iter().any(|st| st.label == label) {
-            let slots = vec![SlotState::default(); m];
-            let label = label.to_string();
+        let index = self.label_index(label).unwrap_or_else(|| {
+            let start = self.names.len();
+            self.names.push_str(label);
             self.labels.push(LabelState {
-                label,
+                name: start..self.names.len(),
                 opened: 0,
-                slots,
             });
-        }
-        let st = self.labels.iter_mut().find(|st| st.label == label)?;
+            self.states
+                .resize(self.states.len() + m, SlotState::default());
+            self.labels.len() - 1
+        });
+        let st = self.labels.get_mut(index)?;
+        let slots = self.states.get_mut(index * m..(index + 1) * m)?;
         // Copy k of a slot joins exchange k; one stood in for is absorbed.
-        // Each send carries the number of exchanges it fills.
-        let mut sends = Vec::with_capacity(m);
+        let mut sends = std::mem::take(&mut self.sends);
         let mut opened = st.opened;
         for (s, payload) in batch.into_iter().filter(|(s, _)| *s < m) {
-            let slot = &mut st.slots[s];
+            let slot = &mut slots[s];
             slot.sent += 1;
             if slot.sent > slot.covered {
                 opened = opened.max(slot.sent);
@@ -125,6 +151,7 @@ impl Router {
             }
         }
         if sends.is_empty() {
+            self.sends = sends;
             return None;
         }
         let mut due = Vec::new();
@@ -132,21 +159,26 @@ impl Router {
             if let Some(plan) = self.plan.as_mut() {
                 (st.opened..opened).for_each(|_| due.extend(plan.begin_exchange(label)));
             }
-            // A retransmission stands in for the slots that did not re-send.
-            for (j, slot) in st.slots.iter_mut().enumerate() {
-                let missing = slot.covered < opened && !sends.iter().any(|(s, ..)| *s == j);
-                if opened >= 2 && missing && is_attached(j) {
-                    sends.extend(slot.last.take().map(|p| (j, p, 0)));
+            // A retransmission stands in for the slots that did not
+            // re-send; a full batch leaves none out.
+            if opened >= 2 && sends.len() < m {
+                for (j, slot) in slots.iter_mut().enumerate() {
+                    let missing = slot.covered < opened && !sends.iter().any(|(s, ..)| *s == j);
+                    if missing && is_attached(j) {
+                        sends.extend(slot.last.take().map(|p| (j, p, 0)));
+                    }
                 }
             }
-            sends.sort_unstable_by_key(|(s, ..)| *s);
+            if !sends.is_sorted_by_key(|(s, ..)| *s) {
+                sends.sort_unstable_by_key(|(s, ..)| *s);
+            }
             st.opened = opened;
         }
         // Each send fills every exchange its slot is missing from; each
         // fill ticks the crash clock and, unless silenced, is logged: the
         // observer sits at the sender, before per-receiver faults.
         for (s, payload, live) in &mut sends {
-            let fills = opened - std::mem::replace(&mut st.slots[*s].covered, opened);
+            let fills = opened - std::mem::replace(&mut slots[*s].covered, opened);
             for _ in 0..fills {
                 if !self.plan.as_mut().is_some_and(|p| p.suppress_send(*s)) {
                     self.log.record(label, *s, payload);
@@ -190,10 +222,15 @@ impl Router {
                 push(inbox, r.from_slot, r.payload);
             }
         }
-        for (s, payload, _) in sends {
-            st.slots[s].last = Some(payload);
+        for (s, payload, _) in sends.drain(..) {
+            slots[s].last = Some(payload);
         }
-        self.sync_faults();
+        self.sends = sends;
+        // Without a plan the tallies change only through
+        // `count_backpressure_drops`, which copies them itself.
+        if self.plan.is_some() {
+            self.sync_faults();
+        }
         Some(inboxes)
     }
 
