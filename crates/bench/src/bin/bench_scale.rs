@@ -6,11 +6,11 @@
 //! Per backend and group size `n`, three numbers:
 //!
 //! * `build_s` — wall clock from an empty controller to `n` members
-//!   (batched join windows for LKH/SD, sequential admits for Star).
+//!   (one join window for LKH and Star, chunked join windows for SD).
 //! * `epoch_ms` — one mixed churn window at full size: evict one member
-//!   and admit one replacement, a single epoch broadcast on the arena
-//!   backends. Items/bytes of that broadcast ride along.
-//! * `sync_ms` — a single member processing that window's broadcast(s):
+//!   and admit one replacement, a single epoch broadcast on every
+//!   backend. Items/bytes of that broadcast ride along.
+//! * `sync_ms` — a single member processing that window's broadcast:
 //!   the stale-member catch-up cost for one missed epoch.
 //!
 //! LKH sweeps to a million members; SD stops at 100k (provisioning a
@@ -27,6 +27,7 @@
 //! 100 ms (the headline acceptance: million-member churn in bounded
 //! time).
 
+use rand::RngCore;
 use shs_bench::{rng, timed};
 use shs_cgkd::lkh::LkhController;
 use shs_cgkd::sd::SdController;
@@ -73,7 +74,7 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     for &n in lkh_sizes {
-        rows.push(lkh_row(n));
+        rows.push(one_window_row("lkh", n, LkhController::new));
         eprintln!("bench_scale: lkh n={n} done");
     }
     for &n in sd_sizes {
@@ -81,7 +82,7 @@ fn main() {
         eprintln!("bench_scale: sd n={n} done");
     }
     for &n in star_sizes {
-        rows.push(star_row(n));
+        rows.push(one_window_row("star", n, StarController::new));
         eprintln!("bench_scale: star n={n} done");
     }
 
@@ -120,19 +121,23 @@ fn main() {
     }
 }
 
-/// LKH: one batched build window to `n`, then a one-evict-one-join
+/// LKH and Star: one build window to `n`, then a one-evict-one-join
 /// window at full size. The probe member joins in the build window and
 /// processes every later broadcast like a real receiver.
-fn lkh_row(n: usize) -> Row {
-    let mut r = rng(&format!("bench-scale-lkh-{n}"));
-    let mut ctrl = LkhController::new(n as u32, &mut r);
+fn one_window_row<C: Controller>(
+    backend: &'static str,
+    n: usize,
+    new: fn(u32, &mut dyn RngCore) -> C,
+) -> Row {
+    let mut r = rng(&format!("bench-scale-{backend}-{n}"));
+    let mut ctrl = new(n as u32, &mut r);
     let (build_s, (probe, leaver)) = timed(|| {
         let (welcomes, broadcast) = ctrl
             .apply_epoch(n, &[], &mut r)
             .expect("build window within capacity");
-        let (_, first) = welcomes.first().cloned().expect("n >= 1 joiners");
         // The leaver must not be the probe: evict the last joiner.
         let leaver = welcomes.last().map(|(uid, _)| *uid).expect("n >= 1");
+        let (_, first) = welcomes.into_iter().next().expect("n >= 1 joiners");
         let mut probe = ctrl.member_from_welcome(first);
         probe
             .process(&broadcast)
@@ -149,7 +154,7 @@ fn lkh_row(n: usize) -> Row {
             .expect("churn window at full size");
         broadcast
     });
-    let stats = LkhController::stats(&broadcast);
+    let stats = C::stats(&broadcast);
     let (sync_s, _) = timed(|| {
         probe
             .process(&broadcast)
@@ -158,7 +163,7 @@ fn lkh_row(n: usize) -> Row {
     let in_sync = probe.group_key().ct_eq(Controller::group_key(&ctrl));
     assert!(in_sync, "probe out of sync with the controller");
     Row {
-        backend: "lkh",
+        backend,
         n,
         build_s,
         epoch_ms: epoch_s * 1e3,
@@ -224,56 +229,6 @@ fn sd_row(n: usize) -> Row {
         epoch_ms: epoch_s * 1e3,
         epoch_items: stats.items,
         epoch_bytes: stats.bytes,
-        sync_ms: sync_s * 1e3,
-    }
-}
-
-/// Star: the O(n)-per-epoch baseline. Built by sequential admits (each
-/// one a full-group rekey), churned the same way — there is no cheaper
-/// batched form, which is exactly the point of the comparison.
-fn star_row(n: usize) -> Row {
-    let mut r = rng(&format!("bench-scale-star-{n}"));
-    let mut ctrl = StarController::new(n as u32, &mut r);
-    let (build_s, (probe_welcome, probe_join, leaver)) = timed(|| {
-        let mut leaver = None;
-        for _ in 0..n - 1 {
-            let (uid, _, _) = ctrl.admit(&mut r).expect("admit within capacity");
-            leaver = Some(uid);
-        }
-        // The probe is the last joiner, so it is exactly current when
-        // the churn window lands (Star members are strict-sequence
-        // receivers and cannot skip epochs).
-        let (_, welcome, join) = ctrl.admit(&mut r).expect("probe admit");
-        (welcome, join, leaver.expect("n >= 2"))
-    });
-    let mut probe = ctrl.member_from_welcome(probe_welcome);
-    probe
-        .process(&probe_join)
-        .expect("probe processes its own join");
-    let in_sync = probe.group_key().ct_eq(Controller::group_key(&ctrl));
-    assert!(in_sync, "probe out of sync with the controller");
-
-    // The churn window: evict + admit, two O(n) broadcasts on Star.
-    let (epoch_s, (b_evict, b_join)) = timed(|| {
-        let b_evict = ctrl.evict(leaver, &mut r).expect("churn evict");
-        let (_, _, b_join) = ctrl.admit(&mut r).expect("churn admit");
-        (b_evict, b_join)
-    });
-    let s1 = StarController::stats(&b_evict);
-    let s2 = StarController::stats(&b_join);
-    let (sync_s, _) = timed(|| {
-        probe.process(&b_evict).expect("probe survives the evict");
-        probe.process(&b_join).expect("probe follows the join");
-    });
-    let in_sync = probe.group_key().ct_eq(Controller::group_key(&ctrl));
-    assert!(in_sync, "probe out of sync with the controller");
-    Row {
-        backend: "star",
-        n,
-        build_s,
-        epoch_ms: epoch_s * 1e3,
-        epoch_items: s1.items + s2.items,
-        epoch_bytes: s1.bytes + s2.bytes,
         sync_ms: sync_s * 1e3,
     }
 }

@@ -9,7 +9,9 @@
 use crate::table::{Cell, Table};
 use crate::{group, mean, rng, timed};
 use shs_bigint::{counters, Ubig};
-use shs_cgkd::{lkh::LkhController, sd::SdController, star::StarController, Controller};
+use shs_cgkd::{
+    lkh::LkhController, sd::SdController, star::StarController, BroadcastStats, Controller, Joined,
+};
 use shs_core::config::{CgkdChoice, DgkaChoice};
 use shs_core::factory;
 use shs_core::fixtures::{group_with_config, group_with_revoked};
@@ -196,22 +198,13 @@ pub fn cgkd_rekey(sizes: &[u32]) -> Table {
     );
     let mut r = rng("table-e4");
     for &n in sizes {
-        let mut lkh = LkhController::new(n, &mut r);
-        let mut star = StarController::new(n, &mut r);
-        let mut sd = SdController::new(n, &mut r);
-        let mut sd_labels = 0usize;
-        for i in 0..n {
-            lkh.admit(&mut r).expect("capacity n");
-            star.admit(&mut r).expect("capacity n");
-            let (_, welcome, _) = sd.admit(&mut r).expect("capacity n");
-            if i == n / 2 {
-                sd_labels = welcome.labels.len();
-            }
-        }
-        let victim = (n / 2) as usize;
-        let l = LkhController::stats(&lkh.evict(lkh.members()[victim], &mut r).expect("member"));
-        let s = StarController::stats(&star.evict(star.members()[victim], &mut r).expect("member"));
-        let d = SdController::stats(&sd.evict(sd.members()[victim], &mut r).expect("member"));
+        let lkh = LkhController::new(n, &mut r);
+        let star = StarController::new(n, &mut r);
+        let sd = SdController::new(n, &mut r);
+        let (_, l) = leave_from_full(lkh, n, &mut r);
+        let (_, s) = leave_from_full(star, n, &mut r);
+        let (welcomes, d) = leave_from_full(sd, n, &mut r);
+        let sd_labels = welcomes[(n / 2) as usize].1.labels.len();
         let mut cells = vec![Cell::from(n as u64)];
         for stats in [l, s, d] {
             cells.extend([stats.items.into(), stats.bytes.into()]);
@@ -220,6 +213,20 @@ pub fn cgkd_rekey(sizes: &[u32]) -> Table {
         table.push(cells, vec![]);
     }
     table
+}
+
+/// Fills `gc` with `n` members in one window, then removes the middle
+/// one in a one-leave window. Returns the joiners' welcomes and the
+/// size of the leave broadcast.
+fn leave_from_full<C: Controller>(
+    mut gc: C,
+    n: u32,
+    r: &mut HmacDrbg,
+) -> (Joined<C::Welcome>, BroadcastStats) {
+    let (welcomes, _) = gc.apply_epoch(n as usize, &[], r).expect("capacity n");
+    let victim = welcomes[(n / 2) as usize].0;
+    let (_, leave) = gc.apply_epoch(0, &[victim], r).expect("member");
+    (welcomes, C::stats(&leave))
 }
 
 /// **E4**: the Subset-Difference cover of an `n`-member group after each
@@ -233,14 +240,13 @@ pub fn sd_cover(n: u32, revocations: &[usize]) -> Table {
     );
     let mut r = rng("table-e4");
     let mut sd = SdController::new(n, &mut r);
-    let mut alive: Vec<_> = (0..n)
-        .map(|_| sd.admit(&mut r).expect("capacity n").0)
-        .collect();
+    let (welcomes, _) = sd.apply_epoch(n as usize, &[], &mut r).expect("capacity n");
+    let mut alive: Vec<_> = welcomes.into_iter().map(|(id, _)| id).collect();
     let mut revoked = 0usize;
     for &target in revocations {
         while revoked < target {
             let victim = alive.swap_remove((revoked * 37 + 11) % alive.len());
-            sd.evict(victim, &mut r).expect("member");
+            sd.apply_epoch(0, &[victim], &mut r).expect("member");
             revoked += 1;
         }
         table.push(

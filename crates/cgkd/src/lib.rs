@@ -18,7 +18,11 @@
 //! * [`star`] — the flat baseline: one key per member, `O(n)` rekeying.
 //!
 //! All three implement the [`Controller`] / [`MemberState`] traits so the
-//! framework and the E4 benchmarks can swap them freely.
+//! framework and the E4 benchmarks can swap them freely. Membership
+//! changes only through [`Controller::apply_epoch`]: a churn window of
+//! joins and leaves is validated whole, then rekeyed as one broadcast
+//! and one epoch (Wong–Gouda–Lam batched rekeying, \[33\]). `CGKD.Join`
+//! and `CGKD.Leave` are its one-entry windows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -68,6 +72,17 @@ impl std::fmt::Display for CgkdError {
 
 impl std::error::Error for CgkdError {}
 
+/// Checks a window's leaver list before anything changes: every id must
+/// be a current member, and none may appear twice.
+fn check_leavers(leaves: &[UserId], is_member: impl Fn(&UserId) -> bool) -> Result<(), CgkdError> {
+    let mut seen = std::collections::HashSet::with_capacity(leaves.len());
+    if leaves.iter().all(|id| is_member(id) && seen.insert(*id)) {
+        Ok(())
+    } else {
+        Err(CgkdError::UnknownMember)
+    }
+}
+
 /// Traffic statistics of one broadcast, for the E4 experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BroadcastStats {
@@ -76,6 +91,10 @@ pub struct BroadcastStats {
     /// Total ciphertext bytes.
     pub bytes: usize,
 }
+
+/// The joiners of one churn window: each one's id and private welcome
+/// package.
+pub type Joined<W> = Vec<(UserId, W)>;
 
 /// Controller (GC) side of a CGKD scheme.
 pub trait Controller {
@@ -87,23 +106,29 @@ pub trait Controller {
     /// The rekey broadcast type.
     type Broadcast;
 
-    /// `CGKD.Join`: admits one member. Returns its id, the private welcome
-    /// package, and the rekey broadcast for existing members.
+    /// `CGKD.Join` and `CGKD.Leave` for a whole churn window: evicts
+    /// `leaves`, admits `joins` new members, and rekeys once, producing
+    /// one broadcast and one epoch bump for the window.
+    ///
+    /// Returns each joiner's id and private welcome package, and the
+    /// broadcast every member processes, joiners included: welcomes
+    /// carry the pre-window epoch. An empty window (`joins == 0`, no
+    /// leaves) is a no-op that returns an empty broadcast at the current
+    /// epoch, which must not be distributed.
+    ///
+    /// The call validates the whole window first and changes nothing on
+    /// error.
     ///
     /// # Errors
     ///
-    /// [`CgkdError::Full`] when capacity is exhausted.
-    fn admit(
+    /// [`CgkdError::UnknownMember`] for unknown or duplicated leaver
+    /// ids; [`CgkdError::Full`] when the window's joins do not fit.
+    fn apply_epoch(
         &mut self,
+        joins: usize,
+        leaves: &[UserId],
         rng: &mut dyn RngCore,
-    ) -> Result<(UserId, Self::Welcome, Self::Broadcast), CgkdError>;
-
-    /// `CGKD.Leave`: evicts one member and rekeys.
-    ///
-    /// # Errors
-    ///
-    /// [`CgkdError::UnknownMember`] for ids not currently in the group.
-    fn evict(&mut self, id: UserId, rng: &mut dyn RngCore) -> Result<Self::Broadcast, CgkdError>;
+    ) -> Result<(Joined<Self::Welcome>, Self::Broadcast), CgkdError>;
 
     /// Builds the member state from a welcome package.
     fn member_from_welcome(&self, welcome: Self::Welcome) -> Self::Member;
@@ -150,4 +175,32 @@ pub trait MemberState {
     /// the group key to a revoked one) in experiment E7b. It exists for
     /// attack experiments only; honest members never call it.
     fn force_group_key(&mut self, key: Key, epoch: u64);
+}
+
+#[cfg(test)]
+mod testing {
+    //! Single-change windows for the unit tests.
+
+    use super::{CgkdError, Controller, UserId};
+    use rand::RngCore;
+
+    /// `CGKD.Join` as a one-join window.
+    pub(crate) fn join<C: Controller>(
+        gc: &mut C,
+        rng: &mut dyn RngCore,
+    ) -> Result<(UserId, C::Welcome, C::Broadcast), CgkdError> {
+        let (mut joined, broadcast) = gc.apply_epoch(1, &[], rng)?;
+        let (id, welcome) = joined.pop().expect("a one-join window admits one member");
+        Ok((id, welcome, broadcast))
+    }
+
+    /// `CGKD.Leave` as a one-leave window.
+    pub(crate) fn leave<C: Controller>(
+        gc: &mut C,
+        id: UserId,
+        rng: &mut dyn RngCore,
+    ) -> Result<C::Broadcast, CgkdError> {
+        gc.apply_epoch(0, &[id], rng)
+            .map(|(_, broadcast)| broadcast)
+    }
 }

@@ -5,8 +5,8 @@
 //!
 //! Rekeying a join or leave touches one leaf-to-root path, so broadcasts
 //! carry `O(log n)` items — the property measured in experiment E4. A
-//! whole churn *epoch* of joins and leaves can be batched through
-//! [`LkhController::apply_epoch`], which rekeys the **union** of the
+//! whole churn *epoch* of joins and leaves goes through
+//! [`Controller::apply_epoch`], which rekeys the **union** of the
 //! affected paths exactly once (Wong–Gouda–Lam batched rekeying): a
 //! window of `k` changes costs `O(k log n)` items total instead of `k`
 //! separate broadcasts re-rekeying shared ancestors `k` times.
@@ -19,7 +19,7 @@
 //! its path), not O(broadcast).
 
 use crate::tree;
-use crate::{BroadcastStats, CgkdError, Controller, MemberState, UserId};
+use crate::{check_leavers, BroadcastStats, CgkdError, Controller, Joined, MemberState, UserId};
 use rand::RngCore;
 use shs_crypto::{aead, Key};
 use std::collections::HashMap;
@@ -215,31 +215,22 @@ impl LkhController {
         }
         items
     }
+}
 
-    /// Batched epoch rekey: evicts `leaves`, admits `joins` members, and
-    /// rekeys the union of all affected paths **once**, producing one
-    /// broadcast and one epoch bump for the whole churn window.
-    ///
-    /// Freed leaves are reused by joins within the same epoch, so
-    /// evict-then-rejoin in one window is well-defined. Welcomes carry
-    /// the pre-epoch number: joiners process the returned broadcast like
-    /// everyone else. An empty window (`joins == 0`, no leaves) is a
-    /// no-op that returns an empty broadcast at the current epoch, which
-    /// must not be distributed.
-    ///
-    /// The call validates up front and mutates nothing on error.
-    ///
-    /// # Errors
-    ///
-    /// [`CgkdError::UnknownMember`] for unknown or duplicated leaver
-    /// ids; [`CgkdError::Full`] when the post-epoch membership would
-    /// exceed capacity.
-    pub fn apply_epoch(
+impl Controller for LkhController {
+    type Welcome = LkhWelcome;
+    type Member = LkhMember;
+    type Broadcast = LkhBroadcast;
+
+    /// Freed leaves are reused by joins within the same window, so
+    /// evict-then-rejoin in one window is well-defined. Capacity is the
+    /// post-window membership.
+    fn apply_epoch(
         &mut self,
         joins: usize,
         leaves: &[UserId],
         rng: &mut dyn RngCore,
-    ) -> Result<(Vec<(UserId, LkhWelcome)>, LkhBroadcast), CgkdError> {
+    ) -> Result<(Joined<LkhWelcome>, LkhBroadcast), CgkdError> {
         if joins == 0 && leaves.is_empty() {
             return Ok((
                 Vec::new(),
@@ -249,12 +240,7 @@ impl LkhController {
                 },
             ));
         }
-        let mut seen = std::collections::HashSet::new();
-        for id in leaves {
-            if !self.leaf_of.contains_key(id) || !seen.insert(*id) {
-                return Err(CgkdError::UnknownMember);
-            }
-        }
+        check_leavers(leaves, |id| self.leaf_of.contains_key(id))?;
         if self.leaf_of.len() - leaves.len() + joins > self.capacity as usize {
             return Err(CgkdError::Full);
         }
@@ -303,57 +289,6 @@ impl LkhController {
                 items,
             },
         ))
-    }
-}
-
-impl Controller for LkhController {
-    type Welcome = LkhWelcome;
-    type Member = LkhMember;
-    type Broadcast = LkhBroadcast;
-
-    fn admit(
-        &mut self,
-        rng: &mut dyn RngCore,
-    ) -> Result<(UserId, LkhWelcome, LkhBroadcast), CgkdError> {
-        let leaf = self.alloc_leaf().ok_or(CgkdError::Full)?;
-        let id = UserId(self.next_id);
-        self.next_id += 1;
-        self.leaf_of.insert(id, leaf);
-        let leaf_key = self.occupy_leaf(leaf, rng);
-
-        let welcome = LkhWelcome {
-            id,
-            leaf,
-            leaf_key,
-            epoch: self.epoch,
-            capacity: self.capacity,
-        };
-        let items = self.rekey_union(&[leaf], rng);
-        self.epoch += 1;
-        Ok((
-            id,
-            welcome,
-            LkhBroadcast {
-                epoch: self.epoch,
-                items,
-            },
-        ))
-    }
-
-    fn evict(&mut self, id: UserId, rng: &mut dyn RngCore) -> Result<LkhBroadcast, CgkdError> {
-        let leaf = self.leaf_of.remove(&id).ok_or(CgkdError::UnknownMember)?;
-        self.vacate_leaf(leaf);
-        let items = self.rekey_union(&[leaf], rng);
-        if self.leaf_of.is_empty() {
-            // Group emptied: nobody left to key; refresh the stored key so
-            // the old one is never reused.
-            self.group_key = Key::random(rng);
-        }
-        self.epoch += 1;
-        Ok(LkhBroadcast {
-            epoch: self.epoch,
-            items,
-        })
     }
 
     fn member_from_welcome(&self, welcome: LkhWelcome) -> LkhMember {
@@ -473,6 +408,7 @@ impl MemberState for LkhMember {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{join, leave};
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -484,7 +420,7 @@ mod tests {
         let mut gc = LkhController::new(16, rng);
         let mut members: Vec<LkhMember> = Vec::new();
         for _ in 0..n {
-            let (_, welcome, broadcast) = gc.admit(rng).unwrap();
+            let (_, welcome, broadcast) = join(&mut gc, rng).unwrap();
             let mut joiner = gc.member_from_welcome(welcome);
             for m in members.iter_mut() {
                 m.process(&broadcast).unwrap();
@@ -509,11 +445,11 @@ mod tests {
     fn join_changes_group_key() {
         let mut r = rng();
         let mut gc = LkhController::new(8, &mut r);
-        let (_, w1, b1) = gc.admit(&mut r).unwrap();
+        let (_, w1, b1) = join(&mut gc, &mut r).unwrap();
         let mut m1 = gc.member_from_welcome(w1);
         m1.process(&b1).unwrap();
         let key_before = gc.group_key().clone();
-        let (_, _w2, b2) = gc.admit(&mut r).unwrap();
+        let (_, _w2, b2) = join(&mut gc, &mut r).unwrap();
         assert_ne!(gc.group_key(), &key_before, "backward secrecy: join rekeys");
         m1.process(&b2).unwrap();
         assert_eq!(m1.group_key(), gc.group_key());
@@ -524,7 +460,7 @@ mod tests {
         let mut r = rng();
         let (mut gc, mut members) = build(4, &mut r);
         let victim_id = members[1].id();
-        let broadcast = gc.evict(victim_id, &mut r).unwrap();
+        let broadcast = leave(&mut gc, victim_id, &mut r).unwrap();
         for (i, m) in members.iter_mut().enumerate() {
             if i == 1 {
                 // The evicted member cannot decrypt the new root key.
@@ -541,7 +477,7 @@ mod tests {
         let mut r = rng();
         let (mut gc, members) = build(3, &mut r);
         let before = gc.group_key().clone();
-        gc.evict(members[0].id(), &mut r).unwrap();
+        leave(&mut gc, members[0].id(), &mut r).unwrap();
         assert_ne!(gc.group_key(), &before, "forward secrecy: leave rekeys");
     }
 
@@ -549,11 +485,11 @@ mod tests {
     fn epoch_order_enforced() {
         let mut r = rng();
         let mut gc = LkhController::new(8, &mut r);
-        let (_, w1, b1) = gc.admit(&mut r).unwrap();
+        let (_, w1, b1) = join(&mut gc, &mut r).unwrap();
         let mut m1 = gc.member_from_welcome(w1);
         m1.process(&b1).unwrap();
-        let (_, _, b2) = gc.admit(&mut r).unwrap();
-        let (_, _, b3) = gc.admit(&mut r).unwrap();
+        let (_, _, b2) = join(&mut gc, &mut r).unwrap();
+        let (_, _, b3) = join(&mut gc, &mut r).unwrap();
         // Skipping b2 fails.
         assert_eq!(m1.process(&b3), Err(CgkdError::EpochMismatch));
         m1.process(&b2).unwrap();
@@ -565,13 +501,13 @@ mod tests {
     fn capacity_enforced() {
         let mut r = rng();
         let mut gc = LkhController::new(2, &mut r);
-        gc.admit(&mut r).unwrap();
-        gc.admit(&mut r).unwrap();
-        assert!(matches!(gc.admit(&mut r), Err(CgkdError::Full)));
+        join(&mut gc, &mut r).unwrap();
+        join(&mut gc, &mut r).unwrap();
+        assert!(matches!(join(&mut gc, &mut r), Err(CgkdError::Full)));
         // Eviction frees a slot.
         let id = gc.members()[0];
-        gc.evict(id, &mut r).unwrap();
-        gc.admit(&mut r).unwrap();
+        leave(&mut gc, id, &mut r).unwrap();
+        join(&mut gc, &mut r).unwrap();
     }
 
     #[test]
@@ -579,7 +515,7 @@ mod tests {
         let mut r = rng();
         let mut gc = LkhController::new(4, &mut r);
         assert_eq!(
-            gc.evict(UserId(99), &mut r).err(),
+            leave(&mut gc, UserId(99), &mut r).err(),
             Some(CgkdError::UnknownMember)
         );
     }
@@ -590,7 +526,7 @@ mod tests {
         let mut gc = LkhController::new(64, &mut r);
         let mut last = None;
         for _ in 0..64 {
-            let (_, _, b) = gc.admit(&mut r).unwrap();
+            let (_, _, b) = join(&mut gc, &mut r).unwrap();
             last = Some(b);
         }
         // log2(64) levels, at most 2 items each.
@@ -606,14 +542,14 @@ mod tests {
         // Evict three members, then re-admit two, processing everywhere.
         for _ in 0..3 {
             let victim = members[0].id();
-            let b = gc.evict(victim, &mut r).unwrap();
+            let b = leave(&mut gc, victim, &mut r).unwrap();
             members.remove(0);
             for m in members.iter_mut() {
                 m.process(&b).unwrap();
             }
         }
         for _ in 0..2 {
-            let (_, w, b) = gc.admit(&mut r).unwrap();
+            let (_, w, b) = join(&mut gc, &mut r).unwrap();
             let mut joiner = gc.member_from_welcome(w);
             for m in members.iter_mut() {
                 m.process(&b).unwrap();
@@ -632,7 +568,7 @@ mod tests {
         let mut r = rng();
         let (mut gc, members) = build(1, &mut r);
         let before = gc.group_key().clone();
-        gc.evict(members[0].id(), &mut r).unwrap();
+        leave(&mut gc, members[0].id(), &mut r).unwrap();
         assert_ne!(gc.group_key(), &before);
         assert!(gc.members().is_empty());
     }

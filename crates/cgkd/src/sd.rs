@@ -14,10 +14,10 @@
 //! `2r - 1` subsets for `r` revocations.
 
 use crate::tree::{ancestor_at, depth, is_ancestor_or_self, lca};
-use crate::{BroadcastStats, CgkdError, Controller, MemberState, UserId};
+use crate::{check_leavers, BroadcastStats, CgkdError, Controller, Joined, MemberState, UserId};
 use rand::RngCore;
 use shs_crypto::{aead, hmac, Key};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 /// GGM derivations from a label.
 fn ggm_left(label: &[u8; 32]) -> [u8; 32] {
@@ -311,71 +311,6 @@ impl SdController {
         arena
     }
 
-    /// Batched epoch rekey: evicts `leaves`, assigns fresh leaves to
-    /// `joins` members (SD never reuses leaf positions — evict-then-
-    /// rejoin in one window lands the rejoiner on a new leaf), and emits
-    /// **one** cover broadcast for the whole churn window.
-    ///
-    /// An empty window is a no-op returning an empty broadcast at the
-    /// current epoch, which must not be distributed. The call validates
-    /// up front and mutates nothing on error.
-    ///
-    /// # Errors
-    ///
-    /// [`CgkdError::UnknownMember`] for unknown or duplicated leaver
-    /// ids; [`CgkdError::Full`] when the join count exceeds the
-    /// remaining fresh leaves.
-    pub fn apply_epoch(
-        &mut self,
-        joins: usize,
-        leaves: &[UserId],
-        rng: &mut dyn RngCore,
-    ) -> Result<(Vec<(UserId, SdWelcome)>, SdBroadcast), CgkdError> {
-        if joins == 0 && leaves.is_empty() {
-            return Ok((
-                Vec::new(),
-                SdBroadcast {
-                    epoch: self.epoch,
-                    items: Vec::new(),
-                },
-            ));
-        }
-        let mut seen = HashSet::new();
-        for id in leaves {
-            if !self.leaf_of.contains_key(id) || !seen.insert(*id) {
-                return Err(CgkdError::UnknownMember);
-            }
-        }
-        if self.next_leaf as u64 + joins as u64 > 2 * self.capacity as u64 {
-            return Err(CgkdError::Full);
-        }
-        for id in leaves {
-            if let Some(leaf) = self.leaf_of.remove(id) {
-                self.revoked_leaves.insert(leaf);
-            }
-        }
-        let mut joined = Vec::with_capacity(joins);
-        for _ in 0..joins {
-            let leaf = self.next_leaf;
-            self.next_leaf += 1;
-            let id = UserId(self.next_id);
-            self.next_id += 1;
-            self.leaf_of.insert(id, leaf);
-            joined.push((
-                id,
-                SdWelcome {
-                    id,
-                    leaf,
-                    labels: self.provision(leaf),
-                    full_key: self.full_key(),
-                    epoch: self.epoch,
-                },
-            ));
-        }
-        let broadcast = self.rekey(rng);
-        Ok((joined, broadcast))
-    }
-
     fn rekey(&mut self, rng: &mut dyn RngCore) -> SdBroadcast {
         self.group_key = Key::random(rng);
         self.epoch += 1;
@@ -409,33 +344,53 @@ impl Controller for SdController {
     type Member = SdMember;
     type Broadcast = SdBroadcast;
 
-    fn admit(
+    /// SD never reuses leaf positions: every join takes a fresh leaf, so
+    /// an evict-then-rejoin in one window lands the rejoiner on a new
+    /// leaf, and capacity counts every leaf ever assigned. The window's
+    /// one broadcast covers the non-revoked set.
+    fn apply_epoch(
         &mut self,
+        joins: usize,
+        leaves: &[UserId],
         rng: &mut dyn RngCore,
-    ) -> Result<(UserId, SdWelcome, SdBroadcast), CgkdError> {
-        if self.next_leaf >= 2 * self.capacity {
+    ) -> Result<(Joined<SdWelcome>, SdBroadcast), CgkdError> {
+        if joins == 0 && leaves.is_empty() {
+            return Ok((
+                Vec::new(),
+                SdBroadcast {
+                    epoch: self.epoch,
+                    items: Vec::new(),
+                },
+            ));
+        }
+        check_leavers(leaves, |id| self.leaf_of.contains_key(id))?;
+        if self.next_leaf as u64 + joins as u64 > 2 * self.capacity as u64 {
             return Err(CgkdError::Full);
         }
-        let leaf = self.next_leaf;
-        self.next_leaf += 1;
-        let id = UserId(self.next_id);
-        self.next_id += 1;
-        self.leaf_of.insert(id, leaf);
-
-        let welcome = SdWelcome {
-            id,
-            leaf,
-            labels: self.provision(leaf),
-            full_key: self.full_key(),
-            epoch: self.epoch,
-        };
-        Ok((id, welcome, self.rekey(rng)))
-    }
-
-    fn evict(&mut self, id: UserId, rng: &mut dyn RngCore) -> Result<SdBroadcast, CgkdError> {
-        let leaf = self.leaf_of.remove(&id).ok_or(CgkdError::UnknownMember)?;
-        self.revoked_leaves.insert(leaf);
-        Ok(self.rekey(rng))
+        for id in leaves {
+            if let Some(leaf) = self.leaf_of.remove(id) {
+                self.revoked_leaves.insert(leaf);
+            }
+        }
+        let mut joined = Vec::with_capacity(joins);
+        for _ in 0..joins {
+            let leaf = self.next_leaf;
+            self.next_leaf += 1;
+            let id = UserId(self.next_id);
+            self.next_id += 1;
+            self.leaf_of.insert(id, leaf);
+            joined.push((
+                id,
+                SdWelcome {
+                    id,
+                    leaf,
+                    labels: self.provision(leaf),
+                    full_key: self.full_key(),
+                    epoch: self.epoch,
+                },
+            ));
+        }
+        Ok((joined, self.rekey(rng)))
     }
 
     fn member_from_welcome(&self, welcome: SdWelcome) -> SdMember {
@@ -553,6 +508,7 @@ impl MemberState for SdMember {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{join, leave};
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -580,7 +536,7 @@ mod tests {
         let mut members = Vec::new();
         let mut last = None;
         for _ in 0..6 {
-            let (_, w, b) = gc.admit(&mut r).unwrap();
+            let (_, w, b) = join(&mut gc, &mut r).unwrap();
             members.push(gc.member_from_welcome(w));
             last = Some(b);
         }
@@ -599,13 +555,13 @@ mod tests {
         let mut gc = SdController::new(8, &mut r);
         let mut members = Vec::new();
         for _ in 0..8 {
-            let (_, w, _) = gc.admit(&mut r).unwrap();
+            let (_, w, _) = join(&mut gc, &mut r).unwrap();
             members.push(gc.member_from_welcome(w));
         }
         // Revoke members 2 and 5.
-        let b1 = gc.evict(members[2].id(), &mut r).unwrap();
+        let b1 = leave(&mut gc, members[2].id(), &mut r).unwrap();
         let _ = b1;
-        let b2 = gc.evict(members[5].id(), &mut r).unwrap();
+        let b2 = leave(&mut gc, members[5].id(), &mut r).unwrap();
         for (i, m) in members.iter_mut().enumerate() {
             if i == 2 || i == 5 {
                 assert_eq!(m.process(&b2), Err(CgkdError::CannotDecrypt), "member {i}");
@@ -622,7 +578,7 @@ mod tests {
         let mut gc = SdController::new(64, &mut r);
         let mut ids = Vec::new();
         for _ in 0..64 {
-            let (id, _, _) = gc.admit(&mut r).unwrap();
+            let (id, _, _) = join(&mut gc, &mut r).unwrap();
             ids.push(id);
         }
         assert_eq!(gc.cover_size(), 1);
@@ -631,7 +587,7 @@ mod tests {
             .iter()
             .enumerate()
         {
-            gc.evict(id, &mut r).unwrap();
+            leave(&mut gc, id, &mut r).unwrap();
             let rlen = count + 1;
             assert!(
                 gc.cover_size() <= 2 * rlen,
@@ -650,11 +606,11 @@ mod tests {
         let mut gc = SdController::new(16, &mut r);
         let mut ids = Vec::new();
         for _ in 0..16 {
-            let (id, _, _) = gc.admit(&mut r).unwrap();
+            let (id, _, _) = join(&mut gc, &mut r).unwrap();
             ids.push(id);
         }
         for &victim in &[ids[1], ids[6], ids[7], ids[12]] {
-            gc.evict(victim, &mut r).unwrap();
+            leave(&mut gc, victim, &mut r).unwrap();
         }
         let cover = gc.cover(&gc.revoked_leaves);
         for leaf in 16u32..32 {
@@ -679,12 +635,12 @@ mod tests {
     fn stateless_members_skip_epochs() {
         let mut r = rng();
         let mut gc = SdController::new(8, &mut r);
-        let (_, w, _) = gc.admit(&mut r).unwrap();
+        let (_, w, _) = join(&mut gc, &mut r).unwrap();
         let mut m = gc.member_from_welcome(w);
         // Generate several epochs without delivering them.
-        let (_, _, _) = gc.admit(&mut r).unwrap();
-        let (_, _, _) = gc.admit(&mut r).unwrap();
-        let (id3, _, b) = gc.admit(&mut r).unwrap();
+        let (_, _, _) = join(&mut gc, &mut r).unwrap();
+        let (_, _, _) = join(&mut gc, &mut r).unwrap();
+        let (id3, _, b) = join(&mut gc, &mut r).unwrap();
         let _ = id3;
         // Old member decrypts the latest broadcast directly.
         m.process(&b).unwrap();
@@ -697,7 +653,7 @@ mod tests {
     fn label_storage_is_polylog() {
         let mut r = rng();
         let mut gc = SdController::new(1024, &mut r);
-        let (_, w, _) = gc.admit(&mut r).unwrap();
+        let (_, w, _) = join(&mut gc, &mut r).unwrap();
         // depth d = 10: expect d(d+1)/2 = 55 labels.
         assert_eq!(w.labels.len(), 55);
     }
@@ -710,7 +666,7 @@ mod tests {
         let mut gc = SdController::new(32, &mut r);
         let mut ids = Vec::new();
         for _ in 0..32 {
-            let (id, _, _) = gc.admit(&mut r).unwrap();
+            let (id, _, _) = join(&mut gc, &mut r).unwrap();
             ids.push(id);
         }
         for pattern in [
@@ -745,7 +701,7 @@ mod tests {
         let mut gc = SdController::new(16, &mut r);
         let mut members = Vec::new();
         for _ in 0..6 {
-            let (_, w, _) = gc.admit(&mut r).unwrap();
+            let (_, w, _) = join(&mut gc, &mut r).unwrap();
             members.push(gc.member_from_welcome(w));
         }
         let victims = [members[1].id(), members[4].id()];
@@ -771,7 +727,7 @@ mod tests {
     fn batched_epoch_validates_atomically() {
         let mut r = rng();
         let mut gc = SdController::new(4, &mut r);
-        let (id0, _, _) = gc.admit(&mut r).unwrap();
+        let (id0, _, _) = join(&mut gc, &mut r).unwrap();
         let epoch_before = gc.epoch();
         assert_eq!(
             gc.apply_epoch(0, &[UserId(77)], &mut r).err(),
@@ -791,7 +747,7 @@ mod tests {
     fn empty_epoch_is_a_noop() {
         let mut r = rng();
         let mut gc = SdController::new(8, &mut r);
-        gc.admit(&mut r).unwrap();
+        join(&mut gc, &mut r).unwrap();
         let epoch = gc.epoch();
         let key = gc.group_key().clone();
         let (joined, b) = gc.apply_epoch(0, &[], &mut r).unwrap();

@@ -1,14 +1,15 @@
 //! The flat "star" key distribution baseline: the controller shares one
 //! individual key with each member and rekeys by encrypting the new group
-//! key to every member separately — `O(n)` per membership change.
+//! key to every member separately — `O(n)` per churn window, however many
+//! joins and leaves it holds.
 //!
 //! This is the naive scheme the tree-based methods improve on; experiment
 //! E4 plots it against LKH and SD.
 
-use crate::{BroadcastStats, CgkdError, Controller, MemberState, UserId};
+use crate::{check_leavers, BroadcastStats, CgkdError, Controller, Joined, MemberState, UserId};
 use rand::RngCore;
 use shs_crypto::{aead, Key};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One item: the new group key encrypted under one member's individual
 /// key.
@@ -42,7 +43,9 @@ pub struct StarWelcome {
 
 /// Controller state.
 pub struct StarController {
-    individual: HashMap<UserId, Key>,
+    /// Individual keys in id order, so a rekey seals to members in a
+    /// fixed order and the same seed gives the same broadcast.
+    individual: BTreeMap<UserId, Key>,
     group_key: Key,
     epoch: u64,
     next_id: u64,
@@ -73,7 +76,7 @@ impl StarController {
     /// Creates a controller for up to `capacity` members.
     pub fn new(capacity: u32, rng: &mut dyn RngCore) -> StarController {
         StarController {
-            individual: HashMap::new(),
+            individual: BTreeMap::new(),
             group_key: Key::random(rng),
             epoch: 0,
             next_id: 0,
@@ -84,7 +87,7 @@ impl StarController {
     fn rekey(&mut self, rng: &mut dyn RngCore) -> StarBroadcast {
         self.group_key = Key::random(rng);
         self.epoch += 1;
-        let mut items: Vec<StarItem> = self
+        let items = self
             .individual
             .iter()
             .map(|(&id, key)| {
@@ -95,7 +98,6 @@ impl StarController {
                 }
             })
             .collect();
-        items.sort_by_key(|i| i.id);
         StarBroadcast {
             epoch: self.epoch,
             items,
@@ -108,30 +110,46 @@ impl Controller for StarController {
     type Member = StarMember;
     type Broadcast = StarBroadcast;
 
-    fn admit(
+    /// Capacity is the post-window membership. The window's one
+    /// broadcast seals the new group key once to every member, joiners
+    /// included.
+    fn apply_epoch(
         &mut self,
+        joins: usize,
+        leaves: &[UserId],
         rng: &mut dyn RngCore,
-    ) -> Result<(UserId, StarWelcome, StarBroadcast), CgkdError> {
-        if self.individual.len() >= self.capacity {
+    ) -> Result<(Joined<StarWelcome>, StarBroadcast), CgkdError> {
+        if joins == 0 && leaves.is_empty() {
+            return Ok((
+                Vec::new(),
+                StarBroadcast {
+                    epoch: self.epoch,
+                    items: Vec::new(),
+                },
+            ));
+        }
+        check_leavers(leaves, |id| self.individual.contains_key(id))?;
+        if self.individual.len() - leaves.len() + joins > self.capacity {
             return Err(CgkdError::Full);
         }
-        let id = UserId(self.next_id);
-        self.next_id += 1;
-        let individual = Key::random(rng);
-        let welcome = StarWelcome {
-            id,
-            individual: individual.clone(),
-            epoch: self.epoch,
-        };
-        self.individual.insert(id, individual);
-        Ok((id, welcome, self.rekey(rng)))
-    }
-
-    fn evict(&mut self, id: UserId, rng: &mut dyn RngCore) -> Result<StarBroadcast, CgkdError> {
-        self.individual
-            .remove(&id)
-            .ok_or(CgkdError::UnknownMember)?;
-        Ok(self.rekey(rng))
+        for id in leaves {
+            self.individual.remove(id);
+        }
+        let joined = (0..joins)
+            .map(|_| {
+                let id = UserId(self.next_id);
+                self.next_id += 1;
+                let individual = Key::random(rng);
+                self.individual.insert(id, individual.clone());
+                let welcome = StarWelcome {
+                    id,
+                    individual,
+                    epoch: self.epoch,
+                };
+                (id, welcome)
+            })
+            .collect();
+        Ok((joined, self.rekey(rng)))
     }
 
     fn member_from_welcome(&self, welcome: StarWelcome) -> StarMember {
@@ -152,9 +170,7 @@ impl Controller for StarController {
     }
 
     fn members(&self) -> Vec<UserId> {
-        let mut ids: Vec<UserId> = self.individual.keys().copied().collect();
-        ids.sort();
-        ids
+        self.individual.keys().copied().collect()
     }
 
     fn stats(broadcast: &StarBroadcast) -> BroadcastStats {
@@ -211,6 +227,7 @@ impl MemberState for StarMember {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{join, leave};
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -223,7 +240,7 @@ mod tests {
         let mut gc = StarController::new(8, &mut r);
         let mut members = Vec::new();
         for _ in 0..5 {
-            let (_, w, b) = gc.admit(&mut r).unwrap();
+            let (_, w, b) = join(&mut gc, &mut r).unwrap();
             let mut joiner = gc.member_from_welcome(w);
             for m in members.iter_mut() {
                 let m: &mut StarMember = m;
@@ -241,14 +258,14 @@ mod tests {
     fn evicted_member_excluded() {
         let mut r = rng();
         let mut gc = StarController::new(8, &mut r);
-        let (_, w1, b1) = gc.admit(&mut r).unwrap();
+        let (_, w1, b1) = join(&mut gc, &mut r).unwrap();
         let mut m1 = gc.member_from_welcome(w1);
         m1.process(&b1).unwrap();
-        let (_, w2, b2) = gc.admit(&mut r).unwrap();
+        let (_, w2, b2) = join(&mut gc, &mut r).unwrap();
         let mut m2 = gc.member_from_welcome(w2);
         m1.process(&b2).unwrap();
         m2.process(&b2).unwrap();
-        let b3 = gc.evict(m1.id(), &mut r).unwrap();
+        let b3 = leave(&mut gc, m1.id(), &mut r).unwrap();
         assert_eq!(m1.process(&b3), Err(CgkdError::CannotDecrypt));
         m2.process(&b3).unwrap();
         assert_eq!(m2.group_key(), gc.group_key());
@@ -260,22 +277,48 @@ mod tests {
         let mut gc = StarController::new(64, &mut r);
         let mut last = None;
         for _ in 0..64 {
-            let (_, _, b) = gc.admit(&mut r).unwrap();
+            let (_, _, b) = join(&mut gc, &mut r).unwrap();
             last = Some(b);
         }
         let stats = StarController::stats(last.as_ref().unwrap());
         assert_eq!(stats.items, 64, "star rekey touches every member");
+        // A window seals once per member, not once per change: evicting
+        // two and admitting one leaves 63 members and 63 items.
+        let leaves = &gc.members()[..2];
+        let (_, b) = gc.apply_epoch(1, leaves, &mut r).unwrap();
+        assert_eq!(StarController::stats(&b).items, 63);
+        assert_eq!(b.epoch, 65, "one window, one epoch");
     }
 
     #[test]
     fn capacity_and_unknown_errors() {
         let mut r = rng();
         let mut gc = StarController::new(1, &mut r);
-        gc.admit(&mut r).unwrap();
-        assert!(matches!(gc.admit(&mut r), Err(CgkdError::Full)));
+        join(&mut gc, &mut r).unwrap();
+        assert!(matches!(join(&mut gc, &mut r), Err(CgkdError::Full)));
         assert_eq!(
-            gc.evict(UserId(42), &mut r).err(),
+            leave(&mut gc, UserId(42), &mut r).err(),
             Some(CgkdError::UnknownMember)
         );
+    }
+
+    #[test]
+    fn same_seed_gives_the_same_broadcasts() {
+        let run = || {
+            let mut r = rng();
+            let mut gc = StarController::new(16, &mut r);
+            let mut broadcasts = Vec::new();
+            for (joins, leave_first) in [(6, false), (2, true), (0, true), (3, false)] {
+                let leaves: Vec<UserId> = gc
+                    .members()
+                    .into_iter()
+                    .take(usize::from(leave_first))
+                    .collect();
+                let (_, b) = gc.apply_epoch(joins, &leaves, &mut r).unwrap();
+                broadcasts.push(b);
+            }
+            broadcasts
+        };
+        assert_eq!(run(), run());
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::config::GroupConfig;
 use crate::member::{encode_update_payload, EpochBroadcast, GroupUpdate, Member, UpdatePayload};
-use crate::substrate::{Cgkd, Gsig};
+use crate::substrate::{Cgkd, CgkdSlot, Gsig, GsigCredential};
 use crate::transcript::{HandshakeTranscript, TraceError, TraceOutcome};
 use crate::{codec, factory, CoreError};
 use rand::RngCore;
@@ -116,8 +116,8 @@ impl GroupAuthority {
 
     /// `GCD.AdmitMember`: runs the interactive `GSIG.Join` (both ends of
     /// the private authenticated channel are simulated here) and
-    /// `CGKD.Join`, then wraps the GSIG state update in an encrypted
-    /// bulletin-board update.
+    /// `CGKD.Join` as a one-join window, then wraps the GSIG state
+    /// update in an encrypted bulletin-board update.
     ///
     /// Returns the new [`Member`] (already up to date) and the
     /// [`GroupUpdate`] every *existing* member must apply.
@@ -129,28 +129,23 @@ impl GroupAuthority {
     pub fn admit(&mut self, rng: &mut impl RngCore) -> Result<(Member, GroupUpdate), CoreError> {
         let rng: &mut dyn RngCore = rng;
         let cred = self.gsig.admit(rng).map_err(CoreError::Gsig)?;
-        let (uid, cgkd_slot, rekey) = self.cgkd.admit(rng).map_err(CoreError::Cgkd)?;
+        let mut outcome = self
+            .cgkd
+            .apply_epoch(1, &[], rng)
+            .map_err(CoreError::Cgkd)?;
+        let (uid, slot) = outcome
+            .joined
+            .pop()
+            .expect("a one-join window admits one member");
         self.uid_of.insert(cred.id(), uid);
-
         let payload = UpdatePayload { crl_delta: None };
-        let update = self.seal_update(EpochBroadcast::single(rekey), &payload, rng);
-
-        let mut member = Member {
-            config: self.config,
-            cred,
-            cgkd: cgkd_slot,
-            crl: self.crl.clone(),
-            tracing_group: self.tracing_group,
-            tracing_pk: self.tracing_pk.clone(),
-        };
-        // The joiner processes its own join update immediately.
-        member.apply_update(&update)?;
-        Ok((member, update))
+        let update = self.seal_update(outcome.broadcast, &payload, rng);
+        Ok((self.member(cred, slot), update))
     }
 
-    /// `GCD.RemoveUser`: `CGKD.Leave` + `GSIG.Revoke`, with the CRL delta
-    /// encrypted under the **new** group key so the revoked member cannot
-    /// read it (§7).
+    /// `GCD.RemoveUser`: `CGKD.Leave` as a one-leave window +
+    /// `GSIG.Revoke`, with the CRL delta encrypted under the **new**
+    /// group key so the revoked member cannot read it (§7).
     ///
     /// # Errors
     ///
@@ -161,16 +156,8 @@ impl GroupAuthority {
         id: MemberId,
         rng: &mut impl RngCore,
     ) -> Result<GroupUpdate, CoreError> {
-        let rng: &mut dyn RngCore = rng;
-        let uid = self.uid_of.remove(&id).ok_or(CoreError::UnknownMember)?;
-        let crl_delta = self
-            .gsig
-            .revoke(id)
-            .map_err(CoreError::Gsig)?
-            .map(|token| self.crl.push(token));
-        let rekey = self.cgkd.evict(uid, rng).map_err(CoreError::Cgkd)?;
-        let payload = UpdatePayload { crl_delta };
-        Ok(self.seal_update(EpochBroadcast::single(rekey), &payload, rng))
+        let (_, update) = self.apply_epoch(0, &[id], rng)?;
+        Ok(update)
     }
 
     /// `GCD.ApplyEpoch`: batches a whole churn window — revoking
@@ -228,20 +215,25 @@ impl GroupAuthority {
         for (uid, slot) in outcome.joined {
             let cred = self.gsig.admit(rng).map_err(CoreError::Gsig)?;
             self.uid_of.insert(cred.id(), uid);
-            // The slot is already synced past the window and the CRL
-            // clone is post-revocation: no update left to apply.
-            members.push(Member {
-                config: self.config,
-                cred,
-                cgkd: slot,
-                crl: self.crl.clone(),
-                tracing_group: self.tracing_group,
-                tracing_pk: self.tracing_pk.clone(),
-            });
+            members.push(self.member(cred, slot));
         }
         let payload = UpdatePayload { crl_delta };
         let update = self.seal_update(outcome.broadcast, &payload, rng);
         Ok((members, update))
+    }
+
+    /// A joiner holding `cred` and a CGKD slot already synced past its
+    /// window. The CRL clone is current, so it has no update left to
+    /// apply.
+    fn member(&self, cred: Box<dyn GsigCredential>, slot: Box<dyn CgkdSlot>) -> Member {
+        Member {
+            config: self.config,
+            cred,
+            cgkd: slot,
+            crl: self.crl.clone(),
+            tracing_group: self.tracing_group,
+            tracing_pk: self.tracing_pk.clone(),
+        }
     }
 
     fn seal_update(

@@ -12,7 +12,7 @@ use shs_gsig::crl::Crl;
 use shs_gsig::ky::MemberId;
 use shs_gsig::params::GsigParams;
 
-pub use crate::substrate::{EpochBroadcast, RekeyBroadcast};
+pub use crate::substrate::EpochBroadcast;
 
 /// An encrypted group-state update posted on the bulletin board
 /// (`GCD.AdmitMember` / `GCD.RemoveUser` / `GCD.ApplyEpoch` output;
@@ -134,9 +134,7 @@ impl Member {
     /// fails authentication or ordering.
     pub fn apply_update(&mut self, update: &GroupUpdate) -> Result<(), CoreError> {
         if !update.rekey.is_empty() {
-            self.cgkd
-                .process_epoch(&update.rekey)
-                .map_err(CoreError::Cgkd)?;
+            self.cgkd.process(&update.rekey).map_err(CoreError::Cgkd)?;
         }
         let aad = update_aad(update.rekey.epoch());
         let pt = aead::open(self.cgkd.group_key(), &update.payload_ct, &aad)

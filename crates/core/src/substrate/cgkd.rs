@@ -3,10 +3,10 @@
 //! [`Cgkd`] is the group controller's end (`CGKD.{Create, Join,
 //! Leave}`, held by the [`crate::GroupAuthority`]) and [`CgkdSlot`] is
 //! one member's key state (`CGKD.Rekey`, carried inside
-//! [`crate::Member`]). The [`RekeyBroadcast`] that links them is an
+//! [`crate::Member`]). The [`EpochBroadcast`] that links them is an
 //! opaque envelope: members hand it back to their own backend and only
-//! the epoch number is public, so the bulletin-board and update-sealing
-//! logic stays backend-agnostic.
+//! the epoch number and size are public, so the bulletin-board and
+//! update-sealing logic stays backend-agnostic.
 //!
 //! Backends are constructed exclusively by
 //! [`crate::factory::cgkd_controller`].
@@ -17,20 +17,25 @@ use shs_cgkd::sd::{SdBroadcast, SdController, SdMember};
 use shs_cgkd::star::{StarBroadcast, StarController, StarMember};
 use shs_cgkd::{BroadcastStats, CgkdError, Controller, MemberState, UserId};
 use shs_crypto::Key;
-use std::collections::HashSet;
 
-/// A rekey broadcast from whichever CGKD backend the group runs.
+/// The rekey record of one churn *epoch window*: every join and leave
+/// the authority batched together, as the one broadcast of whichever
+/// CGKD backend the group runs.
 ///
 /// Opaque outside the substrate layer: protocols treat it as a sealed
-/// envelope whose only public attribute is the epoch it establishes.
+/// envelope whose public attributes are the epoch it establishes and its
+/// size. The bulletin board stores one per window, and a member crosses
+/// the window with one [`CgkdSlot::process`].
 #[derive(Debug, Clone)]
-pub struct RekeyBroadcast {
-    pub(crate) body: RekeyBody,
+pub struct EpochBroadcast {
+    epoch: u64,
+    /// The backend broadcast; `None` for an empty window.
+    body: Option<RekeyBody>,
 }
 
 /// Backend-specific broadcast payload.
 #[derive(Debug, Clone)]
-pub(crate) enum RekeyBody {
+enum RekeyBody {
     /// LKH rekey items.
     Lkh(LkhBroadcast),
     /// Subset-Difference cover broadcast.
@@ -39,79 +44,31 @@ pub(crate) enum RekeyBody {
     Star(StarBroadcast),
 }
 
-impl RekeyBroadcast {
-    /// The epoch this broadcast establishes.
-    pub fn epoch(&self) -> u64 {
-        match &self.body {
-            RekeyBody::Lkh(b) => b.epoch,
-            RekeyBody::Sd(b) => b.epoch,
-            RekeyBody::Star(b) => b.epoch,
-        }
-    }
-
-    /// Size statistics of this broadcast (bench instrumentation).
-    pub fn stats(&self) -> BroadcastStats {
-        match &self.body {
-            RekeyBody::Lkh(b) => LkhController::stats(b),
-            RekeyBody::Sd(b) => SdController::stats(b),
-            RekeyBody::Star(b) => StarController::stats(b),
-        }
-    }
-}
-
-/// The aggregate rekey record of one churn *epoch window*: every join
-/// and leave the authority batched together, as the ordered sequence of
-/// backend broadcasts a member must process to cross the window.
-///
-/// Backends with native batching (LKH, SD) emit a single step covering
-/// the union of affected paths once; backends without it (Star) fall
-/// back to one step per membership change. Either way the bulletin board
-/// stores one [`EpochBroadcast`] per window and a member syncs in
-/// O(changes since its own epoch).
-#[derive(Debug, Clone)]
-pub struct EpochBroadcast {
-    pub(crate) epoch: u64,
-    pub(crate) steps: Vec<RekeyBroadcast>,
-}
-
 impl EpochBroadcast {
-    /// Wraps a single-operation rekey as its own epoch window.
-    pub fn single(rekey: RekeyBroadcast) -> EpochBroadcast {
-        EpochBroadcast {
-            epoch: rekey.epoch(),
-            steps: vec![rekey],
-        }
-    }
-
-    /// The epoch a member lands on after processing the whole window.
+    /// The epoch a member lands on after processing the window.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// The ordered backend broadcasts of the window.
-    pub fn steps(&self) -> &[RekeyBroadcast] {
-        &self.steps
     }
 
     /// Whether the window contained no membership change (such a record
     /// must not be distributed).
     pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
+        self.body.is_none()
     }
 
-    /// Aggregate size statistics across all steps.
+    /// Size statistics of the window's broadcast (bench
+    /// instrumentation).
     pub fn stats(&self) -> BroadcastStats {
-        let mut total = BroadcastStats::default();
-        for step in &self.steps {
-            let s = step.stats();
-            total.items += s.items;
-            total.bytes += s.bytes;
+        match &self.body {
+            None => BroadcastStats::default(),
+            Some(RekeyBody::Lkh(b)) => LkhController::stats(b),
+            Some(RekeyBody::Sd(b)) => SdController::stats(b),
+            Some(RekeyBody::Star(b)) => StarController::stats(b),
         }
-        total
     }
 }
 
-/// Result of a batched [`Cgkd::apply_epoch`] window.
+/// Result of one [`Cgkd::apply_epoch`] window.
 pub struct EpochOutcome {
     /// Member slots for the users admitted in this window, already
     /// synced to the post-window epoch.
@@ -123,87 +80,26 @@ pub struct EpochOutcome {
 /// The controller end of a centralized group key distribution scheme
 /// (`CGKD.{Join, Leave}` plus state queries).
 pub trait Cgkd: Send + Sync {
-    /// `CGKD.Join`: admits a user, returning their id, their member-side
-    /// key state, and the rekey broadcast existing members must process.
+    /// `CGKD.Join` and `CGKD.Leave` for a whole churn window: evicts
+    /// `leaves`, admits `joins` users, and returns the admitted slots
+    /// (already synced past the window) plus one [`EpochBroadcast`] for
+    /// everyone else. A single join or leave is a one-entry window. An
+    /// empty window is a no-op yielding an empty broadcast at the
+    /// current epoch.
+    ///
+    /// The window is atomic: it is validated whole, and nothing changes
+    /// on error.
     ///
     /// # Errors
     ///
-    /// [`CgkdError::Full`] when the tree/star is at capacity.
-    fn admit(
-        &mut self,
-        rng: &mut dyn RngCore,
-    ) -> Result<(UserId, Box<dyn CgkdSlot>, RekeyBroadcast), CgkdError>;
-
-    /// `CGKD.Leave`: evicts a user and rekeys the remaining members.
-    ///
-    /// # Errors
-    ///
-    /// [`CgkdError::UnknownMember`] for ids not currently in the group.
-    fn evict(&mut self, id: UserId, rng: &mut dyn RngCore) -> Result<RekeyBroadcast, CgkdError>;
-
-    /// Batched epoch rekey: applies a whole churn window — evicting
-    /// `leaves`, then admitting `joins` users — and returns the admitted
-    /// slots (already synced past the window) plus one
-    /// [`EpochBroadcast`] for everyone else.
-    ///
-    /// The default implementation loops [`Cgkd::evict`] and
-    /// [`Cgkd::admit`], producing one step per change; backends with
-    /// native batching override it to rekey the union of affected paths
-    /// once. An empty window is a no-op yielding an empty broadcast at
-    /// the current epoch.
-    ///
-    /// # Errors
-    ///
-    /// [`CgkdError::UnknownMember`] for unknown or duplicated leaver ids
-    /// (checked up front); [`CgkdError::Full`] when capacity runs out.
-    /// The default implementation may have applied part of the window
-    /// when `Full` is reported mid-loop.
+    /// [`CgkdError::UnknownMember`] for unknown or duplicated leaver
+    /// ids; [`CgkdError::Full`] when the joins do not fit.
     fn apply_epoch(
         &mut self,
         joins: usize,
         leaves: &[UserId],
         rng: &mut dyn RngCore,
-    ) -> Result<EpochOutcome, CgkdError> {
-        if joins == 0 && leaves.is_empty() {
-            return Ok(EpochOutcome {
-                joined: Vec::new(),
-                broadcast: EpochBroadcast {
-                    epoch: self.epoch(),
-                    steps: Vec::new(),
-                },
-            });
-        }
-        let roster: HashSet<UserId> = self.members().into_iter().collect();
-        let mut seen = HashSet::new();
-        for id in leaves {
-            if !roster.contains(id) || !seen.insert(*id) {
-                return Err(CgkdError::UnknownMember);
-            }
-        }
-        let mut steps = Vec::with_capacity(leaves.len() + joins);
-        let mut joined: Vec<(UserId, Box<dyn CgkdSlot>)> = Vec::with_capacity(joins);
-        for id in leaves {
-            steps.push(self.evict(*id, rng)?);
-        }
-        for _ in 0..joins {
-            let (uid, slot, rekey) = self.admit(rng)?;
-            // Every joiner of the window — including the fresh one, whose
-            // slot starts at the pre-join epoch — follows each step, so
-            // all returned slots end at the post-window epoch.
-            joined.push((uid, slot));
-            for (_, s) in joined.iter_mut() {
-                s.process(&rekey)?;
-            }
-            steps.push(rekey);
-        }
-        Ok(EpochOutcome {
-            joined,
-            broadcast: EpochBroadcast {
-                epoch: self.epoch(),
-                steps,
-            },
-        })
-    }
+    ) -> Result<EpochOutcome, CgkdError>;
 
     /// Current group key (controller side).
     fn group_key(&self) -> &Key;
@@ -217,32 +113,17 @@ pub trait Cgkd: Send + Sync {
 
 /// One member's key state (`CGKD.Rekey` and key queries).
 pub trait CgkdSlot: Send + Sync {
-    /// `CGKD.Rekey`: processes a rekey broadcast.
+    /// `CGKD.Rekey`: processes one epoch window's broadcast. An empty
+    /// window is rejected as out of order (it should never have been
+    /// distributed).
     ///
     /// # Errors
     ///
     /// [`CgkdError::CannotDecrypt`] when this member is excluded from
     /// the broadcast (evicted members land here) or the envelope comes
-    /// from a different backend.
-    fn process(&mut self, rekey: &RekeyBroadcast) -> Result<(), CgkdError>;
-
-    /// Processes one whole epoch window in order. Costs O(changes in the
-    /// window); an empty window is rejected as out-of-order (it should
-    /// never have been distributed).
-    ///
-    /// # Errors
-    ///
-    /// As [`CgkdSlot::process`], from the first failing step;
-    /// [`CgkdError::EpochMismatch`] for an empty window.
-    fn process_epoch(&mut self, window: &EpochBroadcast) -> Result<(), CgkdError> {
-        if window.steps.is_empty() {
-            return Err(CgkdError::EpochMismatch);
-        }
-        for step in &window.steps {
-            self.process(step)?;
-        }
-        Ok(())
-    }
+    /// from a different backend; [`CgkdError::EpochMismatch`] for an
+    /// empty window or one out of order.
+    fn process(&mut self, window: &EpochBroadcast) -> Result<(), CgkdError>;
 
     /// This member's current group key `k_i`.
     fn group_key(&self) -> &Key;
@@ -269,33 +150,24 @@ impl Clone for Box<dyn CgkdSlot> {
 }
 
 /// Generates the [`Cgkd`]/[`CgkdSlot`] wrapper pair for one backend.
-///
-/// The trailing `native` marker routes [`Cgkd::apply_epoch`] to the
-/// backend's own batched implementation (one union rekey per window)
-/// instead of the default evict/admit loop.
 macro_rules! cgkd_backend {
     ($(#[$cdoc:meta])* $ctrl_wrap:ident($ctrl:ty),
      $(#[$mdoc:meta])* $slot_wrap:ident($member:ty),
-     $variant:ident, native) => {
-        cgkd_backend!(@emit $(#[$cdoc])* $ctrl_wrap($ctrl),
-                      $(#[$mdoc])* $slot_wrap($member),
-                      $variant, {
-            // Native batched window: one union rekey, one step.
+     $variant:ident) => {
+        $(#[$cdoc])*
+        pub(crate) struct $ctrl_wrap(pub(crate) $ctrl);
+
+        $(#[$mdoc])*
+        #[derive(Debug, Clone)]
+        pub(crate) struct $slot_wrap(pub(crate) $member);
+
+        impl Cgkd for $ctrl_wrap {
             fn apply_epoch(
                 &mut self,
                 joins: usize,
                 leaves: &[UserId],
                 rng: &mut dyn RngCore,
             ) -> Result<EpochOutcome, CgkdError> {
-                if joins == 0 && leaves.is_empty() {
-                    return Ok(EpochOutcome {
-                        joined: Vec::new(),
-                        broadcast: EpochBroadcast {
-                            epoch: self.0.epoch(),
-                            steps: Vec::new(),
-                        },
-                    });
-                }
                 let (welcomes, rekey) = self.0.apply_epoch(joins, leaves, rng)?;
                 let mut joined: Vec<(UserId, Box<dyn CgkdSlot>)> =
                     Vec::with_capacity(welcomes.len());
@@ -306,55 +178,14 @@ macro_rules! cgkd_backend {
                     member.process(&rekey)?;
                     joined.push((uid, Box::new($slot_wrap(member))));
                 }
+                // An empty window changed nothing: no broadcast to carry.
+                let changed = joins > 0 || !leaves.is_empty();
                 Ok(EpochOutcome {
                     joined,
                     broadcast: EpochBroadcast {
-                        epoch: rekey.epoch,
-                        steps: vec![RekeyBroadcast {
-                            body: RekeyBody::$variant(rekey),
-                        }],
+                        epoch: self.0.epoch(),
+                        body: changed.then_some(RekeyBody::$variant(rekey)),
                     },
-                })
-            }
-        });
-    };
-    ($(#[$cdoc:meta])* $ctrl_wrap:ident($ctrl:ty),
-     $(#[$mdoc:meta])* $slot_wrap:ident($member:ty),
-     $variant:ident) => {
-        cgkd_backend!(@emit $(#[$cdoc])* $ctrl_wrap($ctrl),
-                      $(#[$mdoc])* $slot_wrap($member),
-                      $variant, {});
-    };
-    (@emit $(#[$cdoc:meta])* $ctrl_wrap:ident($ctrl:ty),
-     $(#[$mdoc:meta])* $slot_wrap:ident($member:ty),
-     $variant:ident, {$($override:tt)*}) => {
-        $(#[$cdoc])*
-        pub(crate) struct $ctrl_wrap(pub(crate) $ctrl);
-
-        $(#[$mdoc])*
-        #[derive(Debug, Clone)]
-        pub(crate) struct $slot_wrap(pub(crate) $member);
-
-        impl Cgkd for $ctrl_wrap {
-            fn admit(
-                &mut self,
-                rng: &mut dyn RngCore,
-            ) -> Result<(UserId, Box<dyn CgkdSlot>, RekeyBroadcast), CgkdError> {
-                let (uid, welcome, rekey) = self.0.admit(rng)?;
-                let slot = Box::new($slot_wrap(self.0.member_from_welcome(welcome)));
-                let broadcast = RekeyBroadcast {
-                    body: RekeyBody::$variant(rekey),
-                };
-                Ok((uid, slot, broadcast))
-            }
-
-            fn evict(
-                &mut self,
-                id: UserId,
-                rng: &mut dyn RngCore,
-            ) -> Result<RekeyBroadcast, CgkdError> {
-                Ok(RekeyBroadcast {
-                    body: RekeyBody::$variant(self.0.evict(id, rng)?),
                 })
             }
 
@@ -369,16 +200,14 @@ macro_rules! cgkd_backend {
             fn members(&self) -> Vec<UserId> {
                 self.0.members()
             }
-
-            $($override)*
         }
 
         impl CgkdSlot for $slot_wrap {
-            fn process(&mut self, rekey: &RekeyBroadcast) -> Result<(), CgkdError> {
-                if let RekeyBody::$variant(b) = &rekey.body {
-                    self.0.process(b)
-                } else {
-                    Err(CgkdError::CannotDecrypt)
+            fn process(&mut self, window: &EpochBroadcast) -> Result<(), CgkdError> {
+                match &window.body {
+                    Some(RekeyBody::$variant(b)) => self.0.process(b),
+                    Some(_) => Err(CgkdError::CannotDecrypt),
+                    None => Err(CgkdError::EpochMismatch),
                 }
             }
 
@@ -410,8 +239,7 @@ cgkd_backend!(
     LkhCgkd(LkhController),
     /// LKH member state (path keys).
     LkhSlot(LkhMember),
-    Lkh,
-    native
+    Lkh
 );
 
 cgkd_backend!(
@@ -419,8 +247,7 @@ cgkd_backend!(
     SdCgkd(SdController),
     /// SD member state (labels; stateless receiver).
     SdSlot(SdMember),
-    Sd,
-    native
+    Sd
 );
 
 cgkd_backend!(

@@ -25,6 +25,6 @@ pub mod cgkd;
 pub mod dgka;
 pub mod gsig;
 
-pub use cgkd::{Cgkd, CgkdSlot, EpochBroadcast, EpochOutcome, RekeyBroadcast};
+pub use cgkd::{Cgkd, CgkdSlot, EpochBroadcast, EpochOutcome};
 pub use dgka::{DgkaSlot, Phase1Slot};
 pub use gsig::{Gsig, GsigCredential};

@@ -8,10 +8,11 @@
 //! tested the moment it is added to its `ALL` array and the factory.
 
 use rand::RngCore;
+use shs_cgkd::UserId;
 use shs_core::config::{CgkdChoice, DgkaChoice};
 use shs_core::factory;
 use shs_core::handshake::AbortReason;
-use shs_core::substrate::Phase1Slot;
+use shs_core::substrate::{Cgkd, CgkdSlot, EpochBroadcast, Phase1Slot};
 use shs_crypto::Key;
 use shs_groups::schnorr::{SchnorrGroup, SchnorrPreset};
 
@@ -19,21 +20,42 @@ fn test_group() -> &'static SchnorrGroup {
     SchnorrGroup::system_wide(SchnorrPreset::Test)
 }
 
-/// Exercises one CGKD backend end to end: admit/evict round-trips, key
-/// and epoch agreement between controller and slots, eviction security,
-/// foreign-envelope rejection, cloning, and the E7b key-forcing hook.
+/// `CGKD.Join` as a one-join window: the joiner's uid and slot (already
+/// synced past the window) and the broadcast everyone else processes.
+fn join(ctrl: &mut dyn Cgkd, rng: &mut dyn RngCore) -> (UserId, Box<dyn CgkdSlot>, EpochBroadcast) {
+    let mut outcome = ctrl
+        .apply_epoch(1, &[], rng)
+        .expect("admit within capacity");
+    let (uid, slot) = outcome
+        .joined
+        .pop()
+        .expect("a one-join window admits one member");
+    (uid, slot, outcome.broadcast)
+}
+
+/// `CGKD.Leave` as a one-leave window.
+fn leave(ctrl: &mut dyn Cgkd, uid: UserId, rng: &mut dyn RngCore) -> Option<EpochBroadcast> {
+    ctrl.apply_epoch(0, &[uid], rng).ok().map(|o| o.broadcast)
+}
+
+/// Exercises one CGKD backend end to end through one-entry windows:
+/// join/leave round-trips, key and epoch agreement between controller
+/// and slots, eviction security, replay and foreign-envelope rejection,
+/// cloning, and the E7b key-forcing hook.
 pub fn check_cgkd(choice: CgkdChoice, rng: &mut dyn RngCore) {
     let mut ctrl = factory::cgkd_controller(choice, 8, rng);
-    let mut slots: Vec<(shs_cgkd::UserId, Box<dyn shs_core::substrate::CgkdSlot>)> = Vec::new();
+    let mut slots: Vec<(UserId, Box<dyn CgkdSlot>)> = Vec::new();
     let mut uids = Vec::new();
     for _ in 0..3 {
-        let (uid, mut slot, rekey) = ctrl.admit(rng).expect("admit within capacity");
+        let (uid, mut slot, rekey) = join(ctrl.as_mut(), rng);
         for (_, s) in slots.iter_mut() {
             s.process(&rekey)
                 .expect("existing member processes the join rekey");
         }
-        slot.process(&rekey)
-            .expect("joiner processes its own join rekey");
+        assert!(
+            slot.process(&rekey).is_err(),
+            "{choice:?}: the joiner accepted a replay of the window it joined in"
+        );
         assert_eq!(slot.id(), uid, "slot reports the uid it was admitted as");
         slots.push((uid, slot));
         uids.push(uid);
@@ -52,7 +74,7 @@ pub fn check_cgkd(choice: CgkdChoice, rng: &mut dyn RngCore) {
 
     // Eviction: remaining members rekey, the evicted member cannot.
     let (evicted_uid, mut evicted) = slots.remove(1);
-    let rekey = ctrl.evict(evicted_uid, rng).expect("evict a known member");
+    let rekey = leave(ctrl.as_mut(), evicted_uid, rng).expect("evict a known member");
     for (u, s) in slots.iter_mut() {
         s.process(&rekey)
             .expect("remaining member processes the evict rekey");
@@ -70,13 +92,13 @@ pub fn check_cgkd(choice: CgkdChoice, rng: &mut dyn RngCore) {
         "roster still lists the evicted member"
     );
     assert!(
-        ctrl.evict(evicted_uid, rng).is_err(),
+        leave(ctrl.as_mut(), evicted_uid, rng).is_none(),
         "double-evict must fail structurally"
     );
 
     // Cloned slots stay in lockstep with the original.
     let mut cloned = slots[0].1.clone();
-    let (_, _, rekey) = ctrl.admit(rng).expect("admit after evict");
+    let (_, _, rekey) = join(ctrl.as_mut(), rng);
     cloned.process(&rekey).expect("clone processes the rekey");
     slots[0]
         .1
@@ -91,7 +113,7 @@ pub fn check_cgkd(choice: CgkdChoice, rng: &mut dyn RngCore) {
         .find(|c| *c != choice)
         .expect("at least two backends registered");
     let mut foreign_ctrl = factory::cgkd_controller(other, 4, rng);
-    let (_, _, foreign) = foreign_ctrl.admit(rng).expect("foreign admit");
+    let (_, _, foreign) = join(foreign_ctrl.as_mut(), rng);
     assert!(
         slots[0].1.process(&foreign).is_err(),
         "{choice:?}: accepted a {other:?} envelope"
@@ -106,11 +128,11 @@ pub fn check_cgkd(choice: CgkdChoice, rng: &mut dyn RngCore) {
     check_cgkd_epoch_windows(choice, rng);
 }
 
-/// Exercises the batched `apply_epoch`/`process_epoch` surface of one
-/// CGKD backend: a whole churn window is one broadcast, mixed
-/// join+leave windows keep everyone in agreement, the evicted member is
-/// excluded by the very window that removes it, empty windows are
-/// no-ops, and leaver validation is atomic.
+/// Exercises the churn windows of one CGKD backend: a whole window is
+/// one broadcast, mixed join+leave windows keep everyone in agreement,
+/// the evicted member is excluded by the very window that removes it,
+/// empty windows are no-ops, and a refused window — unknown or
+/// duplicated leavers, or more joins than fit — changes nothing.
 fn check_cgkd_epoch_windows(choice: CgkdChoice, rng: &mut dyn RngCore) {
     let mut ctrl = factory::cgkd_controller(choice, 8, rng);
 
@@ -140,7 +162,7 @@ fn check_cgkd_epoch_windows(choice: CgkdChoice, rng: &mut dyn RngCore) {
         .apply_epoch(2, &[evicted_uid], rng)
         .expect("mixed window");
     for (u, s) in slots.iter_mut() {
-        s.process_epoch(&outcome.broadcast)
+        s.process(&outcome.broadcast)
             .expect("survivor processes the window");
         assert!(
             s.group_key() == ctrl.group_key(),
@@ -149,7 +171,7 @@ fn check_cgkd_epoch_windows(choice: CgkdChoice, rng: &mut dyn RngCore) {
         assert_eq!(s.epoch(), ctrl.epoch());
     }
     assert!(
-        evicted.process_epoch(&outcome.broadcast).is_err(),
+        evicted.process(&outcome.broadcast).is_err(),
         "{choice:?}: the evicted member processed the window that removes it"
     );
     for (u, s) in &outcome.joined {
@@ -172,7 +194,7 @@ fn check_cgkd_epoch_windows(choice: CgkdChoice, rng: &mut dyn RngCore) {
         "{choice:?}: empty window bumped epoch"
     );
     assert!(
-        slots[0].1.process_epoch(&outcome.broadcast).is_err(),
+        slots[0].1.process(&outcome.broadcast).is_err(),
         "{choice:?}: an empty window must not be processable"
     );
 
@@ -196,6 +218,36 @@ fn check_cgkd_epoch_windows(choice: CgkdChoice, rng: &mut dyn RngCore) {
             "{choice:?}: failed window changed the group key"
         );
     }
+
+    // An over-capacity window is refused whole: in a full group of
+    // capacity 4, one leave and two joins change nothing, and the
+    // would-be leaver can still leave.
+    let mut full = factory::cgkd_controller(choice, 4, rng);
+    let outcome = full.apply_epoch(4, &[], rng).expect("fill to capacity");
+    let leaver = outcome.joined[0].0;
+    let (epoch, key, roster) = (full.epoch(), full.group_key().clone(), full.members());
+    assert!(
+        full.apply_epoch(2, &[leaver], rng).is_err(),
+        "{choice:?}: accepted a window past capacity"
+    );
+    assert_eq!(
+        full.epoch(),
+        epoch,
+        "{choice:?}: refused window bumped epoch"
+    );
+    assert!(
+        full.group_key() == &key,
+        "{choice:?}: refused window changed the group key"
+    );
+    assert_eq!(
+        full.members(),
+        roster,
+        "{choice:?}: refused window changed the roster"
+    );
+    assert!(
+        leave(full.as_mut(), leaver, rng).is_some(),
+        "{choice:?}: the would-be leaver cannot leave after a refused window"
+    );
 }
 
 /// Exercises one DGKA protocol through the slot state machine: an

@@ -1,4 +1,4 @@
-//! Batched epoch windows are equivalent to sequential admit/evict: for
+//! Batched epoch windows are equivalent to sequential admit/remove: for
 //! every CGKD backend, a `GroupAuthority::apply_epoch` churn window
 //! leaves the group in the same observable state as the one-operation-
 //! at-a-time `admit`/`remove` sequence — same roster size, every
@@ -181,16 +181,63 @@ fn evict_then_rejoin_in_one_window() {
         let victim_id = w.live[1].id();
         let epoch_before = w.ga.epoch();
         w.batched_window(1, &[victim_id], &mut r);
-        // Native backends (LKH, SD) compress the whole window into one
-        // epoch; Star rides the default loop and bumps once per step.
-        let expected = match cgkd {
-            CgkdChoice::Star => epoch_before + 2,
-            _ => epoch_before + 1,
-        };
-        assert_eq!(w.ga.epoch(), expected, "{cgkd:?}: window epoch count");
+        // Every backend compresses the whole window into one epoch.
+        assert_eq!(
+            w.ga.epoch(),
+            epoch_before + 1,
+            "{cgkd:?}: window epoch count"
+        );
         w.check_views();
         // The rejoiner participates in the next window like anyone else.
         w.batched_window(0, &[], &mut r);
         w.check_views();
+    }
+}
+
+/// A window that does not fit is refused whole on every backend: the
+/// epoch and roster stay put, the would-be leaver can still be removed
+/// afterwards, and the survivors sync to the authority's key.
+#[test]
+fn over_capacity_window_is_refused_whole() {
+    for cgkd in CgkdChoice::ALL {
+        let mut r = rng(&format!("over-capacity-{cgkd:?}"));
+        let config = GroupConfig {
+            capacity: 4,
+            ..GroupConfig::test_with_cgkd(SchemeKind::Scheme1, cgkd)
+        };
+        let (mut ga, mut live) =
+            fixtures::group_with_config(config, 4, &mut r).expect("a full group");
+        let leaver = live[1].id();
+        let epoch = ga.epoch();
+        assert!(
+            ga.apply_epoch(2, &[leaver], &mut r).is_err(),
+            "{cgkd:?}: accepted a window past capacity"
+        );
+        assert_eq!(
+            ga.epoch(),
+            epoch,
+            "{cgkd:?}: refused window moved the epoch"
+        );
+        assert_eq!(
+            ga.member_count(),
+            4,
+            "{cgkd:?}: refused window moved the roster"
+        );
+        let mut gone = live.remove(1);
+        let update = ga
+            .remove(leaver, &mut r)
+            .unwrap_or_else(|e| panic!("{cgkd:?}: remove after a refused window: {e}"));
+        for m in live.iter_mut() {
+            m.apply_update(&update)
+                .expect("survivor applies the removal");
+            assert!(
+                m.group_key() == ga.group_key(),
+                "{cgkd:?}: survivor off the authority's key"
+            );
+        }
+        assert!(
+            gone.apply_update(&update).is_err(),
+            "{cgkd:?}: the removed member applied its own removal"
+        );
     }
 }
