@@ -1,4 +1,5 @@
-//! Greatest common divisors, extended Euclid, modular inverses, LCM and CRT.
+//! Greatest common divisors, extended Euclid and modular inverses. (The
+//! CRT the protocols run is [`crate::CrtCtx`].)
 
 use crate::{BigintError, Int, Ubig};
 use std::cmp::Ordering;
@@ -26,14 +27,6 @@ pub fn gcd(a: &Ubig, b: &Ubig) -> Ubig {
         }
         v = v.shr(v.trailing_zeros().unwrap());
     }
-}
-
-/// Least common multiple.
-pub fn lcm(a: &Ubig, b: &Ubig) -> Ubig {
-    if a.is_zero() || b.is_zero() {
-        return Ubig::zero();
-    }
-    a.div(&gcd(a, b)).mul(b)
 }
 
 /// Extended Euclid: returns `(g, x, y)` with `a*x + b*y = g = gcd(a, b)`.
@@ -227,38 +220,6 @@ fn halve_mod(x: &mut [u64], s: u32, m: &[u64], n0inv: u64) {
     debug_assert!(carry >> s == 0 && cmp(x, m) == Ordering::Less);
 }
 
-/// Chinese Remainder Theorem for two congruences: finds the unique
-/// `x mod (m1*m2)` with `x ≡ r1 (mod m1)` and `x ≡ r2 (mod m2)`.
-///
-/// # Errors
-///
-/// [`BigintError::NotCoprime`] when `gcd(m1, m2) != 1`.
-pub fn crt_pair(r1: &Ubig, m1: &Ubig, r2: &Ubig, m2: &Ubig) -> Result<Ubig, BigintError> {
-    let m1_inv = modinv(m1, m2).map_err(|_| BigintError::NotCoprime)?;
-    // x = r1 + m1 * ((r2 - r1) * m1^{-1} mod m2)
-    let r1m = Int::from_ubig(r1.rem(m1));
-    let diff = Int::from_ubig(r2.clone()).sub(&r1m.clone());
-    let t = diff.mod_ubig(m2).mulm(&m1_inv, m2);
-    Ok(r1m.into_magnitude().add(&m1.mul(&t)))
-}
-
-/// General CRT over a list of (residue, modulus) pairs with pairwise-coprime
-/// moduli.
-///
-/// # Errors
-///
-/// [`BigintError::NotCoprime`] when moduli share a factor; the empty list is
-/// an error too (there is no canonical modulus).
-pub fn crt(pairs: &[(Ubig, Ubig)]) -> Result<Ubig, BigintError> {
-    let mut iter = pairs.iter();
-    let (mut r, mut m) = iter.next().cloned().ok_or(BigintError::NotCoprime)?;
-    for (ri, mi) in iter {
-        r = crt_pair(&r, &m, ri, mi)?;
-        m = m.mul(mi);
-    }
-    Ok(r.rem(&m))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,15 +237,6 @@ mod tests {
             gcd(&Ubig::from_u64(1 << 20), &Ubig::from_u64(1 << 12)),
             Ubig::from_u64(1 << 12)
         );
-    }
-
-    #[test]
-    fn lcm_basics() {
-        assert_eq!(
-            lcm(&Ubig::from_u64(4), &Ubig::from_u64(6)),
-            Ubig::from_u64(12)
-        );
-        assert_eq!(lcm(&Ubig::zero(), &Ubig::from_u64(6)), Ubig::zero());
     }
 
     #[test]
@@ -401,39 +353,5 @@ mod tests {
             assert_eq!(inv, euclid_inverse(&a, &m));
             assert!(inv.is_ok_and(|inv| inv < m && a.mulm(&inv, &m).is_one()));
         }
-    }
-
-    #[test]
-    fn crt_two() {
-        // x = 2 mod 3, x = 3 mod 5 -> x = 8 mod 15
-        let x = crt_pair(
-            &Ubig::from_u64(2),
-            &Ubig::from_u64(3),
-            &Ubig::from_u64(3),
-            &Ubig::from_u64(5),
-        )
-        .unwrap();
-        assert_eq!(x.rem(&Ubig::from_u64(15)), Ubig::from_u64(8));
-    }
-
-    #[test]
-    fn crt_many() {
-        // x = 1 mod 2, 2 mod 3, 3 mod 5, 4 mod 7 -> check all congruences
-        let pairs = vec![
-            (Ubig::from_u64(1), Ubig::from_u64(2)),
-            (Ubig::from_u64(2), Ubig::from_u64(3)),
-            (Ubig::from_u64(3), Ubig::from_u64(5)),
-            (Ubig::from_u64(4), Ubig::from_u64(7)),
-        ];
-        let x = crt(&pairs).unwrap();
-        for (r, m) in &pairs {
-            assert_eq!(&x.rem(m), r);
-        }
-        assert!(crt(&[]).is_err());
-        assert!(crt(&[
-            (Ubig::one(), Ubig::from_u64(4)),
-            (Ubig::one(), Ubig::from_u64(6))
-        ])
-        .is_err());
     }
 }

@@ -26,7 +26,7 @@
 //!   `vartime-usage` rule.
 //! * Miller–Rabin primality testing and (safe-)prime generation
 //!   ([`prime`]).
-//! * Binary and extended GCD, binary modular inverse, Jacobi symbol, CRT
+//! * Binary and extended GCD, binary modular inverse, Jacobi symbol
 //!   ([`gcd`], [`jacobi`]).
 //! * Instrumentation counters ([`counters`]) so experiments can report the
 //!   *number* of modular exponentiations a protocol performs — the unit in
@@ -79,7 +79,7 @@ pub enum BigintError {
     NotInvertible,
     /// A string could not be parsed as a number in the requested radix.
     ParseError,
-    /// CRT moduli were not pairwise coprime.
+    /// The CRT moduli of a [`CrtCtx`] were not coprime.
     NotCoprime,
 }
 
