@@ -116,8 +116,8 @@ pub trait Controller {
     /// leaves) is a no-op that returns an empty broadcast at the current
     /// epoch, which must not be distributed.
     ///
-    /// The call validates the whole window first and changes nothing on
-    /// error.
+    /// The call validates the whole window first with
+    /// [`Controller::check_window`] and changes nothing on error.
     ///
     /// # Errors
     ///
@@ -129,6 +129,16 @@ pub trait Controller {
         leaves: &[UserId],
         rng: &mut dyn RngCore,
     ) -> Result<(Joined<Self::Welcome>, Self::Broadcast), CgkdError>;
+
+    /// Would [`Controller::apply_epoch`] accept this window? Checks the
+    /// leaver list (current members, none twice) and then the capacity,
+    /// and draws no randomness: a caller can refuse a window before it
+    /// spends anything else on it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Controller::apply_epoch`].
+    fn check_window(&self, joins: usize, leaves: &[UserId]) -> Result<(), CgkdError>;
 
     /// Builds the member state from a welcome package.
     fn member_from_welcome(&self, welcome: Self::Welcome) -> Self::Member;

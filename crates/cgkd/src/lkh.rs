@@ -231,6 +231,7 @@ impl Controller for LkhController {
         leaves: &[UserId],
         rng: &mut dyn RngCore,
     ) -> Result<(Joined<LkhWelcome>, LkhBroadcast), CgkdError> {
+        self.check_window(joins, leaves)?;
         if joins == 0 && leaves.is_empty() {
             return Ok((
                 Vec::new(),
@@ -239,10 +240,6 @@ impl Controller for LkhController {
                     items: Vec::new(),
                 },
             ));
-        }
-        check_leavers(leaves, |id| self.leaf_of.contains_key(id))?;
-        if self.leaf_of.len() - leaves.len() + joins > self.capacity as usize {
-            return Err(CgkdError::Full);
         }
 
         let mut affected: Vec<u32> = Vec::with_capacity(leaves.len() + joins);
@@ -289,6 +286,14 @@ impl Controller for LkhController {
                 items,
             },
         ))
+    }
+
+    fn check_window(&self, joins: usize, leaves: &[UserId]) -> Result<(), CgkdError> {
+        check_leavers(leaves, |id| self.leaf_of.contains_key(id))?;
+        if self.leaf_of.len() - leaves.len() + joins > self.capacity as usize {
+            return Err(CgkdError::Full);
+        }
+        Ok(())
     }
 
     fn member_from_welcome(&self, welcome: LkhWelcome) -> LkhMember {

@@ -354,6 +354,7 @@ impl Controller for SdController {
         leaves: &[UserId],
         rng: &mut dyn RngCore,
     ) -> Result<(Joined<SdWelcome>, SdBroadcast), CgkdError> {
+        self.check_window(joins, leaves)?;
         if joins == 0 && leaves.is_empty() {
             return Ok((
                 Vec::new(),
@@ -362,10 +363,6 @@ impl Controller for SdController {
                     items: Vec::new(),
                 },
             ));
-        }
-        check_leavers(leaves, |id| self.leaf_of.contains_key(id))?;
-        if self.next_leaf as u64 + joins as u64 > 2 * self.capacity as u64 {
-            return Err(CgkdError::Full);
         }
         for id in leaves {
             if let Some(leaf) = self.leaf_of.remove(id) {
@@ -391,6 +388,14 @@ impl Controller for SdController {
             ));
         }
         Ok((joined, self.rekey(rng)))
+    }
+
+    fn check_window(&self, joins: usize, leaves: &[UserId]) -> Result<(), CgkdError> {
+        check_leavers(leaves, |id| self.leaf_of.contains_key(id))?;
+        if self.next_leaf as u64 + joins as u64 > 2 * self.capacity as u64 {
+            return Err(CgkdError::Full);
+        }
+        Ok(())
     }
 
     fn member_from_welcome(&self, welcome: SdWelcome) -> SdMember {

@@ -119,6 +119,7 @@ impl Controller for StarController {
         leaves: &[UserId],
         rng: &mut dyn RngCore,
     ) -> Result<(Joined<StarWelcome>, StarBroadcast), CgkdError> {
+        self.check_window(joins, leaves)?;
         if joins == 0 && leaves.is_empty() {
             return Ok((
                 Vec::new(),
@@ -127,10 +128,6 @@ impl Controller for StarController {
                     items: Vec::new(),
                 },
             ));
-        }
-        check_leavers(leaves, |id| self.individual.contains_key(id))?;
-        if self.individual.len() - leaves.len() + joins > self.capacity {
-            return Err(CgkdError::Full);
         }
         for id in leaves {
             self.individual.remove(id);
@@ -150,6 +147,14 @@ impl Controller for StarController {
             })
             .collect();
         Ok((joined, self.rekey(rng)))
+    }
+
+    fn check_window(&self, joins: usize, leaves: &[UserId]) -> Result<(), CgkdError> {
+        check_leavers(leaves, |id| self.individual.contains_key(id))?;
+        if self.individual.len() - leaves.len() + joins > self.capacity {
+            return Err(CgkdError::Full);
+        }
+        Ok(())
     }
 
     fn member_from_welcome(&self, welcome: StarWelcome) -> StarMember {

@@ -124,10 +124,12 @@ impl GroupAuthority {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Cgkd`] when capacity is exhausted; [`CoreError::Gsig`]
-    /// when the join protocol fails.
+    /// [`CoreError::Cgkd`] when capacity is exhausted, checked before
+    /// the join so a refused admit draws no randomness and spends no
+    /// member id; [`CoreError::Gsig`] when the join protocol fails.
     pub fn admit(&mut self, rng: &mut impl RngCore) -> Result<(Member, GroupUpdate), CoreError> {
         let rng: &mut dyn RngCore = rng;
+        self.cgkd.check_window(1, &[]).map_err(CoreError::Cgkd)?;
         let cred = self.gsig.admit(rng).map_err(CoreError::Gsig)?;
         let mut outcome = self
             .cgkd

@@ -101,6 +101,15 @@ pub trait Cgkd: Send + Sync {
         rng: &mut dyn RngCore,
     ) -> Result<EpochOutcome, CgkdError>;
 
+    /// Would [`Cgkd::apply_epoch`] accept this window? Draws no
+    /// randomness and changes nothing (see
+    /// [`shs_cgkd::Controller::check_window`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Cgkd::apply_epoch`].
+    fn check_window(&self, joins: usize, leaves: &[UserId]) -> Result<(), CgkdError>;
+
     /// Current group key (controller side).
     fn group_key(&self) -> &Key;
 
@@ -187,6 +196,10 @@ macro_rules! cgkd_backend {
                         body: changed.then_some(RekeyBody::$variant(rekey)),
                     },
                 })
+            }
+
+            fn check_window(&self, joins: usize, leaves: &[UserId]) -> Result<(), CgkdError> {
+                self.0.check_window(joins, leaves)
             }
 
             fn group_key(&self) -> &Key {

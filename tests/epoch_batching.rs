@@ -15,8 +15,9 @@ mod common;
 use common::rng;
 use proptest::prelude::*;
 use rand::RngCore;
+use shs_cgkd::CgkdError;
 use shs_core::config::CgkdChoice;
-use shs_core::{fixtures, GroupConfig, GroupUpdate, Member, SchemeKind};
+use shs_core::{fixtures, CoreError, GroupConfig, GroupUpdate, Member, SchemeKind};
 use shs_gsig::ky::MemberId;
 
 /// One group evolving under churn, tracking survivors and evictees.
@@ -238,6 +239,62 @@ fn over_capacity_window_is_refused_whole() {
         assert!(
             gone.apply_update(&update).is_err(),
             "{cgkd:?}: the removed member applied its own removal"
+        );
+    }
+}
+
+/// A group of `capacity` members with every seat taken.
+fn full_group(
+    cgkd: CgkdChoice,
+    capacity: u32,
+    r: &mut impl RngCore,
+) -> (shs_core::GroupAuthority, Vec<Member>) {
+    let config = GroupConfig {
+        capacity,
+        ..GroupConfig::test_with_cgkd(SchemeKind::Scheme1, cgkd)
+    };
+    fixtures::group_with_config(config, capacity as usize, r).expect("a full group")
+}
+
+/// An admit into a full group is refused before `GSIG.Join` runs, so it
+/// spends no member id: the next admit after a removal takes the id
+/// the refused one would have had.
+#[test]
+fn refused_admit_spends_no_member_id() {
+    let mut r = rng("refused-admit-id");
+    let (mut ga, members) = full_group(CgkdChoice::Lkh, 2, &mut r);
+    let ids: Vec<MemberId> = members.iter().map(Member::id).collect();
+    assert_eq!(ids, vec![MemberId(0), MemberId(1)]);
+    assert!(
+        matches!(ga.admit(&mut r), Err(CoreError::Cgkd(CgkdError::Full))),
+        "admitted past capacity"
+    );
+    ga.remove(ids[0], &mut r).expect("remove");
+    let (joiner, _) = ga.admit(&mut r).expect("admit after a removal");
+    assert_eq!(joiner.id(), MemberId(2), "the refused admit spent an id");
+}
+
+/// A refused admit draws nothing from the RNG, on every backend: two
+/// DRBGs from one seed run the same script, one of them with a refused
+/// admit into the full group, and their next outputs agree.
+#[test]
+fn refused_admit_draws_nothing() {
+    for cgkd in CgkdChoice::ALL {
+        let next_draw = |refuse: bool| {
+            let mut r = rng(&format!("refused-admit-draws-{cgkd:?}"));
+            let (mut ga, _) = full_group(cgkd, 2, &mut r);
+            if refuse {
+                assert!(
+                    matches!(ga.admit(&mut r), Err(CoreError::Cgkd(CgkdError::Full))),
+                    "{cgkd:?}: admitted past capacity"
+                );
+            }
+            r.next_u64()
+        };
+        assert_eq!(
+            next_draw(true),
+            next_draw(false),
+            "{cgkd:?}: the refused admit drew from the RNG"
         );
     }
 }
