@@ -89,6 +89,42 @@ pub struct TrafficShape {
     pub entries: Vec<(String, usize, usize)>,
 }
 
+/// What a [`TrafficLog`] leaves behind once its payloads are dropped:
+/// the [`TrafficShape`] and the [`FaultCounters`]. Sizes, counts and
+/// fault tallies read exactly as on the log it was built from; no
+/// payload byte survives.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TrafficSummary {
+    shape: TrafficShape,
+    faults: FaultCounters,
+}
+
+impl TrafficSummary {
+    /// The metadata shape of the summarised log.
+    pub fn shape(&self) -> &TrafficShape {
+        &self.shape
+    }
+
+    /// Total bytes observed.
+    pub fn total_bytes(&self) -> usize {
+        self.shape.entries.iter().map(|(_, _, len)| len).sum()
+    }
+
+    /// Number of transmissions attributed to `slot`.
+    pub fn messages_from(&self, slot: usize) -> usize {
+        self.shape
+            .entries
+            .iter()
+            .filter(|(_, from, _)| *from == slot)
+            .count()
+    }
+
+    /// Tallies of faults the medium injected while producing the log.
+    pub fn faults(&self) -> &FaultCounters {
+        &self.faults
+    }
+}
+
 impl TrafficLog {
     /// An empty log.
     pub fn new() -> TrafficLog {
@@ -151,6 +187,21 @@ impl TrafficLog {
                 .collect(),
         }
     }
+
+    /// Drops every payload and keeps the rest (see [`TrafficSummary`]):
+    /// the labels move into the shape, the payloads are freed.
+    pub fn into_summary(self) -> TrafficSummary {
+        TrafficSummary {
+            shape: TrafficShape {
+                entries: self
+                    .records
+                    .into_iter()
+                    .map(|r| (r.round, r.from_slot, r.payload.len()))
+                    .collect(),
+            },
+            faults: self.faults,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -183,5 +234,25 @@ mod tests {
         let mut c = TrafficLog::new();
         c.record("r1", 0, b"aaa");
         assert_ne!(a.shape(), c.shape());
+    }
+
+    #[test]
+    fn summary_keeps_everything_but_the_payloads() {
+        let mut log = TrafficLog::new();
+        log.record("r1", 0, b"abc");
+        log.record("r1", 1, b"defg");
+        log.record("r2", 0, b"x");
+        log.set_faults(FaultCounters {
+            dropped: 2,
+            backpressure_dropped: 1,
+            ..FaultCounters::default()
+        });
+        let summary = log.clone().into_summary();
+        assert_eq!(*summary.shape(), log.shape());
+        assert_eq!(summary.total_bytes(), log.total_bytes());
+        assert_eq!(summary.faults(), log.faults());
+        for slot in 0..3 {
+            assert_eq!(summary.messages_from(slot), log.messages_from(slot));
+        }
     }
 }

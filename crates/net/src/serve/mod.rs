@@ -200,11 +200,11 @@ impl Service {
                             item.spec.job.as_mut(),
                             item.spec.max_attempts,
                         );
-                        if let Some(traffic) = summary.clean_traffic {
+                        if let Some(shape) = summary.clean_shape {
                             shapes
                                 .lock()
                                 .unwrap_or_else(PoisonError::into_inner)
-                                .learn(roster_len, &traffic);
+                                .learn(roster_len, shape);
                         }
                     }
                     Err(RecvTimeoutError::Timeout) => continue,
@@ -272,7 +272,7 @@ impl Service {
             .unwrap_or_else(PoisonError::into_inner);
         let _ = reg.transition(id, SessionState::Aborted, Some(TerminalClass::Shed));
         if let Some(d) = &decoy {
-            let _ = reg.set_decoy_traffic(id, d.clone());
+            let _ = reg.set_decoy_traffic(id, d.clone().into_summary());
         }
         Submitted::Shed { id, decoy }
     }
@@ -359,6 +359,20 @@ impl Service {
         total
     }
 
+    /// Removes every terminal entry from every shard and returns how
+    /// many went. Sessions still queued or running stay, and
+    /// [`RegistryStats::submitted`] keeps counting the evicted ones.
+    pub fn evict_terminal(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| {
+                s.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .evict_terminal()
+            })
+            .sum()
+    }
+
     /// A clone of one registry entry (looked up in its pinned shard).
     pub fn entry(&self, id: SessionId) -> Option<SessionEntry> {
         self.shards[(id % self.shards.len() as u64) as usize]
@@ -439,6 +453,27 @@ mod tests {
         }))
     }
 
+    /// Runs `inner` and keeps a copy of every attempt's log, which the
+    /// registry does not.
+    struct Keeping<J> {
+        inner: J,
+        logs: Arc<Mutex<Vec<TrafficLog>>>,
+    }
+
+    impl<J: SessionJob> SessionJob for Keeping<J> {
+        fn roster_len(&self) -> usize {
+            self.inner.roster_len()
+        }
+        fn run_attempt(&mut self, ctx: &AttemptContext) -> AttemptOutcome {
+            let outcome = self.inner.run_attempt(ctx);
+            self.logs
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(outcome.traffic.clone());
+            outcome
+        }
+    }
+
     /// A two-slot job whose every attempt aborts with both slots live.
     struct AbortingJob;
 
@@ -504,7 +539,15 @@ mod tests {
             ..ServiceConfig::default()
         });
         // Teach the shape book with one clean session first.
-        let first = svc.submit(sleepy(2, 0)).id();
+        let logs = Arc::new(Mutex::new(Vec::new()));
+        let first = svc.submit(SessionSpec::new(Box::new(Keeping {
+            inner: SleepyJob {
+                len: 2,
+                sleep: Duration::ZERO,
+            },
+            logs: Arc::clone(&logs),
+        })));
+        assert!(first.queued());
         assert!(svc.wait_idle(Duration::from_secs(10)));
         assert_eq!(svc.known_decoy_sizes(), vec![2]);
         // Saturate: one long session occupies the worker, one fills the
@@ -518,11 +561,48 @@ mod tests {
             unreachable!()
         };
         let decoy = decoy.expect("shape was learned, decoy must exist");
-        let real = svc.entry(first).unwrap().attempts[0].traffic.clone();
+        let real = logs.lock().unwrap_or_else(PoisonError::into_inner)[0].clone();
         assert_eq!(decoy.shape(), real.shape(), "shedding is unobservable");
         assert_ne!(decoy, real, "decoy bits are fresh");
-        assert_eq!(svc.entry(id).unwrap().class, Some(TerminalClass::Shed));
+        let shed_entry = svc.entry(id).unwrap();
+        assert_eq!(shed_entry.class, Some(TerminalClass::Shed));
+        assert_eq!(
+            shed_entry.decoy_traffic,
+            Some(decoy.into_summary()),
+            "the registry keeps the decoy's summary"
+        );
         assert!(svc.wait_idle(Duration::from_secs(10)));
+        assert!(svc.shutdown(Duration::from_secs(5)).clean());
+    }
+
+    #[test]
+    fn evict_terminal_sweeps_every_shard_and_keeps_running_sessions() {
+        let svc = Service::start(ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        });
+        // Ids 0..4 land on both shards.
+        let done: Vec<_> = (0..4).map(|_| svc.submit(sleepy(2, 0)).id()).collect();
+        assert!(svc.wait_idle(Duration::from_secs(10)));
+        let running = svc.submit(sleepy(2, 300)).id();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while svc.entry(running).unwrap().state != SessionState::Running {
+            assert!(Instant::now() < deadline, "no worker picked the session up");
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(svc.evict_terminal(), done.len());
+        for id in &done {
+            assert!(svc.entry(*id).is_none(), "session {id} evicted");
+        }
+        assert!(svc.entry(running).is_some(), "a running session is kept");
+        assert_eq!(svc.stats().submitted, 5, "eviction keeps the history");
+        assert!(svc.wait_idle(Duration::from_secs(10)));
+        assert!(svc.leaks().is_empty());
+        let kept = svc.entry(running).unwrap();
+        assert_eq!(kept.class, Some(TerminalClass::Accepted));
+        assert_eq!(svc.evict_terminal(), 1);
+        assert_eq!(svc.stats().submitted, 5);
+        assert!(svc.leaks().is_empty());
         assert!(svc.shutdown(Duration::from_secs(5)).clean());
     }
 

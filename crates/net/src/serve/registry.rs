@@ -16,11 +16,18 @@
 //! rejects every other move and counts it, so a chaos soak can assert
 //! that no session ever took an illegal shortcut. Terminal entries stay
 //! in the registry (with their per-attempt records) until explicitly
-//! evicted — the leak check is "every entry is terminal", not "the map
+//! evicted ([`SessionRegistry::evict_terminal`], or
+//! [`Service::evict_terminal`](super::Service::evict_terminal) across
+//! shards) — the leak check is "every entry is terminal", not "the map
 //! is empty".
+//!
+//! An entry keeps each attempt's roster, verdict, liveness, wire shape
+//! and fault counters, and no payload byte: a recorded attempt holds
+//! the [`TrafficSummary`] of its log, and the payloads die with the
+//! attempt.
 
 use super::session::AttemptRecord;
-use crate::observe::TrafficLog;
+use crate::observe::TrafficSummary;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -131,8 +138,9 @@ impl std::fmt::Display for RegistryError {
 
 impl std::error::Error for RegistryError {}
 
-/// One registry entry: lifecycle, deadline, and the full attempt
-/// history (roster, verdict, liveness, traffic) of a session.
+/// One registry entry: lifecycle, deadline, and the attempt history of
+/// a session (roster, verdict, liveness, wire shape and fault counters
+/// per attempt; no payload bytes).
 #[derive(Debug, Clone)]
 pub struct SessionEntry {
     /// Registry-unique id.
@@ -147,10 +155,11 @@ pub struct SessionEntry {
     pub attempts: Vec<AttemptRecord>,
     /// How many times the roster was re-formed to the survivor set.
     pub reformations: u32,
-    /// Decoy traffic emitted if this session was shed (admission
-    /// control): shaped like an ordinary session so shedding is
-    /// unobservable to outsiders.
-    pub decoy_traffic: Option<TrafficLog>,
+    /// Summary of the decoy traffic emitted if this session was shed
+    /// (admission control): shaped like an ordinary session so shedding
+    /// is unobservable to outsiders. The decoy's bytes went to the
+    /// submitter.
+    pub decoy_traffic: Option<TrafficSummary>,
     /// When the session was admitted.
     pub queued_at: Instant,
     /// When a worker first picked it up.
@@ -347,7 +356,8 @@ impl SessionRegistry {
         }
     }
 
-    /// Attaches the decoy traffic emitted for a shed session.
+    /// Attaches the summary of the decoy traffic emitted for a shed
+    /// session.
     ///
     /// # Errors
     ///
@@ -355,7 +365,7 @@ impl SessionRegistry {
     pub fn set_decoy_traffic(
         &mut self,
         id: SessionId,
-        traffic: TrafficLog,
+        traffic: TrafficSummary,
     ) -> Result<(), RegistryError> {
         match self.entries.get_mut(&id) {
             Some(e) => {
@@ -494,6 +504,34 @@ mod tests {
         r.transition(id, SessionState::Aborted, Some(TerminalClass::Drained))
             .unwrap();
         assert!(r.leaks().is_empty());
+    }
+
+    #[test]
+    fn stats_count_attempts_and_backpressure_from_summaries() {
+        use crate::observe::{FaultCounters, TrafficLog};
+        use crate::serve::AttemptVerdict;
+        let mut r = SessionRegistry::new();
+        let id = r.admit(2, soon());
+        for shed in [2, 3] {
+            let mut log = TrafficLog::new();
+            log.record("r1", 0, b"abc");
+            log.set_faults(FaultCounters {
+                backpressure_dropped: shed,
+                ..FaultCounters::default()
+            });
+            let record = AttemptRecord {
+                attempt: 0,
+                roster: vec![0, 1],
+                verdict: AttemptVerdict::Abort,
+                live_slots: vec![0],
+                traffic: log.into_summary(),
+            };
+            r.record_attempt(id, record).unwrap();
+        }
+        let stats = r.stats();
+        assert_eq!(stats.attempts, 2);
+        assert_eq!(stats.backpressure_dropped, 5);
+        assert_eq!(r.entry(id).unwrap().attempts[1].traffic.total_bytes(), 3);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! [`AttemptOutcome`] — a verdict plus the attempt's [`TrafficLog`].
 //! Everything the service decides — who is still alive, whether to
 //! re-form, when to give up — is driven by that log's counters, exactly
-//! the information a deployment's traffic accounting would have.
+//! the information a deployment's traffic accounting would have. The
+//! registry keeps only the log's [`TrafficSummary`]: the payloads are
+//! dropped once the attempt is recorded.
 //!
 //! **Survivor re-formation** leans on the §7 partially-successful-
 //! handshake semantics: survivors of the same group still succeed among
@@ -20,7 +22,7 @@
 use super::registry::{RegistryError, SessionId, SessionRegistry, SessionState, TerminalClass};
 use super::shed::backoff_delay;
 use crate::clock::SharedClock;
-use crate::observe::TrafficLog;
+use crate::observe::{TrafficLog, TrafficShape, TrafficSummary};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
@@ -72,7 +74,11 @@ pub trait SessionJob: Send {
     fn run_attempt(&mut self, ctx: &AttemptContext) -> AttemptOutcome;
 }
 
-/// A recorded attempt, kept in the session's registry entry.
+/// A recorded attempt, kept in the session's registry entry: who took
+/// part, what the job decided, who the traffic showed to be live, and
+/// the traffic's wire shape and fault counters. No payload byte is
+/// kept: [`drive`] summarises the [`AttemptOutcome`]'s log and drops
+/// its payloads.
 #[derive(Debug, Clone)]
 pub struct AttemptRecord {
     /// 0-based attempt number.
@@ -83,8 +89,8 @@ pub struct AttemptRecord {
     pub verdict: AttemptVerdict,
     /// Original-roster indices the traffic log showed to be live.
     pub live_slots: Vec<usize>,
-    /// The attempt's traffic log.
-    pub traffic: TrafficLog,
+    /// The attempt's traffic, payloads dropped.
+    pub traffic: TrafficSummary,
 }
 
 /// A session submission: the job plus its service-level budget.
@@ -167,9 +173,9 @@ pub struct DriveConfig {
 
 /// What [`drive`] hands back to the service worker for shape learning.
 pub struct DriveSummary {
-    /// Traffic of the first attempt, if it completed fault-free (the
+    /// Wire shape of the first attempt, if it completed fault-free (the
     /// template admission control imitates when shedding).
-    pub(crate) clean_traffic: Option<TrafficLog>,
+    pub(crate) clean_shape: Option<TrafficShape>,
 }
 
 fn classify(
@@ -198,9 +204,7 @@ pub fn drive(
     job: &mut dyn SessionJob,
     max_attempts: u32,
 ) -> DriveSummary {
-    let mut summary = DriveSummary {
-        clean_traffic: None,
-    };
+    let mut summary = DriveSummary { clean_shape: None };
     let deadline = {
         let mut reg = registry.lock().unwrap_or_else(PoisonError::into_inner);
         match reg.deadline(id) {
@@ -230,8 +234,11 @@ pub fn drive(
         };
         let outcome = job.run_attempt(&ctx);
         let live = live_slots(&roster, &outcome.traffic);
-        if attempt == 0 && outcome.traffic.faults().total() == 0 {
-            summary.clean_traffic = Some(outcome.traffic.clone());
+        let traffic = outcome.traffic.into_summary();
+        // Faulty traffic would bake an injected anomaly into every
+        // future decoy, so only a fault-free first attempt teaches.
+        if attempt == 0 && traffic.faults().total() == 0 {
+            summary.clean_shape = Some(traffic.shape().clone());
         }
         let verdict = outcome.verdict;
         let _ = registry
@@ -244,7 +251,7 @@ pub fn drive(
                     roster: roster.clone(),
                     verdict,
                     live_slots: live.clone(),
-                    traffic: outcome.traffic,
+                    traffic,
                 },
             );
         match verdict {
@@ -343,7 +350,21 @@ mod tests {
         len: usize,
         verdicts: Vec<AttemptVerdict>,
         counts: Vec<Vec<usize>>,
+        /// Dropped deliveries tallied on each attempt (none if absent).
+        dropped: Vec<u64>,
         seen: Vec<AttemptContext>,
+    }
+
+    impl ScriptedJob {
+        /// The log attempt `i` reports.
+        fn traffic(&self, i: usize) -> TrafficLog {
+            let mut log = log_with_counts(&self.counts[i]);
+            log.set_faults(crate::observe::FaultCounters {
+                dropped: self.dropped.get(i).copied().unwrap_or(0),
+                ..Default::default()
+            });
+            log
+        }
     }
 
     impl SessionJob for ScriptedJob {
@@ -355,7 +376,7 @@ mod tests {
             self.seen.push(ctx.clone());
             AttemptOutcome {
                 verdict: self.verdicts[i],
-                traffic: log_with_counts(&self.counts[i]),
+                traffic: self.traffic(i),
             }
         }
     }
@@ -365,6 +386,7 @@ mod tests {
             len: counts[0].len(),
             verdicts,
             counts,
+            dropped: Vec::new(),
             seen: Vec::new(),
         }
     }
@@ -506,6 +528,35 @@ mod tests {
             "not a whole millisecond"
         );
         assert_eq!(clock.now(), wait);
+    }
+
+    #[test]
+    fn records_keep_summaries_and_only_a_clean_first_attempt_teaches() {
+        for (dropped, teaches) in [(vec![0, 0], true), (vec![1, 0], false)] {
+            let mut job = scripted(
+                vec![AttemptVerdict::Abort, AttemptVerdict::Success],
+                vec![vec![3, 3, 1], vec![2, 2]],
+            );
+            job.dropped = dropped;
+            let (cfg, _) = virtual_config();
+            let registry = Mutex::new(SessionRegistry::new());
+            let id = registry
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .admit(job.len, Duration::from_secs(10));
+            let summary = drive(&registry, &AtomicBool::new(false), &cfg, id, &mut job, 4);
+            let e = registry
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .entry(id)
+                .unwrap();
+            assert_eq!(e.attempts.len(), 2);
+            for (i, record) in e.attempts.iter().enumerate() {
+                assert_eq!(record.traffic, job.traffic(i).into_summary());
+            }
+            let first = job.traffic(0).shape();
+            assert_eq!(summary.clean_shape, teaches.then_some(first));
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! only the registry — an insider — knows the difference.
 //!
 //! The [`ShapeBook`] learns wire shapes from real fault-free attempts as
-//! they complete, one template per roster size. Until a template exists
+//! they complete, one template per roster size; it is taught a shape,
+//! never payload bytes. Until a template exists
 //! the service cannot shed indistinguishably, so early submissions are
 //! queued rather than shed (the queue is empty at startup anyway).
 
@@ -28,12 +29,9 @@ pub struct DecoyShape {
 }
 
 impl DecoyShape {
-    /// Captures the shape of a real session's traffic.
-    pub fn from_traffic(roster_len: usize, traffic: &TrafficLog) -> DecoyShape {
-        DecoyShape {
-            roster_len,
-            shape: traffic.shape(),
-        }
+    /// A template from the wire shape of a real session's traffic.
+    pub fn new(roster_len: usize, shape: TrafficShape) -> DecoyShape {
+        DecoyShape { roster_len, shape }
     }
 
     /// The roster size this template imitates.
@@ -71,17 +69,15 @@ impl ShapeBook {
         ShapeBook::default()
     }
 
-    /// Learns from a **fault-free** attempt (faulty traffic would bake
-    /// an injected anomaly into every future decoy). First template per
-    /// roster size wins; shapes are deterministic per size, so later
-    /// sessions would teach the same thing.
-    pub fn learn(&mut self, roster_len: usize, traffic: &TrafficLog) {
-        if traffic.faults().total() != 0 {
-            return;
-        }
+    /// Learns the wire shape of a **fault-free** attempt; the caller
+    /// vouches that no fault fired (faulty traffic would bake an
+    /// injected anomaly into every future decoy, see [`super::drive`]).
+    /// First template per roster size wins; shapes are deterministic
+    /// per size, so later sessions would teach the same thing.
+    pub fn learn(&mut self, roster_len: usize, shape: TrafficShape) {
         self.shapes
             .entry(roster_len)
-            .or_insert_with(|| DecoyShape::from_traffic(roster_len, traffic));
+            .or_insert_with(|| DecoyShape::new(roster_len, shape));
     }
 
     /// The template for a roster size, if one has been learned.
@@ -131,7 +127,7 @@ mod tests {
     #[test]
     fn decoy_matches_shape_not_bits() {
         let real = sample_log();
-        let decoy = DecoyShape::from_traffic(2, &real).synthesize(7);
+        let decoy = DecoyShape::new(2, real.shape()).synthesize(7);
         assert_eq!(decoy.shape(), real.shape());
         assert_ne!(decoy, real, "payload bits must be fresh");
     }
@@ -139,25 +135,25 @@ mod tests {
     #[test]
     fn decoys_differ_across_sessions() {
         let real = sample_log();
-        let shape = DecoyShape::from_traffic(2, &real);
+        let shape = DecoyShape::new(2, real.shape());
         assert_ne!(shape.synthesize(1), shape.synthesize(2));
         assert_eq!(shape.synthesize(1).shape(), shape.synthesize(2).shape());
     }
 
     #[test]
-    fn book_refuses_faulty_teachers() {
+    fn book_keeps_the_first_template_per_size() {
         let mut book = ShapeBook::new();
-        let mut faulty = sample_log();
-        let counters = crate::observe::FaultCounters {
-            dropped: 1,
-            ..Default::default()
-        };
-        faulty.set_faults(counters);
-        book.learn(2, &faulty);
         assert!(book.template(2).is_none());
-        book.learn(2, &sample_log());
-        assert!(book.template(2).is_some());
-        assert_eq!(book.known_sizes(), vec![2]);
+        let first = sample_log().shape();
+        book.learn(2, first.clone());
+        let mut other = TrafficLog::new();
+        other.record("p1", 0, b"z");
+        book.learn(2, other.shape());
+        book.learn(3, other.shape());
+        let template = book.template(2).expect("size 2 learned");
+        assert_eq!(template.roster_len(), 2);
+        assert_eq!(template.synthesize(1).shape(), first);
+        assert_eq!(book.known_sizes(), vec![2, 3]);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 pub mod conformance;
 
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use rand::RngCore;
@@ -11,6 +12,7 @@ use shs_core::{Actor, GroupAuthority, Member, SchemeKind};
 use shs_crypto::drbg::HmacDrbg;
 use shs_net::fault::FaultPlan;
 use shs_net::observe::TrafficLog;
+use shs_net::serve::{AttemptContext, AttemptOutcome, SessionJob};
 use shs_net::tcp::{RelayConfig, RelayHandle, SupervisorConfig, TcpParty};
 
 /// Deterministic RNG for a test.
@@ -72,4 +74,62 @@ where
     let log = relay.traffic();
     relay.shutdown();
     (outputs, log)
+}
+
+/// One attempt as a [`KeepLogs`] job saw it: the context the service
+/// passed and the full log the attempt produced.
+#[derive(Debug, Clone)]
+pub struct KeptAttempt {
+    pub ctx: AttemptContext,
+    pub traffic: TrafficLog,
+}
+
+/// The attempts a [`KeepLogs`] job ran, in order.
+pub type KeptAttempts = Arc<Mutex<Vec<KeptAttempt>>>;
+
+/// A session job that runs `inner` and keeps every attempt's full
+/// traffic log, payloads included. The service registry keeps only a
+/// summary of each log, so tests that read payload bytes take them
+/// from here.
+pub struct KeepLogs<J> {
+    inner: J,
+    kept: KeptAttempts,
+}
+
+impl<J: SessionJob> KeepLogs<J> {
+    /// Wraps `inner`; the handle fills as the service runs attempts.
+    pub fn new(inner: J) -> (KeepLogs<J>, KeptAttempts) {
+        let kept = KeptAttempts::default();
+        let job = KeepLogs {
+            inner,
+            kept: Arc::clone(&kept),
+        };
+        (job, kept)
+    }
+}
+
+impl<J: SessionJob> SessionJob for KeepLogs<J> {
+    fn roster_len(&self) -> usize {
+        self.inner.roster_len()
+    }
+
+    fn run_attempt(&mut self, ctx: &AttemptContext) -> AttemptOutcome {
+        let outcome = self.inner.run_attempt(ctx);
+        self.kept
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(KeptAttempt {
+                ctx: ctx.clone(),
+                traffic: outcome.traffic.clone(),
+            });
+        outcome
+    }
+}
+
+/// The attempts kept so far.
+pub fn kept(handle: &KeptAttempts) -> Vec<KeptAttempt> {
+    handle
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone()
 }

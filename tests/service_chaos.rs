@@ -15,7 +15,7 @@
 
 mod common;
 
-use common::rng;
+use common::{kept, rng, KeepLogs};
 use shs_core::service::{HandshakeJob, Participant, SuccessPolicy};
 use shs_core::{fixtures, HandshakeOptions, Member, SchemeKind};
 use shs_net::fault::{FaultPlan, FaultRule};
@@ -242,13 +242,15 @@ fn saturated_service_sheds_unobservably_and_recovers() {
         backoff_cap: Duration::from_millis(10),
         seed: 0x5ed5,
     });
-    // Teach the shape book: one clean 3-member session.
-    let teach = svc.submit(SessionSpec::new(Box::new(HandshakeJob::new(
+    // Teach the shape book: one clean 3-member session, whose full log
+    // the wrapper keeps (the registry keeps only its summary).
+    let (teacher, teach_logs) = KeepLogs::new(HandshakeJob::new(
         Arc::clone(&pool),
         3,
         HandshakeOptions::default(),
         "shed-teach",
-    ))));
+    ));
+    let teach = svc.submit(SessionSpec::new(Box::new(teacher)));
     assert!(teach.queued());
     assert!(svc.wait_idle(Duration::from_secs(60)));
 
@@ -274,9 +276,11 @@ fn saturated_service_sheds_unobservably_and_recovers() {
 
     // Unobservability: every decoy has exactly the wire shape of the real
     // clean session the book learned from.
-    let real = svc.entry(teach.id()).expect("teach entry").attempts[0]
+    let real = kept(&teach_logs)[0].traffic.clone();
+    let taught = svc.entry(teach.id()).expect("teach entry").attempts[0]
         .traffic
         .clone();
+    assert_eq!(*taught.shape(), real.shape(), "the registry kept its shape");
     for decoy in &shed_decoys {
         assert_eq!(decoy.shape(), real.shape(), "shedding is unobservable");
         assert_ne!(*decoy, real, "decoy payload bits are fresh");

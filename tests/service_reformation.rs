@@ -16,12 +16,12 @@
 
 mod common;
 
-use common::rng;
+use common::{kept, rng, KeepLogs, KeptAttempt};
 use shs_core::handshake::run_handshake_with_net;
 use shs_core::service::HandshakeJob;
 use shs_core::{fixtures, Actor, HandshakeOptions, SchemeKind};
 use shs_net::fault::{FaultPlan, FaultRule};
-use shs_net::observe::TrafficLog;
+use shs_net::observe::TrafficShape;
 use shs_net::serve::{Service, ServiceConfig, SessionEntry, SessionSpec, TerminalClass};
 use shs_net::sync::BroadcastNet;
 use shs_net::DeliveryPolicy;
@@ -41,12 +41,19 @@ fn service() -> Service {
     })
 }
 
-/// Runs one job to termination and returns its registry entry.
-fn run_one(svc: &Service, job: HandshakeJob, max_attempts: u32) -> SessionEntry {
+/// Runs one job to termination and returns its registry entry plus
+/// every attempt's full log (the registry keeps only summaries).
+fn run_one(
+    svc: &Service,
+    job: HandshakeJob,
+    max_attempts: u32,
+) -> (SessionEntry, Vec<KeptAttempt>) {
+    let (job, logs) = KeepLogs::new(job);
     let sub = svc.submit(SessionSpec::new(Box::new(job)).with_max_attempts(max_attempts));
     assert!(sub.queued(), "session admitted");
     assert!(svc.wait_idle(Duration::from_secs(120)), "session settled");
-    svc.entry(sub.id()).expect("entry retained")
+    let entry = svc.entry(sub.id()).expect("entry retained");
+    (entry, kept(&logs))
 }
 
 #[test]
@@ -69,7 +76,7 @@ fn all_but_one_crash_aborts_cleanly_without_retry_storm() {
     });
     // A generous attempt budget on purpose: the *liveness* check, not
     // the budget, must be what stops the retries.
-    let e = run_one(&svc, job, 8);
+    let (e, _) = run_one(&svc, job, 8);
     assert_eq!(e.class, Some(TerminalClass::TooFewSurvivors));
     assert_eq!(
         e.attempts.len(),
@@ -98,9 +105,10 @@ fn crash_after_key_agreement_reforms_with_a_fresh_transcript() {
     .with_plans(|ctx| {
         (ctx.attempt == 0).then(|| FaultPlan::new(72).with(FaultRule::crash_stop(2, 3)))
     });
-    let e = run_one(&svc, job, 4);
+    let (e, logs) = run_one(&svc, job, 4);
     assert_eq!(e.class, Some(TerminalClass::Accepted));
     assert_eq!(e.attempts.len(), 2);
+    assert_eq!(logs.len(), 2);
     assert_eq!(e.reformations, 1);
     assert_eq!(
         e.attempts[0].live_slots,
@@ -117,13 +125,13 @@ fn crash_after_key_agreement_reforms_with_a_fresh_transcript() {
     // in the retry. Every DGKA exponent, MAC tag, signature and nonce is
     // new — a transcript-level guarantee that nothing was reused after
     // the key-agreement state was thrown away.
-    let first: BTreeSet<&[u8]> = e.attempts[0]
+    let first: BTreeSet<&[u8]> = logs[0]
         .traffic
         .records()
         .iter()
         .map(|rec| rec.payload.as_slice())
         .collect();
-    let reused = e.attempts[1]
+    let reused = logs[1]
         .traffic
         .records()
         .iter()
@@ -135,13 +143,13 @@ fn crash_after_key_agreement_reforms_with_a_fresh_transcript() {
 
 /// Per-round wire shape (same reduction as `tests/faults.rs`): for each
 /// round label, the set of `(slot, payload_len)` transmissions.
-fn per_round_shape(log: &TrafficLog) -> BTreeMap<String, BTreeSet<(usize, usize)>> {
+fn per_round_shape(shape: &TrafficShape) -> BTreeMap<String, BTreeSet<(usize, usize)>> {
     let mut by_round: BTreeMap<String, BTreeSet<(usize, usize)>> = BTreeMap::new();
-    for rec in log.records() {
+    for (round, slot, len) in &shape.entries {
         by_round
-            .entry(rec.round.clone())
+            .entry(round.clone())
             .or_default()
-            .insert((rec.from_slot, rec.payload.len()));
+            .insert((*slot, *len));
     }
     by_round
 }
@@ -178,7 +186,7 @@ fn reformation_preserves_abort_shape_indistinguishability() {
             FaultPlan::new(73).with(FaultRule::corrupt(5).in_round("dgka-r1").from(1).to(0))
         })
     });
-    let e = run_one(&svc, job, 4);
+    let (e, _) = run_one(&svc, job, 4);
     assert_eq!(e.class, Some(TerminalClass::Accepted), "retry succeeded");
     assert_eq!(e.attempts.len(), 2);
 
@@ -186,8 +194,8 @@ fn reformation_preserves_abort_shape_indistinguishability() {
     // ordinary failed handshake — managing sessions through the service
     // (and deciding to retry them) leaks nothing extra to eavesdroppers.
     assert_eq!(
-        per_round_shape(&e.attempts[0].traffic),
-        per_round_shape(&ordinary.traffic),
+        per_round_shape(e.attempts[0].traffic.shape()),
+        per_round_shape(&ordinary.traffic.shape()),
         "service-layer abort is shape-identical to an ordinary failure"
     );
     assert!(svc.shutdown(Duration::from_secs(10)).clean());
