@@ -7,11 +7,17 @@
 //!
 //! * `build_s` — wall clock from an empty controller to `n` members
 //!   (one join window for LKH and Star, chunked join windows for SD).
-//! * `epoch_ms` — one mixed churn window at full size: evict one member
+//! * `epoch_ms` — a mixed churn window at full size: evict one member
 //!   and admit one replacement, a single epoch broadcast on every
-//!   backend. Items/bytes of that broadcast ride along.
-//! * `sync_ms` — a single member processing that window's broadcast:
-//!   the stale-member catch-up cost for one missed epoch.
+//!   backend. Each row times seven such windows back to back (each
+//!   evicts the previous window's joiner, so the size stays `n`) and
+//!   reports the median, which one slow window cannot move. On LKH
+//!   every window after the first re-uses the leaf the previous one
+//!   freed, so at large `n` the median is the cost of a warm path.
+//!   Items/bytes of the first window's broadcast ride along.
+//! * `sync_ms` — a single member processing a window's broadcast: the
+//!   stale-member catch-up cost for one missed epoch, the median over
+//!   the same seven windows.
 //!
 //! LKH sweeps to a million members; SD stops at 100k (provisioning a
 //! joiner is O(log² n) GGM labels and SD leaves are never reused); the
@@ -32,7 +38,7 @@ use shs_bench::{rng, timed};
 use shs_cgkd::lkh::LkhController;
 use shs_cgkd::sd::SdController;
 use shs_cgkd::star::StarController;
-use shs_cgkd::{Controller, MemberState};
+use shs_cgkd::{BroadcastStats, Controller, MemberState, UserId};
 
 /// One (backend, size) measurement.
 struct Row {
@@ -47,6 +53,9 @@ struct Row {
 
 /// `--check` ceiling for the churn-window and sync costs, milliseconds.
 const CHECK_CEILING_MS: f64 = 100.0;
+
+/// Churn windows timed per row; the row reports their medians.
+const WINDOWS: usize = 7;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -121,9 +130,10 @@ fn main() {
     }
 }
 
-/// LKH and Star: one build window to `n`, then a one-evict-one-join
-/// window at full size. The probe member joins in the build window and
-/// processes every later broadcast like a real receiver.
+/// LKH and Star: one build window to `n`, then [`WINDOWS`]
+/// one-evict-one-join windows at full size. The probe member joins in
+/// the build window and processes every later broadcast like a real
+/// receiver.
 fn one_window_row<C: Controller>(
     backend: &'static str,
     n: usize,
@@ -131,7 +141,7 @@ fn one_window_row<C: Controller>(
 ) -> Row {
     let mut r = rng(&format!("bench-scale-{backend}-{n}"));
     let mut ctrl = new(n as u32, &mut r);
-    let (build_s, (probe, leaver)) = timed(|| {
+    let (build_s, (mut probe, leaver)) = timed(|| {
         let (welcomes, broadcast) = ctrl
             .apply_epoch(n, &[], &mut r)
             .expect("build window within capacity");
@@ -144,44 +154,28 @@ fn one_window_row<C: Controller>(
             .expect("probe processes its own build window");
         (probe, leaver)
     });
-    let mut probe = probe;
-    let in_sync = probe.group_key().ct_eq(Controller::group_key(&ctrl));
-    assert!(in_sync, "probe out of sync with the controller");
-
-    let (epoch_s, broadcast) = timed(|| {
-        let (_, broadcast) = ctrl
-            .apply_epoch(1, &[leaver], &mut r)
-            .expect("churn window at full size");
-        broadcast
-    });
-    let stats = C::stats(&broadcast);
-    let (sync_s, _) = timed(|| {
-        probe
-            .process(&broadcast)
-            .expect("probe survives the churn window");
-    });
-    let in_sync = probe.group_key().ct_eq(Controller::group_key(&ctrl));
-    assert!(in_sync, "probe out of sync with the controller");
+    let (epoch_ms, sync_ms, stats) = churn(&mut ctrl, &mut probe, leaver, &mut r);
     Row {
         backend,
         n,
         build_s,
-        epoch_ms: epoch_s * 1e3,
+        epoch_ms,
         epoch_items: stats.items,
         epoch_bytes: stats.bytes,
-        sync_ms: sync_s * 1e3,
+        sync_ms,
     }
 }
 
 /// SD: chunked build windows (each joiner's welcome is an O(log² n)
 /// label arena, so welcomes are dropped per chunk to bound memory),
-/// then the same one-evict-one-join window. Capacity leaves headroom
-/// because SD never reuses a leaf.
+/// then the same one-evict-one-join windows. SD never reuses a leaf,
+/// so the capacity leaves headroom for the churn windows' joiners: `n +
+/// 8` rounds up to a power of two of at least `n + WINDOWS` leaves.
 fn sd_row(n: usize) -> Row {
     let mut r = rng(&format!("bench-scale-sd-{n}"));
     let mut ctrl = SdController::new(n as u32 + 8, &mut r);
     let chunk = 8_192;
-    let (build_s, (probe, leaver)) = timed(|| {
+    let (build_s, (mut probe, leaver)) = timed(|| {
         let mut probe = None;
         let mut leaver = None;
         let mut remaining = n;
@@ -202,35 +196,59 @@ fn sd_row(n: usize) -> Row {
         }
         (probe.expect("n >= 1"), leaver.expect("n >= 1"))
     });
-    let mut probe = probe;
-    let in_sync = probe.group_key().ct_eq(Controller::group_key(&ctrl));
-    assert!(in_sync, "probe out of sync with the controller");
-
-    let (epoch_s, broadcast) = timed(|| {
-        let (_, broadcast) = ctrl
-            .apply_epoch(1, &[leaver], &mut r)
-            .expect("churn window at full size");
-        broadcast
-    });
-    let stats = SdController::stats(&broadcast);
-    // SD receivers are stateless: the probe jumps straight to the newest
-    // broadcast regardless of how many epochs it slept through.
-    let (sync_s, _) = timed(|| {
-        probe
-            .process(&broadcast)
-            .expect("probe survives the churn window");
-    });
-    let in_sync = probe.group_key().ct_eq(Controller::group_key(&ctrl));
-    assert!(in_sync, "probe out of sync with the controller");
+    let (epoch_ms, sync_ms, stats) = churn(&mut ctrl, &mut probe, leaver, &mut r);
     Row {
         backend: "sd",
         n,
         build_s,
-        epoch_ms: epoch_s * 1e3,
+        epoch_ms,
         epoch_items: stats.items,
         epoch_bytes: stats.bytes,
-        sync_ms: sync_s * 1e3,
+        sync_ms,
     }
+}
+
+/// Times [`WINDOWS`] churn windows on a built group: each evicts the
+/// previous window's joiner (the first evicts `leaver`) and admits one,
+/// and the probe processes every broadcast. Returns the median window
+/// and sync times in milliseconds and the first window's broadcast
+/// statistics.
+fn churn<C: Controller>(
+    ctrl: &mut C,
+    probe: &mut C::Member,
+    mut leaver: UserId,
+    r: &mut dyn RngCore,
+) -> (f64, f64, BroadcastStats) {
+    let mut epoch_ms = Vec::with_capacity(WINDOWS);
+    let mut sync_ms = Vec::with_capacity(WINDOWS);
+    let mut first = None;
+    for _ in 0..WINDOWS {
+        let in_sync = probe.group_key().ct_eq(Controller::group_key(ctrl));
+        assert!(in_sync, "probe out of sync with the controller");
+        let (epoch_s, (joined, broadcast)) = timed(|| {
+            ctrl.apply_epoch(1, &[leaver], r)
+                .expect("churn window at full size")
+        });
+        leaver = joined.first().map(|(uid, _)| *uid).expect("one joiner");
+        first.get_or_insert(C::stats(&broadcast));
+        let (sync_s, _) = timed(|| {
+            probe
+                .process(&broadcast)
+                .expect("probe survives the churn window");
+        });
+        epoch_ms.push(epoch_s * 1e3);
+        sync_ms.push(sync_s * 1e3);
+    }
+    let in_sync = probe.group_key().ct_eq(Controller::group_key(ctrl));
+    assert!(in_sync, "probe out of sync with the controller");
+    let stats = first.expect("WINDOWS >= 1");
+    (median(&mut epoch_ms), median(&mut sync_ms), stats)
+}
+
+/// The middle value of an odd-length sample.
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 /// Hand-rolled JSON: the offline build has no serde_json.
