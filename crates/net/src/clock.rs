@@ -2,12 +2,19 @@
 //!
 //! [`crate::serve::drive`], the one attempt loop, checks every deadline
 //! and runs every backoff wait on a [`Clock`], and the session registry
-//! stores each deadline as a reading of that same clock, so wall and
-//! virtual time never mix within a session. [`crate::serve::Service`]
+//! stores each deadline as a reading of that same clock, so the attempt
+//! loop never mixes wall and virtual time. [`crate::serve::Service`]
 //! drives sessions on a [`WallClock`]; the `shs-sim` discrete-event
 //! simulator drives each virtual session on its own [`VirtualClock`],
 //! whose `sleep` *advances* time instead of blocking, so deep backoff
 //! schedules cost zero wall-clock time and stay bit-reproducible.
+//!
+//! One thing still mixes: the registry stamps each entry's
+//! `queued_at`, `started_at` and `finished_at`
+//! ([`crate::serve::SessionEntry`]) with [`Instant::now`], so a session
+//! driven on a [`VirtualClock`] carries wall-clock stamps beside its
+//! virtual deadline. No decision reads those stamps; they are reporting
+//! only.
 //!
 //! The TCP relay's write deadline and the TCP supervisor's reconnect
 //! backoff wait on real sockets, so they use the OS clock directly.

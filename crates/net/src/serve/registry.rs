@@ -16,10 +16,8 @@
 //! rejects every other move and counts it, so a chaos soak can assert
 //! that no session ever took an illegal shortcut. Terminal entries stay
 //! in the registry (with their per-attempt records) until explicitly
-//! evicted ([`SessionRegistry::evict_terminal`], or
-//! [`Service::evict_terminal`](super::Service::evict_terminal) across
-//! shards) — the leak check is "every entry is terminal", not "the map
-//! is empty".
+//! evicted ([`SessionRegistry::evict_terminal`]) — the leak check is
+//! "every entry is terminal", not "the map is empty".
 //!
 //! An entry keeps each attempt's roster, verdict, liveness, wire shape
 //! and fault counters, and no payload byte: a recorded attempt holds
@@ -160,11 +158,14 @@ pub struct SessionEntry {
     /// is unobservable to outsiders. The decoy's bytes went to the
     /// submitter.
     pub decoy_traffic: Option<TrafficSummary>,
-    /// When the session was admitted.
+    /// When the session was admitted. This and the two stamps below are
+    /// wall-clock readings that the registry takes itself, even when
+    /// the session is driven on a [`crate::clock::VirtualClock`]; only
+    /// `deadline` is a reading of the session's clock.
     pub queued_at: Instant,
-    /// When a worker first picked it up.
+    /// When a worker first picked it up (wall clock, see `queued_at`).
     pub started_at: Option<Instant>,
-    /// When it reached a terminal state.
+    /// When it reached a terminal state (wall clock, see `queued_at`).
     pub finished_at: Option<Instant>,
     /// Per-session deadline: a reading of the [`crate::clock::Clock`]
     /// the session is driven on (admission time plus the budget).
@@ -202,25 +203,8 @@ pub struct RegistryStats {
     pub backpressure_dropped: u64,
 }
 
-impl RegistryStats {
-    /// Adds another registry's counters into this one — every field is
-    /// additive, so the sharded service's aggregate view is the
-    /// field-wise sum of its per-shard registries.
-    pub fn absorb(&mut self, other: &RegistryStats) {
-        self.submitted += other.submitted;
-        self.active += other.active;
-        self.completed += other.completed;
-        self.aborted += other.aborted;
-        self.shed += other.shed;
-        self.attempts += other.attempts;
-        self.reformations += other.reformations;
-        self.illegal_transitions += other.illegal_transitions;
-        self.backpressure_dropped += other.backpressure_dropped;
-    }
-}
-
 /// The session registry (interior mutability is the caller's concern;
-/// the service wraps it in a mutex — one mutex per shard when sharded).
+/// the service wraps it in one mutex).
 #[derive(Debug, Default)]
 pub struct SessionRegistry {
     entries: BTreeMap<SessionId, SessionEntry>,
@@ -246,10 +230,9 @@ impl SessionRegistry {
         id
     }
 
-    /// Admits a new session under a caller-chosen id — the sharded
-    /// service allocates ids from one global counter and pins each
-    /// session to a shard registry by id, so the id arrives from
-    /// outside. Self-allocation stays collision-free afterwards.
+    /// Admits a new session under a caller-chosen id (the simulator
+    /// pins each session's id to its arrival number). Self-allocation
+    /// stays collision-free afterwards.
     pub fn admit_with_id(&mut self, id: SessionId, roster_len: usize, deadline: Duration) {
         self.next_id = self.next_id.max(id + 1);
         self.admitted += 1;
@@ -322,6 +305,42 @@ impl SessionRegistry {
         Ok(())
     }
 
+    /// Applies the two drain edges in place, through
+    /// [`SessionRegistry::transition`]: every queued session is aborted
+    /// as [`TerminalClass::Drained`] and every running one moves to
+    /// [`SessionState::Draining`]. Terminal and already draining
+    /// entries are left as they are. Returns how many sessions took each
+    /// edge, `(swept, running)`.
+    pub fn drain(&mut self) -> (u64, u64) {
+        // Only the non-terminal entries are read out: a few ids, however
+        // large the terminal history.
+        let live: Vec<(SessionId, SessionState)> = self
+            .entries
+            .values()
+            .filter(|e| !e.state.terminal())
+            .map(|e| (e.id, e.state))
+            .collect();
+        let (mut swept, mut running) = (0, 0);
+        for (id, state) in live {
+            match state {
+                SessionState::Gathering
+                    if self
+                        .transition(id, SessionState::Aborted, Some(TerminalClass::Drained))
+                        .is_ok() =>
+                {
+                    swept += 1;
+                }
+                SessionState::Running
+                    if self.transition(id, SessionState::Draining, None).is_ok() =>
+                {
+                    running += 1;
+                }
+                _ => {}
+            }
+        }
+        (swept, running)
+    }
+
     /// Appends an attempt record to a session's history.
     ///
     /// # Errors
@@ -332,13 +351,8 @@ impl SessionRegistry {
         id: SessionId,
         record: AttemptRecord,
     ) -> Result<(), RegistryError> {
-        match self.entries.get_mut(&id) {
-            Some(e) => {
-                e.attempts.push(record);
-                Ok(())
-            }
-            None => Err(RegistryError::UnknownSession),
-        }
+        self.entry_mut(id)?.attempts.push(record);
+        Ok(())
     }
 
     /// Counts one survivor re-formation on a session.
@@ -347,13 +361,8 @@ impl SessionRegistry {
     ///
     /// [`RegistryError::UnknownSession`].
     pub fn note_reformation(&mut self, id: SessionId) -> Result<(), RegistryError> {
-        match self.entries.get_mut(&id) {
-            Some(e) => {
-                e.reformations += 1;
-                Ok(())
-            }
-            None => Err(RegistryError::UnknownSession),
-        }
+        self.entry_mut(id)?.reformations += 1;
+        Ok(())
     }
 
     /// Attaches the summary of the decoy traffic emitted for a shed
@@ -367,13 +376,14 @@ impl SessionRegistry {
         id: SessionId,
         traffic: TrafficSummary,
     ) -> Result<(), RegistryError> {
-        match self.entries.get_mut(&id) {
-            Some(e) => {
-                e.decoy_traffic = Some(traffic);
-                Ok(())
-            }
-            None => Err(RegistryError::UnknownSession),
-        }
+        self.entry_mut(id)?.decoy_traffic = Some(traffic);
+        Ok(())
+    }
+
+    fn entry_mut(&mut self, id: SessionId) -> Result<&mut SessionEntry, RegistryError> {
+        self.entries
+            .get_mut(&id)
+            .ok_or(RegistryError::UnknownSession)
     }
 
     /// A clone of one entry.
@@ -504,6 +514,52 @@ mod tests {
         r.transition(id, SessionState::Aborted, Some(TerminalClass::Drained))
             .unwrap();
         assert!(r.leaks().is_empty());
+    }
+
+    #[test]
+    fn drain_applies_both_edges_in_place() {
+        let mut r = SessionRegistry::new();
+        let queued = [r.admit(2, soon()), r.admit(3, soon())];
+        let running = r.admit(2, soon());
+        r.transition(running, SessionState::Running, None).unwrap();
+        let draining = r.admit(2, soon());
+        r.transition(draining, SessionState::Running, None).unwrap();
+        r.transition(draining, SessionState::Draining, None)
+            .unwrap();
+        let done = r.admit(2, soon());
+        r.transition(done, SessionState::Running, None).unwrap();
+        r.transition(done, SessionState::Completed, Some(TerminalClass::Accepted))
+            .unwrap();
+        let shed = r.admit(2, soon());
+        r.transition(shed, SessionState::Aborted, Some(TerminalClass::Shed))
+            .unwrap();
+        let before: Vec<_> = [draining, done, shed]
+            .iter()
+            .map(|id| r.entry(*id).unwrap())
+            .collect();
+        let illegal = r.stats().illegal_transitions;
+
+        assert_eq!(r.drain(), (2, 1));
+        for id in queued {
+            let e = r.entry(id).unwrap();
+            assert_eq!(e.state, SessionState::Aborted);
+            assert_eq!(e.class, Some(TerminalClass::Drained));
+            assert!(e.finished_at.is_some() && e.started_at.is_none());
+        }
+        let e = r.entry(running).unwrap();
+        assert_eq!(e.state, SessionState::Draining);
+        assert!(e.class.is_none() && e.finished_at.is_none());
+        for old in before {
+            let now = r.entry(old.id).unwrap();
+            assert_eq!(
+                (now.state, now.class, now.finished_at),
+                (old.state, old.class, old.finished_at),
+                "session {} is left as it was",
+                old.id
+            );
+        }
+        assert_eq!(r.stats().illegal_transitions, illegal);
+        assert_eq!(r.drain(), (0, 0), "nothing is left to move");
     }
 
     #[test]
