@@ -9,12 +9,13 @@
 //!   (one join window for LKH and Star, chunked join windows for SD).
 //! * `epoch_ms` — a mixed churn window at full size: evict one member
 //!   and admit one replacement, a single epoch broadcast on every
-//!   backend. Each row times seven such windows back to back (each
-//!   evicts the previous window's joiner, so the size stays `n`) and
-//!   reports the median, which one slow window cannot move. On LKH
-//!   every window after the first re-uses the leaf the previous one
-//!   freed, so at large `n` the median is the cost of a warm path.
-//!   Items/bytes of the first window's broadcast ride along.
+//!   backend. Each row times seven such windows back to back and
+//!   reports the median, which one slow window cannot move. Each
+//!   window's leaver is drawn uniformly from the row's DRBG among the
+//!   members other than the probe, and its joiner takes its place, so
+//!   the size stays `n` and each window rekeys a random member's path
+//!   rather than the leaf the previous window freed (at large `n`, a
+//!   cold path). Items/bytes of the first window's broadcast ride along.
 //! * `sync_ms` — a single member processing a window's broadcast: the
 //!   stale-member catch-up cost for one missed epoch, the median over
 //!   the same seven windows.
@@ -141,20 +142,19 @@ fn one_window_row<C: Controller>(
 ) -> Row {
     let mut r = rng(&format!("bench-scale-{backend}-{n}"));
     let mut ctrl = new(n as u32, &mut r);
-    let (build_s, (mut probe, leaver)) = timed(|| {
+    let (build_s, (mut probe, roster)) = timed(|| {
         let (welcomes, broadcast) = ctrl
             .apply_epoch(n, &[], &mut r)
             .expect("build window within capacity");
-        // The leaver must not be the probe: evict the last joiner.
-        let leaver = welcomes.last().map(|(uid, _)| *uid).expect("n >= 1");
+        let roster: Vec<UserId> = welcomes.iter().map(|(uid, _)| *uid).collect();
         let (_, first) = welcomes.into_iter().next().expect("n >= 1 joiners");
         let mut probe = ctrl.member_from_welcome(first);
         probe
             .process(&broadcast)
             .expect("probe processes its own build window");
-        (probe, leaver)
+        (probe, roster)
     });
-    let (epoch_ms, sync_ms, stats) = churn(&mut ctrl, &mut probe, leaver, &mut r);
+    let (epoch_ms, sync_ms, stats) = churn(&mut ctrl, &mut probe, roster, &mut r);
     Row {
         backend,
         n,
@@ -175,9 +175,9 @@ fn sd_row(n: usize) -> Row {
     let mut r = rng(&format!("bench-scale-sd-{n}"));
     let mut ctrl = SdController::new(n as u32 + 8, &mut r);
     let chunk = 8_192;
-    let (build_s, (mut probe, leaver)) = timed(|| {
+    let (build_s, (mut probe, roster)) = timed(|| {
         let mut probe = None;
-        let mut leaver = None;
+        let mut roster = Vec::with_capacity(n);
         let mut remaining = n;
         while remaining > 0 {
             let joins = remaining.min(chunk);
@@ -188,15 +188,15 @@ fn sd_row(n: usize) -> Row {
                 let (_, first) = welcomes.first().cloned().expect("joins >= 1");
                 probe = Some(ctrl.member_from_welcome(first));
             }
-            leaver = welcomes.last().map(|(uid, _)| *uid).or(leaver);
+            roster.extend(welcomes.iter().map(|(uid, _)| *uid));
             if let Some(p) = probe.as_mut() {
                 p.process(&broadcast).expect("probe follows each chunk");
             }
             remaining -= joins;
         }
-        (probe.expect("n >= 1"), leaver.expect("n >= 1"))
+        (probe.expect("n >= 1"), roster)
     });
-    let (epoch_ms, sync_ms, stats) = churn(&mut ctrl, &mut probe, leaver, &mut r);
+    let (epoch_ms, sync_ms, stats) = churn(&mut ctrl, &mut probe, roster, &mut r);
     Row {
         backend: "sd",
         n,
@@ -208,15 +208,16 @@ fn sd_row(n: usize) -> Row {
     }
 }
 
-/// Times [`WINDOWS`] churn windows on a built group: each evicts the
-/// previous window's joiner (the first evicts `leaver`) and admits one,
-/// and the probe processes every broadcast. Returns the median window
-/// and sync times in milliseconds and the first window's broadcast
-/// statistics.
+/// Times [`WINDOWS`] churn windows on a built group. `roster` holds
+/// every member's id, the probe's first. Each window evicts a member
+/// drawn uniformly from `r` among the others and admits one joiner in
+/// its place, and the probe processes every broadcast. Returns the
+/// median window and sync times in milliseconds and the first window's
+/// broadcast statistics.
 fn churn<C: Controller>(
     ctrl: &mut C,
     probe: &mut C::Member,
-    mut leaver: UserId,
+    mut roster: Vec<UserId>,
     r: &mut dyn RngCore,
 ) -> (f64, f64, BroadcastStats) {
     let mut epoch_ms = Vec::with_capacity(WINDOWS);
@@ -225,11 +226,12 @@ fn churn<C: Controller>(
     for _ in 0..WINDOWS {
         let in_sync = probe.group_key().ct_eq(Controller::group_key(ctrl));
         assert!(in_sync, "probe out of sync with the controller");
+        let slot = 1 + (r.next_u64() % (roster.len() as u64 - 1)) as usize;
         let (epoch_s, (joined, broadcast)) = timed(|| {
-            ctrl.apply_epoch(1, &[leaver], r)
+            ctrl.apply_epoch(1, &[roster[slot]], r)
                 .expect("churn window at full size")
         });
-        leaver = joined.first().map(|(uid, _)| *uid).expect("one joiner");
+        roster[slot] = joined.first().map(|(uid, _)| *uid).expect("one joiner");
         first.get_or_insert(C::stats(&broadcast));
         let (sync_s, _) = timed(|| {
             probe
