@@ -9,10 +9,8 @@
 //!   long-lived base (the signing-path shape: secret exponents, so both
 //!   sides are constant-trace).
 //! * `multi_exp_vs_naive` — one Straus `multi_exp_vartime` vs a product
-//!   of independent exponentiations (the ACJT/KY verify-equation shape:
-//!   public data).
-//! * `vartime_modpow_vs_ct` — the explicitly-named vartime fast path vs
-//!   the constant-trace kernel on public data.
+//!   of independent `RsaGroup::exp` calls (the ACJT/KY verify-equation
+//!   shape: public data).
 //! * `crt_root_vs_plain` — issuance-style `e`-th root via the CRT context
 //!   vs a full-width `modpow`.
 //! * `modinv_vs_ext_gcd` — `Ubig::modinv` (the binary inverse) vs the
@@ -102,7 +100,7 @@ fn main() {
             std::hint::black_box(if accel {
                 fb.pow(e)
             } else {
-                base.modpow(e, rsa.n())
+                rsa.ctx().modpow(&base, e)
             });
         }
     });
@@ -132,7 +130,7 @@ fn main() {
             } else {
                 let mut acc = Ubig::one();
                 for (b, e) in bases.iter().zip(es) {
-                    acc = rsa.mul(&acc, &rsa.exp_vartime(b, e.magnitude()));
+                    acc = rsa.mul(&acc, &rsa.exp(b, e.magnitude()));
                 }
                 std::hint::black_box(acc);
             }
@@ -144,28 +142,6 @@ fn main() {
         accel_s,
         iters: reps * kernel_iters,
         floor: 1.0,
-    });
-
-    // --- vartime modpow vs constant-trace modpow (public data) ----------
-    let ctx = rsa.ctx();
-    let reps = passes(20);
-    let (naive_s, accel_s) = alternate(reps, |accel| {
-        for e in &exps {
-            std::hint::black_box(if accel {
-                ctx.modpow_vartime(&base, e)
-            } else {
-                ctx.modpow(&base, e)
-            });
-        }
-    });
-    metrics.push(Metric {
-        name: "vartime_modpow_vs_ct",
-        naive_s,
-        accel_s,
-        iters: reps * kernel_iters,
-        // Bonus metric (not in the acceptance set): direct table indexing
-        // vs the masked scan; small but real. Allow timing jitter.
-        floor: 0.9,
     });
 
     // --- CRT e-th root vs full-width modpow (issuance shape) ------------
@@ -182,7 +158,7 @@ fn main() {
                     .root(&rsa, x, &e_pub)
                     .expect("QR elements have e-th roots")
             } else {
-                x.modpow(&d, rsa.n())
+                rsa.ctx().modpow(x, &d)
             });
         }
     });

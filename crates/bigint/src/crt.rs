@@ -21,8 +21,7 @@ use crate::{BigintError, Ubig};
 /// prime — which the authority generating them guarantees.
 ///
 /// The factorization is a trapdoor, so the context owns both halves'
-/// Montgomery contexts: they never enter the process-wide
-/// [`MontCtx::shared`] cache, and `Debug` prints no field.
+/// Montgomery contexts, and `Debug` prints no field.
 pub struct CrtCtx {
     p_ctx: MontCtx,
     q_ctx: MontCtx,

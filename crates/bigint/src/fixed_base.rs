@@ -8,42 +8,23 @@
 //! exponentiation becomes one masked table scan plus one Montgomery
 //! multiplication per window — no squarings at all.
 //!
-//! [`FixedBase::shared`] interns tables process-wide by
-//! `(modulus, base, max_bits)`. Its callers: the Schnorr generator and the
-//! Cramer–Shoup public key (`SchnorrGroup::exp_fixed` in `shs-groups`),
-//! which keep no tables of their own, and the ACJT/KY public keys, whose
-//! clones taken before first use share one table instead of each paying
-//! the precompute.
-//!
-//! Lock order: the cache mutex is a leaf lock — no other lock is ever
-//! taken while it is held, and table construction happens outside the
-//! guard (the `lock-order` lint rule watches this file).
+//! Each table has one owner, the key whose base it serves: the Schnorr
+//! group holds its generator's, the Cramer–Shoup public key those of its
+//! four components, and the ACJT/KY public keys build theirs on first use
+//! (`shs-groups`, `shs-gsig`). Clones of the owner share the table.
 
 use crate::mont::{window_chunk, MontCtx, Scratch, WINDOW};
 use crate::Ubig;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
-/// Upper bound on interned tables. A table is tens to a few hundred KiB,
-/// and a long-lived service only ever sees a handful of groups, so the
-/// bound exists purely to keep many-group workloads (tests, fuzzing) from
-/// accumulating tables without limit.
-const SHARED_CACHE_CAP: usize = 64;
-
-/// The process-wide [`FixedBase::shared`] cache, most recently used last.
-fn shared_cache() -> &'static Mutex<Vec<Arc<FixedBase>>> {
-    static CACHE: OnceLock<Mutex<Vec<Arc<FixedBase>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// A precomputed fixed-base exponentiation table over a shared
-/// [`MontCtx`].
+/// A precomputed fixed-base exponentiation table over the [`MontCtx`] of
+/// its modulus.
 ///
 /// Row `i` holds `base^(d · 2^{WINDOW·i}) mod n` in Montgomery form for
 /// every digit `d < 2^WINDOW`, one flat buffer per window position
 /// `i < ⌈max_bits/WINDOW⌉`.
 /// [`FixedBase::pow`] is safe for secret exponents (masked scans,
-/// always-multiply); [`FixedBase::pow_vartime`] is the public-data fast
-/// path.
+/// always-multiply).
 pub struct FixedBase {
     ctx: Arc<MontCtx>,
     base: Ubig,
@@ -70,60 +51,6 @@ impl FixedBase {
             max_bits,
             table,
         }
-    }
-
-    /// Returns the interned table for `base` over `ctx`'s modulus covering
-    /// exponents up to `max_bits` bits, building it on the first request.
-    ///
-    /// For **public** bases only: the cache is process-wide. The least
-    /// recently used table is evicted past a bound of 64. A table is built
-    /// outside the cache lock: a precompute is expensive at production
-    /// widths, and holding the lock across it would stall every other
-    /// thread's lookup. Two threads racing on the same key cost one
-    /// redundant precompute; the first insert wins and the loser adopts
-    /// it, so every caller shares one table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_bits` is zero.
-    pub fn shared(ctx: &Arc<MontCtx>, base: &Ubig, max_bits: u32) -> Arc<FixedBase> {
-        if let Some(table) = Self::lookup(ctx, base, max_bits) {
-            return table;
-        }
-        let table = Arc::new(FixedBase::new(Arc::clone(ctx), base, max_bits));
-        let mut cache = shared_cache().lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(existing) = cache.iter().find(|t| t.is(ctx, base, max_bits)) {
-            return Arc::clone(existing);
-        }
-        if cache.len() >= SHARED_CACHE_CAP {
-            cache.remove(0);
-        }
-        cache.push(Arc::clone(&table));
-        table
-    }
-
-    /// The interned table for the key, moved to the most recently used end.
-    fn lookup(ctx: &MontCtx, base: &Ubig, max_bits: u32) -> Option<Arc<FixedBase>> {
-        let mut cache = shared_cache().lock().unwrap_or_else(|e| e.into_inner());
-        let pos = cache.iter().position(|t| t.is(ctx, base, max_bits))?;
-        let table = cache.remove(pos);
-        cache.push(Arc::clone(&table));
-        Some(table)
-    }
-
-    /// Is this the table for `base` over `ctx`'s modulus at width `max_bits`?
-    fn is(&self, ctx: &MontCtx, base: &Ubig, max_bits: u32) -> bool {
-        self.max_bits == max_bits && self.base == *base && self.ctx.modulus() == ctx.modulus()
-    }
-
-    /// The widest exponent (in bits) the table covers.
-    pub fn max_bits(&self) -> u32 {
-        self.max_bits
-    }
-
-    /// The modulus context this table was built over.
-    pub fn ctx(&self) -> &Arc<MontCtx> {
-        &self.ctx
     }
 
     /// `base^exp mod n`, constant-trace for secret exponents.
@@ -185,29 +112,6 @@ impl FixedBase {
         self.ctx
             .square_repeatedly(&self.table[row][digit * k..], squarings)
     }
-
-    /// `base^exp mod n` by direct table indexing, zero digits skipped.
-    ///
-    /// For **public** exponents only; the shs-lint `vartime-usage` rule
-    /// pins down the allowed call sites.
-    pub fn pow_vartime(&self, exp: &Ubig) -> Ubig {
-        if exp.bits() > self.max_bits {
-            return self.ctx.modpow_vartime(&self.base, exp);
-        }
-        if exp.is_zero() {
-            return Ubig::one().rem(self.ctx.modulus());
-        }
-        let bits = exp.bits();
-        let windows = bits.div_ceil(WINDOW);
-        let mut s = self.ctx.scratch();
-        for (w, row) in (0..windows).zip(&self.table) {
-            let chunk = window_chunk(exp, bits, w);
-            if chunk != 0 {
-                self.ctx.mul_indexed(&mut s, row, chunk);
-            }
-        }
-        self.ctx.from_mont(s)
-    }
 }
 
 impl std::fmt::Debug for FixedBase {
@@ -226,7 +130,7 @@ mod tests {
     #[test]
     fn matches_modpow_across_widths() {
         let n = Ubig::from_hex("f123456789abcdef123456789abcdef1").unwrap();
-        let ctx = MontCtx::shared(&n);
+        let ctx = Arc::new(MontCtx::new(n));
         let g = Ubig::from_u64(31337);
         let fb = FixedBase::new(Arc::clone(&ctx), &g, 192);
         for e in [
@@ -237,33 +141,16 @@ mod tests {
             Ubig::from_hex("123456789abcdef0fedcba9876543210").unwrap(),
         ] {
             assert_eq!(fb.pow(&e), ctx.modpow(&g, &e));
-            assert_eq!(fb.pow_vartime(&e), ctx.modpow(&g, &e));
         }
-    }
-
-    #[test]
-    fn rebuilt_pairs_share_one_interned_table() {
-        let n = Ubig::from_hex("f123456789abcdef123456789abcdef1").unwrap();
-        let base = Ubig::from_u64(0x1234_5678);
-        let e = Ubig::from_u64(0xdead_beef);
-        // Two contexts for one modulus: a key rebuilt from its parameters.
-        let a = FixedBase::shared(&Arc::new(MontCtx::new(n.clone())), &base, 64);
-        let b = FixedBase::shared(&MontCtx::shared(&n), &base, 64);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(a.pow(&e), MontCtx::shared(&n).modpow(&base, &e));
-        // Another width or base is another table.
-        assert!(!Arc::ptr_eq(&a, &FixedBase::shared(a.ctx(), &base, 72)));
-        assert!(!Arc::ptr_eq(&a, &FixedBase::shared(a.ctx(), &e, 64)));
     }
 
     #[test]
     fn oversized_exponent_falls_back() {
         let n = Ubig::from_u64(1_000_000_007);
-        let ctx = MontCtx::shared(&n);
+        let ctx = Arc::new(MontCtx::new(n));
         let g = Ubig::from_u64(5);
         let fb = FixedBase::new(Arc::clone(&ctx), &g, 8);
         let e = Ubig::from_u64(1 << 20);
         assert_eq!(fb.pow(&e), ctx.modpow(&g, &e));
-        assert_eq!(fb.pow_vartime(&e), ctx.modpow(&g, &e));
     }
 }

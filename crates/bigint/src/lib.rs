@@ -16,14 +16,13 @@
 //! * Schoolbook and Karatsuba multiplication ([`Ubig::mul`]).
 //! * Knuth Algorithm D division ([`Ubig::divrem`]).
 //! * Montgomery modular exponentiation with a fixed 4-bit window
-//!   ([`Ubig::modpow`], [`mont::MontCtx`]), shared-context caching
-//!   ([`mont::MontCtx::shared`]), and an acceleration layer: fixed-base
-//!   precomputation tables ([`fixed_base::FixedBase`]), Straus/Shamir
-//!   simultaneous multi-exponentiation ([`mont::MontCtx::multi_exp`]) and
-//!   CRT-split exponentiation for known factorizations ([`crt::CrtCtx`]).
-//!   Constant-trace kernels for secret exponents; explicitly-named
-//!   `*_vartime` fast paths for public data, policed by the shs-lint
-//!   `vartime-usage` rule.
+//!   ([`Ubig::modpow`], [`mont::MontCtx`]) and an acceleration layer:
+//!   fixed-base precomputation tables ([`fixed_base::FixedBase`]),
+//!   Straus/Shamir simultaneous multi-exponentiation for the verifier
+//!   ([`mont::MontCtx::multi_exp_vartime`]) and CRT-split exponentiation
+//!   for known factorizations ([`crt::CrtCtx`]). Constant-trace kernels
+//!   for secret exponents; the one variable-time kernel, for public data,
+//!   is policed by the shs-lint `vartime-usage` rule.
 //! * Miller–Rabin primality testing and (safe-)prime generation
 //!   ([`prime`]).
 //! * Binary and extended GCD, binary modular inverse, Jacobi symbol

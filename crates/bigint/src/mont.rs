@@ -1,6 +1,6 @@
 //! Montgomery modular arithmetic (CIOS reduction, Koç et al.) and
-//! fixed-window exponentiation, plus the shared-context cache and the
-//! Straus/Shamir simultaneous multi-exponentiation kernels.
+//! fixed-window exponentiation, plus the verifier's variable-time
+//! Straus/Shamir simultaneous multi-exponentiation.
 //!
 //! Every ladder runs on two allocation-free kernels, one CIOS multiply and
 //! one squaring, each written once and compiled per modulus width, over a
@@ -9,26 +9,17 @@
 //! tables are flat buffers of `2^WINDOW` k-limb entries.
 
 use crate::Ubig;
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// Window width (bits) for fixed-window exponentiation.
 pub(crate) const WINDOW: u32 = 4;
 
-/// Capacity of the process-wide [`MontCtx::shared`] cache. A handshake
-/// workspace touches a handful of moduli (RSA n per scheme, Schnorr p/q);
-/// 16 covers every live modulus with room to spare.
-const SHARED_CACHE_CAP: usize = 16;
-
-fn shared_cache() -> &'static Mutex<Vec<Arc<MontCtx>>> {
-    static CACHE: OnceLock<Mutex<Vec<Arc<MontCtx>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(Vec::new()))
-}
-
 /// A reusable Montgomery context for an odd modulus.
 ///
 /// Construction costs one division; every subsequent multiplication is
-/// division-free. Used by [`Ubig::modpow`] and by `shs-groups` for repeated
-/// exponentiation under the same modulus.
+/// division-free. A context has one owner: the group whose modulus it
+/// serves (`shs-groups` builds one per group and shares it with that
+/// group's fixed-base tables), a [`CrtCtx`](crate::crt::CrtCtx) half, a
+/// Miller–Rabin candidate, or one [`Ubig::modpow`] call.
 #[derive(Debug, Clone)]
 pub struct MontCtx {
     n: Ubig,
@@ -70,36 +61,6 @@ impl MontCtx {
             r1,
             k,
         }
-    }
-
-    /// Returns a shared, cached context for the given odd modulus.
-    ///
-    /// Contexts are expensive to build (one full division for `R mod n`,
-    /// another for `R² mod n`); callers that exponentiate repeatedly under
-    /// the same public modulus — `Ubig::modpow`, group wrappers — hit a
-    /// process-wide MRU cache instead of rebuilding. Secret moduli stay out
-    /// of it: Miller–Rabin gives each candidate one owned context, and a
-    /// [`CrtCtx`](crate::crt::CrtCtx) owns the contexts of its two primes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is even or < 3 (on a cache miss; see [`MontCtx::new`]).
-    pub fn shared(n: &Ubig) -> Arc<MontCtx> {
-        let mut cache = shared_cache().lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(pos) = cache.iter().position(|c| c.n == *n) {
-            let ctx = cache.remove(pos);
-            cache.push(Arc::clone(&ctx));
-            return ctx;
-        }
-        drop(cache);
-        // Build outside the lock: context construction does divisions.
-        let ctx = Arc::new(MontCtx::new(n.clone()));
-        let mut cache = shared_cache().lock().unwrap_or_else(|e| e.into_inner());
-        if cache.len() >= SHARED_CACHE_CAP {
-            cache.remove(0);
-        }
-        cache.push(Arc::clone(&ctx));
-        ctx
     }
 
     /// Zeroizes the context in place, as [`Ubig::wipe`] does: the modulus,
@@ -346,7 +307,7 @@ impl MontCtx {
     }
 
     /// `acc ← acc · table[idx]` by direct index: the variable-time fetch of
-    /// the `*_vartime` ladders, for public exponents only.
+    /// [`MontCtx::multi_exp_vartime`], for public exponents only.
     pub(crate) fn mul_indexed(&self, s: &mut Scratch, table: &[u64], idx: usize) {
         let k = self.k;
         self.mont_mul_into(&s.acc, &table[idx * k..][..k], &mut s.tmp, &mut s.t);
@@ -410,74 +371,12 @@ impl MontCtx {
         self.from_mont(s)
     }
 
-    /// Variable-time modular exponentiation for **public** data.
-    ///
-    /// Same 4-bit fixed window as [`MontCtx::modpow`], but the table entry
-    /// is fetched by direct index (no masked scan) and zero windows skip
-    /// their multiplication, so the operation trace depends on the exponent
-    /// *value*. Use only where base, exponent and result are all public —
-    /// signature/proof verification over broadcast data. The shs-lint
-    /// `vartime-usage` rule pins down the allowed call sites.
-    pub fn modpow_vartime(&self, base: &Ubig, exp: &Ubig) -> Ubig {
-        if exp.is_zero() {
-            return Ubig::one().rem(&self.n);
-        }
-        let mut s = self.scratch();
-        self.to_mont(base, &mut s);
-        let table = self.pow_table(&s.entry, &mut s.t);
-        let bits = exp.bits();
-        let windows = bits.div_ceil(WINDOW);
-        let mut started = false;
-        for w in (0..windows).rev() {
-            if started {
-                for _ in 0..WINDOW {
-                    self.square(&mut s);
-                }
-            }
-            let chunk = window_chunk(exp, bits, w);
-            if chunk != 0 {
-                self.mul_indexed(&mut s, &table, chunk);
-                started = true;
-            }
-        }
-        self.from_mont(s)
-    }
-
-    /// Constant-trace Straus/Shamir simultaneous multi-exponentiation:
-    /// `∏ baseᵢ^expᵢ mod n`.
-    ///
-    /// One shared squaring chain serves every term, so `t` terms of
-    /// `b`-bit exponents cost `b` squarings plus `t·⌈b/4⌉` masked-scan
-    /// multiplications — versus `t·b` squarings for `t` separate
-    /// [`MontCtx::modpow`] calls. Safe for secret exponents: each digit is
-    /// fetched with the same masked table scan as `modpow`, every window
-    /// multiplies (a zero digit multiplies by 1 in Montgomery form), and
-    /// all exponents are processed to the width of the *longest* one, so
-    /// the trace depends only on the term count, the modulus width and
-    /// `max(expᵢ.bits())`.
-    pub fn multi_exp(&self, pairs: &[(&Ubig, &Ubig)]) -> Ubig {
-        let Some(bits) = pairs.iter().map(|(_, e)| e.bits()).max() else {
-            return Ubig::one().rem(&self.n);
-        };
-        let mut s = self.scratch();
-        let tables = self.pow_tables(pairs.iter().map(|(b, _)| *b), &mut s);
-        let windows = bits.div_ceil(WINDOW);
-        for w in (0..windows).rev() {
-            for _ in 0..WINDOW {
-                self.square(&mut s);
-            }
-            for (table, (_, exp)) in tables.iter().zip(pairs) {
-                self.mul_selected(&mut s, table, window_chunk(exp, bits, w));
-            }
-        }
-        self.from_mont(s)
-    }
-
     /// Variable-time Straus multi-exponentiation for **public** data:
-    /// `∏ baseᵢ^expᵢ mod n` with direct table indexing and zero digits
-    /// skipped. The workhorse of signature/ZK-proof verification, where
-    /// every operand arrived on the broadcast channel. The shs-lint
-    /// `vartime-usage` rule pins down the allowed call sites.
+    /// `∏ baseᵢ^expᵢ mod n` on one squaring chain shared by every term,
+    /// with direct table indexing and zero digits skipped. The workhorse
+    /// of signature/ZK-proof verification, where every operand arrived on
+    /// the broadcast channel. The shs-lint `vartime-usage` rule pins down
+    /// the allowed call sites.
     pub fn multi_exp_vartime(&self, pairs: &[(&Ubig, &Ubig)]) -> Ubig {
         // Zero-exponent terms contribute a factor of one: drop them.
         let live: Vec<&(&Ubig, &Ubig)> = pairs.iter().filter(|(_, e)| !e.is_zero()).collect();
@@ -519,7 +418,7 @@ impl MontCtx {
         table
     }
 
-    /// One [`MontCtx::pow_table`] per base, for the Straus ladders.
+    /// One [`MontCtx::pow_table`] per base, for the Straus ladder.
     fn pow_tables<'a>(
         &self,
         bases: impl Iterator<Item = &'a Ubig>,
@@ -723,13 +622,10 @@ mod tests {
             let f = Ubig::from_limbs((0..2).map(|_| next()).collect());
             let want = slow_modpow(&b, &e, &m);
             assert_eq!(ctx.modpow(&b, &e), want, "limbs {limbs}");
-            assert_eq!(ctx.modpow_vartime(&b, &e), want, "limbs {limbs}");
             let fb = FixedBase::new(std::sync::Arc::clone(&ctx), &b, 64 * limbs as u32);
             assert_eq!(fb.pow(&e), want, "limbs {limbs}");
-            assert_eq!(fb.pow_vartime(&e), want, "limbs {limbs}");
             let product = want.mul(&slow_modpow(&c, &f, &m)).rem(&m);
             let pairs = [(&b, &e), (&c, &f)];
-            assert_eq!(ctx.multi_exp(&pairs), product, "limbs {limbs}");
             assert_eq!(ctx.multi_exp_vartime(&pairs), product, "limbs {limbs}");
             assert_eq!(ctx.modmul(&b, &c), b.mul(&c).rem(&m), "limbs {limbs}");
         }
@@ -813,24 +709,6 @@ mod tests {
     }
 
     #[test]
-    fn vartime_matches_ct() {
-        let m = Ubig::from_hex("f123456789abcdef123456789abcdef1").unwrap();
-        let ctx = MontCtx::new(m.clone());
-        for (b, e) in [
-            (Ubig::from_u64(2), Ubig::zero()),
-            (Ubig::from_u64(2), Ubig::one()),
-            (Ubig::from_u64(31337), Ubig::from_u64(65537)),
-            (
-                Ubig::from_hex("deadbeefcafef00d").unwrap(),
-                // Interior zero window exercises the skip path.
-                Ubig::from_hex("a00000000000000b").unwrap(),
-            ),
-        ] {
-            assert_eq!(ctx.modpow_vartime(&b, &e), ctx.modpow(&b, &e));
-        }
-    }
-
-    #[test]
     fn multi_exp_matches_product_of_modpows() {
         let m = Ubig::from_hex("f123456789abcdef123456789abcdef1").unwrap();
         let ctx = MontCtx::new(m.clone());
@@ -849,43 +727,8 @@ mod tests {
             .iter()
             .zip(&exps)
             .fold(Ubig::one(), |acc, (b, e)| acc.mulm(&ctx.modpow(b, e), &m));
-        assert_eq!(ctx.multi_exp(&pairs), naive);
         assert_eq!(ctx.multi_exp_vartime(&pairs), naive);
         // Empty product is one.
-        assert_eq!(ctx.multi_exp(&[]), Ubig::one());
         assert_eq!(ctx.multi_exp_vartime(&[]), Ubig::one());
-    }
-
-    #[test]
-    fn primality_tests_leave_the_shared_cache_alone() {
-        // Miller–Rabin gives each candidate an owned context, so testing
-        // one cannot evict a live modulus from the shared cache.
-        use rand::SeedableRng;
-        let m89 = Ubig::one().shl(89).sub_u64(1); // a Mersenne prime
-        let mut rng = rand::rngs::StdRng::seed_from_u64(89);
-        assert!(crate::prime::is_prime(&m89, &mut rng));
-        let cache = shared_cache().lock().unwrap_or_else(|e| e.into_inner());
-        assert!(cache.iter().all(|c| c.n != m89));
-    }
-
-    #[test]
-    fn crt_contexts_leave_the_shared_cache_alone() {
-        // The halves of a CRT context are an RSA trapdoor: building one
-        // must not leave either prime in the process-wide cache.
-        let p = Ubig::one().shl(107).sub_u64(1); // Mersenne primes
-        let q = Ubig::one().shl(61).sub_u64(1);
-        let ctx = crate::crt::CrtCtx::new(&p, &q).unwrap();
-        assert_eq!(ctx.modulus(), &p.mul(&q));
-        let cache = shared_cache().lock().unwrap_or_else(|e| e.into_inner());
-        assert!(cache.iter().all(|c| c.n != p && c.n != q));
-    }
-
-    #[test]
-    fn shared_cache_returns_same_ctx() {
-        let m = Ubig::from_hex("abcdef123456789abcdef12345670001").unwrap();
-        let a = MontCtx::shared(&m);
-        let b = MontCtx::shared(&m);
-        assert!(std::sync::Arc::ptr_eq(&a, &b));
-        assert_eq!(a.modulus(), &m);
     }
 }

@@ -218,8 +218,7 @@ fn miller_rabin(n: &Ubig, rounds: u32, rng: &mut (impl RngCore + ?Sized)) -> boo
         .expect("n-1 of odd n>2 is nonzero");
     let mut d = n_minus_1.shr(s);
 
-    // One owned context for every round: a candidate is usually discarded,
-    // so it stays out of the shared cache that live moduli use.
+    // One owned context for every round, wiped with the candidate.
     let mut ctx = MontCtx::new(n.clone());
     // Base 2, then `rounds` bases drawn from [2, n − 1) as `rng::range`
     // draws them, with the range's width computed once.

@@ -384,11 +384,9 @@ impl Ubig {
             return Ubig::zero();
         }
         if m.is_odd() {
-            // Shared cache: repeated exponentiation under the same modulus
-            // (group operations) reuses one context instead of re-deriving
-            // R² and n′ every call.
-            let ctx = crate::mont::MontCtx::shared(m);
-            return ctx.modpow(self, exp);
+            // A one-off context: callers that exponentiate repeatedly
+            // under one modulus keep their own `MontCtx`.
+            return crate::mont::MontCtx::new(m.clone()).modpow(self, exp);
         }
         // Even modulus: plain square-and-multiply. Rare in this workspace
         // (all crypto moduli are odd) but kept for completeness.

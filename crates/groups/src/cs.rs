@@ -15,11 +15,12 @@
 use crate::schnorr::SchnorrGroup;
 use crate::GroupError;
 use rand::RngCore;
-use shs_bigint::Ubig;
+use shs_bigint::{FixedBase, Ubig};
 use shs_crypto::{aead, sha256};
+use std::sync::Arc;
 
 /// A Cramer–Shoup public key.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct PublicKey {
     /// Second generator (random subgroup element).
     pub g2: Ubig,
@@ -29,6 +30,9 @@ pub struct PublicKey {
     pub d: Ubig,
     /// `h = g1^z` — the KEM element.
     pub h: Ubig,
+    /// The fixed-base tables of `g2`, `h`, `c` and `d`, in that order:
+    /// built by [`keygen`], shared by every clone.
+    tables: Arc<[FixedBase; 4]>,
 }
 
 /// A Cramer–Shoup secret key.
@@ -76,7 +80,15 @@ pub fn keygen(group: &SchnorrGroup, rng: &mut (impl RngCore + ?Sized)) -> (Publi
     let c = group.mul(&group.exp_g(&x1), &group.exp(&g2, &x2));
     let d = group.mul(&group.exp_g(&y1), &group.exp(&g2, &y2));
     let h = group.exp_g(&z);
-    (PublicKey { g2, c, d, h }, SecretKey { x1, x2, y1, y2, z })
+    let tables = Arc::new([&g2, &h, &c, &d].map(|base| group.table(base)));
+    let pk = PublicKey {
+        g2,
+        c,
+        d,
+        h,
+        tables,
+    };
+    (pk, SecretKey { x1, x2, y1, y2, z })
 }
 
 /// Hashes `(u1, u2, e)` to an exponent `α ∈ Z_q`.
@@ -101,16 +113,17 @@ pub fn encrypt(
 ) -> Ciphertext {
     // Every base is the generator or a tracing-key component: fixed-base
     // tables.
+    let [g2, h, c, d] = &*pk.tables;
     let r = group.random_exponent(rng);
     let u1 = group.exp_g(&r);
-    let u2 = group.exp_fixed(&pk.g2, &r);
-    let kem = group.exp_fixed(&pk.h, &r);
+    let u2 = group.exp_table(g2, &r);
+    let kem = group.exp_table(h, &r);
     let key = group.element_to_key(&kem, "cs-dem");
     let dem = aead::seal(&key, payload, b"cs-hybrid-v1", rng);
     let a = alpha(group, &u1, &u2, &dem);
     let v = group.mul(
-        &group.exp_fixed(&pk.c, &r),
-        &group.exp_fixed(&pk.d, &r.mulm(&a, group.q())),
+        &group.exp_table(c, &r),
+        &group.exp_table(d, &r.mulm(&a, group.q())),
     );
     Ciphertext { u1, u2, dem, v }
 }

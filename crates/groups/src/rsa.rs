@@ -61,7 +61,7 @@ impl RsaGroup {
             }
             let crt = CrtCtx::new(&p, &q).expect("distinct primes are coprime");
             let group = RsaGroup {
-                ctx: MontCtx::shared(&n),
+                ctx: Arc::new(MontCtx::new(n.clone())),
                 n,
             };
             let secret = RsaSecret {
@@ -94,18 +94,12 @@ impl RsaGroup {
         self.ctx.modpow(base, e)
     }
 
-    /// The shared Montgomery context for `n` — handed to fixed-base table
-    /// builders so precomputation lives alongside the group.
+    /// The group's Montgomery context for `n`, built once in
+    /// [`RsaGroup::generate`] and shared by its clones — handed to
+    /// fixed-base table builders so precomputation lives alongside the
+    /// group.
     pub fn ctx(&self) -> &Arc<MontCtx> {
         &self.ctx
-    }
-
-    /// Variable-time `base^e mod n` for **public** operands (broadcast
-    /// signatures, proof transcripts). Counts as one modular
-    /// exponentiation, like [`RsaGroup::exp`].
-    pub fn exp_vartime(&self, base: &Ubig, e: &Ubig) -> Ubig {
-        shs_bigint::counters::record_modexp();
-        self.ctx.modpow_vartime(base, e)
     }
 
     /// Variable-time multi-exponentiation `∏ baseᵢ^{eᵢ} mod n` with signed
@@ -411,7 +405,6 @@ mod tests {
         let y = g.random_qr(&mut rng);
         let e1 = g.random_exponent(&mut rng);
         let e2 = Int::from_i64(-12345);
-        assert_eq!(g.exp_vartime(&x, &e1), g.exp(&x, &e1));
         let naive = g.mul(
             &g.exp_signed(&x, &Int::from_ubig(e1.clone())),
             &g.exp_signed(&y, &e2),

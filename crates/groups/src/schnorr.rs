@@ -9,8 +9,8 @@
 
 use crate::GroupError;
 use rand::RngCore;
-use shs_bigint::{mont::MontCtx, prime, rng as brng, FixedBase, Int, Sign, Ubig};
-use shs_crypto::{drbg::HmacDrbg, hkdf};
+use shs_bigint::{mont::MontCtx, prime, rng as brng, FixedBase, Int, Ubig};
+use shs_crypto::drbg::HmacDrbg;
 use std::sync::{Arc, OnceLock};
 
 /// Serializable Schnorr group parameters `(p, q, g)`.
@@ -24,13 +24,14 @@ pub struct SchnorrParams {
     pub g: Ubig,
 }
 
-/// A validated Schnorr group with a cached Montgomery context.
+/// A validated Schnorr group with its Montgomery context and its
+/// generator's fixed-base table, both shared by clones.
 #[derive(Debug, Clone)]
 pub struct SchnorrGroup {
     params: SchnorrParams,
     ctx: Arc<MontCtx>,
-    /// `(p-1)/q`, the cofactor.
-    cofactor: Ubig,
+    /// `g`'s table, covering exponents below `q` ([`SchnorrGroup::exp_g`]).
+    g_table: Arc<FixedBase>,
 }
 
 /// Size presets for the system-wide DGKA parameters.
@@ -133,21 +134,22 @@ impl SchnorrGroup {
             return Err(GroupError::BadParameters);
         }
         let p_minus_1 = p.sub_u64(1);
-        let (cofactor, rem) = p_minus_1.divrem(q).map_err(|_| GroupError::BadParameters)?;
+        let (_, rem) = p_minus_1.divrem(q).map_err(|_| GroupError::BadParameters)?;
         if !rem.is_zero() {
             return Err(GroupError::BadParameters);
         }
         if g.is_zero() || g.is_one() || g >= p {
             return Err(GroupError::BadParameters);
         }
-        let ctx = MontCtx::new(p.clone());
+        let ctx = Arc::new(MontCtx::new(p.clone()));
         if !ctx.modpow(g, q).is_one() {
             return Err(GroupError::BadParameters);
         }
+        let g_table = Arc::new(FixedBase::new(Arc::clone(&ctx), g, q.bits()));
         Ok(SchnorrGroup {
             params,
-            ctx: Arc::new(ctx),
-            cofactor,
+            ctx,
+            g_table,
         })
     }
 
@@ -171,22 +173,27 @@ impl SchnorrGroup {
         &self.params.g
     }
 
-    /// `g^e mod p`, through `g`'s fixed-base table
-    /// ([`SchnorrGroup::exp_fixed`]).
+    /// `g^e mod p`, through the group's table of `g`
+    /// ([`SchnorrGroup::exp_table`]).
     pub fn exp_g(&self, e: &Ubig) -> Ubig {
-        self.exp_fixed(&self.params.g, e)
+        self.exp_table(&self.g_table, e)
     }
 
-    /// `base^e mod p` for a **public** base fixed before the call — the
-    /// generator or a public-key component, never a value received in the
-    /// session — through the process-wide [`FixedBase::shared`] table
-    /// covering exponents below `q`. The same value as
-    /// [`SchnorrGroup::exp`], with the exponent reduced mod `q` first, and
-    /// constant-trace like it, but with no squarings. Counts as one
-    /// modular exponentiation.
-    pub fn exp_fixed(&self, base: &Ubig, e: &Ubig) -> Ubig {
+    /// A fixed-base table of `base` covering exponents below `q`, for
+    /// [`SchnorrGroup::exp_table`]. For a **public** base fixed before the
+    /// session — a public-key component, never a value received in it —
+    /// and kept by the key it belongs to.
+    pub fn table(&self, base: &Ubig) -> FixedBase {
+        FixedBase::new(Arc::clone(&self.ctx), base, self.params.q.bits())
+    }
+
+    /// `base^e mod p` through `base`'s [`SchnorrGroup::table`]. The same
+    /// value as [`SchnorrGroup::exp`], with the exponent reduced mod `q`
+    /// first, and constant-trace like it, but with no squarings. Counts
+    /// as one modular exponentiation.
+    pub fn exp_table(&self, table: &FixedBase, e: &Ubig) -> Ubig {
         shs_bigint::counters::record_modexp();
-        FixedBase::shared(&self.ctx, base, self.params.q.bits()).pow(&e.rem(&self.params.q))
+        table.pow(&e.rem(&self.params.q))
     }
 
     /// `base^e mod p` (counts as one modular exponentiation).
@@ -242,26 +249,6 @@ impl SchnorrGroup {
         self.exp_g(&e)
     }
 
-    /// Hashes arbitrary bytes onto the order-`q` subgroup
-    /// (`H(x)^{(p-1)/q}`, rejecting the identity).
-    pub fn hash_to_group(&self, data: &[u8]) -> Ubig {
-        let byte_len = (self.params.p.bits() as usize).div_ceil(8) + 16;
-        let mut counter = 0u32;
-        loop {
-            let mut info = b"shs-hash-to-schnorr".to_vec();
-            info.extend_from_slice(&counter.to_be_bytes());
-            let bytes = hkdf::hkdf(&[], data, &info, byte_len);
-            let x = Ubig::from_bytes_be(&bytes).rem(&self.params.p);
-            if !x.is_zero() {
-                let y = self.ctx.modpow(&x, &self.cofactor);
-                if !y.is_one() {
-                    return y;
-                }
-            }
-            counter += 1;
-        }
-    }
-
     /// Derives a symmetric key from a group element (session-key
     /// extraction for DGKA).
     pub fn element_to_key(&self, elem: &Ubig, label: &str) -> shs_crypto::Key {
@@ -270,19 +257,6 @@ impl SchnorrGroup {
         ikm.extend_from_slice(&bytes);
         shs_crypto::Key::derive(&ikm, "schnorr-element-to-key")
     }
-}
-
-/// Computes a signed "exponent sphere" check used by Fiat–Shamir range
-/// arguments: is `|v| < 2^bits`?
-pub fn in_sphere(v: &Int, bits: u32) -> bool {
-    v.magnitude().bits() <= bits
-}
-
-/// Builds the signed integer `2^bits` (helper for sphere centers).
-pub fn pow2(bits: u32) -> Int {
-    let mut u = Ubig::zero();
-    u.set_bit(bits);
-    Int::new(Sign::Plus, u)
 }
 
 #[cfg(test)]
@@ -364,19 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_to_group_lands_in_subgroup() {
-        let g = group();
-        for data in [b"a".as_slice(), b"b", b"hello world", &[0u8; 100]] {
-            let h = g.hash_to_group(data);
-            assert!(g.is_member(&h), "hash output must be a subgroup member");
-            assert!(!h.is_one());
-        }
-        // Deterministic.
-        assert_eq!(g.hash_to_group(b"x"), g.hash_to_group(b"x"));
-        assert_ne!(g.hash_to_group(b"x"), g.hash_to_group(b"y"));
-    }
-
-    #[test]
     fn element_to_key_deterministic() {
         let g = group();
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
@@ -406,13 +367,5 @@ mod tests {
             ..good
         };
         assert!(SchnorrGroup::from_params(bad_one).is_err());
-    }
-
-    #[test]
-    fn sphere_check() {
-        assert!(in_sphere(&Int::from_i64(-100), 7));
-        assert!(!in_sphere(&Int::from_i64(-300), 8));
-        assert!(in_sphere(&Int::from_i64(255), 8));
-        assert!(in_sphere(&Int::zero(), 1));
     }
 }

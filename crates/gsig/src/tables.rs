@@ -4,11 +4,9 @@
 //! Signing exponentiates these bases with *secret* exponents dozens of
 //! times per session; a [`FixedBase`] table removes every squaring from
 //! those calls while keeping the masked constant-trace scan. Tables live
-//! inside the public key (built on first use, shared by clones taken
-//! after it) and come from the process-wide [`FixedBase::shared`] cache,
-//! so a clone taken before first use reuses the tables instead of paying
-//! the precompute again: each substrate adapter in `shs-core` clones its
-//! manager's key right after setup.
+//! inside the public key that owns them: built on first use and shared by
+//! clones taken after it. Every credential holds an `Arc` of one key, so
+//! sessions share its tables.
 
 use shs_bigint::{FixedBase, Int, Ubig};
 use shs_groups::rsa::RsaGroup;
@@ -16,9 +14,8 @@ use std::sync::{Arc, OnceLock};
 
 /// A pair of fixed-base tables for one public base: one for the base
 /// itself and one for its inverse (signed blinds exponentiate both ways).
-/// Each side is built on first use, shared by clones of the holder, and
-/// interned in [`FixedBase::shared`] so a clone taken before first use
-/// does not repay the precompute.
+/// Each side is built on first use and shared by clones of the holder
+/// taken after it.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FixedBasePair {
     fwd: OnceLock<Arc<FixedBase>>,
@@ -65,16 +62,15 @@ impl KeyBase<'_> {
     /// finding such a base factors `n`).
     pub(crate) fn pow(&self, e: &Int) -> Ubig {
         shs_bigint::counters::record_modexp();
-        let (ctx, bits) = (self.rsa.ctx(), self.bits);
+        let build =
+            |base: &Ubig| Arc::new(FixedBase::new(Arc::clone(self.rsa.ctx()), base, self.bits));
         let fb = if e.is_negative() {
             self.tables.inv.get_or_init(|| {
                 let inv = self.value.modinv(self.rsa.n());
-                FixedBase::shared(ctx, &inv.expect("non-invertible base would factor n"), bits)
+                build(&inv.expect("non-invertible base would factor n"))
             })
         } else {
-            self.tables
-                .fwd
-                .get_or_init(|| FixedBase::shared(ctx, self.value, bits))
+            self.tables.fwd.get_or_init(|| build(self.value))
         };
         fb.pow(e.magnitude())
     }

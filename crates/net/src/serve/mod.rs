@@ -584,6 +584,7 @@ mod tests {
             queue_capacity: 8,
             ..ServiceConfig::default()
         });
+        let registry = Arc::clone(&svc.registry);
         let busy = svc.submit(sleepy(2, 100)).id();
         wait_running(&svc, busy);
         for _ in 0..3 {
@@ -595,6 +596,10 @@ mod tests {
         assert!(report.clean(), "no leaks: {report:?}");
         assert_eq!(report.swept_from_queue, 3);
         assert_eq!(report.finished_in_grace, 1);
+        // The workers still pulled the swept work items; starting one is
+        // not an illegal transition.
+        let stats = registry.lock().unwrap().stats();
+        assert_eq!(stats.illegal_transitions, 0);
     }
 
     #[test]

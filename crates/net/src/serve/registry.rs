@@ -391,9 +391,19 @@ impl SessionRegistry {
         self.entries.get(&id).cloned()
     }
 
-    /// The per-session deadline (a clock reading), if the session exists.
-    pub fn deadline(&self, id: SessionId) -> Option<Duration> {
-        self.entries.get(&id).map(|e| e.deadline)
+    /// Starts a queued session: moves a [`SessionState::Gathering`]
+    /// entry to [`SessionState::Running`] and returns its deadline (a
+    /// clock reading). An unknown or already classified entry (one a
+    /// drain swept while its work item sat in the queue) returns `None`
+    /// without a transition, so it counts no illegal one.
+    pub(crate) fn start(&mut self, id: SessionId) -> Option<Duration> {
+        let entry = self.entries.get(&id)?;
+        if entry.state.terminal() {
+            return None;
+        }
+        let deadline = entry.deadline;
+        self.transition(id, SessionState::Running, None).ok()?;
+        Some(deadline)
     }
 
     /// Clones every entry, in id order.

@@ -19,7 +19,7 @@
 //! per-session deadline. Fewer than two live slots means no session is
 //! possible and the retry loop stops immediately (no retry storm).
 
-use super::registry::{RegistryError, SessionId, SessionRegistry, SessionState, TerminalClass};
+use super::registry::{RegistryError, SessionId, SessionRegistry, TerminalClass};
 use super::shed::backoff_delay;
 use crate::clock::SharedClock;
 use crate::observe::{TrafficLog, TrafficShape, TrafficSummary};
@@ -205,14 +205,14 @@ pub fn drive(
     max_attempts: u32,
 ) -> DriveSummary {
     let mut summary = DriveSummary { clean_shape: None };
-    let deadline = {
-        let mut reg = registry.lock().unwrap_or_else(PoisonError::into_inner);
-        match reg.deadline(id) {
-            Some(deadline) if reg.transition(id, SessionState::Running, None).is_ok() => deadline,
-            // Unknown, or classified before a worker reached it (e.g. a
-            // drain swept the queue): nothing to run.
-            _ => return summary,
-        }
+    // Unknown, or classified before a worker reached it (e.g. a drain
+    // swept the queue): nothing to run.
+    let started = registry
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .start(id);
+    let Some(deadline) = started else {
+        return summary;
     };
     let clock = &config.clock;
     let mut roster: Vec<usize> = (0..job.roster_len()).collect();
@@ -306,6 +306,7 @@ pub fn drive(
 mod tests {
     use super::*;
     use crate::clock::{Clock, VirtualClock};
+    use crate::serve::SessionState;
     use std::sync::Arc;
 
     fn log_with_counts(counts: &[usize]) -> TrafficLog {
