@@ -6,6 +6,9 @@
 //! a failed or simulated one — and check that nothing but the payload
 //! randomness differs: same rounds, same slots, same sizes.
 
+use std::collections::HashSet;
+use std::sync::Arc;
+
 /// One observed transmission.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrafficRecord {
@@ -83,7 +86,7 @@ pub struct TrafficLog {
 
 /// The *shape* of a log: everything an eavesdropper can compare across
 /// sessions except payload bits — round labels, slots, sizes, order.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TrafficShape {
     /// `(round, from_slot, payload_len)` per record, in order.
     pub entries: Vec<(String, usize, usize)>,
@@ -92,17 +95,41 @@ pub struct TrafficShape {
 /// What a [`TrafficLog`] leaves behind once its payloads are dropped:
 /// the [`TrafficShape`] and the [`FaultCounters`]. Sizes, counts and
 /// fault tallies read exactly as on the log it was built from; no
-/// payload byte survives.
+/// payload byte survives. The shape sits behind an [`Arc`], so summaries
+/// of equal shape can share one allocation (the service registry keeps
+/// one per distinct shape).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrafficSummary {
-    shape: TrafficShape,
+    shape: Arc<TrafficShape>,
     faults: FaultCounters,
 }
 
 impl TrafficSummary {
+    /// A summary of `shape` with the given fault tallies.
+    pub(crate) fn new(shape: Arc<TrafficShape>, faults: FaultCounters) -> TrafficSummary {
+        TrafficSummary { shape, faults }
+    }
+
     /// The metadata shape of the summarised log.
     pub fn shape(&self) -> &TrafficShape {
         &self.shape
+    }
+
+    /// The shape's allocation, which equal summaries may share.
+    pub(crate) fn shared_shape(&self) -> &Arc<TrafficShape> {
+        &self.shape
+    }
+
+    /// Interns the shape in `shapes`: an equal shape already there
+    /// replaces this summary's copy, which is freed; a new one joins the
+    /// set.
+    pub(crate) fn intern(&mut self, shapes: &mut HashSet<Arc<TrafficShape>>) {
+        match shapes.get(&*self.shape) {
+            Some(known) => self.shape = Arc::clone(known),
+            None => {
+                shapes.insert(Arc::clone(&self.shape));
+            }
+        }
     }
 
     /// Total bytes observed.
@@ -192,13 +219,13 @@ impl TrafficLog {
     /// the labels move into the shape, the payloads are freed.
     pub fn into_summary(self) -> TrafficSummary {
         TrafficSummary {
-            shape: TrafficShape {
+            shape: Arc::new(TrafficShape {
                 entries: self
                     .records
                     .into_iter()
                     .map(|r| (r.round, r.from_slot, r.payload.len()))
                     .collect(),
-            },
+            }),
             faults: self.faults,
         }
     }

@@ -231,17 +231,21 @@ impl Service {
             return Submitted::Queued(id);
         }
         // Shed: classify immediately and emit a decoy so the refusal is
-        // indistinguishable on the wire from a served session.
-        let decoy = self
+        // indistinguishable on the wire from a served session. The entry
+        // keeps the template's summary; the decoy's bytes go to the caller.
+        let template = self
             .shapes
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .template(roster_len)
+            .cloned();
+        let decoy = template
+            .as_ref()
             .map(|t| t.synthesize(self.config.seed ^ id.wrapping_mul(0x9e37)));
         let mut reg = self.registry.lock().unwrap_or_else(PoisonError::into_inner);
         let _ = reg.transition(id, SessionState::Aborted, Some(TerminalClass::Shed));
-        if let Some(d) = &decoy {
-            let _ = reg.set_decoy_traffic(id, d.clone().into_summary());
+        if let Some(t) = &template {
+            let _ = reg.set_decoy_traffic(id, t.summary());
         }
         Submitted::Shed { id, decoy }
     }
@@ -546,6 +550,20 @@ mod tests {
             shed_entry.decoy_traffic,
             Some(decoy.into_summary()),
             "the registry keeps the decoy's summary"
+        );
+        let template = svc.shapes.lock().unwrap().template(2).unwrap().summary();
+        let kept = shed_entry.decoy_traffic.as_ref().unwrap();
+        assert!(
+            Arc::ptr_eq(kept.shared_shape(), template.shared_shape()),
+            "the entry shares the template's shape, not a copy"
+        );
+        let first_entry = svc.entry(first.id()).unwrap();
+        assert!(
+            Arc::ptr_eq(
+                first_entry.attempts[0].traffic.shared_shape(),
+                template.shared_shape()
+            ),
+            "the template is the registry's copy of the teaching attempt's shape"
         );
         assert!(svc.wait_idle(Duration::from_secs(10)));
         assert!(svc.shutdown(Duration::from_secs(5)).clean());

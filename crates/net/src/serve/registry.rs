@@ -22,11 +22,14 @@
 //! An entry keeps each attempt's roster, verdict, liveness, wire shape
 //! and fault counters, and no payload byte: a recorded attempt holds
 //! the [`TrafficSummary`] of its log, and the payloads die with the
-//! attempt.
+//! attempt. Sessions of one roster size put one shape on the wire, so
+//! the registry keeps each distinct shape once and every summary it
+//! records points at that copy.
 
 use super::session::AttemptRecord;
-use crate::observe::TrafficSummary;
-use std::collections::BTreeMap;
+use crate::observe::{TrafficShape, TrafficSummary};
+use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Registry-unique session identifier.
@@ -207,7 +210,12 @@ pub struct RegistryStats {
 /// the service wraps it in one mutex).
 #[derive(Debug, Default)]
 pub struct SessionRegistry {
-    entries: BTreeMap<SessionId, SessionEntry>,
+    /// Boxed: ids arrive in order, so the map's leaves stay part-empty,
+    /// and an inline slot would carry that slack at a whole entry's size.
+    entries: BTreeMap<SessionId, Box<SessionEntry>>,
+    /// Every distinct wire shape a recorded summary holds, once; the
+    /// summaries point at these copies ([`TrafficSummary::intern`]).
+    shapes: HashSet<Arc<TrafficShape>>,
     next_id: SessionId,
     /// Sessions ever admitted here. Distinct from `entries.len()`:
     /// eviction removes entries but admission history stands.
@@ -239,7 +247,7 @@ impl SessionRegistry {
         let now = Instant::now();
         self.entries.insert(
             id,
-            SessionEntry {
+            Box::new(SessionEntry {
                 id,
                 state: SessionState::Gathering,
                 class: None,
@@ -251,7 +259,7 @@ impl SessionRegistry {
                 started_at: None,
                 finished_at: None,
                 deadline,
-            },
+            }),
         );
     }
 
@@ -300,6 +308,8 @@ impl SessionRegistry {
         if to.terminal() {
             entry.finished_at = Some(now);
             entry.class = class;
+            // No attempt follows: drop the slack the first push reserved.
+            entry.attempts.shrink_to_fit();
         }
         entry.state = to;
         Ok(())
@@ -341,7 +351,9 @@ impl SessionRegistry {
         (swept, running)
     }
 
-    /// Appends an attempt record to a session's history.
+    /// Appends an attempt record to a session's history, its summary
+    /// interned, and returns the recorded shape: one allocation shared
+    /// by every equal shape in this registry.
     ///
     /// # Errors
     ///
@@ -349,10 +361,16 @@ impl SessionRegistry {
     pub fn record_attempt(
         &mut self,
         id: SessionId,
-        record: AttemptRecord,
-    ) -> Result<(), RegistryError> {
-        self.entry_mut(id)?.attempts.push(record);
-        Ok(())
+        mut record: AttemptRecord,
+    ) -> Result<Arc<TrafficShape>, RegistryError> {
+        let entry = self
+            .entries
+            .get_mut(&id)
+            .ok_or(RegistryError::UnknownSession)?;
+        record.traffic.intern(&mut self.shapes);
+        let shape = Arc::clone(record.traffic.shared_shape());
+        entry.attempts.push(record);
+        Ok(shape)
     }
 
     /// Counts one survivor re-formation on a session.
@@ -361,12 +379,15 @@ impl SessionRegistry {
     ///
     /// [`RegistryError::UnknownSession`].
     pub fn note_reformation(&mut self, id: SessionId) -> Result<(), RegistryError> {
-        self.entry_mut(id)?.reformations += 1;
+        self.entries
+            .get_mut(&id)
+            .ok_or(RegistryError::UnknownSession)?
+            .reformations += 1;
         Ok(())
     }
 
     /// Attaches the summary of the decoy traffic emitted for a shed
-    /// session.
+    /// session, interned like an attempt's.
     ///
     /// # Errors
     ///
@@ -374,21 +395,20 @@ impl SessionRegistry {
     pub fn set_decoy_traffic(
         &mut self,
         id: SessionId,
-        traffic: TrafficSummary,
+        mut traffic: TrafficSummary,
     ) -> Result<(), RegistryError> {
-        self.entry_mut(id)?.decoy_traffic = Some(traffic);
-        Ok(())
-    }
-
-    fn entry_mut(&mut self, id: SessionId) -> Result<&mut SessionEntry, RegistryError> {
-        self.entries
+        let entry = self
+            .entries
             .get_mut(&id)
-            .ok_or(RegistryError::UnknownSession)
+            .ok_or(RegistryError::UnknownSession)?;
+        traffic.intern(&mut self.shapes);
+        entry.decoy_traffic = Some(traffic);
+        Ok(())
     }
 
     /// A clone of one entry.
     pub fn entry(&self, id: SessionId) -> Option<SessionEntry> {
-        self.entries.get(&id).cloned()
+        self.entries.get(&id).map(|e| SessionEntry::clone(e))
     }
 
     /// Starts a queued session: moves a [`SessionState::Gathering`]
@@ -408,7 +428,10 @@ impl SessionRegistry {
 
     /// Clones every entry, in id order.
     pub fn snapshot(&self) -> Vec<SessionEntry> {
-        self.entries.values().cloned().collect()
+        self.entries
+            .values()
+            .map(|e| SessionEntry::clone(e))
+            .collect()
     }
 
     /// Ids of every non-terminal session — the leak check: after a full
@@ -457,11 +480,14 @@ impl SessionRegistry {
     }
 
     /// Removes terminal entries (a long-lived deployment would do this
-    /// periodically; tests keep them for inspection). Returns how many
-    /// were evicted.
+    /// periodically; tests keep them for inspection), and the shapes no
+    /// one else holds any more. Returns how many entries were evicted.
     pub fn evict_terminal(&mut self) -> usize {
         let before = self.entries.len();
         self.entries.retain(|_, e| !e.state.terminal());
+        // A shape held by the set alone was held by evicted entries
+        // alone; a remaining entry, the shape book or a clone keeps it.
+        self.shapes.retain(|s| Arc::strong_count(s) > 1);
         before - self.entries.len()
     }
 }
@@ -598,6 +624,115 @@ mod tests {
         assert_eq!(stats.attempts, 2);
         assert_eq!(stats.backpressure_dropped, 5);
         assert_eq!(r.entry(id).unwrap().attempts[1].traffic.total_bytes(), 3);
+    }
+
+    /// Records one attempt on `id` whose two slots each sent one
+    /// 3-byte message labelled `round`, and returns the recorded shape.
+    fn record_shape(r: &mut SessionRegistry, id: SessionId, round: &str) -> Arc<TrafficShape> {
+        use crate::observe::TrafficLog;
+        use crate::serve::AttemptVerdict;
+        let mut log = TrafficLog::new();
+        for slot in 0..2 {
+            log.record(round, slot, b"abc");
+        }
+        r.record_attempt(
+            id,
+            AttemptRecord {
+                attempt: 0,
+                roster: vec![0, 1],
+                verdict: AttemptVerdict::Success,
+                live_slots: vec![0, 1],
+                traffic: log.into_summary(),
+            },
+        )
+        .unwrap()
+    }
+
+    fn finish(r: &mut SessionRegistry, id: SessionId) {
+        r.transition(id, SessionState::Running, None).unwrap();
+        r.transition(id, SessionState::Completed, Some(TerminalClass::Accepted))
+            .unwrap();
+    }
+
+    #[test]
+    fn equal_summaries_share_one_shape_per_registry() {
+        let mut r = SessionRegistry::new();
+        let (a, b, c) = (r.admit(2, soon()), r.admit(2, soon()), r.admit(2, soon()));
+        let sa = record_shape(&mut r, a, "p1");
+        let sb = record_shape(&mut r, b, "p1");
+        let sc = record_shape(&mut r, c, "p2");
+        assert!(Arc::ptr_eq(&sa, &sb), "equal shapes share one allocation");
+        assert!(!Arc::ptr_eq(&sa, &sc), "a different shape gets its own");
+        assert_ne!(sa, sc);
+        let held = |id| Arc::clone(r.entry(id).unwrap().attempts[0].traffic.shared_shape());
+        assert!(Arc::ptr_eq(&held(a), &held(b)));
+        assert!(
+            Arc::ptr_eq(&held(a), &sa),
+            "the entry holds what was returned"
+        );
+        // A decoy's summary is interned like an attempt's.
+        let shed = r.admit(2, soon());
+        r.set_decoy_traffic(
+            shed,
+            TrafficSummary::new(Arc::new((*sc).clone()), Default::default()),
+        )
+        .unwrap();
+        let decoy = r.entry(shed).unwrap().decoy_traffic.unwrap();
+        assert!(Arc::ptr_eq(decoy.shared_shape(), &sc));
+        assert_eq!(r.shapes.len(), 2, "two distinct shapes, one copy each");
+        // An unknown id records nothing, shape included.
+        let mut other = (*sa).clone();
+        other.entries.push(("p3".into(), 0, 1));
+        assert_eq!(
+            r.set_decoy_traffic(99, TrafficSummary::new(Arc::new(other), Default::default())),
+            Err(RegistryError::UnknownSession)
+        );
+        assert_eq!(r.shapes.len(), 2);
+    }
+
+    #[test]
+    fn eviction_keeps_only_the_shapes_still_held() {
+        let mut r = SessionRegistry::new();
+        let (taught, gone, live) = (r.admit(2, soon()), r.admit(2, soon()), r.admit(2, soon()));
+        let mut book = crate::serve::ShapeBook::new();
+        book.learn(2, record_shape(&mut r, taught, "p1"));
+        let gone_shape = Arc::downgrade(&record_shape(&mut r, gone, "p2"));
+        let live_shape = record_shape(&mut r, live, "p3");
+        finish(&mut r, taught);
+        finish(&mut r, gone);
+        r.transition(live, SessionState::Running, None).unwrap();
+        assert_eq!(r.shapes.len(), 3);
+
+        assert_eq!(r.evict_terminal(), 2);
+        let template = book.template(2).unwrap().summary();
+        let mut kept: Vec<_> = r.shapes.iter().cloned().collect();
+        kept.sort_by_key(|s| s.entries[0].0.clone());
+        assert_eq!(
+            kept.len(),
+            2,
+            "the shape only an evicted entry held is gone"
+        );
+        assert!(Arc::ptr_eq(&kept[0], template.shared_shape()), "the book's");
+        assert!(Arc::ptr_eq(&kept[1], &live_shape), "the live entry's");
+        assert!(gone_shape.upgrade().is_none(), "and its memory is freed");
+    }
+
+    #[test]
+    fn terminal_entries_keep_exactly_their_attempts() {
+        let mut r = SessionRegistry::new();
+        let id = r.admit(2, soon());
+        r.transition(id, SessionState::Running, None).unwrap();
+        for _ in 0..3 {
+            record_shape(&mut r, id, "p1");
+        }
+        assert!(
+            r.entries[&id].attempts.capacity() > 3,
+            "pushes reserve slack"
+        );
+        r.transition(id, SessionState::Completed, Some(TerminalClass::Accepted))
+            .unwrap();
+        let attempts = &r.entries[&id].attempts;
+        assert_eq!((attempts.len(), attempts.capacity()), (3, 3));
     }
 
     #[test]

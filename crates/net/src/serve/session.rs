@@ -24,7 +24,7 @@ use super::shed::backoff_delay;
 use crate::clock::SharedClock;
 use crate::observe::{TrafficLog, TrafficShape, TrafficSummary};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// What the service tells a job about the attempt it is asking for.
@@ -174,8 +174,9 @@ pub struct DriveConfig {
 /// What [`drive`] hands back to the service worker for shape learning.
 pub struct DriveSummary {
     /// Wire shape of the first attempt, if it completed fault-free (the
-    /// template admission control imitates when shedding).
-    pub(crate) clean_shape: Option<TrafficShape>,
+    /// template admission control imitates when shedding), as the
+    /// registry's interned copy.
+    pub(crate) clean_shape: Option<Arc<TrafficShape>>,
 }
 
 fn classify(
@@ -237,11 +238,9 @@ pub fn drive(
         let traffic = outcome.traffic.into_summary();
         // Faulty traffic would bake an injected anomaly into every
         // future decoy, so only a fault-free first attempt teaches.
-        if attempt == 0 && traffic.faults().total() == 0 {
-            summary.clean_shape = Some(traffic.shape().clone());
-        }
+        let teaches = attempt == 0 && traffic.faults().total() == 0;
         let verdict = outcome.verdict;
-        let _ = registry
+        let recorded = registry
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .record_attempt(
@@ -254,6 +253,9 @@ pub fn drive(
                     traffic,
                 },
             );
+        if teaches {
+            summary.clean_shape = recorded.ok();
+        }
         match verdict {
             AttemptVerdict::Success => {
                 let _ = classify(registry, id, TerminalClass::Accepted);
@@ -307,7 +309,6 @@ mod tests {
     use super::*;
     use crate::clock::{Clock, VirtualClock};
     use crate::serve::SessionState;
-    use std::sync::Arc;
 
     fn log_with_counts(counts: &[usize]) -> TrafficLog {
         let mut log = TrafficLog::new();
@@ -556,7 +557,13 @@ mod tests {
                 assert_eq!(record.traffic, job.traffic(i).into_summary());
             }
             let first = job.traffic(0).shape();
-            assert_eq!(summary.clean_shape, teaches.then_some(first));
+            assert_eq!(summary.clean_shape.as_deref(), teaches.then_some(&first));
+            if let Some(shape) = &summary.clean_shape {
+                assert!(
+                    Arc::ptr_eq(shape, e.attempts[0].traffic.shared_shape()),
+                    "the template is the registry's copy"
+                );
+            }
         }
     }
 

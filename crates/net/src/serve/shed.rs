@@ -13,30 +13,39 @@
 //!
 //! The [`ShapeBook`] learns wire shapes from real fault-free attempts as
 //! they complete, one template per roster size; it is taught a shape,
-//! never payload bytes. Until a template exists
-//! the service cannot shed indistinguishably, so early submissions are
-//! queued rather than shed (the queue is empty at startup anyway).
+//! never payload bytes, and holds the registry's interned copy of it.
+//! Until a template exists the service cannot shed indistinguishably,
+//! so early submissions are queued rather than shed (the queue is empty
+//! at startup anyway).
 
-use crate::observe::{TrafficLog, TrafficShape};
+use crate::observe::{FaultCounters, TrafficLog, TrafficShape, TrafficSummary};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A learned wire shape for one roster size: the template decoys copy.
 #[derive(Debug, Clone)]
 pub struct DecoyShape {
     roster_len: usize,
-    shape: TrafficShape,
+    shape: Arc<TrafficShape>,
 }
 
 impl DecoyShape {
     /// A template from the wire shape of a real session's traffic.
-    pub fn new(roster_len: usize, shape: TrafficShape) -> DecoyShape {
+    pub fn new(roster_len: usize, shape: Arc<TrafficShape>) -> DecoyShape {
         DecoyShape { roster_len, shape }
     }
 
     /// The roster size this template imitates.
     pub fn roster_len(&self) -> usize {
         self.roster_len
+    }
+
+    /// What a registry keeps of every decoy this template synthesizes:
+    /// the template's shape, shared rather than copied, and zero fault
+    /// counters (no medium carried the decoy).
+    pub(crate) fn summary(&self) -> TrafficSummary {
+        TrafficSummary::new(Arc::clone(&self.shape), FaultCounters::default())
     }
 
     /// Synthesizes a decoy log: the template's shape, fresh payload
@@ -74,7 +83,7 @@ impl ShapeBook {
     /// injected anomaly into every future decoy, see [`super::drive`]).
     /// First template per roster size wins; shapes are deterministic
     /// per size, so later sessions would teach the same thing.
-    pub fn learn(&mut self, roster_len: usize, shape: TrafficShape) {
+    pub fn learn(&mut self, roster_len: usize, shape: Arc<TrafficShape>) {
         self.shapes
             .entry(roster_len)
             .or_insert_with(|| DecoyShape::new(roster_len, shape));
@@ -127,7 +136,7 @@ mod tests {
     #[test]
     fn decoy_matches_shape_not_bits() {
         let real = sample_log();
-        let decoy = DecoyShape::new(2, real.shape()).synthesize(7);
+        let decoy = DecoyShape::new(2, Arc::new(real.shape())).synthesize(7);
         assert_eq!(decoy.shape(), real.shape());
         assert_ne!(decoy, real, "payload bits must be fresh");
     }
@@ -135,7 +144,7 @@ mod tests {
     #[test]
     fn decoys_differ_across_sessions() {
         let real = sample_log();
-        let shape = DecoyShape::new(2, real.shape());
+        let shape = DecoyShape::new(2, Arc::new(real.shape()));
         assert_ne!(shape.synthesize(1), shape.synthesize(2));
         assert_eq!(shape.synthesize(1).shape(), shape.synthesize(2).shape());
     }
@@ -145,14 +154,15 @@ mod tests {
         let mut book = ShapeBook::new();
         assert!(book.template(2).is_none());
         let first = sample_log().shape();
-        book.learn(2, first.clone());
+        book.learn(2, Arc::new(first.clone()));
         let mut other = TrafficLog::new();
         other.record("p1", 0, b"z");
-        book.learn(2, other.shape());
-        book.learn(3, other.shape());
+        book.learn(2, Arc::new(other.shape()));
+        book.learn(3, Arc::new(other.shape()));
         let template = book.template(2).expect("size 2 learned");
         assert_eq!(template.roster_len(), 2);
         assert_eq!(template.synthesize(1).shape(), first);
+        assert_eq!(template.summary(), template.synthesize(1).into_summary());
         assert_eq!(book.known_sizes(), vec![2, 3]);
     }
 
