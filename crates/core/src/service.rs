@@ -231,7 +231,8 @@ mod tests {
         let mut job = HandshakeJob::new(pool, 3, HandshakeOptions::default(), "t1");
         let out = job.run_attempt(&ctx(0, vec![0, 1, 2]));
         assert_eq!(out.verdict, AttemptVerdict::Success);
-        assert_eq!(live_slots(&[0, 1, 2], &out.traffic), vec![0, 1, 2]);
+        let traffic = out.traffic.into_summary();
+        assert_eq!(live_slots(&[0, 1, 2], &traffic), vec![0, 1, 2]);
     }
 
     #[test]
@@ -244,7 +245,8 @@ mod tests {
             });
         let out = job.run_attempt(&ctx(0, vec![0, 1, 2]));
         assert_eq!(out.verdict, AttemptVerdict::Abort);
-        assert_eq!(live_slots(&[0, 1, 2], &out.traffic), vec![0, 1]);
+        let traffic = out.traffic.into_summary();
+        assert_eq!(live_slots(&[0, 1, 2], &traffic), vec![0, 1]);
         // The re-formed attempt among survivors is clean and succeeds.
         let out = job.run_attempt(&ctx(1, vec![0, 1]));
         assert_eq!(out.verdict, AttemptVerdict::Success);

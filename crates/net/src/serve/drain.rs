@@ -2,9 +2,12 @@
 //!
 //! Shutdown is a *drain*, not a kill: queued sessions that no worker has
 //! picked up are classified [`super::registry::TerminalClass::Drained`] immediately, and
-//! running sessions get a grace period to finish their current attempt —
-//! the drain flag forbids further re-formation retries, so every running
-//! session reaches a terminal state within one attempt. The
+//! running sessions get a grace period to finish their current attempt.
+//! The drain is the running entries' own
+//! [`super::registry::SessionState::Draining`], which forbids further
+//! re-formation retries: a session whose attempt aborts, or that is
+//! backing off, is classified drained without another attempt, so every
+//! running session reaches a terminal state within one attempt. The
 //! [`DrainReport`] records what happened, so operators (and the chaos
 //! soak) can assert that nothing was left dangling.
 

@@ -14,21 +14,26 @@
 //!   session, so no session waits behind a busy worker while another is
 //!   free.
 //! * **Backpressure** — when the queue is full, admission control sheds
-//!   the session *with decoy traffic* ([`shed::ShapeBook`]) so outsiders
-//!   cannot distinguish a shed session from a served-and-failed one.
+//!   the session *with decoy traffic* ([`shed`]) copying a wire shape the
+//!   registry learned, so outsiders cannot distinguish a shed session
+//!   from a served-and-failed one.
 //! * **Survivor re-formation** — when an attempt aborts, slot liveness
-//!   derived from the attempt's [`crate::observe::TrafficLog`] picks the
-//!   responsive survivors and the session is re-formed among them
-//!   (§7 partial-success semantics), retried under jittered exponential
-//!   backoff, a bounded attempt budget and a per-session deadline.
+//!   read off the summary of the attempt's
+//!   [`crate::observe::TrafficLog`] picks the responsive survivors and
+//!   the session is re-formed among them (§7 partial-success
+//!   semantics), retried under jittered exponential backoff, a bounded
+//!   attempt budget and a per-session deadline.
 //! * **Graceful shutdown** — [`Service::shutdown`] sweeps the queue,
-//!   lets running sessions finish their current attempt, and reports a
-//!   [`drain::DrainReport`] whose leak count a chaos soak can assert to
-//!   be zero.
+//!   lets running sessions finish their current attempt but start no
+//!   other, and reports a [`drain::DrainReport`] whose leak count a
+//!   chaos soak can assert to be zero.
 //!
-//! The service is generic over [`session::SessionJob`], so `shs-net`
-//! stays protocol-agnostic; `shs-core` provides the adapter that runs
-//! real GCD handshakes as jobs.
+//! The registry is the one store of what the service knows about
+//! sessions: their entries, the decoy templates, and the drain (the
+//! running entries' [`SessionState::Draining`]). The service is generic
+//! over [`session::SessionJob`], so `shs-net` stays protocol-agnostic;
+//! `shs-core` provides the adapter that runs real GCD handshakes as
+//! jobs.
 
 pub mod drain;
 pub mod registry;
@@ -44,11 +49,10 @@ pub use session::{
     drive, live_slots, AttemptContext, AttemptOutcome, AttemptRecord, AttemptVerdict, DriveConfig,
     SessionJob, SessionSpec,
 };
-pub use shed::{backoff_delay, DecoyShape, ShapeBook};
+pub use shed::backoff_delay;
 
 use crate::clock::SharedClock;
 use crate::observe::TrafficLog;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
@@ -133,8 +137,6 @@ struct WorkItem {
 pub struct Service {
     config: ServiceConfig,
     registry: Arc<Mutex<SessionRegistry>>,
-    shapes: Arc<Mutex<ShapeBook>>,
-    draining: Arc<AtomicBool>,
     /// The session clock (wall time): registry deadlines are readings
     /// of it, and the workers' attempt loops run on it.
     clock: SharedClock,
@@ -149,8 +151,6 @@ impl Service {
     pub fn start(config: ServiceConfig) -> Service {
         let clock = crate::clock::wall();
         let registry = Arc::new(Mutex::new(SessionRegistry::new()));
-        let shapes = Arc::new(Mutex::new(ShapeBook::new()));
-        let draining = Arc::new(AtomicBool::new(false));
         let drive_cfg = DriveConfig {
             backoff_base: config.backoff_base,
             backoff_cap: config.backoff_cap,
@@ -163,8 +163,6 @@ impl Service {
             .map(|_| {
                 let rx = Arc::clone(&rx);
                 let registry = Arc::clone(&registry);
-                let shapes = Arc::clone(&shapes);
-                let draining = Arc::clone(&draining);
                 let drive_cfg = drive_cfg.clone();
                 thread::spawn(move || loop {
                     // Idle workers share the receiver: the one holding
@@ -175,23 +173,13 @@ impl Service {
                         .unwrap_or_else(PoisonError::into_inner)
                         .recv_timeout(Duration::from_millis(25));
                     match next {
-                        Ok(mut item) => {
-                            let roster_len = item.spec.job.roster_len();
-                            let summary = drive(
-                                &registry,
-                                &draining,
-                                &drive_cfg,
-                                item.id,
-                                item.spec.job.as_mut(),
-                                item.spec.max_attempts,
-                            );
-                            if let Some(shape) = summary.clean_shape {
-                                shapes
-                                    .lock()
-                                    .unwrap_or_else(PoisonError::into_inner)
-                                    .learn(roster_len, shape);
-                            }
-                        }
+                        Ok(mut item) => drive(
+                            &registry,
+                            &drive_cfg,
+                            item.id,
+                            item.spec.job.as_mut(),
+                            item.spec.max_attempts,
+                        ),
                         Err(RecvTimeoutError::Timeout) => continue,
                         Err(RecvTimeoutError::Disconnected) => break,
                     }
@@ -201,8 +189,6 @@ impl Service {
         Service {
             config,
             registry,
-            shapes,
-            draining,
             clock,
             queue,
             workers,
@@ -221,32 +207,22 @@ impl Service {
         if spec.max_attempts == 0 {
             spec.max_attempts = self.config.default_max_attempts;
         }
-        let roster_len = spec.job.roster_len();
         let id = self
             .registry
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .admit(roster_len, self.clock.now() + spec.deadline);
+            .admit(spec.job.roster_len(), self.clock.now() + spec.deadline);
         if self.queue.try_send(WorkItem { id, spec }).is_ok() {
             return Submitted::Queued(id);
         }
         // Shed: classify immediately and emit a decoy so the refusal is
         // indistinguishable on the wire from a served session. The entry
         // keeps the template's summary; the decoy's bytes go to the caller.
-        let template = self
-            .shapes
+        let decoy = self
+            .registry
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .template(roster_len)
-            .cloned();
-        let decoy = template
-            .as_ref()
-            .map(|t| t.synthesize(self.config.seed ^ id.wrapping_mul(0x9e37)));
-        let mut reg = self.registry.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = reg.transition(id, SessionState::Aborted, Some(TerminalClass::Shed));
-        if let Some(t) = &template {
-            let _ = reg.set_decoy_traffic(id, t.summary());
-        }
+            .shed(id, self.config.seed ^ id.wrapping_mul(0x9e37));
         Submitted::Shed { id, decoy }
     }
 
@@ -271,12 +247,12 @@ impl Service {
     }
 
     /// Gracefully shuts down: sweeps queued sessions (classified
-    /// [`TerminalClass::Drained`]), forbids further retries, gives
-    /// running sessions `grace` to finish their current attempt, and
-    /// joins the workers.
+    /// [`TerminalClass::Drained`]), moves running ones to
+    /// [`SessionState::Draining`], which forbids further retries, gives
+    /// them `grace` to finish their current attempt, and joins the
+    /// workers.
     pub fn shutdown(self, grace: Duration) -> DrainReport {
         let start = Instant::now();
-        self.draining.store(true, Ordering::SeqCst);
         let (swept, running_at_drain) = self
             .registry
             .lock()
@@ -343,12 +319,12 @@ impl Service {
             .leaks()
     }
 
-    /// Roster sizes the shape book can already imitate.
+    /// Roster sizes the registry has learned a decoy template for.
     pub fn known_decoy_sizes(&self) -> Vec<usize> {
-        self.shapes
+        self.registry
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .known_sizes()
+            .known_decoy_sizes()
     }
 
     /// The configuration the service was started with.
@@ -489,6 +465,33 @@ mod tests {
         assert!(svc.shutdown(Duration::from_secs(5)).clean());
     }
 
+    /// The drain is the entry's state: a session backing off when it
+    /// begins is classified drained without another attempt.
+    #[test]
+    fn a_session_backing_off_at_a_drain_starts_no_further_attempt() {
+        let svc = Service::start(ServiceConfig {
+            workers: 1,
+            backoff_base: Duration::from_millis(400),
+            backoff_cap: Duration::from_millis(400),
+            ..ServiceConfig::default()
+        });
+        let registry = Arc::clone(&svc.registry);
+        let id = svc.submit(SessionSpec::new(Box::new(AbortingJob))).id();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while svc.entry(id).unwrap().attempts.is_empty() {
+            assert!(Instant::now() < deadline, "attempt 0 was never recorded");
+            thread::sleep(Duration::from_millis(1));
+        }
+        // 20 ms into a backoff of 200-400 ms.
+        thread::sleep(Duration::from_millis(20));
+        let report = svc.shutdown(Duration::from_secs(5));
+        assert!(report.clean(), "{report:?}");
+        assert_eq!(report.finished_in_grace, 1);
+        let e = registry.lock().unwrap().entry(id).unwrap();
+        assert_eq!(e.class, Some(TerminalClass::Drained));
+        assert_eq!(e.attempts.len(), 1, "no attempt starts after the drain");
+    }
+
     #[test]
     fn sessions_complete_and_registry_stays_leak_free() {
         let svc = Service::start(ServiceConfig {
@@ -518,7 +521,7 @@ mod tests {
             queue_capacity: 1,
             ..ServiceConfig::default()
         });
-        // Teach the shape book with one clean session first.
+        // Teach the registry a template with one clean session first.
         let logs = Arc::new(Mutex::new(Vec::new()));
         let first = svc.submit(SessionSpec::new(Box::new(Keeping {
             inner: SleepyJob {
@@ -551,19 +554,14 @@ mod tests {
             Some(decoy.into_summary()),
             "the registry keeps the decoy's summary"
         );
-        let template = svc.shapes.lock().unwrap().template(2).unwrap().summary();
         let kept = shed_entry.decoy_traffic.as_ref().unwrap();
-        assert!(
-            Arc::ptr_eq(kept.shared_shape(), template.shared_shape()),
-            "the entry shares the template's shape, not a copy"
-        );
         let first_entry = svc.entry(first.id()).unwrap();
         assert!(
             Arc::ptr_eq(
-                first_entry.attempts[0].traffic.shared_shape(),
-                template.shared_shape()
+                kept.shared_shape(),
+                first_entry.attempts[0].traffic.shared_shape()
             ),
-            "the template is the registry's copy of the teaching attempt's shape"
+            "the shed entry shares the teaching attempt's shape, not a copy"
         );
         assert!(svc.wait_idle(Duration::from_secs(10)));
         assert!(svc.shutdown(Duration::from_secs(5)).clean());

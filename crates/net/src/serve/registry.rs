@@ -19,15 +19,23 @@
 //! evicted ([`SessionRegistry::evict_terminal`]) — the leak check is
 //! "every entry is terminal", not "the map is empty".
 //!
-//! An entry keeps each attempt's roster, verdict, liveness, wire shape
-//! and fault counters, and no payload byte: a recorded attempt holds
-//! the [`TrafficSummary`] of its log, and the payloads die with the
-//! attempt. Sessions of one roster size put one shape on the wire, so
-//! the registry keeps each distinct shape once and every summary it
-//! records points at that copy.
+//! An entry keeps each attempt's roster, verdict, wire shape and fault
+//! counters, and no payload byte: a recorded attempt holds the
+//! [`TrafficSummary`] of its log, and the payloads die with the
+//! attempt. Liveness is not stored: it is read off the summary's
+//! per-slot counts ([`AttemptRecord::live_slots`]). Sessions of one
+//! roster size put one shape on the wire, so the registry keeps each
+//! distinct shape once and every summary it records points at that
+//! copy.
+//!
+//! The registry is the service's one store of session state. It also
+//! learns the decoy templates a shed session imitates (one per roster
+//! size, see [`super::shed`]), and a drain is the entries' own
+//! [`SessionState::Draining`], which the attempt loop reads.
 
 use super::session::AttemptRecord;
-use crate::observe::{TrafficShape, TrafficSummary};
+use super::shed::synthesize;
+use crate::observe::{FaultCounters, TrafficLog, TrafficShape, TrafficSummary};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -140,8 +148,8 @@ impl std::fmt::Display for RegistryError {
 impl std::error::Error for RegistryError {}
 
 /// One registry entry: lifecycle, deadline, and the attempt history of
-/// a session (roster, verdict, liveness, wire shape and fault counters
-/// per attempt; no payload bytes).
+/// a session (roster, verdict, wire shape and fault counters per
+/// attempt; no payload bytes).
 #[derive(Debug, Clone)]
 pub struct SessionEntry {
     /// Registry-unique id.
@@ -216,6 +224,9 @@ pub struct SessionRegistry {
     /// Every distinct wire shape a recorded summary holds, once; the
     /// summaries point at these copies ([`TrafficSummary::intern`]).
     shapes: HashSet<Arc<TrafficShape>>,
+    /// The decoy template of each roster size: the interned shape of the
+    /// first fault-free attempt 0 recorded for a session of that size.
+    templates: BTreeMap<usize, Arc<TrafficShape>>,
     next_id: SessionId,
     /// Sessions ever admitted here. Distinct from `entries.len()`:
     /// eviction removes entries but admission history stands.
@@ -352,8 +363,14 @@ impl SessionRegistry {
     }
 
     /// Appends an attempt record to a session's history, its summary
-    /// interned, and returns the recorded shape: one allocation shared
-    /// by every equal shape in this registry.
+    /// interned (one allocation shared by every equal shape in this
+    /// registry), and returns the session's state, which reads
+    /// [`SessionState::Draining`] once a drain has begun.
+    ///
+    /// The first fault-free attempt 0 of each roster size also becomes
+    /// that size's decoy template: faulty traffic would bake an injected
+    /// anomaly into every future decoy, and a retry may run on a
+    /// re-formed, smaller roster.
     ///
     /// # Errors
     ///
@@ -362,15 +379,19 @@ impl SessionRegistry {
         &mut self,
         id: SessionId,
         mut record: AttemptRecord,
-    ) -> Result<Arc<TrafficShape>, RegistryError> {
+    ) -> Result<SessionState, RegistryError> {
         let entry = self
             .entries
             .get_mut(&id)
             .ok_or(RegistryError::UnknownSession)?;
         record.traffic.intern(&mut self.shapes);
-        let shape = Arc::clone(record.traffic.shared_shape());
+        if record.attempt == 0 && record.traffic.faults().total() == 0 {
+            self.templates
+                .entry(entry.roster_len)
+                .or_insert_with(|| Arc::clone(record.traffic.shared_shape()));
+        }
         entry.attempts.push(record);
-        Ok(shape)
+        Ok(entry.state)
     }
 
     /// Counts one survivor re-formation on a session.
@@ -386,24 +407,30 @@ impl SessionRegistry {
         Ok(())
     }
 
-    /// Attaches the summary of the decoy traffic emitted for a shed
-    /// session, interned like an attempt's.
-    ///
-    /// # Errors
-    ///
-    /// [`RegistryError::UnknownSession`].
-    pub fn set_decoy_traffic(
-        &mut self,
-        id: SessionId,
-        mut traffic: TrafficSummary,
-    ) -> Result<(), RegistryError> {
-        let entry = self
-            .entries
-            .get_mut(&id)
-            .ok_or(RegistryError::UnknownSession)?;
-        traffic.intern(&mut self.shapes);
-        entry.decoy_traffic = Some(traffic);
-        Ok(())
+    /// Sheds a queued session: classifies it [`TerminalClass::Shed`]
+    /// and, once its roster size has a template, keeps the template's
+    /// shape (zero fault counters: no medium carried the decoy) as the
+    /// entry's `decoy_traffic` and returns a decoy synthesized from it
+    /// with `seed`. `None` if no template is known, or if the transition
+    /// is refused (an unknown or already terminal session).
+    pub(crate) fn shed(&mut self, id: SessionId, seed: u64) -> Option<TrafficLog> {
+        self.transition(id, SessionState::Aborted, Some(TerminalClass::Shed))
+            .ok()?;
+        let entry = self.entries.get_mut(&id)?;
+        let template = self.templates.get(&entry.roster_len)?;
+        let summary = TrafficSummary::new(Arc::clone(template), FaultCounters::default());
+        entry.decoy_traffic = Some(summary);
+        Some(synthesize(template, seed))
+    }
+
+    /// Roster sizes with a decoy template.
+    pub(crate) fn known_decoy_sizes(&self) -> Vec<usize> {
+        self.templates.keys().copied().collect()
+    }
+
+    /// The lifecycle state of one session.
+    pub(crate) fn state(&self, id: SessionId) -> Option<SessionState> {
+        self.entries.get(&id).map(|e| e.state)
     }
 
     /// A clone of one entry.
@@ -486,7 +513,7 @@ impl SessionRegistry {
         let before = self.entries.len();
         self.entries.retain(|_, e| !e.state.terminal());
         // A shape held by the set alone was held by evicted entries
-        // alone; a remaining entry, the shape book or a clone keeps it.
+        // alone; a remaining entry, a template or a clone keeps it.
         self.shapes.retain(|s| Arc::strong_count(s) > 1);
         before - self.entries.len()
     }
@@ -600,7 +627,6 @@ mod tests {
 
     #[test]
     fn stats_count_attempts_and_backpressure_from_summaries() {
-        use crate::observe::{FaultCounters, TrafficLog};
         use crate::serve::AttemptVerdict;
         let mut r = SessionRegistry::new();
         let id = r.admit(2, soon());
@@ -615,7 +641,6 @@ mod tests {
                 attempt: 0,
                 roster: vec![0, 1],
                 verdict: AttemptVerdict::Abort,
-                live_slots: vec![0],
                 traffic: log.into_summary(),
             };
             r.record_attempt(id, record).unwrap();
@@ -626,26 +651,24 @@ mod tests {
         assert_eq!(r.entry(id).unwrap().attempts[1].traffic.total_bytes(), 3);
     }
 
-    /// Records one attempt on `id` whose two slots each sent one
-    /// 3-byte message labelled `round`, and returns the recorded shape.
+    /// Records one fault-free attempt 0 on `id` whose two slots each
+    /// sent one 3-byte message labelled `round`, and returns the shape
+    /// the entry holds for it.
     fn record_shape(r: &mut SessionRegistry, id: SessionId, round: &str) -> Arc<TrafficShape> {
-        use crate::observe::TrafficLog;
         use crate::serve::AttemptVerdict;
         let mut log = TrafficLog::new();
         for slot in 0..2 {
             log.record(round, slot, b"abc");
         }
-        r.record_attempt(
-            id,
-            AttemptRecord {
-                attempt: 0,
-                roster: vec![0, 1],
-                verdict: AttemptVerdict::Success,
-                live_slots: vec![0, 1],
-                traffic: log.into_summary(),
-            },
-        )
-        .unwrap()
+        let record = AttemptRecord {
+            attempt: 0,
+            roster: vec![0, 1],
+            verdict: AttemptVerdict::Success,
+            traffic: log.into_summary(),
+        };
+        r.record_attempt(id, record).unwrap();
+        let recorded = r.entries[&id].attempts.last().unwrap();
+        Arc::clone(recorded.traffic.shared_shape())
     }
 
     fn finish(r: &mut SessionRegistry, id: SessionId) {
@@ -664,38 +687,49 @@ mod tests {
         assert!(Arc::ptr_eq(&sa, &sb), "equal shapes share one allocation");
         assert!(!Arc::ptr_eq(&sa, &sc), "a different shape gets its own");
         assert_ne!(sa, sc);
-        let held = |id| Arc::clone(r.entry(id).unwrap().attempts[0].traffic.shared_shape());
-        assert!(Arc::ptr_eq(&held(a), &held(b)));
-        assert!(
-            Arc::ptr_eq(&held(a), &sa),
-            "the entry holds what was returned"
-        );
-        // A decoy's summary is interned like an attempt's.
+        // A shed entry keeps the template, `a`'s shape, not a copy.
         let shed = r.admit(2, soon());
-        r.set_decoy_traffic(
-            shed,
-            TrafficSummary::new(Arc::new((*sc).clone()), Default::default()),
-        )
-        .unwrap();
+        assert!(r.shed(shed, 1).is_some());
         let decoy = r.entry(shed).unwrap().decoy_traffic.unwrap();
-        assert!(Arc::ptr_eq(decoy.shared_shape(), &sc));
+        assert!(Arc::ptr_eq(decoy.shared_shape(), &sa));
         assert_eq!(r.shapes.len(), 2, "two distinct shapes, one copy each");
-        // An unknown id records nothing, shape included.
-        let mut other = (*sa).clone();
-        other.entries.push(("p3".into(), 0, 1));
+        // An unknown id sheds nothing and interns nothing; a size with no
+        // template is shed without a decoy.
+        assert!(r.shed(99, 1).is_none());
+        let lone = r.admit(5, soon());
+        assert!(r.shed(lone, 1).is_none());
+        let lone = r.entry(lone).unwrap();
         assert_eq!(
-            r.set_decoy_traffic(99, TrafficSummary::new(Arc::new(other), Default::default())),
-            Err(RegistryError::UnknownSession)
+            (lone.class, lone.decoy_traffic),
+            (Some(TerminalClass::Shed), None)
         );
-        assert_eq!(r.shapes.len(), 2);
+        assert_eq!((r.shapes.len(), r.templates.len()), (2, 1));
+    }
+
+    #[test]
+    fn the_first_template_per_size_wins() {
+        let mut r = SessionRegistry::new();
+        let (first, later, shed) = (r.admit(2, soon()), r.admit(2, soon()), r.admit(2, soon()));
+        let taught = record_shape(&mut r, first, "p1");
+        record_shape(&mut r, later, "p2");
+        let three = r.admit(3, soon());
+        record_shape(&mut r, three, "p2");
+        assert_eq!(r.known_decoy_sizes(), vec![2, 3]);
+        assert!(Arc::ptr_eq(&r.templates[&2], &taught));
+        let decoy = r.shed(shed, 7).unwrap();
+        assert_eq!(decoy.shape(), *taught);
+        assert_eq!(
+            r.entry(shed).unwrap().decoy_traffic,
+            Some(decoy.into_summary()),
+            "the entry keeps the decoy's summary"
+        );
     }
 
     #[test]
     fn eviction_keeps_only_the_shapes_still_held() {
         let mut r = SessionRegistry::new();
         let (taught, gone, live) = (r.admit(2, soon()), r.admit(2, soon()), r.admit(2, soon()));
-        let mut book = crate::serve::ShapeBook::new();
-        book.learn(2, record_shape(&mut r, taught, "p1"));
+        record_shape(&mut r, taught, "p1");
         let gone_shape = Arc::downgrade(&record_shape(&mut r, gone, "p2"));
         let live_shape = record_shape(&mut r, live, "p3");
         finish(&mut r, taught);
@@ -704,7 +738,6 @@ mod tests {
         assert_eq!(r.shapes.len(), 3);
 
         assert_eq!(r.evict_terminal(), 2);
-        let template = book.template(2).unwrap().summary();
         let mut kept: Vec<_> = r.shapes.iter().cloned().collect();
         kept.sort_by_key(|s| s.entries[0].0.clone());
         assert_eq!(
@@ -712,7 +745,7 @@ mod tests {
             2,
             "the shape only an evicted entry held is gone"
         );
-        assert!(Arc::ptr_eq(&kept[0], template.shared_shape()), "the book's");
+        assert!(Arc::ptr_eq(&kept[0], &r.templates[&2]), "the template's");
         assert!(Arc::ptr_eq(&kept[1], &live_shape), "the live entry's");
         assert!(gone_shape.upgrade().is_none(), "and its memory is freed");
     }

@@ -8,8 +8,9 @@
 //! Everything the service decides — who is still alive, whether to
 //! re-form, when to give up — is driven by that log's counters, exactly
 //! the information a deployment's traffic accounting would have. The
-//! registry keeps only the log's [`TrafficSummary`]: the payloads are
-//! dropped once the attempt is recorded.
+//! log is summarised ([`TrafficSummary`]) as soon as the attempt
+//! returns, liveness is read off the summary, and the registry keeps
+//! the summary alone: the payloads are dropped.
 //!
 //! **Survivor re-formation** leans on the §7 partially-successful-
 //! handshake semantics: survivors of the same group still succeed among
@@ -18,13 +19,18 @@
 //! under jittered exponential backoff, a bounded attempt count and the
 //! per-session deadline. Fewer than two live slots means no session is
 //! possible and the retry loop stops immediately (no retry storm).
+//!
+//! The loop keeps no state of its own beyond the roster and the attempt
+//! number: it records each attempt in the [`SessionRegistry`] and reads
+//! a drain from the entry's [`SessionState::Draining`], after an
+//! aborted attempt and during the backoff, so no attempt starts once a
+//! drain has begun.
 
-use super::registry::{RegistryError, SessionId, SessionRegistry, TerminalClass};
+use super::registry::{SessionId, SessionRegistry, SessionState, TerminalClass};
 use super::shed::backoff_delay;
 use crate::clock::SharedClock;
-use crate::observe::{TrafficLog, TrafficShape, TrafficSummary};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use crate::observe::{TrafficLog, TrafficSummary};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// What the service tells a job about the attempt it is asking for.
@@ -75,10 +81,10 @@ pub trait SessionJob: Send {
 }
 
 /// A recorded attempt, kept in the session's registry entry: who took
-/// part, what the job decided, who the traffic showed to be live, and
-/// the traffic's wire shape and fault counters. No payload byte is
-/// kept: [`drive`] summarises the [`AttemptOutcome`]'s log and drops
-/// its payloads.
+/// part, what the job decided, and the traffic's wire shape and fault
+/// counters, from which [`AttemptRecord::live_slots`] reads who was
+/// live. No payload byte is kept: [`drive`] summarises the
+/// [`AttemptOutcome`]'s log and drops its payloads.
 #[derive(Debug, Clone)]
 pub struct AttemptRecord {
     /// 0-based attempt number.
@@ -87,10 +93,16 @@ pub struct AttemptRecord {
     pub roster: Vec<usize>,
     /// The job's verdict.
     pub verdict: AttemptVerdict,
-    /// Original-roster indices the traffic log showed to be live.
-    pub live_slots: Vec<usize>,
     /// The attempt's traffic, payloads dropped.
     pub traffic: TrafficSummary,
+}
+
+impl AttemptRecord {
+    /// Original-roster indices the traffic showed to be live (see
+    /// [`live_slots`]).
+    pub fn live_slots(&self) -> Vec<usize> {
+        live_slots(&self.roster, &self.traffic)
+    }
 }
 
 /// A session submission: the job plus its service-level budget.
@@ -137,7 +149,7 @@ impl SessionSpec {
 ///
 /// `roster` maps the attempt's wire slots back to original-roster
 /// indices; the returned vector contains original indices, sorted.
-pub fn live_slots(roster: &[usize], traffic: &TrafficLog) -> Vec<usize> {
+pub fn live_slots(roster: &[usize], traffic: &TrafficSummary) -> Vec<usize> {
     let counts: Vec<usize> = (0..roster.len())
         .map(|s| traffic.messages_from(s))
         .collect();
@@ -171,41 +183,23 @@ pub struct DriveConfig {
     pub clock: SharedClock,
 }
 
-/// What [`drive`] hands back to the service worker for shape learning.
-pub struct DriveSummary {
-    /// Wire shape of the first attempt, if it completed fault-free (the
-    /// template admission control imitates when shedding), as the
-    /// registry's interned copy.
-    pub(crate) clean_shape: Option<Arc<TrafficShape>>,
-}
-
-fn classify(
-    registry: &Mutex<SessionRegistry>,
-    id: SessionId,
-    class: TerminalClass,
-) -> Result<(), RegistryError> {
-    registry
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .transition(id, class.state(), Some(class))
-}
-
 /// Runs the admitted session `id` to a terminal state: the attempt loop
 /// with deadline checks, liveness analysis, survivor re-formation and
 /// jittered backoff, all timed on `config.clock` against the deadline
-/// the registry entry was admitted with. Every path out of this
-/// function leaves the registry entry terminal; registry errors (which
-/// cannot occur while the caller owns the entry exclusively) surface as
-/// the entry simply keeping its last legal state, never as a panic.
+/// the registry entry was admitted with. A session the registry shows
+/// [`SessionState::Draining`] after an aborted attempt, or during its
+/// backoff, is classified [`TerminalClass::Drained`] without a further
+/// attempt. Every path out of this function leaves the registry entry
+/// terminal; registry errors (which cannot occur while the caller owns
+/// the entry exclusively) surface as the entry simply keeping its last
+/// legal state, never as a panic.
 pub fn drive(
     registry: &Mutex<SessionRegistry>,
-    draining: &AtomicBool,
     config: &DriveConfig,
     id: SessionId,
     job: &mut dyn SessionJob,
     max_attempts: u32,
-) -> DriveSummary {
-    let mut summary = DriveSummary { clean_shape: None };
+) {
     // Unknown, or classified before a worker reached it (e.g. a drain
     // swept the queue): nothing to run.
     let started = registry
@@ -213,15 +207,14 @@ pub fn drive(
         .unwrap_or_else(PoisonError::into_inner)
         .start(id);
     let Some(deadline) = started else {
-        return summary;
+        return;
     };
     let clock = &config.clock;
     let mut roster: Vec<usize> = (0..job.roster_len()).collect();
     let mut attempt: u32 = 0;
-    loop {
+    let class = 'attempts: loop {
         if clock.now() >= deadline {
-            let _ = classify(registry, id, TerminalClass::DeadlineExceeded);
-            return summary;
+            break TerminalClass::DeadlineExceeded;
         }
         let ctx = AttemptContext {
             session_id: id,
@@ -234,13 +227,9 @@ pub fn drive(
                 .wrapping_add(u64::from(attempt) << 32),
         };
         let outcome = job.run_attempt(&ctx);
-        let live = live_slots(&roster, &outcome.traffic);
         let traffic = outcome.traffic.into_summary();
-        // Faulty traffic would bake an injected anomaly into every
-        // future decoy, so only a fault-free first attempt teaches.
-        let teaches = attempt == 0 && traffic.faults().total() == 0;
-        let verdict = outcome.verdict;
-        let recorded = registry
+        let live = live_slots(&roster, &traffic);
+        let state = registry
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .record_attempt(
@@ -248,67 +237,64 @@ pub fn drive(
                 AttemptRecord {
                     attempt,
                     roster: roster.clone(),
-                    verdict,
-                    live_slots: live.clone(),
+                    verdict: outcome.verdict,
                     traffic,
                 },
             );
-        if teaches {
-            summary.clean_shape = recorded.ok();
+        match outcome.verdict {
+            AttemptVerdict::Success => break TerminalClass::Accepted,
+            AttemptVerdict::Failure => break TerminalClass::Rejected,
+            AttemptVerdict::Abort => {}
         }
-        match verdict {
-            AttemptVerdict::Success => {
-                let _ = classify(registry, id, TerminalClass::Accepted);
-                return summary;
-            }
-            AttemptVerdict::Failure => {
-                let _ = classify(registry, id, TerminalClass::Rejected);
-                return summary;
-            }
-            AttemptVerdict::Abort => {
-                if draining.load(Ordering::SeqCst) {
-                    let _ = classify(registry, id, TerminalClass::Drained);
-                    return summary;
-                }
-                if live.len() < 2 {
-                    let _ = classify(registry, id, TerminalClass::TooFewSurvivors);
-                    return summary;
-                }
-                if attempt + 1 >= max_attempts {
-                    let _ = classify(registry, id, TerminalClass::Exhausted);
-                    return summary;
-                }
-                if live.len() < roster.len() {
-                    // Survivor re-formation: retry among the live slots.
-                    let _ = registry
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .note_reformation(id);
-                    roster = live;
-                }
-                attempt += 1;
-                // Jittered exponential backoff, clipped to what the
-                // deadline leaves. It sleeps in steps of at most 1 ms so
-                // a drain is noticed promptly; the last step is the
-                // remainder, so the wait ends exactly at `until`.
-                let wait =
-                    backoff_delay(attempt, config.backoff_base, config.backoff_cap, ctx.seed);
-                let mut now = clock.now();
-                let until = now + wait.min(deadline.saturating_sub(now));
-                while now < until && !draining.load(Ordering::SeqCst) {
-                    clock.sleep((until - now).min(Duration::from_millis(1)));
-                    now = clock.now();
-                }
+        if state == Ok(SessionState::Draining) {
+            break TerminalClass::Drained;
+        }
+        if live.len() < 2 {
+            break TerminalClass::TooFewSurvivors;
+        }
+        if attempt + 1 >= max_attempts {
+            break TerminalClass::Exhausted;
+        }
+        if live.len() < roster.len() {
+            // Survivor re-formation: retry among the live slots.
+            let _ = registry
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .note_reformation(id);
+            roster = live;
+        }
+        attempt += 1;
+        // Jittered exponential backoff, clipped to what the deadline
+        // leaves. It sleeps in steps of at most 1 ms and reads the
+        // entry's state after each, so a drain that begins meanwhile is
+        // noticed within a step and no attempt follows it; the last
+        // step is the remainder, so the wait ends exactly at `until`.
+        let wait = backoff_delay(attempt, config.backoff_base, config.backoff_cap, ctx.seed);
+        let mut now = clock.now();
+        let until = now + wait.min(deadline.saturating_sub(now));
+        while now < until {
+            clock.sleep((until - now).min(Duration::from_millis(1)));
+            now = clock.now();
+            let state = registry
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .state(id);
+            if state == Some(SessionState::Draining) {
+                break 'attempts TerminalClass::Drained;
             }
         }
-    }
+    };
+    let _ = registry
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .transition(id, class.state(), Some(class));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clock::{Clock, VirtualClock};
-    use crate::serve::SessionState;
+    use std::sync::Arc;
 
     fn log_with_counts(counts: &[usize]) -> TrafficLog {
         let mut log = TrafficLog::new();
@@ -323,20 +309,20 @@ mod tests {
     #[test]
     fn liveness_flags_quieter_slots() {
         let roster = vec![0, 1, 2, 3];
-        let log = log_with_counts(&[4, 4, 2, 4]);
+        let log = log_with_counts(&[4, 4, 2, 4]).into_summary();
         assert_eq!(live_slots(&roster, &log), vec![0, 1, 3]);
     }
 
     #[test]
     fn liveness_keeps_everyone_when_uniform() {
         let roster = vec![5, 7, 9];
-        let log = log_with_counts(&[3, 3, 3]);
+        let log = log_with_counts(&[3, 3, 3]).into_summary();
         assert_eq!(live_slots(&roster, &log), vec![5, 7, 9]);
     }
 
     #[test]
     fn liveness_of_silence_is_empty() {
-        assert!(live_slots(&[0, 1], &TrafficLog::new()).is_empty());
+        assert!(live_slots(&[0, 1], &TrafficLog::new().into_summary()).is_empty());
     }
 
     #[test]
@@ -344,7 +330,7 @@ mod tests {
         // A re-formed attempt among original slots {0, 2, 3}: wire slot 1
         // (original 2) went quiet.
         let roster = vec![0, 2, 3];
-        let log = log_with_counts(&[2, 1, 2]);
+        let log = log_with_counts(&[2, 1, 2]).into_summary();
         assert_eq!(live_slots(&roster, &log), vec![0, 3]);
     }
 
@@ -415,8 +401,7 @@ mod tests {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .admit(job.len, cfg.clock.now() + deadline);
-        let draining = AtomicBool::new(false);
-        drive(&registry, &draining, cfg, id, job, max_attempts);
+        drive(&registry, cfg, id, job, max_attempts);
         (
             registry
                 .into_inner()
@@ -534,6 +519,8 @@ mod tests {
 
     #[test]
     fn records_keep_summaries_and_only_a_clean_first_attempt_teaches() {
+        // A faulty attempt 0 teaches no template, and neither does the
+        // clean attempt 1 after it.
         for (dropped, teaches) in [(vec![0, 0], true), (vec![1, 0], false)] {
             let mut job = scripted(
                 vec![AttemptVerdict::Abort, AttemptVerdict::Success],
@@ -541,27 +528,25 @@ mod tests {
             );
             job.dropped = dropped;
             let (cfg, _) = virtual_config();
-            let registry = Mutex::new(SessionRegistry::new());
-            let id = registry
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .admit(job.len, Duration::from_secs(10));
-            let summary = drive(&registry, &AtomicBool::new(false), &cfg, id, &mut job, 4);
-            let e = registry
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .entry(id)
-                .unwrap();
+            let (mut reg, id) = drive_on(&cfg, Duration::from_secs(10), &mut job, 4);
+            let e = reg.entry(id).unwrap();
             assert_eq!(e.attempts.len(), 2);
             for (i, record) in e.attempts.iter().enumerate() {
                 assert_eq!(record.traffic, job.traffic(i).into_summary());
             }
-            let first = job.traffic(0).shape();
-            assert_eq!(summary.clean_shape.as_deref(), teaches.then_some(&first));
-            if let Some(shape) = &summary.clean_shape {
+            assert_eq!(e.attempts[0].live_slots(), vec![0, 1]);
+            assert_eq!(
+                reg.known_decoy_sizes(),
+                if teaches { vec![3] } else { vec![] }
+            );
+            // A session of the same size sheds with the taught template.
+            let shed = reg.admit(3, Duration::from_secs(10));
+            let decoy = reg.shed(shed, 1).map(|d| d.shape());
+            assert_eq!(decoy, teaches.then(|| job.traffic(0).shape()));
+            if let Some(kept) = reg.entry(shed).unwrap().decoy_traffic {
                 assert!(
-                    Arc::ptr_eq(shape, e.attempts[0].traffic.shared_shape()),
-                    "the template is the registry's copy"
+                    Arc::ptr_eq(kept.shared_shape(), e.attempts[0].traffic.shared_shape()),
+                    "the shed entry shares the teaching attempt's shape"
                 );
             }
         }

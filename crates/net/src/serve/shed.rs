@@ -11,93 +11,31 @@
 //! [`TrafficShape`]) a shed session and a failed session are identical;
 //! only the registry — an insider — knows the difference.
 //!
-//! The [`ShapeBook`] learns wire shapes from real fault-free attempts as
-//! they complete, one template per roster size; it is taught a shape,
-//! never payload bytes, and holds the registry's interned copy of it.
-//! Until a template exists the service cannot shed indistinguishably,
-//! so early submissions are queued rather than shed (the queue is empty
-//! at startup anyway).
+//! The template a decoy copies is the wire shape of a real fault-free
+//! first attempt, one per roster size, which the
+//! [`super::registry::SessionRegistry`] learns as it records attempts:
+//! a shape, never payload bytes. Until a template exists a shed session
+//! has no decoy to emit, so early submissions are queued rather than
+//! shed (the queue is empty at startup anyway).
 
-use crate::observe::{FaultCounters, TrafficLog, TrafficShape, TrafficSummary};
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use crate::observe::{TrafficLog, TrafficShape};
 use std::time::Duration;
 
-/// A learned wire shape for one roster size: the template decoys copy.
-#[derive(Debug, Clone)]
-pub struct DecoyShape {
-    roster_len: usize,
-    shape: Arc<TrafficShape>,
-}
-
-impl DecoyShape {
-    /// A template from the wire shape of a real session's traffic.
-    pub fn new(roster_len: usize, shape: Arc<TrafficShape>) -> DecoyShape {
-        DecoyShape { roster_len, shape }
-    }
-
-    /// The roster size this template imitates.
-    pub fn roster_len(&self) -> usize {
-        self.roster_len
-    }
-
-    /// What a registry keeps of every decoy this template synthesizes:
-    /// the template's shape, shared rather than copied, and zero fault
-    /// counters (no medium carried the decoy).
-    pub(crate) fn summary(&self) -> TrafficSummary {
-        TrafficSummary::new(Arc::clone(&self.shape), FaultCounters::default())
-    }
-
-    /// Synthesizes a decoy log: the template's shape, fresh payload
-    /// bits. `seed` keeps the decoy deterministic per session.
-    pub fn synthesize(&self, seed: u64) -> TrafficLog {
-        let mut log = TrafficLog::new();
-        let mut state = seed ^ 0xdecc_0f17_5eed_0bad;
-        for (round, slot, len) in &self.shape.entries {
-            let mut payload = Vec::with_capacity(*len);
-            while payload.len() < *len {
-                state = splitmix64(state);
-                payload.extend_from_slice(&state.to_le_bytes());
-            }
-            payload.truncate(*len);
-            log.record(round, *slot, &payload);
+/// Synthesizes a decoy log: `shape`'s rounds, slots and sizes, fresh
+/// payload bits. `seed` keeps the decoy deterministic per session.
+pub(crate) fn synthesize(shape: &TrafficShape, seed: u64) -> TrafficLog {
+    let mut log = TrafficLog::new();
+    let mut state = seed ^ 0xdecc_0f17_5eed_0bad;
+    for (round, slot, len) in &shape.entries {
+        let mut payload = Vec::with_capacity(*len);
+        while payload.len() < *len {
+            state = splitmix64(state);
+            payload.extend_from_slice(&state.to_le_bytes());
         }
-        log
+        payload.truncate(*len);
+        log.record(round, *slot, &payload);
     }
-}
-
-/// Per-roster-size shape templates, learned from live traffic.
-#[derive(Debug, Default)]
-pub struct ShapeBook {
-    shapes: BTreeMap<usize, DecoyShape>,
-}
-
-impl ShapeBook {
-    /// An empty book.
-    pub fn new() -> ShapeBook {
-        ShapeBook::default()
-    }
-
-    /// Learns the wire shape of a **fault-free** attempt; the caller
-    /// vouches that no fault fired (faulty traffic would bake an
-    /// injected anomaly into every future decoy, see [`super::drive`]).
-    /// First template per roster size wins; shapes are deterministic
-    /// per size, so later sessions would teach the same thing.
-    pub fn learn(&mut self, roster_len: usize, shape: Arc<TrafficShape>) {
-        self.shapes
-            .entry(roster_len)
-            .or_insert_with(|| DecoyShape::new(roster_len, shape));
-    }
-
-    /// The template for a roster size, if one has been learned.
-    pub fn template(&self, roster_len: usize) -> Option<&DecoyShape> {
-        self.shapes.get(&roster_len)
-    }
-
-    /// Roster sizes with templates.
-    pub fn known_sizes(&self) -> Vec<usize> {
-        self.shapes.keys().copied().collect()
-    }
+    log
 }
 
 /// Jittered exponential backoff: `base * 2^(attempt-1)` clipped to
@@ -136,34 +74,49 @@ mod tests {
     #[test]
     fn decoy_matches_shape_not_bits() {
         let real = sample_log();
-        let decoy = DecoyShape::new(2, Arc::new(real.shape())).synthesize(7);
+        let decoy = synthesize(&real.shape(), 7);
         assert_eq!(decoy.shape(), real.shape());
         assert_ne!(decoy, real, "payload bits must be fresh");
     }
 
     #[test]
     fn decoys_differ_across_sessions() {
-        let real = sample_log();
-        let shape = DecoyShape::new(2, Arc::new(real.shape()));
-        assert_ne!(shape.synthesize(1), shape.synthesize(2));
-        assert_eq!(shape.synthesize(1).shape(), shape.synthesize(2).shape());
+        let shape = sample_log().shape();
+        assert_ne!(synthesize(&shape, 1), synthesize(&shape, 2));
+        assert_eq!(synthesize(&shape, 1).shape(), synthesize(&shape, 2).shape());
     }
 
+    /// FNV-1a over every record's round, sender slot and payload: the
+    /// bytes a decoy puts on the wire, in order.
+    fn wire_digest(log: &TrafficLog) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for r in log.records() {
+            let bytes = r.round.bytes().chain(r.from_slot.to_le_bytes());
+            for b in bytes.chain(r.payload.iter().copied()) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Shed decoys stay byte-identical: the digest was taken from the
+    /// generator before it became a free function.
     #[test]
-    fn book_keeps_the_first_template_per_size() {
-        let mut book = ShapeBook::new();
-        assert!(book.template(2).is_none());
-        let first = sample_log().shape();
-        book.learn(2, Arc::new(first.clone()));
-        let mut other = TrafficLog::new();
-        other.record("p1", 0, b"z");
-        book.learn(2, Arc::new(other.shape()));
-        book.learn(3, Arc::new(other.shape()));
-        let template = book.template(2).expect("size 2 learned");
-        assert_eq!(template.roster_len(), 2);
-        assert_eq!(template.synthesize(1).shape(), first);
-        assert_eq!(template.summary(), template.synthesize(1).into_summary());
-        assert_eq!(book.known_sizes(), vec![2, 3]);
+    fn decoy_bytes_are_pinned() {
+        let mut real = TrafficLog::new();
+        let records = [
+            ("p1", 0, 0),
+            ("p1", 1, 5),
+            ("p2", 0, 8),
+            ("p2", 1, 13),
+            ("p3", 2, 70),
+        ];
+        for (round, slot, len) in records {
+            real.record(round, slot, &vec![0xaa; len]);
+        }
+        let decoy = synthesize(&real.shape(), 0x5e5510);
+        assert_eq!(decoy.shape(), real.shape());
+        assert_eq!(wire_digest(&decoy), 0xf62b_0279_faf6_9003);
     }
 
     #[test]

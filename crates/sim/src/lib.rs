@@ -60,7 +60,6 @@ use shs_net::serve::{
     drive, AttemptContext, AttemptOutcome, DriveConfig, SessionJob, SessionRegistry, TerminalClass,
 };
 use std::collections::VecDeque;
-use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -268,15 +267,7 @@ fn run_virtual_session(
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .admit_with_id(session, job.roster_len(), clock.now() + cfg.deadline);
-    let draining = AtomicBool::new(false);
-    drive(
-        &registry,
-        &draining,
-        &config,
-        session,
-        &mut job,
-        cfg.max_attempts,
-    );
+    drive(&registry, &config, session, &mut job, cfg.max_attempts);
     let classified = registry
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner)

@@ -84,7 +84,11 @@ fn all_but_one_crash_aborts_cleanly_without_retry_storm() {
         "no retry storm: one attempt, then stop"
     );
     assert_eq!(e.reformations, 0, "nothing to re-form around one survivor");
-    assert_eq!(e.attempts[0].live_slots, vec![0], "only slot 0 stayed live");
+    assert_eq!(
+        e.attempts[0].live_slots(),
+        vec![0],
+        "only slot 0 stayed live"
+    );
     assert!(svc.shutdown(Duration::from_secs(10)).clean());
 }
 
@@ -111,7 +115,7 @@ fn crash_after_key_agreement_reforms_with_a_fresh_transcript() {
     assert_eq!(logs.len(), 2);
     assert_eq!(e.reformations, 1);
     assert_eq!(
-        e.attempts[0].live_slots,
+        e.attempts[0].live_slots(),
         vec![0, 1],
         "the Phase-III crash shows up in liveness"
     );

@@ -54,8 +54,8 @@ fn assert_summaries_match(tag: &str, entry: &SessionEntry, logs: &[KeptAttempt])
         }
         assert_eq!(summary.faults(), log.faults(), "{tag} attempt {a}: faults");
         assert_eq!(
-            record.live_slots,
-            live_slots(&record.roster, log),
+            record.live_slots(),
+            live_slots(&record.roster, &log.clone().into_summary()),
             "{tag} attempt {a}: live slots"
         );
     }
@@ -130,7 +130,7 @@ fn registry_keeps_each_attempts_summary_not_its_payloads() {
     assert_eq!(*clean[0].traffic.faults(), FaultCounters::default());
     let crash = attempts(1);
     assert_eq!(crash.len(), 2, "the crash forced one re-formed retry");
-    assert_eq!(crash[0].live_slots, vec![0, 1]);
+    assert_eq!(crash[0].live_slots(), vec![0, 1]);
     assert_eq!(crash[1].roster, vec![0, 1]);
     assert!(crash[0].traffic.faults().crash_silenced > 0);
     let dropped = attempts(2);
