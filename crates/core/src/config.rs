@@ -99,22 +99,6 @@ impl GroupConfig {
         }
     }
 
-    /// Test configuration on the stateless Subset-Difference backend.
-    pub fn test_sd(scheme: SchemeKind) -> GroupConfig {
-        GroupConfig {
-            cgkd: CgkdChoice::SubsetDifference,
-            ..GroupConfig::test(scheme)
-        }
-    }
-
-    /// Test configuration on the flat star backend.
-    pub fn test_star(scheme: SchemeKind) -> GroupConfig {
-        GroupConfig {
-            cgkd: CgkdChoice::Star,
-            ..GroupConfig::test(scheme)
-        }
-    }
-
     /// Test configuration on an explicit CGKD backend.
     pub fn test_with_cgkd(scheme: SchemeKind, cgkd: CgkdChoice) -> GroupConfig {
         GroupConfig {

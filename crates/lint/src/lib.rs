@@ -38,16 +38,16 @@
 //!   graph over the concurrency layers: cycles, recursive acquisition,
 //!   and blocking channel ops under a live guard ([`locks`]).
 //!
-//! Analysis findings ride the same allow machinery as the token rules
-//! and are gated in CI against a committed [`baseline`] with a two-way
-//! ratchet. Everything is hand-rolled (lexer, TOML-subset parser, JSON
-//! emitter/reader) so the tool has zero dependencies, consistent with
-//! the offline `shims/` policy of this workspace.
+//! Analysis findings ride the same allow machinery as the token rules:
+//! an inline `// lint:allow(<rule>) reason="…"` is the one way to accept
+//! a finding, and CI holds both passes at 0 findings. Everything is
+//! hand-rolled (lexer, TOML-subset parser, JSON emitter) so the tool has
+//! zero dependencies, consistent with the offline `shims/` policy of
+//! this workspace.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod graph;
 pub mod lexer;
 pub mod locks;

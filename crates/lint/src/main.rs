@@ -4,21 +4,17 @@
 //! shs-lint --workspace                  # both passes, everything under the policy root
 //! shs-lint path/to/file.rs …           # lint specific files
 //! shs-lint --workspace --tokens-only   # fast token rules only
-//! shs-lint --workspace --analysis-only --baseline lint-baseline.json
-//! shs-lint --workspace --write-baseline lint-baseline.json
+//! shs-lint --workspace --analysis-only # interprocedural analyses only
 //! shs-lint --workspace --json report.json
 //! shs-lint --workspace --policy other-policy.toml
 //! ```
 //!
-//! With `--baseline`, findings are ratcheted against the committed file:
-//! the run fails on **new** findings and also on **fixed** findings until
-//! the baseline is re-written (the floor only moves down). Without it, any
-//! finding fails.
+//! Any finding fails the run, in either pass. The one way to accept a
+//! finding is an inline `// lint:allow(<rule>) reason="…"` at its site,
+//! which the `allow-hygiene` rule audits.
 //!
-//! Exit codes: `0` clean, `1` findings/ratchet mismatch, `2` usage or I/O
-//! error.
+//! Exit codes: `0` clean, `1` findings, `2` usage or I/O error.
 
-use shs_lint::baseline::Baseline;
 use shs_lint::{Linter, Mode};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -29,16 +25,13 @@ struct Args {
     json: Option<PathBuf>,
     quiet: bool,
     mode: Mode,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
     files: Vec<PathBuf>,
 }
 
 fn usage() -> &'static str {
     "usage: shs-lint [--workspace] [--policy <lint-policy.toml>] \
-     [--tokens-only | --analysis-only] [--baseline <lint-baseline.json>] \
-     [--write-baseline <lint-baseline.json>] [--json <out.json|->] \
-     [--quiet] [files…]"
+     [--tokens-only | --analysis-only] [--json <out.json|->] [--quiet] \
+     [files…]"
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -48,8 +41,6 @@ fn parse_args() -> Result<Args, String> {
         json: None,
         quiet: false,
         mode: Mode::Full,
-        baseline: None,
-        write_baseline: None,
         files: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
@@ -77,16 +68,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--analysis-only conflicts with --tokens-only".to_string());
                 }
                 args.mode = Mode::Analysis;
-            }
-            "--baseline" => {
-                args.baseline = Some(PathBuf::from(
-                    it.next().ok_or("--baseline needs a path argument")?,
-                ))
-            }
-            "--write-baseline" => {
-                args.write_baseline = Some(PathBuf::from(
-                    it.next().ok_or("--write-baseline needs a path argument")?,
-                ))
             }
             "--quiet" | "-q" => args.quiet = true,
             "--help" | "-h" => return Err(usage().to_string()),
@@ -179,29 +160,6 @@ fn run() -> Result<bool, String> {
             std::fs::write(json_path, body)
                 .map_err(|e| format!("cannot write {}: {e}", json_path.display()))?;
         }
-    }
-    if let Some(path) = &args.write_baseline {
-        let body = Baseline::from_report(&report).to_json();
-        std::fs::write(path, body).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        if !args.quiet {
-            eprintln!("shs-lint: baseline written to {}", path.display());
-        }
-        return Ok(true);
-    }
-    if let Some(path) = &args.baseline {
-        let src = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let base = Baseline::parse(&src)?;
-        let diff = base.compare(&report);
-        if !args.quiet {
-            for r in &diff.regressions {
-                eprintln!("shs-lint: ratchet regression: {r}");
-            }
-            for i in &diff.improvements {
-                eprintln!("shs-lint: ratchet improvement: {i}");
-            }
-        }
-        return Ok(diff.ok());
     }
     Ok(report.clean())
 }

@@ -29,7 +29,7 @@ pub mod supervisor;
 
 pub use conn::{ConnConfig, FramedConn};
 pub use relay::{RelayConfig, RelayHandle};
-pub use supervisor::{attach, connect_supervised, Attachment, SupervisorConfig};
+pub use supervisor::{attach, Attachment, SupervisorConfig};
 
 use crate::fault::FaultPlan;
 use crate::observe::TrafficLog;

@@ -66,39 +66,6 @@ pub struct Attachment {
     pub failed_attempts: u32,
 }
 
-/// Dials `addr` under the supervisor's budget until a TCP connection is
-/// established (no hello exchange).
-///
-/// # Errors
-///
-/// [`NetError::ConnectFailed`] once the attempt budget is spent.
-pub fn connect_supervised(
-    addr: SocketAddr,
-    cfg: &SupervisorConfig,
-) -> Result<(FramedConn, u32), NetError> {
-    let mut failed = 0u32;
-    for attempt in 1..=cfg.connect_attempts.max(1) {
-        match TcpStream::connect_timeout(&addr, cfg.connect_timeout) {
-            Ok(stream) => {
-                let conn = FramedConn::new(stream, cfg.conn)?;
-                return Ok((conn, failed));
-            }
-            Err(_) => {
-                failed += 1;
-                if attempt < cfg.connect_attempts {
-                    thread::sleep(backoff_delay(
-                        attempt,
-                        cfg.backoff_base,
-                        cfg.backoff_cap,
-                        cfg.seed,
-                    ));
-                }
-            }
-        }
-    }
-    Err(NetError::ConnectFailed)
-}
-
 /// Dials `addr` and runs the attachment handshake: sends
 /// `Hello { version, want_slot }`, expects `Welcome { slot, slots }`.
 /// `want_slot = None` lets the relay pick any free slot (pass a slot to
@@ -189,7 +156,7 @@ mod tests {
             l.local_addr().unwrap()
         };
         assert_eq!(
-            connect_supervised(addr, &local_cfg()).unwrap_err(),
+            attach(addr, &local_cfg(), None).unwrap_err(),
             NetError::ConnectFailed
         );
     }
@@ -209,10 +176,17 @@ mod tests {
         let binder = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(80));
             let l = TcpListener::bind(addr).unwrap();
-            let _ = l.accept();
+            let (s, _) = l.accept().unwrap();
+            let mut c = FramedConn::new(s, ConnConfig::default()).unwrap();
+            let _ = c.recv(); // swallow the hello
+            let _ = c.send(&Frame::Welcome { slot: 1, slots: 3 });
         });
-        let (_, failed) = connect_supervised(addr, &cfg).unwrap();
-        assert!(failed > 0, "the first attempts should have failed");
+        let a = attach(addr, &cfg, None).unwrap();
+        assert!(
+            a.failed_attempts > 0,
+            "the first attempts should have failed"
+        );
+        assert_eq!((a.slot, a.slots), (1, 3));
         binder.join().unwrap();
     }
 

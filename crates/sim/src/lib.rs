@@ -123,29 +123,30 @@ impl SimPool {
     }
 }
 
+/// Parties per simulated session.
+const GROUP_SIZE: usize = 3;
+/// Per-session virtual deadline.
+const DEADLINE: Duration = Duration::from_secs(30);
+/// Backoff base between attempts.
+const BACKOFF_BASE: Duration = Duration::from_millis(10);
+/// Backoff cap.
+const BACKOFF_CAP: Duration = Duration::from_millis(200);
+
 /// Knobs of one scenario run: the service model (virtual workers,
-/// bounded queue) plus the per-session budget, mirroring
-/// [`shs_net::serve::ServiceConfig`] in virtual time.
+/// bounded queue) plus the per-session attempt budget, mirroring
+/// [`shs_net::serve::ServiceConfig`] in virtual time. Every session has
+/// three parties and arrives at virtual time zero; its deadline and
+/// backoff bounds are the crate's fixed constants.
 #[derive(Debug, Clone, Copy)]
 pub struct ScenarioConfig {
     /// Sessions submitted.
     pub sessions: u64,
-    /// Parties per session.
-    pub group_size: usize,
     /// Virtual workers executing sessions concurrently.
     pub workers: usize,
     /// Admission queue depth; arrivals beyond it are shed.
     pub queue_capacity: usize,
-    /// Virtual gap between consecutive arrivals (zero = one burst).
-    pub arrival_spacing: Duration,
     /// Attempts allowed per session (including the first).
     pub max_attempts: u32,
-    /// Per-session virtual deadline.
-    pub deadline: Duration,
-    /// Backoff base between attempts.
-    pub backoff_base: Duration,
-    /// Backoff cap.
-    pub backoff_cap: Duration,
     /// Service seed; [`drive`] derives every attempt's seed from it.
     pub seed: u64,
 }
@@ -156,14 +157,9 @@ impl ScenarioConfig {
     pub fn burst(sessions: u64, seed: u64) -> ScenarioConfig {
         ScenarioConfig {
             sessions,
-            group_size: 3,
             workers: sessions.max(1) as usize,
             queue_capacity: 64,
-            arrival_spacing: Duration::ZERO,
             max_attempts: 3,
-            deadline: Duration::from_secs(30),
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(200),
             seed,
         }
     }
@@ -237,14 +233,13 @@ fn run_virtual_session(
     cfg: &ScenarioConfig,
     session: u64,
 ) -> SessionOutcome {
-    let m = cfg.group_size;
-    let slots = schedule.participants(session, m, pool.members.len(), pool.stale_from);
+    let slots = schedule.participants(session, GROUP_SIZE, pool.members.len(), pool.stale_from);
     let label = format!("sim/{}/{}", schedule.name(), session);
     let clock = VirtualClock::new();
     let mut job = VirtualJob {
         job: HandshakeJob::new(
             Arc::clone(&pool.members),
-            m,
+            GROUP_SIZE,
             HandshakeOptions::default(),
             &label,
         )
@@ -257,8 +252,8 @@ fn run_virtual_session(
         fingerprint: TraceFingerprint::new(),
     };
     let config = DriveConfig {
-        backoff_base: cfg.backoff_base,
-        backoff_cap: cfg.backoff_cap,
+        backoff_base: BACKOFF_BASE,
+        backoff_cap: BACKOFF_CAP,
         seed: cfg.seed,
         clock: Arc::new(clock.clone()),
     };
@@ -266,7 +261,7 @@ fn run_virtual_session(
     registry
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
-        .admit_with_id(session, job.roster_len(), clock.now() + cfg.deadline);
+        .admit_with_id(session, job.roster_len(), clock.now() + DEADLINE);
     drive(&registry, &config, session, &mut job, cfg.max_attempts);
     let classified = registry
         .into_inner()
@@ -306,9 +301,8 @@ enum SimEv {
 /// included) is a pure function of `(pool seed, schedule, cfg)`.
 pub fn run_scenario(pool: &SimPool, schedule: Schedule, cfg: &ScenarioConfig) -> ScenarioReport {
     let mut queue: EventQueue<SimEv> = EventQueue::new();
-    let spacing = nanos(cfg.arrival_spacing);
     for s in 0..cfg.sessions {
-        queue.push(s.saturating_mul(spacing), s * 2, SimEv::Arrival(s));
+        queue.push(0, s * 2, SimEv::Arrival(s));
     }
     let mut report = ScenarioReport {
         name: schedule.name(),

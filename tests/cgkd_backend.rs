@@ -4,13 +4,14 @@
 mod common;
 
 use common::rng;
+use shs_core::config::CgkdChoice;
 use shs_core::handshake::{run_handshake, Actor};
 use shs_core::{GroupAuthority, GroupConfig, HandshakeOptions, Member, SchemeKind};
 
 fn sd_group(n: usize, r: &mut impl rand::RngCore) -> (GroupAuthority, Vec<Member>) {
     let (rsa, secret) = shs_gsig::fixtures::test_rsa_setting().clone();
-    let mut ga =
-        GroupAuthority::create_with_rsa(GroupConfig::test_sd(SchemeKind::Scheme1), rsa, secret, r);
+    let config = GroupConfig::test_with_cgkd(SchemeKind::Scheme1, CgkdChoice::SubsetDifference);
+    let mut ga = GroupAuthority::create_with_rsa(config, rsa, secret, r);
     let mut members: Vec<Member> = Vec::new();
     for _ in 0..n {
         let (joiner, update) = ga.admit(r).unwrap();

@@ -53,7 +53,7 @@ fn full_3x3x3_matrix_completes_with_shared_key() {
 #[test]
 fn star_cgkd_lifecycle_excludes_removed_member() {
     let mut r = rng("matrix-star-lifecycle");
-    let config = GroupConfig::test_star(SchemeKind::Scheme1);
+    let config = GroupConfig::test_with_cgkd(SchemeKind::Scheme1, CgkdChoice::Star);
     let (mut ga, mut members) = group_with_config(config, 3, &mut r).expect("group builds");
 
     let removed = members.remove(2);
