@@ -10,8 +10,9 @@
 //!
 //! Each table has one owner, the key whose base it serves: the Schnorr
 //! group holds its generator's, the Cramer–Shoup public key those of its
-//! four components, and the ACJT/KY public keys build theirs on first use
-//! (`shs-groups`, `shs-gsig`). Clones of the owner share the table.
+//! four components, and the ACJT/KY group managers build theirs into the
+//! public key at setup (`shs-groups`, `shs-gsig`). Clones of the owner
+//! share the table.
 
 use crate::mont::{window_chunk, MontCtx, Scratch, WINDOW};
 use crate::Ubig;
@@ -69,28 +70,42 @@ impl FixedBase {
             return Ubig::one().rem(self.ctx.modulus());
         }
         let mut s = self.ctx.scratch();
-        self.mul_windows(&mut s, exp);
+        self.mul_windows(&mut s, exp, exp.bits());
         self.ctx.from_mont(s)
     }
 
-    /// `factor · base^exp mod n`, constant-trace for secret exponents: the
-    /// windows of [`FixedBase::pow`], run on an accumulator that starts at
-    /// the public `factor` instead of one, so the product costs no
-    /// multiplication of its own. Exponents wider than `max_bits` fall back
-    /// to `modpow` and one modular multiplication.
-    pub fn pow_times(&self, exp: &Ubig, factor: &Ubig) -> Ubig {
-        if exp.bits() > self.max_bits {
-            return self.ctx.modmul(&self.ctx.modpow(&self.base, exp), factor);
-        }
-        let mut s = self.ctx.scratch_at(factor);
-        self.mul_windows(&mut s, exp);
+    /// `factor · base^exp mod n` for an exponent below `2^bits`,
+    /// constant-trace for secret exponents: the windows of
+    /// [`FixedBase::pow`], but exactly `⌈bits/WINDOW⌉` of them whatever
+    /// `exp`'s own width, run on an accumulator that starts at the public
+    /// `factor`, already in Montgomery form ([`FixedBase::factor`]), so the
+    /// product costs no multiplication and no conversion of its own. The
+    /// trace depends on `bits` alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `exp` is `2^bits` or more, or `bits` exceeds the table's
+    /// width.
+    pub fn pow_times(&self, exp: &Ubig, bits: u32, factor: &MontFactor) -> Ubig {
+        assert!(
+            exp.bits() <= bits && bits <= self.max_bits,
+            "the exponent and its width must fit the table"
+        );
+        let mut s = self.ctx.scratch_from(&factor.0);
+        self.mul_windows(&mut s, exp, bits);
         self.ctx.from_mont(s)
     }
 
-    /// `acc ← acc · base^exp` for an exponent the table covers: one masked
-    /// scan and one multiplication per window of `exp`'s public width.
-    fn mul_windows(&self, s: &mut Scratch, exp: &Ubig) {
-        let bits = exp.bits();
+    /// `x` in the Montgomery form of this table's modulus: a public
+    /// constant for [`FixedBase::pow_times`] to start from.
+    pub fn factor(&self, x: &Ubig) -> MontFactor {
+        MontFactor(self.ctx.mont_form(x))
+    }
+
+    /// `acc ← acc · base^exp` for an exponent below `2^bits` the table
+    /// covers: one masked scan and one multiplication per window of the
+    /// public width `bits`.
+    fn mul_windows(&self, s: &mut Scratch, exp: &Ubig, bits: u32) {
         let windows = bits.div_ceil(WINDOW);
         for (w, row) in (0..windows).zip(&self.table) {
             let chunk = window_chunk(exp, bits, w);
@@ -111,6 +126,20 @@ impl FixedBase {
         };
         self.ctx
             .square_repeatedly(&self.table[row][digit * k..], squarings)
+    }
+}
+
+/// A public constant held in the Montgomery form `x·R mod n` of one
+/// [`FixedBase`]'s modulus ([`FixedBase::factor`]), the starting
+/// accumulator of [`FixedBase::pow_times`].
+#[derive(Clone)]
+pub struct MontFactor(Vec<u64>);
+
+impl std::fmt::Debug for MontFactor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MontFactor")
+            .field("limbs", &self.0.len())
+            .finish_non_exhaustive()
     }
 }
 
@@ -142,6 +171,33 @@ mod tests {
         ] {
             assert_eq!(fb.pow(&e), ctx.modpow(&g, &e));
         }
+    }
+
+    #[test]
+    fn pow_times_starts_from_its_factor() {
+        let n = Ubig::from_hex("f123456789abcdef123456789abcdef1").unwrap();
+        let ctx = Arc::new(MontCtx::new(n));
+        let g = Ubig::from_u64(31337);
+        let fb = FixedBase::new(Arc::clone(&ctx), &g, 192);
+        let f = Ubig::from_u64(0xfeed);
+        let factor = fb.factor(&f);
+        for e in [
+            Ubig::zero(),
+            Ubig::one(),
+            Ubig::from_u64(0xffff_ffff_ffff_fffe),
+            Ubig::from_hex("123456789abcdef0fedcba98765432").unwrap(),
+        ] {
+            let want = ctx.modmul(&ctx.modpow(&g, &e), &f);
+            assert_eq!(fb.pow_times(&e, 125, &factor), want);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must fit the table")]
+    fn pow_times_refuses_an_exponent_wider_than_its_width() {
+        let ctx = Arc::new(MontCtx::new(Ubig::from_u64(1_000_000_007)));
+        let fb = FixedBase::new(ctx, &Ubig::from_u64(5), 64);
+        fb.pow_times(&Ubig::from_u64(1 << 20), 20, &fb.factor(&Ubig::one()));
     }
 
     #[test]

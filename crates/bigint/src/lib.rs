@@ -65,7 +65,7 @@ pub mod rng;
 pub mod trace;
 
 pub use crt::CrtCtx;
-pub use fixed_base::FixedBase;
+pub use fixed_base::{FixedBase, MontFactor};
 pub use int::{Int, Sign};
 pub use ubig::Ubig;
 

@@ -91,20 +91,25 @@ impl MontCtx {
         }
     }
 
-    /// A fresh per-call scratch with the accumulator set to `x` (its
-    /// Montgomery form `x·R mod n`).
-    pub(crate) fn scratch_at(&self, x: &Ubig) -> Scratch {
+    /// A fresh per-call scratch with the accumulator set to a k-limb
+    /// Montgomery-form value, copied without a conversion.
+    pub(crate) fn scratch_from(&self, x: &[u64]) -> Scratch {
+        let mut s = self.scratch();
+        s.acc.copy_from_slice(&x[..self.k]);
+        s
+    }
+
+    /// `x·R mod n`, the Montgomery form of `x`, as k limbs.
+    pub(crate) fn mont_form(&self, x: &Ubig) -> Vec<u64> {
         let mut s = self.scratch();
         self.to_mont(x, &mut s);
-        std::mem::swap(&mut s.acc, &mut s.entry);
-        s
+        s.entry.clone()
     }
 
     /// `x^(2^squarings) mod n` for a k-limb Montgomery-form `x`, out of
     /// Montgomery form.
     pub(crate) fn square_repeatedly(&self, x: &[u64], squarings: u32) -> Ubig {
-        let mut s = self.scratch();
-        s.acc.copy_from_slice(&x[..self.k]);
+        let mut s = self.scratch_from(x);
         for _ in 0..squarings {
             self.square(&mut s);
         }

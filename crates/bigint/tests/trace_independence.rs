@@ -236,6 +236,31 @@ fn fixed_base_pow_trace_is_exponent_independent() {
 }
 
 #[test]
+fn fixed_base_pow_times_trace_depends_on_its_width_only() {
+    // Under one explicit width, exponents of every own width (one, a
+    // 64-bit value, the full width) run the same windows from the same
+    // Montgomery-form factor.
+    let mut xs = Xs(0x0ff5_e7ab_0ff5_e7ab);
+    let n = xs.modulus(8);
+    let ctx = Arc::new(MontCtx::new(n.clone()));
+    let base = xs.below(&n);
+    let fb = FixedBase::new(ctx, &base, 512);
+    let f = xs.below(&n);
+    let factor = fb.factor(&f);
+    let mut traces = Vec::new();
+    for e in [Ubig::one(), xs.exact_bits(64), xs.exact_bits(301)] {
+        let (t, r) = trace::capture(|| fb.pow_times(&e, 301, &factor));
+        assert_eq!(r, base.modpow(&e, &n).mulm(&f, &n));
+        traces.push(t);
+    }
+    assert!(traces[0].total() > 0, "instrumentation recorded nothing");
+    assert!(
+        traces.iter().all(|t| *t == traces[0]),
+        "pow_times trace shows the exponent's own width: {traces:?}"
+    );
+}
+
+#[test]
 fn fixed_base_pow_trace_tracks_public_width_only() {
     let mut xs = Xs(0x0f1b_a5e5_0f1b_a5e5);
     let n = xs.modulus(8);

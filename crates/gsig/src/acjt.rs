@@ -15,11 +15,11 @@
 
 use crate::batch::BatchOutcome;
 use crate::join::Join;
-use crate::params::GsigParams;
+use crate::params::{GsigParams, Scheme};
 use crate::sigma::prove::prove;
 use crate::sigma::verify::{self as verifier, Proof};
 use crate::sigma::{key_bases, Base, Bind, Equation, KeyBase, Relation, Witness, MINUS, PLUS};
-use crate::tables::FixedBasePair;
+use crate::tables::{self, KeyTables};
 use crate::GsigError;
 use rand::RngCore;
 use shs_bigint::{rng as brng, Int, Ubig};
@@ -44,10 +44,14 @@ pub struct GroupPublicKey {
     pub h: Ubig,
     /// Opening key `y = g^θ`.
     pub y: Ubig,
-    /// Fixed-base tables of `a, a0, g, h, y`, in that order; built on
-    /// first use (`a0`'s never is: no prover raises it), shared by clones.
-    tables: [FixedBasePair; 5],
+    /// Fixed-base tables of `a, a0, g, h, y`, in that order, built at
+    /// setup and shared by every clone (`a0` has none: no prover raises
+    /// it).
+    tables: KeyTables<5>,
 }
+
+/// The labels of the public-key bases, in [`GroupPublicKey::keys`] order.
+const LABELS: [&str; 5] = ["a", "a0", "g", "h", "y"];
 
 impl GroupPublicKey {
     /// The RSA group.
@@ -55,11 +59,10 @@ impl GroupPublicKey {
         &self.rsa
     }
 
-    /// The public-key bases `a, a0, g, h, y`, each with its tables.
+    /// The public-key bases `a, a0, g, h, y`, each with its table.
     fn keys(&self) -> [KeyBase<'_>; 5] {
         let values = [&self.a, &self.a0, &self.g, &self.h, &self.y];
-        let (bits, labels) = (self.params.table_bits(), ["a", "a0", "g", "h", "y"]);
-        key_bases(&self.rsa, bits, labels, values, &self.tables)
+        key_bases(&self.rsa, LABELS, values, &self.tables)
     }
 
     /// The join statement: members commit under `a`.
@@ -89,7 +92,7 @@ fn relation<'a>(
     let (p, keys) = (&pk.params, pk.keys());
     let [a, a0, g, h, y] = keys.map(Base::Key);
     let [t1, _, t3] = t.map(Base::Direct);
-    let t2 = Base::elem(t[1], keys[2], w);
+    let t2 = Base::elem(t[1], keys[2], w.map(|w| (w, p.r_bits())));
     Relation {
         domain: "shs-gsig-acjt",
         rsa: &pk.rsa,
@@ -227,6 +230,9 @@ impl GroupManager {
         let h = rsa_secret.qr_generator(&rsa, rng);
         let theta = brng::below(rng, &rsa.n().shr(2));
         let y = rsa.exp(&g, &theta);
+        let values = [&a, &a0, &g, &h, &y];
+        let exponents = params.prover_exponents(Scheme::Acjt);
+        let tables = tables::build(&rsa, LABELS, values, &exponents);
         let pk = GroupPublicKey {
             params,
             rsa,
@@ -235,7 +241,7 @@ impl GroupManager {
             g,
             h,
             y,
-            tables: Default::default(),
+            tables,
         };
         GroupManager {
             pk,
@@ -397,8 +403,8 @@ fn sign_inner(
     let w = pk.params.sample_r(rng);
     // Fixed public bases with secret exponents: precomputed constant-trace
     // tables. The signer knows T2 = g^w, so the relation raises T2 through
-    // g's table too (the product fits under `table_bits`; the params tests
-    // check it). Only T1 stays on the plain kernel.
+    // g's table too (the product is on the list g's table is built from;
+    // the params tests check it). Only T1 stays on the plain kernel.
     let [_, _, g, h, y] = pk.keys();
     let t1 = rsa.mul(&key.a_cert, &y.pow_u(&w));
     let t2 = g.pow_u(&w);
@@ -459,11 +465,10 @@ mod tests {
     use crate::fixtures;
     use crate::params::GsigPreset;
     use shs_crypto::drbg::HmacDrbg;
-    use std::sync::OnceLock;
+    use std::sync::LazyLock;
 
     fn acjt_group() -> &'static (GroupManager, Vec<MemberKey>) {
-        static GROUP: OnceLock<(GroupManager, Vec<MemberKey>)> = OnceLock::new();
-        GROUP.get_or_init(|| {
+        static GROUP: LazyLock<(GroupManager, Vec<MemberKey>)> = LazyLock::new(|| {
             let (rsa, rsa_secret) = fixtures::test_rsa_setting().clone();
             let params = GsigParams::preset(GsigPreset::Test);
             let mut rng = HmacDrbg::from_seed(b"acjt-fixture");
@@ -475,7 +480,8 @@ mod tests {
                 keys.push(finish_join(gm.public_key(), secret, &resp).unwrap());
             }
             (gm, keys)
-        })
+        });
+        &GROUP
     }
 
     #[test]

@@ -8,18 +8,18 @@ use crate::ky::{self, GroupManager, MemberKey};
 use crate::params::{GsigParams, GsigPreset};
 use shs_crypto::drbg::HmacDrbg;
 use shs_groups::rsa::{RsaGroup, RsaSecret};
-use std::sync::OnceLock;
+use std::sync::LazyLock;
 
 /// Number of members pre-admitted in the shared cached group.
 pub const CACHED_MEMBERS: usize = 8;
 
 /// The cached deterministic RSA setting for the `Test` preset.
 pub fn test_rsa_setting() -> &'static (RsaGroup, RsaSecret) {
-    static SETTING: OnceLock<(RsaGroup, RsaSecret)> = OnceLock::new();
-    SETTING.get_or_init(|| {
+    static SETTING: LazyLock<(RsaGroup, RsaSecret)> = LazyLock::new(|| {
         let params = GsigParams::preset(GsigPreset::Test);
         RsaGroup::generate_deterministic(params.modulus_bits, b"gsig-fixture-rsa")
-    })
+    });
+    &SETTING
 }
 
 /// Builds a fresh group manager (using the cached RSA setting) with
@@ -46,8 +46,9 @@ pub fn group_with_members_mut(n_members: usize) -> (GroupManager, Vec<MemberKey>
 }
 
 fn cached_group() -> &'static (GroupManager, Vec<MemberKey>) {
-    static GROUP: OnceLock<(GroupManager, Vec<MemberKey>)> = OnceLock::new();
-    GROUP.get_or_init(|| fresh_group_seeded(CACHED_MEMBERS, b"gsig-fixture-shared"))
+    static GROUP: LazyLock<(GroupManager, Vec<MemberKey>)> =
+        LazyLock::new(|| fresh_group_seeded(CACHED_MEMBERS, b"gsig-fixture-shared"));
+    &GROUP
 }
 
 /// A shared immutable group with up to [`CACHED_MEMBERS`] members; the

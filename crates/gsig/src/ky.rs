@@ -28,11 +28,11 @@
 
 use crate::batch::BatchOutcome;
 use crate::join::Join;
-use crate::params::GsigParams;
+use crate::params::{GsigParams, Scheme};
 use crate::sigma::prove::prove;
 use crate::sigma::verify::{self as verifier, Proof};
 use crate::sigma::{key_bases, Base, Bind, Equation, KeyBase, Relation, Witness, MINUS, PLUS};
-use crate::tables::FixedBasePair;
+use crate::tables::{self, KeyTables};
 use crate::GsigError;
 use rand::RngCore;
 use shs_bigint::{rng as brng, Int, Ubig};
@@ -68,10 +68,14 @@ pub struct GroupPublicKey {
     pub h: Ubig,
     /// GM tracing key `y = g^θ`.
     pub y: Ubig,
-    /// Fixed-base tables of `a, a0, b, g, h, y`, in that order; built on
-    /// first use (`a0`'s never is: no prover raises it), shared by clones.
-    tables: [FixedBasePair; 6],
+    /// Fixed-base tables of `a, a0, b, g, h, y`, in that order, built at
+    /// setup and shared by every clone (`a0` has none: no prover raises
+    /// it).
+    tables: KeyTables<6>,
 }
+
+/// The labels of the public-key bases, in [`GroupPublicKey::keys`] order.
+const LABELS: [&str; 6] = ["a", "a0", "b", "g", "h", "y"];
 
 impl GroupPublicKey {
     /// The RSA group (for callers needing raw `QR(n)` operations).
@@ -79,11 +83,10 @@ impl GroupPublicKey {
         &self.rsa
     }
 
-    /// The public-key bases `a, a0, b, g, h, y`, each with its tables.
+    /// The public-key bases `a, a0, b, g, h, y`, each with its table.
     fn keys(&self) -> [KeyBase<'_>; 6] {
         let values = [&self.a, &self.a0, &self.b, &self.g, &self.h, &self.y];
-        let (bits, labels) = (self.params.table_bits(), ["a", "a0", "b", "g", "h", "y"]);
-        key_bases(&self.rsa, bits, labels, values, &self.tables)
+        key_bases(&self.rsa, LABELS, values, &self.tables)
     }
 
     /// The join statement: members commit to `x'` under `b`.
@@ -127,7 +130,7 @@ fn relation<'a>(
     let [a, a0, b, g, h, y] = keys.map(Base::Key);
     let [t1, _, t3, t4, _, t6, _] = t.map(Base::Direct);
     let [t2, t5, t7] = [(t[1], logs[0]), (t[4], logs[1]), (t[6], logs[2])]
-        .map(|(tag, log)| Base::elem(tag, keys[3], log));
+        .map(|(tag, log)| Base::elem(tag, keys[3], log.map(|l| (l, p.r_bits()))));
     Relation {
         domain: "shs-gsig-ky",
         rsa: &pk.rsa,
@@ -395,6 +398,9 @@ impl GroupManager {
         let h = rsa_secret.qr_generator(&rsa, rng);
         let theta = brng::below(rng, &rsa.n().shr(2));
         let y = rsa.exp(&g, &theta);
+        let values = [&a, &a0, &b, &g, &h, &y];
+        let exponents = params.prover_exponents(Scheme::Ky);
+        let tables = tables::build(&rsa, LABELS, values, &exponents);
         let pk = GroupPublicKey {
             params,
             rsa,
@@ -404,7 +410,7 @@ impl GroupManager {
             g,
             h,
             y,
-            tables: Default::default(),
+            tables,
         };
         GroupManager {
             pk,
@@ -620,9 +626,10 @@ fn sign_inner(
     // Fixed public bases with secret exponents go through the precomputed
     // constant-trace tables. The signer knows the discrete logs of T2 = g^r,
     // T5 = g^{k1} and a random T7 = g^{k2}, so their powers are powers of g
-    // as well: T5^x = g^{k1·x} and so on. By the parameter formulas every
-    // such product fits under `table_bits` (the params tests check it).
-    // Only T1 and a hashed common T7 stay on the plain Montgomery kernel.
+    // as well: T5^x = g^{k1·x} and so on. Every such exponent is on the
+    // list `GsigParams::prover_exponents` builds g's table from (the params
+    // tests check it). Only T1 and a hashed common T7 stay on the plain
+    // Montgomery kernel.
     let [_, _, _, g, h, y] = pk.keys();
     let (r, k1) = (params.sample_r(rng), params.sample_r(rng));
     let (t7, k2) = match basis {
@@ -782,6 +789,16 @@ mod tests {
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(60)
+    }
+
+    #[test]
+    fn setup_builds_the_tables_every_clone_shares() {
+        let (gm, _) = test_support::group_with_members(1);
+        let pk = gm.public_key();
+        assert!(std::sync::Arc::ptr_eq(&pk.tables, &pk.clone().tables));
+        let built = pk.tables.iter().map(Option::is_some);
+        let want = LABELS.map(|label| label != "a0");
+        assert!(built.eq(want), "one table per base a prover raises");
     }
 
     #[test]

@@ -157,13 +157,85 @@ impl GsigParams {
         eps(secret_bits + self.k)
     }
 
-    /// Width bound for the signers' fixed-base tables: the widest secret
-    /// exponent a signer raises a fixed base to is the `h'`-blind. The
-    /// products the signers run through `g`'s table (`k1·x`, `r·ρ_e`, …)
-    /// are narrower, so no signing exponent reaches `FixedBase::pow`'s
-    /// width-dependent fallback.
-    pub(crate) fn table_bits(&self) -> u32 {
-        self.blind_bits(self.h_bits())
+    /// Every exponent the sign, join and opening provers of `scheme` raise
+    /// a public-key base to, by the base's label, with its bit bound:
+    /// setup builds each listed base's table as wide as its widest entry
+    /// (and the start of each signed width), and a base the list does not
+    /// name gets none (`a0`). The logs the signers know (ACJT's `w`, KY's
+    /// `r, k1, k2`) lie below `2^{r_bits}`, so `T2 = g^r` raised to a
+    /// blind `ρ` is `g^{r·ρ}`, a signed exponent `r_bits` wider than `ρ`.
+    pub(crate) fn prover_exponents(&self, scheme: Scheme) -> Vec<(&'static str, Exponent)> {
+        use Exponent::{Signed, Unsigned};
+        let (log, x, e) = (self.r_bits(), self.lambda1 + 1, self.gamma1 + 1);
+        let [rho_x, rho_e, rho_r, rho_h] =
+            [self.lambda2, self.gamma2, log, self.h_bits()].map(|b| self.blind_bits(b));
+        let join = match scheme {
+            Scheme::Acjt => "a",
+            Scheme::Ky => "b",
+        };
+        let mut list = vec![
+            // Both signatures: T1 = A·y^r, T2 = g^r, T3 = g^e·h^r ...
+            ("y", Unsigned(log)),
+            ("g", Unsigned(log)),
+            ("g", Unsigned(e)),
+            ("h", Unsigned(log)),
+            // ... and the proof's blinds: g^{ρ_r}, g^{ρ_e}·h^{ρ_r},
+            // T2^{ρ_e}·g^{−ρ_h}, a^{ρ_x}·y^{ρ_h}.
+            ("g", Signed(rho_r)),
+            ("g", Signed(rho_e)),
+            ("h", Signed(rho_r)),
+            ("g", Signed(log + rho_e)),
+            ("g", Signed(rho_h)),
+            ("a", Signed(rho_x)),
+            ("y", Signed(rho_h)),
+            // The join commitment base^x, x ∈ Λ, and its proof's blind
+            // (ACJT's `finish_join` raises a^x too).
+            (join, Unsigned(x)),
+            (join, Signed(rho_x)),
+        ];
+        if scheme == Scheme::Ky {
+            list.extend([
+                // T4 = g^{k1·x}, T6 = g^{k2·x'} (T5 = g^{k1}, T7 = g^{k2}
+                // are `log` wide), and T5^{ρ_x}, T7^{ρ_x'} through g.
+                ("g", Unsigned(log + x)),
+                ("g", Signed(log + rho_x)),
+                ("b", Signed(rho_x)),
+                // The opening proof's g^ρ (its witness θ is declared
+                // r_bits + 2 bits wide).
+                ("g", Signed(self.blind_bits(log + 2))),
+            ]);
+        }
+        list
+    }
+}
+
+/// The two group-signature schemes, for the lists that differ between them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Scheme {
+    /// ACJT2000 ([`crate::acjt`]).
+    Acjt,
+    /// Kiayias–Yung ([`crate::ky`]).
+    Ky,
+}
+
+/// An exponent a prover raises a key base to, by its bit bound `b`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Exponent {
+    /// A non-negative secret below `2^b`: a tag's log, a join secret.
+    Unsigned(u32),
+    /// A signed exponent of magnitude below `2^b`: a blind, or a known log
+    /// times one. The table runs it shifted by the public `2^b`, one bit
+    /// wider.
+    Signed(u32),
+}
+
+impl Exponent {
+    /// The table width the exponent needs, its offset bit included.
+    pub(crate) fn width(self) -> u32 {
+        match self {
+            Exponent::Unsigned(b) => b,
+            Exponent::Signed(b) => b + 1,
+        }
     }
 }
 
@@ -195,32 +267,93 @@ mod tests {
         }
     }
 
+    /// The width of the table setup builds for `base` from `list`.
+    fn table_width(list: &[(&str, Exponent)], base: &str) -> Option<u32> {
+        let terms = list.iter().filter(|(l, _)| *l == base);
+        terms.map(|(_, e)| e.width()).max()
+    }
+
     #[test]
-    fn signer_exponents_fit_the_tables() {
-        // Bit bounds of every exponent KY and ACJT `sign` send through a
-        // fixed-base table. Each random log (r, w, k1, k2) is below
-        // 2^{r_bits}, x and x' below 2^{λ1+1}, e below 2^{γ1+1}, and a
-        // blind of b bits has magnitude below 2^b.
+    fn every_prover_term_fits_its_base_table() {
+        // Every term the sign, join and opening provers raise a key base
+        // to, by base, from the scheme formulas: each random log (r, w,
+        // k1, k2) is below 2^{r_bits}, x and x' below 2^{λ1+1}, e below
+        // 2^{γ1+1}, and a blind of b bits has magnitude below 2^b, which
+        // the table runs shifted by 2^b, one bit wider.
+        use Exponent::{Signed, Unsigned};
         for preset in [GsigPreset::Test, GsigPreset::Small, GsigPreset::Paper] {
             let p = GsigParams::preset(preset);
             let (log, x, e) = (p.r_bits(), p.lambda1 + 1, p.gamma1 + 1);
-            let exponents = [
-                ("r, w, k1, k2", log),
-                ("e", e),
-                ("ρ_r, ρ_w", p.blind_bits(p.r_bits())),
-                ("ρ_e", p.blind_bits(p.gamma2)),
-                ("ρ_x, ρ_x'", p.blind_bits(p.lambda2)),
-                ("ρ_h", p.blind_bits(p.h_bits())),
-                ("T4 = g^{k1·x}, T6 = g^{k2·x'}", log + x),
-                ("T5^{ρ_x}, T7^{ρ_x'}", log + p.blind_bits(p.lambda2)),
-                ("T2^{ρ_e}", log + p.blind_bits(p.gamma2)),
+            let blind = |bits| p.blind_bits(bits);
+            let (rho_x, rho_e) = (blind(p.lambda2), blind(p.gamma2));
+            let signature = [
+                ("T1 = A·y^r", "y", Unsigned(log)),
+                ("T2 = g^r", "g", Unsigned(log)),
+                ("T3 = g^e·h^r", "g", Unsigned(e)),
+                ("T3 = g^e·h^r", "h", Unsigned(log)),
+                ("g^{ρ_r}", "g", Signed(blind(log))),
+                ("g^{ρ_e}", "g", Signed(rho_e)),
+                ("h^{ρ_r}", "h", Signed(blind(log))),
+                ("T2^{ρ_e} = g^{r·ρ_e}", "g", Signed(log + rho_e)),
+                ("g^{−ρ_h}", "g", Signed(blind(p.h_bits()))),
+                ("a^{ρ_x}", "a", Signed(rho_x)),
+                ("y^{ρ_h}", "y", Signed(blind(p.h_bits()))),
             ];
-            for (what, bits) in exponents {
-                assert!(
-                    bits <= p.table_bits(),
-                    "{preset:?}: {what} needs {bits} bits, the tables cover {}",
-                    p.table_bits()
-                );
+            let join = |base| {
+                [
+                    ("join commitment base^x", base, Unsigned(x)),
+                    ("join proof base^ρ", base, Signed(rho_x)),
+                ]
+            };
+            let ky = [
+                ("T4 = g^{k1·x}, T6 = g^{k2·x'}", "g", Unsigned(log + x)),
+                ("T5 = g^{k1}, T7 = g^{k2}", "g", Unsigned(log)),
+                ("T5^{ρ_x}, T7^{ρ_x'} through g", "g", Signed(log + rho_x)),
+                ("b^{ρ_x'}", "b", Signed(rho_x)),
+                ("opening g^ρ", "g", Signed(blind(log + 2))),
+            ];
+            let terms = [
+                (Scheme::Acjt, [&signature[..], &join("a")].concat()),
+                (Scheme::Ky, [&signature[..], &join("b"), &ky].concat()),
+            ];
+            for (scheme, terms) in terms {
+                let list = p.prover_exponents(scheme);
+                let table = |base| table_width(&list, base);
+                for (what, base, exp) in terms {
+                    let at = format!("{preset:?} {scheme:?}: {what} on `{base}`");
+                    let width = table(base).unwrap_or_else(|| panic!("{at}: no table"));
+                    assert!(
+                        exp.width() <= width,
+                        "{at} needs {} bits, the table covers {width}",
+                        exp.width()
+                    );
+                    if let Signed(_) = exp {
+                        assert!(list.contains(&(base, exp)), "{at}: no start");
+                    }
+                }
+                assert_eq!(table("a0"), None, "{preset:?} {scheme:?}: a0");
+            }
+        }
+    }
+
+    #[test]
+    fn tables_are_as_wide_as_their_widest_term_at_every_preset() {
+        // (a, b, g = y, h) for KY; ACJT has no b, and its a carries the
+        // join commitment's λ1 + 1 bits, KY's b width.
+        for (preset, [a, b, g, h]) in [
+            (GsigPreset::Test, [395, 399, 994, 377]),
+            (GsigPreset::Small, [1_873, 1_877, 3_554, 1_007]),
+            (GsigPreset::Paper, [4_789, 4_793, 8_762, 2_483]),
+        ] {
+            let p = GsigParams::preset(preset);
+            let ky = [("a", a), ("b", b), ("g", g), ("h", h), ("y", g)];
+            let acjt = [("a", b), ("g", g), ("h", h), ("y", g)];
+            for (scheme, want) in [(Scheme::Ky, &ky[..]), (Scheme::Acjt, &acjt[..])] {
+                let list = p.prover_exponents(scheme);
+                for &(base, bits) in want {
+                    let width = table_width(&list, base);
+                    assert_eq!(width, Some(bits), "{preset:?} {scheme:?} `{base}`");
+                }
             }
         }
     }

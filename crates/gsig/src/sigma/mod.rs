@@ -67,19 +67,24 @@ impl Transcript {
 /// The base of a term, or the image of an equation.
 #[derive(Clone, Copy)]
 pub(crate) enum Base<'a> {
-    /// A public-key base, raised through its fixed-base tables.
+    /// A public-key base, raised through its fixed-base table.
     Key(KeyBase<'a>),
     /// A per-proof element whose log to a table base the prover knows
-    /// (`T2 = g^r`): the prover raises that table to `log·ρ`.
-    Logged(&'a Ubig, KeyBase<'a>, &'a Ubig),
+    /// (`T2 = g^r`), with the log's public bit bound: the prover raises
+    /// that table to `log·ρ`.
+    Logged(&'a Ubig, KeyBase<'a>, (&'a Ubig, u32)),
     /// A per-proof element raised directly (`T1`, a hashed `T7`).
     Direct(&'a Ubig),
 }
 
 impl<'a> Base<'a> {
-    /// A per-proof element, [`Base::Logged`] when its log to `key` is
-    /// known (never to a verifier).
-    pub(crate) fn elem(value: &'a Ubig, key: KeyBase<'a>, log: Option<&'a Ubig>) -> Base<'a> {
+    /// A per-proof element, [`Base::Logged`] when its log to `key` (below
+    /// `2^bits`) is known, which it never is to a verifier.
+    pub(crate) fn elem(
+        value: &'a Ubig,
+        key: KeyBase<'a>,
+        log: Option<(&'a Ubig, u32)>,
+    ) -> Base<'a> {
         log.map_or(Base::Direct(value), |log| Base::Logged(value, key, log))
     }
 
@@ -182,7 +187,8 @@ mod tests {
     use super::verify::{BatchOutcome, Proof};
     use super::*;
     use crate::fixtures;
-    use crate::tables::FixedBasePair;
+    use crate::params::Exponent::Signed;
+    use crate::tables;
     use shs_crypto::drbg::HmacDrbg;
 
     /// A relation neither scheme uses, the DLEQ `g^x = X ∧ h^x = Y` over
@@ -226,15 +232,12 @@ mod tests {
         let (rsa, _) = fixtures::test_rsa_setting();
         let mut rng = HmacDrbg::from_seed(b"engine-dleq");
         let (g, h) = (rsa.random_qr(&mut rng), rsa.random_qr(&mut rng));
-        let tables: [FixedBasePair; 2] = Default::default();
-        let keys =
-            [("g", &g, &tables[0]), ("h", &h, &tables[1])].map(|(label, value, tables)| KeyBase {
-                rsa,
-                label,
-                value,
-                tables,
-                bits: 320,
-            });
+        // Tables built as setup builds a key's: from the list of every
+        // prover term, here the 300- and 302-bit blinds on both bases.
+        let terms = [("g", Signed(300)), ("g", Signed(302))];
+        let terms = [terms, terms.map(|(_, e)| ("h", e))].concat();
+        let tables = tables::build(rsa, ["g", "h"], [&g, &h], &terms);
+        let keys = key_bases(rsa, ["g", "h"], [&g, &h], &tables);
         let secrets: Vec<Ubig> = (0..5)
             .map(|_| rsa.random_exponent(&mut rng).shr(56))
             .collect();

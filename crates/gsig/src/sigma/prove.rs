@@ -1,7 +1,8 @@
 //! The prover of every GSIG relation. Its exponents are secret (witnesses,
 //! blinds and their products), so it runs on the constant-trace kernels
 //! only: key bases and known-log elements through the masked fixed-base
-//! tables, direct elements through `RsaGroup::exp_signed`.
+//! tables at the public width of each term's bound, direct elements
+//! through `RsaGroup::exp_signed`.
 
 use super::{Base, Relation};
 use crate::params::pow2;
@@ -36,9 +37,12 @@ pub(crate) fn prove<const M: usize, const W: usize>(
         } else {
             blinds[*w].clone()
         };
+        let bits = rel.witnesses[*w].1;
         match *base {
-            Base::Key(key) => key.pow(&e),
-            Base::Logged(_, key, log) => key.pow(&Int::from_ubig(log.clone()).mul(&e)),
+            Base::Key(key) => key.pow(&e, bits),
+            Base::Logged(_, key, (log, log_bits)) => {
+                key.pow(&Int::from_ubig(log.clone()).mul(&e), log_bits + bits)
+            }
             Base::Direct(v) => rel.rsa.exp_signed(v, &e),
         }
     };

@@ -55,7 +55,7 @@
 //! sign-malleability with cofactored semantics, the same resolution
 //! batch Ed25519 verifiers adopt for their order-8 subgroup. What
 //! matters is that both paths agree on every input;
-//! `tests/batch_equiv.rs` plants exactly this corruption.
+//! `crates/gsig/tests/batch_equiv.rs` plants exactly this corruption.
 //!
 //! Soundness also requires the cheap checks (element ranges, response
 //! spheres, challenge hash) to run per proof before the combination:

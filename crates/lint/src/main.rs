@@ -13,7 +13,8 @@
 //! finding is an inline `// lint:allow(<rule>) reason="…"` at its site,
 //! which the `allow-hygiene` rule audits.
 //!
-//! Exit codes: `0` clean, `1` findings, `2` usage or I/O error.
+//! Exit codes: `0` clean (or `--help`, which prints the usage to
+//! stdout), `1` findings, `2` usage or I/O error.
 
 use shs_lint::{Linter, Mode};
 use std::path::PathBuf;
@@ -34,7 +35,8 @@ fn usage() -> &'static str {
      [files…]"
 }
 
-fn parse_args() -> Result<Args, String> {
+/// The parsed command line, or `None` when it asks for the usage.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         workspace: false,
         policy: None,
@@ -70,7 +72,7 @@ fn parse_args() -> Result<Args, String> {
                 args.mode = Mode::Analysis;
             }
             "--quiet" | "-q" => args.quiet = true,
-            "--help" | "-h" => return Err(usage().to_string()),
+            "--help" | "-h" => return Ok(None),
             other if other.starts_with('-') => {
                 return Err(format!("unknown flag `{other}`\n{}", usage()))
             }
@@ -80,7 +82,7 @@ fn parse_args() -> Result<Args, String> {
     if !args.workspace && args.files.is_empty() {
         return Err(format!("nothing to lint\n{}", usage()));
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 /// Finds `lint-policy.toml` in the current directory or any ancestor.
@@ -102,7 +104,10 @@ fn find_policy() -> Result<PathBuf, String> {
 }
 
 fn run() -> Result<bool, String> {
-    let args = parse_args()?;
+    let Some(args) = parse_args()? else {
+        println!("{}", usage());
+        return Ok(true);
+    };
     let policy_path = match &args.policy {
         Some(p) => p.clone(),
         None => find_policy()?,

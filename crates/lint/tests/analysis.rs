@@ -205,3 +205,26 @@ fn binary_each_pass_fails_on_any_finding_and_takes_no_baseline() {
         "usage lists a baseline flag: {stderr}"
     );
 }
+
+/// `--help` and `-h` are requests, not errors: the usage goes to stdout
+/// and the run exits 0. A flag the CLI does not know still exits 2.
+#[test]
+fn binary_help_prints_the_usage_to_stdout_and_exits_zero() {
+    let lint = |arg: &str| {
+        Command::new(env!("CARGO_BIN_EXE_shs-lint"))
+            .arg(arg)
+            .output()
+            .expect("binary runs")
+    };
+    for flag in ["--help", "-h"] {
+        let out = lint(flag);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{flag}");
+        assert!(stdout.starts_with("usage: shs-lint"), "{flag}: {stdout}");
+        assert!(out.stderr.is_empty(), "{flag} writes to stderr");
+    }
+    let out = lint("--no-such-flag");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag `--no-such-flag`"), "{stderr}");
+}

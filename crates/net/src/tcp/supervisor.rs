@@ -71,9 +71,10 @@ pub struct Attachment {
 /// `want_slot = None` lets the relay pick any free slot (pass a slot to
 /// reclaim a seat after a mid-session reconnect).
 ///
-/// A connection that opens but then fails the hello exchange (refused,
-/// version mismatch, dead relay) consumes one attempt and re-dials,
-/// except [`NetError::Refused`] which is terminal — retrying a refusal
+/// A connection that opens but then fails the hello exchange (a dead
+/// relay, a reply other than `Welcome` or `Bye`) consumes one attempt and
+/// re-dials. A `Bye`, the relay's refusal (it also answers a version
+/// mismatch), is [`NetError::Refused`] and terminal — retrying a refusal
 /// only hammers a relay that already said no.
 ///
 /// # Errors
@@ -128,7 +129,9 @@ fn try_attach_once(
     match conn.recv()? {
         Frame::Welcome { slot, slots } => Ok((conn, slot as usize, slots as usize)),
         Frame::Bye => Err(NetError::Refused),
-        _ => Err(NetError::Refused),
+        // Any other reply is no answer to the hello: this connection is
+        // unusable, so drop it and re-dial.
+        _ => Err(NetError::Disconnected),
     }
 }
 
@@ -188,6 +191,32 @@ mod tests {
         );
         assert_eq!((a.slot, a.slots), (1, 3));
         binder.join().unwrap();
+    }
+
+    #[test]
+    fn a_reply_that_is_no_answer_to_the_hello_is_retried() {
+        // The listener answers the first dial's hello with a hello of its
+        // own and welcomes the second dial.
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = l.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let replies = [
+                Frame::Hello {
+                    version: VERSION,
+                    want_slot: 0,
+                },
+                Frame::Welcome { slot: 2, slots: 3 },
+            ];
+            for reply in replies {
+                let (s, _) = l.accept().unwrap();
+                let mut c = FramedConn::new(s, ConnConfig::default()).unwrap();
+                let _ = c.recv(); // swallow the hello
+                let _ = c.send(&reply);
+            }
+        });
+        let a = attach(addr, &local_cfg(), None).unwrap();
+        assert_eq!((a.slot, a.slots, a.failed_attempts), (2, 3, 1));
+        server.join().unwrap();
     }
 
     #[test]
