@@ -7,8 +7,10 @@
 //! The board is append-only and *public*: anyone (including adversaries)
 //! can read every posted blob, but the blobs are AEAD-encrypted under
 //! group keys the reader may not have. Members poll the board to catch up
-//! on missed epochs; an LKH member replays updates in order, an SD member
-//! can jump straight to the newest one.
+//! on missed epochs. Every member replays the posts in order, because
+//! each post carries its window's CRL delta: an SD member's key could
+//! jump straight to the newest epoch, but its CRL cannot skip a
+//! revocation, and [`Member::apply_update`] rejects such a jump whole.
 
 use crate::member::{GroupUpdate, Member};
 use crate::CoreError;
@@ -90,7 +92,7 @@ impl BulletinBoard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SchemeKind;
+    use crate::config::{CgkdChoice, GroupConfig, SchemeKind};
     use crate::fixtures;
     use shs_crypto::drbg::HmacDrbg;
 
@@ -133,6 +135,34 @@ mod tests {
             board.sync(m).unwrap();
             assert_eq!(m.group_key(), ga.group_key());
         }
+    }
+
+    #[test]
+    fn an_sd_member_that_skips_a_revocation_still_syncs_every_post() {
+        let mut rng = HmacDrbg::from_seed(b"bulletin-sd-skip");
+        let config = GroupConfig::test_with_cgkd(SchemeKind::Scheme1, CgkdChoice::SubsetDifference);
+        let (mut ga, mut members) = fixtures::group_with_config(config, 4, &mut rng).unwrap();
+        let mut board = BulletinBoard::new();
+        let mut updates = Vec::new();
+        for leaver in members.split_off(2) {
+            updates.push(ga.remove(leaver.id(), &mut rng).unwrap());
+        }
+        let sleeper = &mut members[0];
+        let (epoch, crl) = (sleeper.epoch(), sleeper.crl_version());
+        // The second removal alone would leave the first revocation out
+        // of the sleeper's CRL: it is refused, and the sleeper stays put.
+        assert!(matches!(
+            sleeper.apply_update(&updates[1]),
+            Err(CoreError::UpdateRejected)
+        ));
+        assert_eq!((sleeper.epoch(), sleeper.crl_version()), (epoch, crl));
+        for update in updates {
+            board.post(update);
+        }
+        assert_eq!(board.sync(sleeper).unwrap(), 2);
+        assert_eq!(sleeper.group_key(), ga.group_key());
+        assert_eq!(sleeper.crl_version(), ga.crl_version());
+        assert_eq!(sleeper.crl_version(), 2);
     }
 
     #[test]

@@ -127,17 +127,25 @@ impl Member {
     /// `CGKD.Rekey`, then decrypts the GSIG state update with the *new*
     /// group key and applies the CRL delta.
     ///
+    /// The update is atomic: the rekey runs on a copy of the member's
+    /// CGKD slot, which replaces the slot only once the payload has
+    /// opened under the copy's key and its CRL delta has applied. A
+    /// rejected update leaves the epoch, group key and CRL as they were,
+    /// so the genuine update (or the skipped one before it) still
+    /// applies afterwards.
+    ///
     /// # Errors
     ///
     /// [`CoreError::Cgkd`] when the rekey cannot be processed (revoked
     /// members land here), [`CoreError::UpdateRejected`] when the payload
     /// fails authentication or ordering.
     pub fn apply_update(&mut self, update: &GroupUpdate) -> Result<(), CoreError> {
+        let mut next = self.cgkd.clone_slot();
         if !update.rekey.is_empty() {
-            self.cgkd.process(&update.rekey).map_err(CoreError::Cgkd)?;
+            next.process(&update.rekey).map_err(CoreError::Cgkd)?;
         }
         let aad = update_aad(update.rekey.epoch());
-        let pt = aead::open(self.cgkd.group_key(), &update.payload_ct, &aad)
+        let pt = aead::open(next.group_key(), &update.payload_ct, &aad)
             .map_err(|_| CoreError::UpdateRejected)?;
         let payload = decode_update_payload(self.cred.params(), &pt)?;
         if let Some(delta) = payload.crl_delta {
@@ -145,6 +153,7 @@ impl Member {
                 .apply(&delta)
                 .map_err(|_| CoreError::UpdateRejected)?;
         }
+        self.cgkd = next;
         Ok(())
     }
 
@@ -159,5 +168,43 @@ impl Member {
     /// the receiving side of the E7b attack.
     pub fn adopt_leaked_key(&mut self, key: Key, epoch: u64) {
         self.cgkd.force_group_key(key, epoch);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::config::{CgkdChoice, GroupConfig, SchemeKind};
+    use crate::{fixtures, CoreError};
+    use shs_crypto::drbg::HmacDrbg;
+
+    #[test]
+    fn a_rejected_update_changes_nothing_on_every_backend() {
+        for cgkd in CgkdChoice::ALL {
+            let mut rng = HmacDrbg::from_seed(format!("member-atomic-{cgkd:?}").as_bytes());
+            let config = GroupConfig::test_with_cgkd(SchemeKind::Scheme1, cgkd);
+            let (mut ga, mut members) = fixtures::group_with_config(config, 3, &mut rng).unwrap();
+            let victim = members.pop().unwrap();
+            let update = ga.remove(victim.id(), &mut rng).unwrap();
+            let mut tampered = update.clone();
+            tampered.payload_ct[0] ^= 1;
+
+            let m = &mut members[0];
+            let before = (m.epoch(), m.group_key().clone(), m.crl_version());
+            assert!(
+                matches!(m.apply_update(&tampered), Err(CoreError::UpdateRejected)),
+                "{cgkd:?}"
+            );
+            let after = (m.epoch(), m.group_key().clone(), m.crl_version());
+            assert_eq!(
+                after, before,
+                "{cgkd:?}: a rejected update moved the member"
+            );
+
+            m.apply_update(&update).unwrap();
+            assert_eq!(m.epoch(), ga.epoch(), "{cgkd:?}");
+            assert_eq!(m.group_key(), ga.group_key(), "{cgkd:?}");
+            assert_eq!(m.crl_version(), ga.crl_version(), "{cgkd:?}");
+            assert_eq!(m.crl_version(), 1, "{cgkd:?}");
+        }
     }
 }

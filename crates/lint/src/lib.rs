@@ -6,9 +6,11 @@
 //! `==` on a MAC tag, a `Debug`-printed join secret, or a panic on a
 //! protocol path de-anonymizes a participant even when the protocol math
 //! is correct. This crate machine-checks the written policy in
-//! `lint-policy.toml` on every PR, in two passes.
+//! `lint-policy.toml` on every PR. Every run executes the token rules
+//! and the interprocedural analyses over one lexed workspace, then
+//! applies one set of allow directives to their findings.
 //!
-//! **Fast token rules** (site-local, one linear scan per file):
+//! **Token rules** (site-local, one linear scan per file):
 //!
 //! * **secret-debug** — registered secret types must not derive
 //!   `Debug`/`Display`; redacting manual impls only.
@@ -40,10 +42,10 @@
 //!
 //! Analysis findings ride the same allow machinery as the token rules:
 //! an inline `// lint:allow(<rule>) reason="…"` is the one way to accept
-//! a finding, and CI holds both passes at 0 findings. Everything is
-//! hand-rolled (lexer, TOML-subset parser, JSON emitter) so the tool has
-//! zero dependencies, consistent with the offline `shims/` policy of
-//! this workspace.
+//! a finding, every rule it names must suppress a finding of that rule,
+//! and CI holds the run at 0 findings. Everything is hand-rolled (lexer,
+//! TOML-subset parser, JSON emitter) so the tool has zero dependencies,
+//! consistent with the offline `shims/` policy of this workspace.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,27 +65,6 @@ pub use report::{AnalysisStats, Finding, Report};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-
-/// Which passes a run executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Fast token rules only.
-    Tokens,
-    /// Interprocedural analyses only.
-    Analysis,
-    /// Both (the default).
-    Full,
-}
-
-impl Mode {
-    fn tokens(self) -> bool {
-        self != Mode::Analysis
-    }
-
-    fn analysis(self) -> bool {
-        self != Mode::Tokens
-    }
-}
 
 /// A configured lint run rooted at the directory holding the policy file.
 #[derive(Debug)]
@@ -137,38 +118,27 @@ impl Linter {
         &self.root
     }
 
-    /// Lints every `.rs` file under the policy's scan roots (both passes).
+    /// Lints every `.rs` file under the policy's scan roots, and reports,
+    /// as `allow-hygiene`, every policy path entry that matches no
+    /// scanned file.
     ///
     /// # Errors
     ///
     /// I/O problems, as a printable message.
     pub fn lint_workspace(&self) -> Result<Report, String> {
-        self.lint_workspace_mode(Mode::Full)
-    }
-
-    /// Lints the workspace with an explicit pass selection. The token
-    /// pass also reports, as `allow-hygiene`, every policy path entry
-    /// that matches no scanned file.
-    ///
-    /// # Errors
-    ///
-    /// I/O problems, as a printable message.
-    pub fn lint_workspace_mode(&self, mode: Mode) -> Result<Report, String> {
         let mut files = Vec::new();
         for dir in &self.policy.scan_roots {
             collect_rs_files(&self.root.join(dir), &mut files)?;
         }
         files.sort();
-        let mut report = self.lint_files_mode(&files, mode)?;
-        if mode.tokens() {
-            let scanned: Vec<String> = files
-                .iter()
-                .map(|f| self.relative_name(f))
-                .filter(|rel| !self.policy.excluded(rel))
-                .collect();
-            report.findings.extend(self.stale_policy_paths(&scanned));
-            sort_findings(&mut report.findings);
-        }
+        let mut report = self.lint_files(&files)?;
+        let scanned: Vec<String> = files
+            .iter()
+            .map(|f| self.relative_name(f))
+            .filter(|rel| !self.policy.excluded(rel))
+            .collect();
+        report.findings.extend(self.stale_policy_paths(&scanned));
+        sort_findings(&mut report.findings);
         Ok(report)
     }
 
@@ -199,21 +169,12 @@ impl Linter {
             .collect()
     }
 
-    /// Lints an explicit set of files (both passes).
+    /// Lints an explicit set of files.
     ///
     /// # Errors
     ///
     /// I/O problems, as a printable message.
     pub fn lint_files(&self, files: &[PathBuf]) -> Result<Report, String> {
-        self.lint_files_mode(files, Mode::Full)
-    }
-
-    /// Lints an explicit set of files with an explicit pass selection.
-    ///
-    /// # Errors
-    ///
-    /// I/O problems, as a printable message.
-    pub fn lint_files_mode(&self, files: &[PathBuf], mode: Mode) -> Result<Report, String> {
         let mut sources = Vec::new();
         for path in files {
             let rel = self.relative_name(path);
@@ -224,71 +185,64 @@ impl Linter {
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
             sources.push((rel, src));
         }
-        Ok(self.lint_sources(&sources, mode))
+        Ok(self.lint_sources(&sources))
     }
 
-    /// Lints one file's source text under the given relative name (both
-    /// passes — the single file is its own "workspace").
+    /// Lints one file's source text under the given relative name (the
+    /// single file is its own "workspace").
     pub fn lint_source(&self, rel: &str, src: &str) -> Vec<Finding> {
-        self.lint_sources(&[(rel.to_string(), src.to_string())], Mode::Full)
+        self.lint_sources(&[(rel.to_string(), src.to_string())])
             .findings
     }
 
-    /// The shared pipeline: lex once, run the selected passes, merge
-    /// per-file, dedupe, then apply allow directives.
-    fn lint_sources(&self, sources: &[(String, String)], mode: Mode) -> Report {
+    /// The one pipeline: lex once, run the token rules and the
+    /// analyses, merge per file, dedupe, then apply allow directives.
+    fn lint_sources(&self, sources: &[(String, String)]) -> Report {
         let lexed: Vec<lexer::Lexed> = sources.iter().map(|(_, src)| lexer::lex(src)).collect();
-        let mut raw: Vec<Vec<Finding>> = vec![Vec::new(); sources.len()];
+        let mut raw: Vec<Vec<Finding>> = sources
+            .iter()
+            .zip(&lexed)
+            .map(|((rel, _), lx)| rules::token_findings(rel, lx, &self.policy))
+            .collect();
 
-        if mode.tokens() {
-            for (i, (rel, _)) in sources.iter().enumerate() {
-                raw[i] = rules::token_findings(rel, &lexed[i], &self.policy);
+        let t0 = Instant::now();
+        let syntaxes: Vec<syntax::FileSyntax> = sources
+            .iter()
+            .zip(&lexed)
+            .map(|((rel, _), lx)| syntax::parse_file(rel, lx))
+            .collect();
+        let cg = graph::CallGraph::build(&syntaxes);
+        let (taint_findings, tstats) = taint::analyze(&syntaxes, &cg, &self.policy);
+        let (lock_findings, lstats) = locks::analyze(&syntaxes, &cg, &self.policy);
+        for f in taint_findings.into_iter().chain(lock_findings) {
+            if let Some(i) = sources.iter().position(|(rel, _)| rel == &f.file) {
+                raw[i].push(f);
             }
         }
-
-        let mut analysis = None;
-        if mode.analysis() {
-            let t0 = Instant::now();
-            let syntaxes: Vec<syntax::FileSyntax> = sources
-                .iter()
-                .zip(&lexed)
-                .map(|((rel, _), lx)| syntax::parse_file(rel, lx))
-                .collect();
-            let cg = graph::CallGraph::build(&syntaxes);
-            let (taint_findings, tstats) = taint::analyze(&syntaxes, &cg, &self.policy);
-            let (lock_findings, lstats) = locks::analyze(&syntaxes, &cg, &self.policy);
-            for f in taint_findings.into_iter().chain(lock_findings) {
-                if let Some(i) = sources.iter().position(|(rel, _)| rel == &f.file) {
-                    raw[i].push(f);
-                }
-            }
-            analysis = Some(AnalysisStats {
-                files_parsed: syntaxes.len(),
-                fns_parsed: syntaxes.iter().map(|s| s.fns.len()).sum(),
-                calls_total: cg.stats.calls,
-                calls_resolved: cg.stats.resolved,
-                calls_ambiguous: cg.stats.ambiguous,
-                calls_unresolved: cg.stats.unknown,
-                taint_seeds: tstats.seeds,
-                tainted_fns: tstats.tainted_fns,
-                lock_files: lstats.files_in_scope,
-                lock_events: lstats.sync_events,
-                lock_edges: lstats.edges,
-                elapsed_ms: t0.elapsed().as_millis() as u64,
-            });
-        }
+        let analysis = AnalysisStats {
+            files_parsed: syntaxes.len(),
+            fns_parsed: syntaxes.iter().map(|s| s.fns.len()).sum(),
+            calls_total: cg.stats.calls,
+            calls_resolved: cg.stats.resolved,
+            calls_ambiguous: cg.stats.ambiguous,
+            calls_unresolved: cg.stats.unknown,
+            taint_seeds: tstats.seeds,
+            tainted_fns: tstats.tainted_fns,
+            lock_files: lstats.files_in_scope,
+            lock_events: lstats.sync_events,
+            lock_edges: lstats.edges,
+            elapsed_ms: t0.elapsed().as_millis() as u64,
+        };
 
         let mut report = Report {
             files_scanned: sources.len(),
             analysis,
             ..Report::default()
         };
-        for (i, (rel, _)) in sources.iter().enumerate() {
-            let file_raw = std::mem::take(&mut raw[i]);
-            let file_raw = dedupe_colocated(file_raw);
+        for ((rel, _), (lx, file_raw)) in sources.iter().zip(lexed.iter().zip(raw)) {
             report
                 .findings
-                .extend(rules::finalize(rel, &lexed[i], file_raw, mode));
+                .extend(rules::finalize(rel, lx, dedupe_colocated(file_raw)));
         }
         sort_findings(&mut report.findings);
         report
@@ -310,18 +264,19 @@ fn sort_findings(findings: &mut [Finding]) {
     findings.sort_by(|a, b| (&a.file, a.line, a.col).cmp(&(&b.file, b.line, b.col)));
 }
 
-/// An interprocedural `secret-taint` finding that lands on the same line
+/// An interprocedural `secret-taint` finding at the same line and column
 /// as a site-local `secret-fmt`/`vartime-usage` token finding is the same
-/// defect seen twice; keep the token finding (its message names the exact
-/// identifier) and drop the duplicate, so one allow directive covers the
-/// site. This runs before allow filtering.
+/// sink call seen twice; keep the token finding (its message names the
+/// exact identifier) and drop the duplicate, so one allow directive
+/// covers the site. A taint finding at another sink on that line is a
+/// different defect and stays. This runs before allow filtering.
 fn dedupe_colocated(mut raw: Vec<Finding>) -> Vec<Finding> {
     let token_sites: Vec<(u32, u32)> = raw
         .iter()
         .filter(|f| matches!(f.rule, Rule::SecretFmt | Rule::VartimeUsage))
         .map(|f| (f.line, f.col))
         .collect();
-    raw.retain(|f| f.rule != Rule::SecretTaint || !token_sites.iter().any(|&(l, _)| l == f.line));
+    raw.retain(|f| f.rule != Rule::SecretTaint || !token_sites.contains(&(f.line, f.col)));
     raw
 }
 
@@ -415,6 +370,55 @@ macros = ["println"]
         let fs = linter.lint_source("m.rs", bad);
         assert_eq!(fs.len(), 1, "{fs:?}");
         assert_eq!(fs[0].rule, Rule::SecretFmt);
+        // So the token rule's allow accepts the site, and naming the
+        // folded rule as well is an idle name.
+        let with = |allow: &str| {
+            let src = format!(
+                "fn f(k_prime: &Key) {{\n    // lint:allow({allow}) reason=\"vetted\"\n    \
+                 println!(\"{{:?}}\", k_prime);\n}}"
+            );
+            linter.lint_source("m.rs", &src)
+        };
+        assert!(with("secret-fmt").is_empty());
+        let fs = with("secret-fmt, secret-taint");
+        assert_eq!(fs.len(), 1, "{fs:?}");
+        assert_eq!((fs[0].rule, fs[0].line), (Rule::AllowHygiene, 2));
+        assert!(fs[0].message.contains("`secret-taint`"), "{fs:?}");
+    }
+
+    #[test]
+    fn taint_at_another_sink_on_the_line_is_not_folded() {
+        let policy = Policy::parse(
+            r#"
+[secret]
+types = ["Key"]
+idents = ["k_prime"]
+[sinks]
+macros = ["println"]
+[taint]
+wire-sinks = ["put_raw"]
+"#,
+        )
+        .unwrap();
+        let linter = Linter::from_policy(policy, PathBuf::from("."));
+        let sink = "    w.put_raw(k_prime.as_bytes()); println!(\"{:?}\", k_prime);\n";
+        let at = |src: &str| -> Vec<(Rule, u32, u32)> {
+            let fs = linter.lint_source("m.rs", src);
+            fs.iter().map(|f| (f.rule, f.line, f.col)).collect()
+        };
+        // The wire sink and the format sink are two defects on one line:
+        // only the taint finding at `println!` itself is folded.
+        let bare = format!("fn f(k_prime: &Key, w: &mut W) {{\n{sink}}}");
+        assert_eq!(
+            at(&bare),
+            [(Rule::SecretTaint, 2, 7), (Rule::SecretFmt, 2, 36)]
+        );
+        // Accepting the format sink does not accept the wire leak.
+        let allowed = format!(
+            "fn f(k_prime: &Key, w: &mut W) {{\n    \
+             // lint:allow(secret-fmt) reason=\"debug print, vetted\"\n{sink}}}"
+        );
+        assert_eq!(at(&allowed), [(Rule::SecretTaint, 3, 7)]);
     }
 
     #[test]
@@ -441,5 +445,11 @@ paths = ["m.rs"]
         assert_eq!(fs[0].rule, Rule::SecretTaint);
         let allowed = "fn f(k_prime: &U) {\n    // lint:allow(secret-taint) reason=\"blinded exponent, vetted\"\n    let y = c.modpow_vartime(&b, k_prime);\n}";
         assert!(linter.lint_source("m.rs", allowed).is_empty());
+        // An analysis-rule allow that suppresses nothing is stale.
+        let stale = "fn f(n: u64) -> u64 {\n    // lint:allow(secret-taint) reason=\"was a secret once\"\n    n + 1\n}";
+        let fs = linter.lint_source("m.rs", stale);
+        assert_eq!(fs.len(), 1, "{fs:?}");
+        assert_eq!((fs[0].rule, fs[0].line), (Rule::AllowHygiene, 2));
+        assert!(fs[0].message.starts_with("unused lint:allow"), "{fs:?}");
     }
 }

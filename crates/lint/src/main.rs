@@ -1,22 +1,21 @@
 //! `shs-lint` CLI.
 //!
 //! ```text
-//! shs-lint --workspace                  # both passes, everything under the policy root
-//! shs-lint path/to/file.rs …           # lint specific files
-//! shs-lint --workspace --tokens-only   # fast token rules only
-//! shs-lint --workspace --analysis-only # interprocedural analyses only
+//! shs-lint --workspace                 # everything under the policy root
+//! shs-lint path/to/file.rs …          # lint specific files
 //! shs-lint --workspace --json report.json
 //! shs-lint --workspace --policy other-policy.toml
 //! ```
 //!
-//! Any finding fails the run, in either pass. The one way to accept a
-//! finding is an inline `// lint:allow(<rule>) reason="…"` at its site,
-//! which the `allow-hygiene` rule audits.
+//! Every run executes the token rules and the interprocedural analyses
+//! together, and any finding fails it. The one way to accept a finding
+//! is an inline `// lint:allow(<rule>) reason="…"` at its site, which the
+//! `allow-hygiene` rule audits.
 //!
 //! Exit codes: `0` clean (or `--help`, which prints the usage to
 //! stdout), `1` findings, `2` usage or I/O error.
 
-use shs_lint::{Linter, Mode};
+use shs_lint::Linter;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -25,14 +24,12 @@ struct Args {
     policy: Option<PathBuf>,
     json: Option<PathBuf>,
     quiet: bool,
-    mode: Mode,
     files: Vec<PathBuf>,
 }
 
 fn usage() -> &'static str {
     "usage: shs-lint [--workspace] [--policy <lint-policy.toml>] \
-     [--tokens-only | --analysis-only] [--json <out.json|->] [--quiet] \
-     [files…]"
+     [--json <out.json|->] [--quiet] [files…]"
 }
 
 /// The parsed command line, or `None` when it asks for the usage.
@@ -42,7 +39,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         policy: None,
         json: None,
         quiet: false,
-        mode: Mode::Full,
         files: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
@@ -58,18 +54,6 @@ fn parse_args() -> Result<Option<Args>, String> {
                 args.json = Some(PathBuf::from(
                     it.next().ok_or("--json needs a path argument (or `-`)")?,
                 ))
-            }
-            "--tokens-only" => {
-                if args.mode == Mode::Analysis {
-                    return Err("--tokens-only conflicts with --analysis-only".to_string());
-                }
-                args.mode = Mode::Tokens;
-            }
-            "--analysis-only" => {
-                if args.mode == Mode::Tokens {
-                    return Err("--analysis-only conflicts with --tokens-only".to_string());
-                }
-                args.mode = Mode::Analysis;
             }
             "--quiet" | "-q" => args.quiet = true,
             "--help" | "-h" => return Ok(None),
@@ -114,7 +98,7 @@ fn run() -> Result<bool, String> {
     };
     let linter = Linter::from_policy_file(&policy_path)?;
     let report = if args.workspace {
-        linter.lint_workspace_mode(args.mode)?
+        linter.lint_workspace()?
     } else {
         // Make explicit paths absolute so root-stripping yields stable
         // relative names.
@@ -129,7 +113,7 @@ fn run() -> Result<bool, String> {
                 }
             })
             .collect();
-        linter.lint_files_mode(&files, args.mode)?
+        linter.lint_files(&files)?
     };
 
     if !args.quiet {
@@ -141,21 +125,20 @@ fn run() -> Result<bool, String> {
             report.files_scanned,
             report.findings.len()
         );
-        if let Some(a) = &report.analysis {
-            eprintln!(
-                "shs-lint: analysis: {} fns in {} files, {}/{} calls resolved \
-                 ({} ambiguous, {} external), {} taint seeds, {} lock events, {} ms",
-                a.fns_parsed,
-                a.files_parsed,
-                a.calls_resolved,
-                a.calls_total,
-                a.calls_ambiguous,
-                a.calls_unresolved,
-                a.taint_seeds,
-                a.lock_events,
-                a.elapsed_ms
-            );
-        }
+        let a = &report.analysis;
+        eprintln!(
+            "shs-lint: analysis: {} fns in {} files, {}/{} calls resolved \
+             ({} ambiguous, {} external), {} taint seeds, {} lock events, {} ms",
+            a.fns_parsed,
+            a.files_parsed,
+            a.calls_resolved,
+            a.calls_total,
+            a.calls_ambiguous,
+            a.calls_unresolved,
+            a.taint_seeds,
+            a.lock_events,
+            a.elapsed_ms
+        );
     }
     if let Some(json_path) = &args.json {
         let body = report.to_json();

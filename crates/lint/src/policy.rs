@@ -80,17 +80,6 @@ impl Rule {
     pub fn from_name(s: &str) -> Option<Rule> {
         Rule::ALL.into_iter().find(|r| r.name() == s)
     }
-
-    /// Is this rule produced by the interprocedural analysis pass (as
-    /// opposed to the fast token pass)? Allow-hygiene accounting uses
-    /// this to avoid calling a directive stale in a run where the rule
-    /// it suppresses never executed.
-    pub fn is_analysis(self) -> bool {
-        matches!(
-            self,
-            Rule::SecretTaint | Rule::LockOrder | Rule::SendUnderLock
-        )
-    }
 }
 
 impl fmt::Display for Rule {

@@ -66,7 +66,7 @@ pub struct AnalysisStats {
     pub lock_events: usize,
     /// Acquisition edges in the global lock graph.
     pub lock_edges: usize,
-    /// Wall-clock time of the analysis pass, milliseconds.
+    /// Wall-clock time of the analyses, milliseconds.
     pub elapsed_ms: u64,
 }
 
@@ -77,8 +77,8 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Number of files scanned.
     pub files_scanned: usize,
-    /// Self-stats of the analysis pass, when it ran.
-    pub analysis: Option<AnalysisStats>,
+    /// Self-stats of the interprocedural analyses.
+    pub analysis: AnalysisStats,
 }
 
 impl Report {
@@ -95,28 +95,27 @@ impl Report {
         s.push_str("  \"version\": 1,\n");
         s.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
         s.push_str(&format!("  \"finding_count\": {},\n", self.findings.len()));
-        if let Some(a) = &self.analysis {
-            s.push_str("  \"analysis\": {\n");
-            s.push_str(&format!("    \"files_parsed\": {},\n", a.files_parsed));
-            s.push_str(&format!("    \"fns_parsed\": {},\n", a.fns_parsed));
-            s.push_str(&format!("    \"calls_total\": {},\n", a.calls_total));
-            s.push_str(&format!("    \"calls_resolved\": {},\n", a.calls_resolved));
-            s.push_str(&format!(
-                "    \"calls_ambiguous\": {},\n",
-                a.calls_ambiguous
-            ));
-            s.push_str(&format!(
-                "    \"calls_unresolved\": {},\n",
-                a.calls_unresolved
-            ));
-            s.push_str(&format!("    \"taint_seeds\": {},\n", a.taint_seeds));
-            s.push_str(&format!("    \"tainted_fns\": {},\n", a.tainted_fns));
-            s.push_str(&format!("    \"lock_files\": {},\n", a.lock_files));
-            s.push_str(&format!("    \"lock_events\": {},\n", a.lock_events));
-            s.push_str(&format!("    \"lock_edges\": {},\n", a.lock_edges));
-            s.push_str(&format!("    \"elapsed_ms\": {}\n", a.elapsed_ms));
-            s.push_str("  },\n");
-        }
+        let a = &self.analysis;
+        s.push_str("  \"analysis\": {\n");
+        s.push_str(&format!("    \"files_parsed\": {},\n", a.files_parsed));
+        s.push_str(&format!("    \"fns_parsed\": {},\n", a.fns_parsed));
+        s.push_str(&format!("    \"calls_total\": {},\n", a.calls_total));
+        s.push_str(&format!("    \"calls_resolved\": {},\n", a.calls_resolved));
+        s.push_str(&format!(
+            "    \"calls_ambiguous\": {},\n",
+            a.calls_ambiguous
+        ));
+        s.push_str(&format!(
+            "    \"calls_unresolved\": {},\n",
+            a.calls_unresolved
+        ));
+        s.push_str(&format!("    \"taint_seeds\": {},\n", a.taint_seeds));
+        s.push_str(&format!("    \"tainted_fns\": {},\n", a.tainted_fns));
+        s.push_str(&format!("    \"lock_files\": {},\n", a.lock_files));
+        s.push_str(&format!("    \"lock_events\": {},\n", a.lock_events));
+        s.push_str(&format!("    \"lock_edges\": {},\n", a.lock_edges));
+        s.push_str(&format!("    \"elapsed_ms\": {}\n", a.elapsed_ms));
+        s.push_str("  },\n");
         s.push_str("  \"findings\": [");
         for (i, f) in self.findings.iter().enumerate() {
             if i > 0 {
@@ -169,13 +168,14 @@ mod tests {
                 Rule::SecretCmp,
                 "`==` with \"quotes\"".to_string(),
             )],
-            analysis: None,
+            ..Report::default()
         };
         let j = r.to_json();
         assert!(j.contains("\"files_scanned\": 2"));
         assert!(j.contains("\"rule\": \"secret-cmp\""));
         assert!(j.contains("\\\"quotes\\\""));
-        assert!(!j.contains("\"analysis\""));
+        // Every run executes the analyses, so the stats are always there.
+        assert!(j.contains("\"analysis\": {"));
     }
 
     #[test]
@@ -183,7 +183,7 @@ mod tests {
         let r = Report {
             files_scanned: 1,
             findings: Vec::new(),
-            analysis: Some(AnalysisStats {
+            analysis: AnalysisStats {
                 files_parsed: 60,
                 fns_parsed: 400,
                 calls_total: 900,
@@ -191,7 +191,7 @@ mod tests {
                 calls_ambiguous: 50,
                 calls_unresolved: 150,
                 ..AnalysisStats::default()
-            }),
+            },
         };
         let j = r.to_json();
         assert!(j.contains("\"fns_parsed\": 400"));

@@ -10,21 +10,13 @@
 use crate::lexer::{AllowDirective, Lexed, Tok, TokKind};
 use crate::policy::{Policy, Rule};
 use crate::report::Finding;
-use crate::Mode;
 
-/// Runs every applicable token rule over one file and applies allow
-/// directives — the single-file entry point (the workspace pipeline runs
-/// [`token_findings`] and [`finalize`] separately so interprocedural
-/// findings share the allow machinery).
+/// Raw findings from the token rules, test regions already filtered,
+/// allow directives **not** yet applied (the pipeline merges the
+/// analyses' findings in and then runs [`finalize`]).
 ///
 /// `rel` is the policy-root-relative path used for path-scoped rules and
 /// for reporting.
-pub fn lint_tokens(rel: &str, lexed: &Lexed, policy: &Policy) -> Vec<Finding> {
-    finalize(rel, lexed, token_findings(rel, lexed, policy), Mode::Tokens)
-}
-
-/// Raw findings from the fast token rules, test regions already
-/// filtered, allow directives **not** yet applied.
 pub fn token_findings(rel: &str, lexed: &Lexed, policy: &Policy) -> Vec<Finding> {
     let toks = &lexed.toks;
     let test_lines = test_regions(toks);
@@ -56,13 +48,7 @@ pub fn token_findings(rel: &str, lexed: &Lexed, policy: &Policy) -> Vec<Finding>
 /// least one finding of **each**, or the idle names are themselves
 /// findings — this is what lets a policy-rule upgrade surface every
 /// allow it made stale.
-///
-/// `mode` says which passes produced `raw`: hygiene belongs to the token
-/// pass (an `--analysis-only` run emits none), and a rule name is only
-/// held to the "must suppress something" standard in a run where that
-/// rule actually executed — otherwise a split CI job would call every
-/// other-pass directive stale.
-pub fn finalize(rel: &str, lexed: &Lexed, mut raw: Vec<Finding>, mode: Mode) -> Vec<Finding> {
+pub fn finalize(rel: &str, lexed: &Lexed, mut raw: Vec<Finding>) -> Vec<Finding> {
     let test_lines = test_regions(&lexed.toks);
     let in_test = |line: u32| test_lines.iter().any(|&(a, b)| line >= a && line <= b);
 
@@ -83,67 +69,58 @@ pub fn finalize(rel: &str, lexed: &Lexed, mut raw: Vec<Finding>, mode: Mode) -> 
 
     // Allow-directive hygiene: every exception must carry a reason, name
     // real rules, and actually suppress something under each named rule.
-    // Hygiene itself is a token rule; in an `--analysis-only` run the
-    // token job owns these findings, so none are emitted here.
-    if mode.tokens() {
-        // A rule name is only held to the suppress-something standard if
-        // the pass producing that rule ran (in `--tokens-only`, a
-        // directive for `secret-taint` cannot be proven stale).
-        let checkable =
-            |r: &str| Rule::from_name(r).is_some_and(|rule| !rule.is_analysis() || mode.analysis());
-        for (i, a) in lexed.allows.iter().enumerate() {
-            if in_test(a.line) {
-                continue;
-            }
-            if !a.has_reason {
+    for (i, a) in lexed.allows.iter().enumerate() {
+        if in_test(a.line) {
+            continue;
+        }
+        if !a.has_reason {
+            raw.push(Finding::new(
+                rel,
+                a.line,
+                1,
+                Rule::AllowHygiene,
+                "lint:allow directive without a reason=\"…\" justification".to_string(),
+            ));
+            continue;
+        }
+        let mut all_known = true;
+        for r in &a.rules {
+            if Rule::from_name(r).is_none() {
+                all_known = false;
                 raw.push(Finding::new(
                     rel,
                     a.line,
                     1,
                     Rule::AllowHygiene,
-                    "lint:allow directive without a reason=\"…\" justification".to_string(),
+                    format!("lint:allow names unknown rule `{r}`"),
                 ));
-                continue;
             }
-            let mut all_known = true;
+        }
+        if !all_known {
+            continue;
+        }
+        if used[i].is_empty() {
+            raw.push(Finding::new(
+                rel,
+                a.line,
+                1,
+                Rule::AllowHygiene,
+                "unused lint:allow directive (suppresses nothing on this or the next line)"
+                    .to_string(),
+            ));
+        } else {
             for r in &a.rules {
-                if Rule::from_name(r).is_none() {
-                    all_known = false;
+                if !used[i].contains(&r.as_str()) {
                     raw.push(Finding::new(
                         rel,
                         a.line,
                         1,
                         Rule::AllowHygiene,
-                        format!("lint:allow names unknown rule `{r}`"),
+                        format!(
+                            "lint:allow lists `{r}` but suppresses no `{r}` finding \
+                             on this or the next line; drop the stale rule name"
+                        ),
                     ));
-                }
-            }
-            if !all_known {
-                continue;
-            }
-            if used[i].is_empty() && a.rules.iter().all(|r| checkable(r)) {
-                raw.push(Finding::new(
-                    rel,
-                    a.line,
-                    1,
-                    Rule::AllowHygiene,
-                    "unused lint:allow directive (suppresses nothing on this or the next line)"
-                        .to_string(),
-                ));
-            } else {
-                for r in &a.rules {
-                    if checkable(r) && !used[i].contains(&r.as_str()) {
-                        raw.push(Finding::new(
-                            rel,
-                            a.line,
-                            1,
-                            Rule::AllowHygiene,
-                            format!(
-                                "lint:allow lists `{r}` but suppresses no `{r}` finding \
-                                 on this or the next line; drop the stale rule name"
-                            ),
-                        ));
-                    }
                 }
             }
         }
@@ -745,12 +722,17 @@ paths = ["proto.rs"]
         .unwrap()
     }
 
-    fn findings(rel: &str, src: &str) -> Vec<(Rule, u32)> {
+    /// The token rules over one file, allow directives applied.
+    fn finalized_tokens(rel: &str, src: &str, policy: &Policy) -> Vec<(Rule, u32)> {
         let lexed = lex(src);
-        lint_tokens(rel, &lexed, &policy())
+        finalize(rel, &lexed, token_findings(rel, &lexed, policy))
             .into_iter()
             .map(|f| (f.rule, f.line))
             .collect()
+    }
+
+    fn findings(rel: &str, src: &str) -> Vec<(Rule, u32)> {
+        finalized_tokens(rel, src, &policy())
     }
 
     #[test]
@@ -823,12 +805,7 @@ paths = ["factory.rs"]
 "#,
         )
         .unwrap();
-        let hits = |rel: &str, src: &str| -> Vec<(Rule, u32)> {
-            lint_tokens(rel, &lex(src), &p)
-                .into_iter()
-                .map(|f| (f.rule, f.line))
-                .collect()
-        };
+        let hits = |rel: &str, src: &str| finalized_tokens(rel, src, &p);
         let m = "fn f(s: SchemeKind) -> u8 { match s { SchemeKind::A => 1, _ => 2 } }";
         assert_eq!(hits("other.rs", m), vec![(Rule::FactoryDispatch, 1)]);
         // The factory module itself is exempt.
@@ -860,12 +837,7 @@ paths = ["verify.rs"]
 "#,
         )
         .unwrap();
-        let hits = |rel: &str, src: &str| -> Vec<(Rule, u32)> {
-            lint_tokens(rel, &lex(src), &p)
-                .into_iter()
-                .map(|f| (f.rule, f.line))
-                .collect()
-        };
+        let hits = |rel: &str, src: &str| finalized_tokens(rel, src, &p);
         let call = "fn f() { let y = ctx.modpow_vartime(&b, &e); }";
         assert_eq!(hits("sign.rs", call), vec![(Rule::VartimeUsage, 1)]);
         // The allowlisted verification module is exempt.

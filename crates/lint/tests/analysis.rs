@@ -1,9 +1,9 @@
 //! Integration tests for the interprocedural layer: the call graph over
-//! real fixture files, the analyzer self-stats, and the `--tokens-only` /
-//! `--analysis-only` split the CI job relies on.
+//! real fixture files, the analyzer self-stats, and the one lint run the
+//! CI job relies on.
 
 use shs_lint::graph::{fn_def, CallGraph, Resolution};
-use shs_lint::{lexer, syntax, Linter, Mode};
+use shs_lint::{lexer, syntax, Linter};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -99,44 +99,13 @@ fn call_graph_sees_transitive_send_helper() {
 }
 
 // ---------------------------------------------------------------------------
-// Mode split and self-stats (what the CI job consumes)
+// Self-stats (what the CI job consumes)
 // ---------------------------------------------------------------------------
 
 #[test]
-fn mode_split_partitions_rules_between_passes() {
-    let tokens = linter().lint_workspace_mode(Mode::Tokens).unwrap();
-    assert!(tokens.analysis.is_none(), "token pass carries no stats");
-    assert!(tokens.findings.iter().all(|f| !f.rule.is_analysis()));
-
-    // The analysis pass emits only analysis findings — allow-hygiene
-    // belongs to the token job, and a token-rule allow must NOT be
-    // reported stale just because tokens did not run here.
-    let analysis = linter().lint_workspace_mode(Mode::Analysis).unwrap();
-    assert!(analysis.findings.iter().all(|f| f.rule.is_analysis()));
-
-    // Together the passes cover the full run. (They may overlap: a taint
-    // finding colocated with a token finding is deduped only when both
-    // passes run, so the sum can exceed the full count.)
-    let full = linter().lint_workspace().unwrap();
-    for f in &full.findings {
-        let seen = |r: &shs_lint::Report| {
-            r.findings
-                .iter()
-                .any(|g| g.file == f.file && g.line == f.line && g.rule == f.rule)
-        };
-        assert!(
-            seen(&tokens) || seen(&analysis),
-            "full-run finding missing from both split passes: {}",
-            f.render()
-        );
-    }
-    assert!(tokens.findings.len() + analysis.findings.len() >= full.findings.len());
-}
-
-#[test]
 fn analyzer_self_stats_reflect_the_fixture_tree() {
-    let report = linter().lint_workspace_mode(Mode::Analysis).unwrap();
-    let a = report.analysis.expect("analysis pass ran");
+    let report = linter().lint_workspace().unwrap();
+    let a = report.analysis;
     assert_eq!(a.files_parsed, report.files_scanned);
     assert!(a.fns_parsed > 0);
     assert_eq!(
@@ -161,15 +130,16 @@ fn analyzer_self_stats_reflect_the_fixture_tree() {
 }
 
 // ---------------------------------------------------------------------------
-// Binary: the CI steps' contract
+// Binary: the CI step's contract
 // ---------------------------------------------------------------------------
 
-/// CI runs each pass as its own step with `--json`. Either pass fails on
-/// any finding and still writes its report for the artifact upload; an
-/// inline allow is the only way to accept a finding, so the CLI takes no
-/// findings file.
+/// CI runs one `--workspace --json` step. It executes the token rules and
+/// the analyses together, fails on any finding, and still writes its
+/// report, stats included, for the artifact upload. An inline allow is
+/// the only way to accept a finding, so the CLI takes no findings file
+/// and no pass selection.
 #[test]
-fn binary_each_pass_fails_on_any_finding_and_takes_no_baseline() {
+fn binary_one_run_fails_on_any_finding_and_takes_no_baseline() {
     let lint = |args: &[&str]| {
         Command::new(env!("CARGO_BIN_EXE_shs-lint"))
             .arg("--policy")
@@ -179,31 +149,37 @@ fn binary_each_pass_fails_on_any_finding_and_takes_no_baseline() {
             .output()
             .expect("binary runs")
     };
-    for (pass, rules) in [
-        ("--tokens-only", ["secret-cmp", "panic-path"]),
-        ("--analysis-only", ["secret-taint", "lock-order"]),
-    ] {
-        let out = lint(&[pass, "--json", "-"]);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{pass}: {stderr}");
-        let json = String::from_utf8_lossy(&out.stdout);
-        for rule in rules {
-            assert!(stderr.contains(&format!("[{rule}]")), "{pass}: {stderr}");
-            assert!(
-                json.contains(&format!("\"rule\": \"{rule}\"")),
-                "{pass}: {json}"
-            );
-        }
-    }
-
-    let out = lint(&["--analysis-only", "--baseline", "x"]);
-    assert_eq!(out.status.code(), Some(2));
+    let out = lint(&["--json", "-"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown flag `--baseline`"), "{stderr}");
-    assert!(
-        !stderr.contains("baseline <"),
-        "usage lists a baseline flag: {stderr}"
-    );
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let json = String::from_utf8_lossy(&out.stdout);
+    for rule in ["secret-cmp", "panic-path", "secret-taint", "lock-order"] {
+        assert!(stderr.contains(&format!("[{rule}]")), "{stderr}");
+        assert!(json.contains(&format!("\"rule\": \"{rule}\"")), "{json}");
+    }
+    assert!(json.contains("\"analysis\": {"), "{json}");
+    assert!(json.contains("\"lock_edges\""), "{json}");
+    assert_eq!(stderr.matches("shs-lint: analysis:").count(), 1, "{stderr}");
+
+    // Neither the deleted findings file nor a pass selector
+    // (`--<pass>-only`) is a flag.
+    let gone = ["--baseline".to_string()]
+        .into_iter()
+        .chain(["tokens", "analysis"].map(|pass| format!("--{pass}-only")));
+    for flag in gone {
+        let out = lint(&[&flag]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{stderr}"
+        );
+    }
+    let usage = lint(&["--help"]);
+    let usage = String::from_utf8_lossy(&usage.stdout);
+    for word in ["baseline", "-only"] {
+        assert!(!usage.contains(word), "usage lists `{word}`: {usage}");
+    }
 }
 
 /// `--help` and `-h` are requests, not errors: the usage goes to stdout
